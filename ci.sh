@@ -99,4 +99,12 @@ echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p coursenav-server --features chaos --all-targets -- -D warnings
 
+echo "==> perf/ benchmark runner: tests + clippy"
+# perf/ is its own Cargo workspace, so the workspace steps above never
+# compile it; it links against the server and navigator crates' public
+# APIs, so a change there can break the benchmark. The smoke test runs
+# every workload briefly in a debug build (~25 s with its unit tests).
+cargo test -q --offline --manifest-path perf/Cargo.toml
+cargo clippy --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
+
 echo "CI OK"

@@ -66,10 +66,6 @@ pub struct SessionStats {
     pub invalid: u64,
     /// Well-formed tokens whose session was gone (replay, TTL, eviction).
     pub expired: u64,
-    /// **Deprecated** (kept as `evicted-capacity + expired-ttl` for one
-    /// release): the old conflated drop counter. Dashboards should move to
-    /// the split counters; this key disappears next release.
-    pub evicted: u64,
     /// Sessions dropped to make room under the capacity bound (or by an
     /// operational `evict_all` flush) — "store too small".
     pub evicted_capacity: u64,
@@ -387,7 +383,6 @@ impl SessionStore {
             resumed: self.resumed.load(Ordering::Relaxed),
             invalid: self.invalid.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            evicted: evicted_capacity + expired_ttl,
             evicted_capacity,
             expired_ttl,
             live,
@@ -569,11 +564,9 @@ mod tests {
         assert_eq!(store.take(&second).as_deref(), Ok("two"));
         assert_eq!(store.take(&third).as_deref(), Ok("three"));
         let stats = store.stats();
-        // The drop was a capacity squeeze, not a TTL lapse — and the
-        // deprecated aggregate still carries the sum.
+        // The drop was a capacity squeeze, not a TTL lapse.
         assert_eq!(stats.evicted_capacity, 1);
         assert_eq!(stats.expired_ttl, 0);
-        assert_eq!(stats.evicted, 1);
         assert_eq!(stats.live, 0);
     }
 
@@ -587,7 +580,6 @@ mod tests {
         // The drop was a TTL lapse, not a capacity squeeze.
         assert_eq!(stats.expired_ttl, 1);
         assert_eq!(stats.evicted_capacity, 0);
-        assert_eq!(stats.evicted, 1);
         assert_eq!(stats.live, 0);
     }
 

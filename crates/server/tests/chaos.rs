@@ -576,7 +576,7 @@ fn chaos_evicted_sessions_die_loudly_never_resume_wrong() {
         let snapshot = server.metrics();
         let s = &snapshot.sessions;
         assert_eq!(
-            s.resumed + s.evicted + s.live,
+            s.resumed + s.evicted_capacity + s.expired_ttl + s.live,
             s.created,
             "chaos evictions must conserve sessions: {s:?}"
         );

@@ -6,7 +6,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use coursenav_navigator::{ExplorationRequest, GoalSpec, OutputMode, RankingSpec};
+use coursenav_navigator::{
+    AdviseRequest, ExplorationRequest, GoalSpec, OutputMode, RankingSpec, TranscriptSpec,
+    WhatIfRequest,
+};
 use coursenav_registrar::brandeis_cs;
 use coursenav_server::{Server, ServerConfig};
 
@@ -160,6 +163,24 @@ fn count_request() -> ExplorationRequest {
     // orders of magnitude.
     let mut req = ExplorationRequest::deadline_count(data.horizon.0, data.horizon.0 + 4, 3);
     req.goal = Some(GoalSpec::Degree);
+    req
+}
+
+/// Advising after the three intro courses in the start semester, toward
+/// the same feasible Fall 2014 degree deadline.
+fn advise_request() -> AdviseRequest {
+    let data = brandeis_cs();
+    let transcript = TranscriptSpec {
+        start: data.horizon.0,
+        selections: vec![vec![
+            "COSI 10A".to_string(),
+            "COSI 11A".to_string(),
+            "COSI 29A".to_string(),
+        ]],
+    };
+    let mut req = AdviseRequest::new(transcript, data.horizon.0 + 4);
+    req.goal = Some(GoalSpec::Degree);
+    req.k = Some(2);
     req
 }
 
@@ -639,21 +660,24 @@ fn stampede_of_identical_cold_requests_computes_once() {
     let json = req.to_json().unwrap();
 
     const N: usize = 8;
-    let barrier = std::sync::Barrier::new(N);
-    let results: Vec<(u16, Option<String>, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..N)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut client = Client::connect(addr);
-                    barrier.wait();
-                    let resp = client.send("POST", "/v1/explore", Some(&json));
-                    let cache = resp.header("x-cache").map(str::to_string);
-                    (resp.status, cache, resp.body)
+    let stampede = |path: &str, json: &str| -> Vec<(u16, Option<String>, String)> {
+        let barrier = std::sync::Barrier::new(N);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut client = Client::connect(addr);
+                        barrier.wait();
+                        let resp = client.send("POST", path, Some(json));
+                        let cache = resp.header("x-cache").map(str::to_string);
+                        (resp.status, cache, resp.body)
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+    let results = stampede("/v1/explore", &json);
 
     // All 200, and followers share the leader's response *verbatim* —
     // byte-identical bodies, timing metadata included.
@@ -704,6 +728,30 @@ fn stampede_of_identical_cold_requests_computes_once() {
             == N as u64,
         "bucket sum equals observation count"
     );
+
+    // Advising and no-force what-ifs ride the same cache/singleflight
+    // pipeline: every concurrent duplicate gets the same bytes, and each
+    // answer says how it was produced.
+    let mut whatif = WhatIfRequest {
+        base: count_request(),
+        transcript: None,
+        delta: Default::default(),
+    };
+    whatif.delta.avoid = vec!["COSI 12B".to_string()];
+    for (path, json) in [
+        ("/v1/advise", advise_request().to_json().unwrap()),
+        ("/v1/whatif", whatif.to_json().unwrap()),
+    ] {
+        let results = stampede(path, &json);
+        for (status, cache, body) in &results {
+            assert_eq!(*status, 200, "{path}: {body}");
+            assert!(
+                matches!(cache.as_deref(), Some("hit" | "miss" | "coalesced")),
+                "{path}: x-cache {cache:?}"
+            );
+            assert_eq!(body, &results[0].2, "{path}: duplicates share bytes");
+        }
+    }
 
     server.shutdown();
 }
@@ -1011,6 +1059,74 @@ fn tampered_and_replayed_cursors_get_typed_errors() {
 }
 
 #[test]
+fn refused_requests_never_count_as_computed() {
+    // `*-computed` counts engine runs. A stream body that does not decode
+    // and a replayed or forged cursor are refused before the engine runs.
+    let server = start_default();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr);
+    let computed = |metrics: &serde_json::Value| {
+        (
+            metrics["explore-computed"].as_u64().unwrap(),
+            metrics["advise-computed"].as_u64().unwrap(),
+        )
+    };
+
+    // One paged exploration and one paged advise, each resumed once: four
+    // engine runs, and two consumed tokens to replay.
+    let mut explore = count_request();
+    explore.output = OutputMode::Collect { limit: 40 };
+    explore.page_size = Some(5);
+    let first: serde_json::Value = serde_json::from_str(
+        &client
+            .send("POST", "/v1/explore", Some(&explore.to_json().unwrap()))
+            .body,
+    )
+    .unwrap();
+    explore.cursor = Some(first["paths"]["next_cursor"].as_str().unwrap().into());
+    let explore_json = explore.to_json().unwrap();
+    assert_eq!(
+        client
+            .send("POST", "/v1/explore", Some(&explore_json))
+            .status,
+        200
+    );
+    let mut advise = advise_request();
+    advise.page_size = Some(1);
+    let first: serde_json::Value = serde_json::from_str(
+        &client
+            .send("POST", "/v1/advise", Some(&advise.to_json().unwrap()))
+            .body,
+    )
+    .unwrap();
+    advise.cursor = Some(first["next-cursor"].as_str().unwrap().into());
+    let advise_json = advise.to_json().unwrap();
+    assert_eq!(
+        client.send("POST", "/v1/advise", Some(&advise_json)).status,
+        200
+    );
+    let before = computed(&fetch_metrics(addr));
+    assert_eq!(before, (2, 2));
+
+    let mut forged = explore.clone();
+    forged.cursor = Some("cn1.0000000000000000.ffffffffffffffff".into());
+    let forged_json = forged.to_json().unwrap();
+    for (path, body, status) in [
+        ("/v1/explore/stream", "{not json", 400),
+        ("/v1/explore/stream", explore_json.as_str(), 410),
+        ("/v1/explore/stream", forged_json.as_str(), 400),
+        ("/v1/explore", explore_json.as_str(), 410),
+        ("/v1/explore", forged_json.as_str(), 400),
+        ("/v1/advise", advise_json.as_str(), 410),
+    ] {
+        let resp = Client::connect(addr).send("POST", path, Some(body));
+        assert_eq!(resp.status, status, "{path}: {}", resp.body);
+    }
+    assert_eq!(computed(&fetch_metrics(addr)), before);
+    server.shutdown();
+}
+
+#[test]
 fn session_eviction_answers_410_for_the_evicted_cursor() {
     // A one-session store: minting the second cursor evicts the first.
     let server = Server::start(
@@ -1050,7 +1166,7 @@ fn session_eviction_answers_410_for_the_evicted_cursor() {
 
     let metrics = fetch_metrics(addr);
     assert!(
-        metrics["sessions"]["evicted"].as_u64().unwrap() >= 1,
+        metrics["sessions"]["evicted-capacity"].as_u64().unwrap() >= 1,
         "{metrics:?}"
     );
     server.shutdown();

@@ -10,7 +10,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use common::{count_request, fetch_metrics, roundtrip};
-use coursenav_navigator::{OutputMode, RankingSpec};
+use coursenav_navigator::{
+    AdviseRequest, BatchAdviseRequest, GoalSpec, OutputMode, RankingSpec, TranscriptSpec,
+    WhatIfRequest,
+};
 use coursenav_registrar::brandeis_cs;
 use coursenav_server::{OverloadConfig, Server, ServerConfig};
 
@@ -53,6 +56,23 @@ fn degraded_level_clamps_budget_and_marks_responses() {
         assert_eq!(resp.header("x-cache"), Some("miss"));
         let value: serde_json::Value = serde_json::from_str(resp.text()).unwrap();
         assert_eq!(value["ranked"]["truncated"].as_bool(), Some(true));
+    }
+    // Advising and what-if admissions take the same clamp and the same mark.
+    for (path, json) in [
+        ("/v1/advise", advise_request().to_json().unwrap()),
+        ("/v1/whatif", whatif_request().to_json().unwrap()),
+    ] {
+        for _ in 0..2 {
+            let resp = roundtrip(addr, "POST", path, Some(&json)).expect("a full response");
+            assert_eq!(resp.status, 200, "{path}: {}", resp.text());
+            assert_eq!(resp.header("x-degraded"), Some("1"), "{path}");
+            assert_eq!(resp.header("x-cache"), Some("miss"), "{path}");
+            assert!(
+                resp.text().contains("\"truncated\":true"),
+                "{}",
+                resp.text()
+            );
+        }
     }
 
     let metrics = fetch_metrics(addr);
@@ -312,5 +332,65 @@ fn open_breaker_rejects_streams_with_the_same_typed_503() {
     assert_eq!(metrics["overload"]["breaker"].as_str(), Some("open"));
     assert_eq!(metrics["overload"]["breaker-rejections"].as_u64(), Some(3));
 
+    // While it stays open, every other POST family answers the same typed
+    // 503: the buffered advise and what-if routes and the streamed batch.
+    let advise = advise_request();
+    let batch = BatchAdviseRequest {
+        students: vec![advise.transcript.clone()],
+        interests: None,
+        deadline: advise.deadline,
+        max_per_semester: None,
+        goal: advise.goal.clone(),
+        k: advise.k,
+        budget_ms: None,
+        tenant: None,
+    };
+    for (path, json) in [
+        ("/v1/advise", advise.to_json().unwrap()),
+        ("/v1/whatif", whatif_request().to_json().unwrap()),
+        ("/v1/advise/batch", batch.to_json().unwrap()),
+    ] {
+        let resp = roundtrip(addr, "POST", path, Some(&json)).expect("a full response");
+        assert_eq!(resp.status, 503, "{path}: {}", resp.text());
+        assert!(resp.complete);
+        assert!(
+            resp.text().contains("\"code\":\"overloaded\""),
+            "{path}: {}",
+            resp.text()
+        );
+        assert!(resp.header("retry-after").is_some(), "{path}");
+    }
+    let metrics = fetch_metrics(addr);
+    assert_eq!(metrics["overload"]["breaker-rejections"].as_u64(), Some(6));
+
     server.shutdown();
+}
+
+/// The cohort fixture from the wire-contract suite: three intro courses
+/// in the start semester, a feasible Fall 2014 degree deadline.
+fn advise_request() -> AdviseRequest {
+    let data = brandeis_cs();
+    let transcript = TranscriptSpec {
+        start: data.horizon.0,
+        selections: vec![vec![
+            "COSI 10A".to_string(),
+            "COSI 11A".to_string(),
+            "COSI 29A".to_string(),
+        ]],
+    };
+    let mut req = AdviseRequest::new(transcript, data.horizon.0 + 4);
+    req.goal = Some(GoalSpec::Degree);
+    req.k = Some(2);
+    req
+}
+
+/// A no-force what-if over the standard count request.
+fn whatif_request() -> WhatIfRequest {
+    let mut req = WhatIfRequest {
+        base: count_request(),
+        transcript: None,
+        delta: Default::default(),
+    };
+    req.delta.avoid = vec!["COSI 12B".to_string()];
+    req
 }

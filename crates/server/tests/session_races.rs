@@ -5,7 +5,8 @@
 //! 1. **Single use.** A token is honored at most once, ever — two racing
 //!    resumes of the same token never both succeed.
 //! 2. **Conservation.** Every minted session is accounted for exactly
-//!    once: `resumed + evicted + live == created` at quiescence.
+//!    once: `resumed + evicted-capacity + expired-ttl + live == created`
+//!    at quiescence.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,7 +69,7 @@ fn racing_resumes_honor_a_token_at_most_once() {
     // Nothing evicted (capacity is ample, TTL long), so the losers all
     // surfaced as replays of consumed sessions.
     assert_eq!(
-        stats.resumed + stats.evicted + stats.live,
+        stats.resumed + stats.evicted_capacity + stats.expired_ttl + stats.live,
         stats.created,
         "sessions are conserved: {stats:?}"
     );
@@ -138,7 +139,7 @@ fn evictions_and_capacity_pressure_never_double_honor_or_lose_sessions() {
     assert_eq!(stats.created, (WORKERS * PER_WORKER) as u64);
     assert_eq!(stats.resumed, wins_total.load(Ordering::Relaxed));
     assert_eq!(
-        stats.resumed + stats.evicted + stats.live,
+        stats.resumed + stats.evicted_capacity + stats.expired_ttl + stats.live,
         stats.created,
         "eviction storms must not lose or duplicate sessions: {stats:?}"
     );

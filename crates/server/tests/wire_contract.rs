@@ -170,6 +170,54 @@ fn whatif_force_requires_unpaged_counts() {
 }
 
 #[test]
+fn whatif_pages_resume_to_the_unpaged_count() {
+    // A paged no-force what-if is a paged exploration of the merged
+    // request: it bypasses the cache, mints cursors, and is accounted on
+    // the explore paging counters.
+    let server = server();
+    let mut req = whatif_request();
+    req.delta.avoid.clear();
+    req.delta.max_semester_workload = Some(38.0);
+    let unpaged = send(&server, "POST", "/v1/whatif", Some(&req.to_json().unwrap()));
+    assert_eq!(unpaged.status, 200, "{}", unpaged.text());
+    let unpaged: serde_json::Value = serde_json::from_str(unpaged.text()).unwrap();
+    assert!(
+        unpaged["counts"]["goal_paths"].as_u64().unwrap() > 0,
+        "{unpaged:?}"
+    );
+    req.base.page_size = Some(20);
+    let mut pages = 0u64;
+    let last = loop {
+        let resp = send(&server, "POST", "/v1/whatif", Some(&req.to_json().unwrap()));
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(resp.header("x-cache"), Some("bypass"));
+        let page: serde_json::Value = serde_json::from_str(resp.text()).unwrap();
+        pages += 1;
+        assert!(pages < 100, "paging must terminate");
+        match page["counts"]["next_cursor"].as_str() {
+            Some(token) => req.base.cursor = Some(token.to_string()),
+            None => break page,
+        }
+    };
+    assert!(pages >= 2, "a 20-leaf page size splits the count");
+    // Counts are cumulative across resumed pages: the last page carries
+    // the unpaged totals.
+    for field in ["total_paths", "goal_paths"] {
+        assert_eq!(
+            last["counts"][field], unpaged["counts"][field],
+            "{field}: {last:?} vs {unpaged:?}"
+        );
+    }
+    let metrics = fetch_metrics(server.local_addr());
+    assert_eq!(metrics["whatif-requests"].as_u64(), Some(1 + pages));
+    assert_eq!(metrics["whatif-computed"].as_u64(), Some(1));
+    assert_eq!(metrics["explore-requests"].as_u64(), Some(0));
+    assert_eq!(metrics["explore-paged"].as_u64(), Some(pages));
+    assert_eq!(metrics["explore-computed"].as_u64(), Some(pages));
+    server.shutdown();
+}
+
+#[test]
 fn whatif_over_budget_is_a_typed_retryable_413() {
     // A one-node table cannot hold any base DAG: the build aborts with
     // the documented state-budget error and the saturated table is
