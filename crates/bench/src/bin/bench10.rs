@@ -13,7 +13,8 @@
 //!    baseline; an unmemoized run is slower still).
 //! 2. `dag-build`: the one-time cost of interning the base exploration
 //!    into the unique table, with the node ledger — interned nodes vs.
-//!    the raw allocations a consing-free build would have made.
+//!    the raw allocations a consing-free build would have made (one per
+//!    distinct state reached).
 //! 3. `whatif-apply`: the same deltas answered warm from the shared DAG
 //!    (restrict/through + root cache), counts asserted equal to the
 //!    re-explored answers delta by delta.
@@ -155,7 +156,13 @@ fn run_config(rows: &mut Vec<Row>, cfg: &Config<'_>) -> f64 {
     });
     assert_eq!(built.served, WhatIfServed::Applied, "{}", cfg.label);
     let stats = table.snapshot();
-    let raw_nodes = stats.interned + stats.hash_cons_hits;
+    // The nodes a consing-free build would allocate: one per distinct
+    // state reached, terminal states included (counted untimed).
+    let raw_nodes = cfg
+        .service
+        .build_explorer(&cfg.base)
+        .expect("the base exploration is valid")
+        .distinct_states() as u64;
 
     // The claim: every delta answered warm from the shared DAG, counts
     // identical to the re-explored answers.

@@ -889,7 +889,6 @@ mod tests {
     use crate::explorer::Explorer;
     use crate::filter::{AvoidCourses, MaxSemesterWorkload};
     use crate::status::EnrollmentStatus;
-    use crate::unique::DagBudget;
 
     fn base_explorer(synth: &SyntheticCatalog) -> Explorer<'_> {
         let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
@@ -905,11 +904,11 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         let avoid = avoid_set(&synth, 2);
         let restricted = table.restrict(
-            base.root,
+            base,
             &synth.catalog,
             &Restriction {
                 avoid,
@@ -918,10 +917,10 @@ mod tests {
         );
         let filtered = base_explorer(&synth)
             .with_filter(Arc::new(AvoidCourses(avoid)))
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         assert_eq!(
-            restricted, filtered.root,
+            restricted, filtered,
             "restrict returns the exact node the filtered build interns"
         );
     }
@@ -931,11 +930,11 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         let cap = 12.0;
         let restricted = table.restrict(
-            base.root,
+            base,
             &synth.catalog,
             &Restriction {
                 avoid: CourseSet::EMPTY,
@@ -944,9 +943,9 @@ mod tests {
         );
         let filtered = base_explorer(&synth)
             .with_filter(Arc::new(MaxSemesterWorkload(cap)))
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
-        assert_eq!(restricted, filtered.root);
+        assert_eq!(restricted, filtered);
     }
 
     #[test]
@@ -954,23 +953,20 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         // A restriction avoiding nothing electable and capping above the
         // whole DAG's heaviest selection cannot touch the root.
-        let root = table.node(base.root);
+        let root = table.node(base);
         assert!(root.max_load.is_finite(), "built DAGs have exact bounds");
         let r = Restriction {
             avoid: CourseSet::EMPTY,
             max_workload: Some(root.max_load + 1.0),
         };
         let before = table.snapshot();
-        let restricted = table.restrict(base.root, &synth.catalog, &r);
+        let restricted = table.restrict(base, &synth.catalog, &r);
         let after = table.snapshot();
-        assert_eq!(
-            restricted, base.root,
-            "nothing to veto: the root is canonical"
-        );
+        assert_eq!(restricted, base, "nothing to veto: the root is canonical");
         assert_eq!(
             after.interned, before.interned,
             "the untouched proof interns nothing"
@@ -982,15 +978,15 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         let r = Restriction {
             avoid: avoid_set(&synth, 1),
             max_workload: None,
         };
-        let first = table.restrict(base.root, &synth.catalog, &r);
+        let first = table.restrict(base, &synth.catalog, &r);
         let before = table.snapshot();
-        let second = table.restrict(base.root, &synth.catalog, &r);
+        let second = table.restrict(base, &synth.catalog, &r);
         let after = table.snapshot();
         assert_eq!(first, second);
         assert!(after.apply_hits > before.apply_hits);
@@ -1005,12 +1001,10 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let e = base_explorer(&synth);
         let table = UniqueTable::new(0);
-        let base = e
-            .build_path_dag(&table, DagBudget::Unlimited, None)
-            .unwrap();
+        let base = e.build_path_dag(&table, None, None).unwrap();
         for n in 1..=2 {
             let want = avoid_set(&synth, n);
-            let forced = table.through(base.root, &synth.catalog, &CourseSet::EMPTY, want);
+            let forced = table.through(base, &synth.catalog, &CourseSet::EMPTY, want);
             let node = table.node(forced);
             let mut expected = 0u128;
             e.visit_paths(|visit| {
@@ -1029,7 +1023,7 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         let c01 = avoid_set(&synth, 2);
         let c0 = avoid_set(&synth, 1);
@@ -1058,15 +1052,10 @@ mod tests {
             ),
         ];
         for (restriction, force) in &cases {
-            let (paths, goal_paths, stats) = table.whatif_counts(
-                base.root,
-                &synth.catalog,
-                restriction,
-                force,
-                &CourseSet::EMPTY,
-            );
-            let restricted = table.restrict(base.root, &synth.catalog, restriction);
-            let completed = table.node(base.root).completed;
+            let (paths, goal_paths, stats) =
+                table.whatif_counts(base, &synth.catalog, restriction, force, &CourseSet::EMPTY);
+            let restricted = table.restrict(base, &synth.catalog, restriction);
+            let completed = table.node(base).completed;
             let forced = table.through(restricted, &synth.catalog, &completed, *force);
             let node = table.node(forced);
             assert_eq!(
@@ -1077,13 +1066,8 @@ mod tests {
             assert_eq!(stats, node.stats, "fold stats equal the composition");
             // The fold is whole-call cached: asking again walks nothing.
             let before = table.snapshot();
-            let again = table.whatif_counts(
-                base.root,
-                &synth.catalog,
-                restriction,
-                force,
-                &CourseSet::EMPTY,
-            );
+            let again =
+                table.whatif_counts(base, &synth.catalog, restriction, force, &CourseSet::EMPTY);
             let after = table.snapshot();
             assert_eq!(again, (paths, goal_paths, stats));
             assert!(after.apply_hits > before.apply_hits);
@@ -1095,14 +1079,14 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
         // A = paths avoiding c0, B = paths avoiding c1 — same frame, both
         // subsets of the base path set.
         let c0 = avoid_set(&synth, 1);
         let c1 = avoid_set(&synth, 2).difference(&c0);
         let a = table.restrict(
-            base.root,
+            base,
             &synth.catalog,
             &Restriction {
                 avoid: c0,
@@ -1110,7 +1094,7 @@ mod tests {
             },
         );
         let b = table.restrict(
-            base.root,
+            base,
             &synth.catalog,
             &Restriction {
                 avoid: c1,
@@ -1123,7 +1107,7 @@ mod tests {
         let p_both = table.node(both).paths;
         // A ∩ B = paths avoiding both — verifiable directly.
         let direct = table.restrict(
-            base.root,
+            base,
             &synth.catalog,
             &Restriction {
                 avoid: c0.union(&c1),
@@ -1147,9 +1131,9 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
-        let node = table.node(base.root);
+        let node = table.node(base);
         let DagNodeKind::Interior { edges, .. } = &node.kind else {
             panic!("root should expand");
         };
@@ -1159,7 +1143,7 @@ mod tests {
             .find(|&c| matches!(table.node(c).kind, DagNodeKind::Interior { .. }))
             .expect("the root has an interior child");
         assert_eq!(
-            table.set_apply(SetOp::Intersect, base.root, child),
+            table.set_apply(SetOp::Intersect, base, child),
             Err(ApplyError::AnchorMismatch)
         );
     }
@@ -1169,19 +1153,11 @@ mod tests {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let table = UniqueTable::new(0);
         let base = base_explorer(&synth)
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+            .build_path_dag(&table, None, None)
             .unwrap();
-        assert_eq!(
-            table
-                .set_apply(SetOp::Intersect, base.root, base.root)
-                .unwrap(),
-            base.root
-        );
-        assert_eq!(
-            table.set_apply(SetOp::Union, base.root, base.root).unwrap(),
-            base.root
-        );
-        let none = table.set_apply(SetOp::Diff, base.root, base.root).unwrap();
+        assert_eq!(table.set_apply(SetOp::Intersect, base, base).unwrap(), base);
+        assert_eq!(table.set_apply(SetOp::Union, base, base).unwrap(), base);
+        let none = table.set_apply(SetOp::Diff, base, base).unwrap();
         assert_eq!(table.node(none).paths, 0);
     }
 }

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use crate::expand::SelectionIter;
 use crate::explorer::{Disposition, Explorer};
 use crate::memo::TranspositionTable;
-use crate::unique::{DagBudget, DagNodeId, DagNodeKind, UniqueTable};
+use crate::unique::{DagNodeId, DagNodeKind, UniqueTable};
 
 /// The downstream effect of electing one selection this semester.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -44,10 +44,10 @@ impl Explorer<'_> {
     /// reached, goal already satisfied, or no options and no wait).
     pub fn selection_impacts(&self) -> Vec<SelectionImpact> {
         let table = UniqueTable::new(0);
-        let build = self
-            .build_path_dag(&table, DagBudget::Unlimited, None)
+        let root = self
+            .build_path_dag(&table, None, None)
             .expect("unbudgeted build cannot fail");
-        self.impacts_from_dag(&table, build.root)
+        self.impacts_from_dag(&table, root)
     }
 
     /// Projects [`SelectionImpact`]s out of an already-built path DAG

@@ -93,8 +93,5 @@ pub use service::{ExplorationResponse, NavigatorService, ServiceError, API_VERSI
 pub use stats::{ExploreStats, PathCounts};
 pub use status::EnrollmentStatus;
 pub use stream::PathStream;
-pub use unique::{
-    DagBudget, DagBuild, DagBuildError, DagNode, DagNodeId, DagNodeKind, UniqueTable,
-    UniqueTableStats,
-};
+pub use unique::{DagBuildError, DagNode, DagNodeId, DagNodeKind, UniqueTable, UniqueTableStats};
 pub use whatif::{WhatIfDelta, WhatIfOutcome, WhatIfRequest, WhatIfServed};

@@ -32,7 +32,7 @@ use crate::error::ExploreError;
 use crate::memo::TranspositionTable;
 use crate::request::{ExplorationRequest, OutputMode};
 use crate::service::{ExplorationResponse, NavigatorService, ServiceError, API_VERSION};
-use crate::unique::{DagBudget, DagBuildError, DagNodeId, UniqueTable};
+use crate::unique::{DagBuildError, DagNodeId, UniqueTable};
 
 /// The constraint delta of a what-if question, applied on top of the base
 /// request's own constraints.
@@ -296,15 +296,11 @@ impl NavigatorService<'_> {
             return Ok(Some(root));
         }
         let explorer = self.build_explorer(base)?;
-        let budget = if table.capacity() > 0 {
-            DagBudget::Materialized(table.capacity())
-        } else {
-            DagBudget::Unlimited
-        };
-        match explorer.build_path_dag(table, budget, deadline) {
-            Ok(build) => {
-                table.store_root(frame_key, build.root);
-                Ok(Some(build.root))
+        let node_budget = Some(table.capacity()).filter(|&cap| cap > 0);
+        match explorer.build_path_dag(table, node_budget, deadline) {
+            Ok(root) => {
+                table.store_root(frame_key, root);
+                Ok(Some(root))
             }
             Err(DagBuildError::Budget { node_budget }) => {
                 Err(ServiceError::Explore(ExploreError::BudgetExceeded {

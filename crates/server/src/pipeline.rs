@@ -302,6 +302,9 @@ impl Family for WhatIfRequest {
                     WhatIfServed::Applied => &state.metrics.whatif_applied,
                     WhatIfServed::Explored => &state.metrics.whatif_explored,
                 });
+                // Each build fits its budget, but builds over many bases
+                // add up: retire the table once it holds its cap.
+                tenant.dag().retire_if_full(&dag);
                 encode(&outcome.response, !outcome.response.truncated())
             }
             Err(e) => {

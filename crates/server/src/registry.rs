@@ -149,6 +149,28 @@ impl DagStore {
     pub fn retire(&self) {
         let fresh = Arc::new(UniqueTable::new(self.capacity));
         let old = std::mem::replace(&mut *self.table.write(), fresh);
+        self.fold_retired(&old);
+    }
+
+    /// Retires `used` if it reached the store's node cap and is still the
+    /// live table. A build's own budget bounds that build only; this keeps
+    /// a table that many successful builds filled from growing past the
+    /// cap. A table another request already retired is left alone, so two
+    /// requests finishing on the same full table retire it once.
+    pub fn retire_if_full(&self, used: &Arc<UniqueTable>) {
+        if !used.is_full() {
+            return;
+        }
+        let mut live = self.table.write();
+        if !Arc::ptr_eq(&live, used) {
+            return;
+        }
+        let old = std::mem::replace(&mut *live, Arc::new(UniqueTable::new(self.capacity)));
+        drop(live);
+        self.fold_retired(&old);
+    }
+
+    fn fold_retired(&self, old: &UniqueTable) {
         let mut stats = old.snapshot();
         // Resident nodes and roots die with the table; only the lifetime
         // counters carry forward.

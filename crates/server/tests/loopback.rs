@@ -1262,3 +1262,77 @@ fn streamed_pages_resume_with_the_next_cursor() {
     );
     server.shutdown();
 }
+
+#[test]
+fn whatif_tables_are_retired_at_their_node_cap_across_builds() {
+    // Every base DAG fits the per-build budget on its own, but a tenant
+    // answering what-ifs over many bases must not grow its table past
+    // `dag_nodes`: once a successful build fills it, the table is retired.
+    let data = brandeis_cs();
+    let service = coursenav_navigator::NavigatorService::new(&data.catalog)
+        .with_degree(data.degree.as_ref().expect("bundled degree"))
+        .with_offering_model(data.offering.as_ref().expect("bundled offering model"));
+    let whatif = |m: usize, avoid: &str| {
+        let mut base = count_request();
+        base.max_per_semester = m;
+        let mut req = WhatIfRequest::new(base);
+        req.delta.avoid = vec![avoid.to_string()];
+        req
+    };
+    let (a, b) = (whatif(3, "COSI 12B"), whatif(4, "COSI 12B"));
+    let resident = |bases: &[&WhatIfRequest]| {
+        let table = coursenav_navigator::UniqueTable::new(0);
+        for req in bases {
+            service
+                .whatif_until(req, None, 1, None, Some(&table))
+                .unwrap();
+        }
+        table.len() as u64
+    };
+    let (alone_a, alone_b, both) = (resident(&[&a]), resident(&[&b]), resident(&[&a, &b]));
+    let cap = alone_a.max(alone_b) + 1;
+    assert!(
+        both >= cap,
+        "one base fits the cap and two do not: {alone_a} {alone_b} {both}"
+    );
+
+    let capped = Server::start(
+        ServerConfig {
+            dag_nodes: cap as usize,
+            ..ServerConfig::default()
+        },
+        brandeis_cs(),
+    )
+    .expect("start");
+    let reference = start_default();
+    let answer = |server: &Server, req: &WhatIfRequest| {
+        let resp = Client::connect(server.local_addr()).send(
+            "POST",
+            "/v1/whatif",
+            Some(&req.to_json().unwrap()),
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let mut value: serde_json::Value = serde_json::from_str(&resp.body).unwrap();
+        zero_millis(&mut value);
+        value
+    };
+    // A, then B (the table now holds both bases: retired), then A again
+    // under a new delta so it is computed, not cached.
+    let steps = [(&a, 0), (&b, 1), (&whatif(3, "COSI 29A"), 1)];
+    for (i, (req, retired)) in steps.into_iter().enumerate() {
+        assert_eq!(
+            answer(&capped, req),
+            answer(&reference, req),
+            "step {i}: a capped table answers exactly like an uncapped one"
+        );
+        let table = &fetch_metrics(capped.local_addr())["unique-table"];
+        assert_eq!(table["tables-retired"].as_u64(), Some(retired), "step {i}");
+        let nodes = table["nodes"].as_u64().unwrap();
+        assert!(
+            nodes <= cap + alone_a.max(alone_b),
+            "step {i}: {nodes} resident nodes"
+        );
+    }
+    capped.shutdown();
+    reference.shutdown();
+}
