@@ -21,10 +21,82 @@ use crate::set::CourseSet;
 pub struct Catalog {
     courses: Vec<Course>,
     by_code: HashMap<CourseCode, CourseId>,
-    /// Bitmap of courses offered per semester, keyed by `Semester::index()`.
-    offered_by_semester: HashMap<i32, CourseSet>,
+    /// Bitmap of courses offered per semester.
+    offered_by_semester: OfferingTable,
     /// Earliest and latest semester appearing in any schedule.
     semester_range: Option<(Semester, Semester)>,
+}
+
+/// Most semesters one catalog's schedules may span (a thousand years of
+/// two terms): the offering table holds a bitmap for each of them.
+pub const MAX_SCHEDULE_SPAN: usize = 2_000;
+
+/// The offering bitmaps as a dense vector, one per semester from the
+/// earliest offering through the latest, so a lookup is an index rather
+/// than a hash. Serialized as the map from `Semester::index()` to bitmap
+/// of the semesters that offer something.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(try_from = "HashMap<i32, CourseSet>", into = "HashMap<i32, CourseSet>")]
+struct OfferingTable {
+    /// `Semester::index()` of `by_offset[0]`.
+    first: i32,
+    by_offset: Vec<CourseSet>,
+}
+
+impl OfferingTable {
+    /// The table holding `entries` (`(Semester::index(), bitmap)` pairs;
+    /// a semester may repeat). Errors when they span more than
+    /// [`MAX_SCHEDULE_SPAN`] semesters.
+    fn new(
+        entries: impl IntoIterator<Item = (i32, CourseSet)> + Clone,
+    ) -> Result<Self, CatalogError> {
+        let Some((first, last)) = entries
+            .clone()
+            .into_iter()
+            .map(|(index, _)| (index, index))
+            .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
+        else {
+            return Ok(OfferingTable::default());
+        };
+        let span = i64::from(last) - i64::from(first) + 1;
+        if span > MAX_SCHEDULE_SPAN as i64 {
+            return Err(CatalogError::ScheduleSpan {
+                first: Semester::from_index(first),
+                last: Semester::from_index(last),
+            });
+        }
+        let mut by_offset = vec![CourseSet::EMPTY; span as usize];
+        for (index, set) in entries {
+            by_offset[(index - first) as usize].union_with(&set);
+        }
+        Ok(OfferingTable { first, by_offset })
+    }
+
+    /// The bitmap of `semester` (empty outside the table).
+    fn get(&self, semester: Semester) -> CourseSet {
+        usize::try_from(i64::from(semester.index()) - i64::from(self.first))
+            .ok()
+            .and_then(|offset| self.by_offset.get(offset))
+            .copied()
+            .unwrap_or(CourseSet::EMPTY)
+    }
+}
+
+impl TryFrom<HashMap<i32, CourseSet>> for OfferingTable {
+    type Error = CatalogError;
+
+    fn try_from(map: HashMap<i32, CourseSet>) -> Result<OfferingTable, CatalogError> {
+        OfferingTable::new(map)
+    }
+}
+
+impl From<OfferingTable> for HashMap<i32, CourseSet> {
+    fn from(table: OfferingTable) -> HashMap<i32, CourseSet> {
+        (table.first..)
+            .zip(table.by_offset)
+            .filter(|(_, set)| !set.is_empty())
+            .collect()
+    }
 }
 
 impl Catalog {
@@ -73,10 +145,7 @@ impl Catalog {
 
     /// Bitmap of courses offered in `semester` (empty when none).
     pub fn offered_in(&self, semester: Semester) -> CourseSet {
-        self.offered_by_semester
-            .get(&semester.index())
-            .copied()
-            .unwrap_or(CourseSet::EMPTY)
+        self.offered_by_semester.get(semester)
     }
 
     /// The paper's `Y_i`: courses not yet completed, offered in `semester`,
@@ -263,20 +332,19 @@ impl CatalogBuilder {
             }
         }
         // Precompute per-semester offering bitmaps.
-        let mut offered_by_semester: HashMap<i32, CourseSet> = HashMap::new();
         let mut semester_range: Option<(Semester, Semester)> = None;
-        for course in &courses {
-            for &sem in course.offered() {
-                offered_by_semester
-                    .entry(sem.index())
-                    .or_default()
-                    .insert(course.id());
-                semester_range = Some(match semester_range {
-                    None => (sem, sem),
-                    Some((lo, hi)) => (lo.min(sem), hi.max(sem)),
-                });
-            }
+        for &sem in courses.iter().flat_map(Course::offered) {
+            semester_range = Some(match semester_range {
+                None => (sem, sem),
+                Some((lo, hi)) => (lo.min(sem), hi.max(sem)),
+            });
         }
+        let offered_by_semester = OfferingTable::new(courses.iter().flat_map(|course| {
+            course
+                .offered()
+                .iter()
+                .map(|sem| (sem.index(), CourseSet::from_iter([course.id()])))
+        }))?;
         Ok(Catalog {
             courses,
             by_code,
@@ -383,6 +451,68 @@ mod tests {
             c.semester_range(),
             Some((fall11(), Semester::new(2012, Term::Fall)))
         );
+    }
+
+    #[test]
+    fn offered_in_is_empty_in_schedule_gaps_and_outside_the_range() {
+        // Fall '11 and Fall '15 are offered; the semesters between are gaps
+        // in the dense table.
+        let mut b = CatalogBuilder::new();
+        let fall15 = Semester::new(2015, Term::Fall);
+        b.add_course(CourseSpec::new("A", "A").offered([fall11(), fall15]));
+        let c = b.build().unwrap();
+        assert_eq!(c.semester_range(), Some((fall11(), fall15)));
+        assert_eq!(c.offered_in(fall11()).len(), 1);
+        assert_eq!(c.offered_in(fall15).len(), 1);
+        for sem in (fall11() + 1).through(fall15 + (-1)) {
+            assert!(c.offered_in(sem).is_empty(), "{sem}");
+        }
+        assert!(c.offered_in(fall11() + (-1)).is_empty());
+        assert!(c.offered_in(fall15 + 1).is_empty());
+        assert!(c
+            .offered_in(Semester::new(i32::MAX / 2, Term::Fall))
+            .is_empty());
+        assert_eq!(c.offered_between(fall11(), fall15).len(), 1);
+    }
+
+    #[test]
+    fn schedules_wider_than_the_dense_table_are_rejected() {
+        let first = fall11();
+        let mut b = CatalogBuilder::new();
+        let last = first + (MAX_SCHEDULE_SPAN as i32 - 1);
+        b.add_course(CourseSpec::new("A", "A").offered([first, last]));
+        assert!(b.build().is_ok(), "exactly the maximum span fits");
+        let mut b = CatalogBuilder::new();
+        b.add_course(CourseSpec::new("A", "A").offered([first, last + 1]));
+        assert_eq!(
+            b.build().unwrap_err(),
+            CatalogError::ScheduleSpan {
+                first,
+                last: last + 1
+            }
+        );
+    }
+
+    #[test]
+    fn serialized_offerings_are_a_map_of_offering_semesters() {
+        let c = fig3_catalog();
+        let fall12 = Semester::new(2012, Term::Fall);
+        let map = HashMap::from(c.offered_by_semester.clone());
+        let expected: HashMap<i32, CourseSet> = [fall11(), spring12(), fall12]
+            .into_iter()
+            .map(|sem| (sem.index(), c.offered_in(sem)))
+            .collect();
+        assert_eq!(map, expected);
+        let back = OfferingTable::try_from(map).unwrap();
+        for sem in (fall11() + (-1)).through(fall12 + 1) {
+            assert_eq!(back.get(sem), c.offered_in(sem));
+        }
+        // A map spanning too many semesters is refused before allocating.
+        let wide = HashMap::from([(0, CourseSet::EMPTY), (i32::MAX, CourseSet::EMPTY)]);
+        assert!(matches!(
+            OfferingTable::try_from(wide),
+            Err(CatalogError::ScheduleSpan { .. })
+        ));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::course::CourseCode;
+use crate::semester::Semester;
 
 /// Error raised while building or validating a [`crate::Catalog`].
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +37,14 @@ pub enum CatalogError {
         /// The courses that can never become takeable.
         cycle: Vec<CourseCode>,
     },
+    /// The schedules span more than [`crate::catalog::MAX_SCHEDULE_SPAN`]
+    /// semesters.
+    ScheduleSpan {
+        /// The earliest scheduled semester.
+        first: Semester,
+        /// The latest scheduled semester.
+        last: Semester,
+    },
 }
 
 impl fmt::Display for CatalogError {
@@ -61,6 +70,11 @@ impl fmt::Display for CatalogError {
                 }
                 Ok(())
             }
+            CatalogError::ScheduleSpan { first, last } => write!(
+                f,
+                "schedules span {first} to {last}, more than {} semesters",
+                crate::catalog::MAX_SCHEDULE_SPAN
+            ),
         }
     }
 }

@@ -98,6 +98,11 @@ impl Semester {
     pub fn index(self) -> i32 {
         self.index
     }
+
+    /// The semester whose [`Semester::index`] is `index`.
+    pub(crate) fn from_index(index: i32) -> Semester {
+        Semester { index }
+    }
 }
 
 impl Add<i32> for Semester {

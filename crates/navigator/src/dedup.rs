@@ -31,7 +31,7 @@ use crate::explorer::Explorer;
 use crate::path::LeafKind;
 use crate::pruning::record_prune;
 use crate::stats::{ExploreStats, PathCounts};
-use crate::status::EnrollmentStatus;
+use crate::status::{Classifiable, EnrollmentStatus};
 use crate::unique::{DagBuildError, DagNodeId, DagNodeKind, FxBuild, NodeView, UniqueTable};
 
 /// A node of the deduplicated state DAG.
@@ -121,15 +121,15 @@ impl StateWalk {
         &mut self,
         explorer: &Explorer<'_>,
         view: &NodeView<'_>,
-        status: EnrollmentStatus,
+        state: impl Classifiable,
         id: DagNodeId,
     ) {
-        let (semester, completed) = status.state_key();
+        let (semester, completed) = state.state_key();
         if !self.seen.insert((semester, completed)) {
             return;
         }
         match &view.node(id).kind {
-            DagNodeKind::Leaf(_) => self.order.push((status, id)),
+            DagNodeKind::Leaf(_) => self.order.push((state.materialize(explorer.catalog()), id)),
             DagNodeKind::Pruned(reason) => record_prune(&mut self.stats, *reason),
             DagNodeKind::Interior {
                 edges,
@@ -138,13 +138,13 @@ impl StateWalk {
                 self.stats.nodes_expanded += 1;
                 self.stats.edges_created += edges.len() as u64;
                 self.stats.pruned_time += floor_skipped;
+                let status = state.materialize(explorer.catalog());
                 for (selection, child) in edges {
                     if !self
                         .seen
                         .contains(&(semester + 1, completed.union(selection)))
                     {
-                        let next = status.advance(explorer.catalog(), selection);
-                        self.visit(explorer, view, next, *child);
+                        self.visit(explorer, view, status.child(selection), *child);
                     }
                 }
                 self.order.push((status, id));
@@ -316,7 +316,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use crate::expand::SelectionIter;
+    use crate::explorer::no_table;
     use crate::explorer::Disposition;
     use crate::filter::AvoidCourses;
     use crate::goal::Goal;
@@ -501,23 +501,15 @@ mod tests {
         pruner: Option<&Pruner<'_>>,
         seen: &mut HashMap<(i32, CourseSet), Seen>,
     ) {
-        let class = match e.disposition(&status, pruner) {
+        let class = match e.disposition(status, pruner, no_table) {
             Disposition::Leaf(_) => Seen::Leaf,
             Disposition::Pruned(reason) => Seen::Pruned(reason),
-            Disposition::Expand {
-                min_selection,
-                include_empty,
-            } => {
-                let options = *status.options();
-                let iter = if include_empty {
-                    SelectionIter::with_empty(&options, e.max_per_semester())
-                } else {
-                    SelectionIter::new(&options, e.max_per_semester())
-                };
+            Disposition::Known(never) => match never {},
+            Disposition::Expand(expansion) => {
                 let mut children = Vec::new();
                 let mut floor_skipped = 0u64;
-                for selection in iter {
-                    if selection.len() < min_selection {
+                for selection in expansion.selections(e.max_per_semester()) {
+                    if selection.len() < expansion.min_selection {
                         floor_skipped += 1;
                     } else if e.selection_allowed(&status, &selection) {
                         let child = status.advance(e.catalog(), &selection);

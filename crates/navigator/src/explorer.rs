@@ -17,6 +17,7 @@
 //! (goal-driven, §4.2): goal-satisfying nodes become terminal, and the
 //! [`PruneConfig`]-selected strategies cut hopeless nodes before expansion.
 
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -27,21 +28,48 @@ use crate::expand::{SelectionIter, WaitPolicy};
 use crate::filter::SelectionFilter;
 use crate::goal::Goal;
 use crate::graph::{LearningGraph, NodeId, NodeKind};
+use crate::memo::StateKey;
 use crate::path::{LeafKind, Path, PathVisit};
-use crate::pruning::{record_prune, PruneConfig, PruneDecision, Pruner};
+use crate::pruning::{record_prune, PruneConfig, PruneDecision, PruneReason, Pruner};
 use crate::stats::{ExploreStats, PathCounts};
-use crate::status::EnrollmentStatus;
+use crate::status::{Classifiable, EnrollmentStatus};
 
-/// How a node should be handled, decided before expansion.
-pub(crate) enum Disposition {
+/// How a node should be handled, decided before expansion by
+/// [`Explorer::disposition`]. `T` is whatever the caller's table holds for
+/// a state it has already resolved.
+pub(crate) enum Disposition<T> {
     Leaf(LeafKind),
-    Pruned(crate::pruning::PruneReason),
-    Expand {
-        /// Strategic floor on selection size (§4.2.1's `min_i`); 0 = none.
-        min_selection: usize,
-        /// Emit the empty "wait" selection.
-        include_empty: bool,
-    },
+    Pruned(PruneReason),
+    /// The caller's table already resolved this state.
+    Known(T),
+    Expand(Expansion),
+}
+
+/// A node that expands: its materialized status and how to enumerate its
+/// selections.
+pub(crate) struct Expansion {
+    pub(crate) status: EnrollmentStatus,
+    /// Strategic floor on selection size (§4.2.1's `min_i`); 0 = none.
+    pub(crate) min_selection: usize,
+    /// Emit the empty "wait" selection.
+    pub(crate) include_empty: bool,
+}
+
+impl Expansion {
+    /// Every candidate selection of at most `max_per_semester` options,
+    /// the empty one first when waiting is allowed.
+    pub(crate) fn selections(&self, max_per_semester: usize) -> SelectionIter {
+        if self.include_empty {
+            SelectionIter::with_empty(self.status.options(), max_per_semester)
+        } else {
+            SelectionIter::new(self.status.options(), max_per_semester)
+        }
+    }
+}
+
+/// The lookup of callers that keep no table of resolved states.
+pub(crate) fn no_table(_: &StateKey) -> Option<Infallible> {
+    None
 }
 
 /// One exploration request over a catalog. See the module docs.
@@ -156,9 +184,9 @@ impl<'a> Explorer<'a> {
 
     /// A copy of this request rooted at a different status (used by the
     /// parallel counter to hand first-level subtrees to worker threads).
-    pub(crate) fn restarted(&self, start: EnrollmentStatus) -> Explorer<'a> {
+    pub(crate) fn restarted(&self, start: impl Classifiable) -> Explorer<'a> {
         let mut e = self.clone();
-        e.start = start;
+        e.start = start.materialize(self.catalog);
         e
     }
 
@@ -204,22 +232,36 @@ impl<'a> Explorer<'a> {
         !future_pool.difference(status.completed()).is_empty()
     }
 
-    pub(crate) fn disposition(
+    /// Classifies a state in two phases around the caller's table, so a
+    /// state that ends here never pays for its options `Y_i`:
+    ///
+    /// 1. from `(semester, completed)` alone: goal leaf, deadline leaf,
+    ///    then the pruning strategies (the goal gap `left_i` is computed
+    ///    once and serves both the goal test and the time oracle);
+    /// 2. `lookup` — the caller's memo or visited map — which may answer
+    ///    the state outright;
+    /// 3. only on a miss, the options are materialized and the wait
+    ///    policy, dead-end and strategic-floor rules decide.
+    pub(crate) fn disposition<S: Classifiable, T>(
         &self,
-        status: &EnrollmentStatus,
+        state: S,
         pruner: Option<&Pruner<'_>>,
-    ) -> Disposition {
-        if let Some(goal) = &self.goal {
-            if goal.satisfied(status.completed()) {
-                return Disposition::Leaf(LeafKind::Goal);
-            }
+        lookup: impl FnOnce(&StateKey) -> Option<T>,
+    ) -> Disposition<T> {
+        let left = self
+            .goal
+            .as_ref()
+            .map(|goal| goal.left_lower_bound(state.completed()));
+        // `left_i = 0` exactly when the goal holds.
+        if left == Some(Some(0)) {
+            return Disposition::Leaf(LeafKind::Goal);
         }
-        if status.semester() >= self.deadline {
+        if state.semester() >= self.deadline {
             return Disposition::Leaf(LeafKind::Deadline);
         }
         let mut min_selection = 0;
         if let Some(pruner) = pruner {
-            match pruner.evaluate(status) {
+            match pruner.evaluate_state(state.semester(), state.completed(), left.flatten()) {
                 PruneDecision::Prune(reason) => return Disposition::Pruned(reason),
                 PruneDecision::Explore { min_selection_size } => {
                     if self.strategic_selections {
@@ -228,23 +270,28 @@ impl<'a> Explorer<'a> {
                 }
             }
         }
+        if let Some(known) = lookup(&state.state_key()) {
+            return Disposition::Known(known);
+        }
+        let status = state.materialize(self.catalog);
         let has_options = !status.options().is_empty();
         let include_empty = match self.wait_policy {
             WaitPolicy::Always => true,
             WaitPolicy::Never => false,
-            WaitPolicy::WhenNoOptions => !has_options && self.can_wait(status),
+            WaitPolicy::WhenNoOptions => !has_options && self.can_wait(&status),
         };
         if !has_options && !include_empty {
             return Disposition::Leaf(LeafKind::DeadEnd);
         }
         // A strategic floor above zero also rules out the empty selection.
         if min_selection > 0 && !has_options {
-            return Disposition::Pruned(crate::pruning::PruneReason::Time);
+            return Disposition::Pruned(PruneReason::Time);
         }
-        Disposition::Expand {
+        Disposition::Expand(Expansion {
+            status,
             min_selection,
             include_empty: include_empty && min_selection == 0,
-        }
+        })
     }
 
     pub(crate) fn selection_allowed(
@@ -270,9 +317,10 @@ impl<'a> Explorer<'a> {
     ) -> ExploreStats {
         let mut stats = ExploreStats::default();
         let pruner = self.pruner();
-        let mut statuses = vec![self.start];
+        let mut statuses: Vec<EnrollmentStatus> = Vec::new();
         let mut selections: Vec<CourseSet> = Vec::new();
         let _ = self.dfs(
+            self.start,
             pruner.as_ref(),
             &mut statuses,
             &mut selections,
@@ -282,68 +330,77 @@ impl<'a> Explorer<'a> {
         stats
     }
 
+    /// Visits the subtree below `state`, whose parents are on `statuses`
+    /// and whose selection path is `selections` (one longer).
     fn dfs(
         &self,
+        state: impl Classifiable,
         pruner: Option<&Pruner<'_>>,
         statuses: &mut Vec<EnrollmentStatus>,
         selections: &mut Vec<CourseSet>,
         stats: &mut ExploreStats,
         visitor: &mut impl FnMut(PathVisit<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let status = *statuses.last().expect("stack starts with the root");
-        match self.disposition(&status, pruner) {
-            Disposition::Leaf(kind) => visitor(PathVisit {
-                statuses,
-                selections,
-                kind,
-            }),
+        let expansion = match self.disposition(state, pruner, no_table) {
+            Disposition::Leaf(kind) => {
+                statuses.push(state.materialize(self.catalog));
+                let flow = visitor(PathVisit {
+                    statuses,
+                    selections,
+                    kind,
+                });
+                statuses.pop();
+                return flow;
+            }
             Disposition::Pruned(reason) => {
                 record_prune(stats, reason);
-                ControlFlow::Continue(())
+                return ControlFlow::Continue(());
             }
-            Disposition::Expand {
-                min_selection,
-                include_empty,
-            } => {
-                stats.nodes_expanded += 1;
-                let mut emitted = 0usize;
-                let mut floor_skipped = 0usize;
-                let options = *status.options();
-                let iter = if include_empty {
-                    SelectionIter::with_empty(&options, self.max_per_semester)
-                } else {
-                    SelectionIter::new(&options, self.max_per_semester)
-                };
-                for selection in iter {
-                    if selection.len() < min_selection {
-                        floor_skipped += 1;
-                        stats.pruned_time += 1;
-                        continue;
-                    }
-                    if !self.selection_allowed(&status, &selection) {
-                        continue;
-                    }
-                    emitted += 1;
-                    stats.edges_created += 1;
-                    statuses.push(status.advance(self.catalog, &selection));
-                    selections.push(selection);
-                    let flow = self.dfs(pruner, statuses, selections, stats, visitor);
-                    statuses.pop();
-                    selections.pop();
-                    flow?;
-                }
-                if emitted == 0 && floor_skipped == 0 {
-                    // Every selection was vetoed by filters: the node is a
-                    // dead end under the active constraints.
-                    return visitor(PathVisit {
-                        statuses,
-                        selections,
-                        kind: LeafKind::DeadEnd,
-                    });
-                }
-                ControlFlow::Continue(())
+            Disposition::Known(never) => match never {},
+            Disposition::Expand(expansion) => expansion,
+        };
+        stats.nodes_expanded += 1;
+        let status = expansion.status;
+        statuses.push(status);
+        let mut emitted = 0usize;
+        let mut floor_skipped = 0usize;
+        let mut flow = ControlFlow::Continue(());
+        for selection in expansion.selections(self.max_per_semester) {
+            if selection.len() < expansion.min_selection {
+                floor_skipped += 1;
+                stats.pruned_time += 1;
+                continue;
+            }
+            if !self.selection_allowed(&status, &selection) {
+                continue;
+            }
+            emitted += 1;
+            stats.edges_created += 1;
+            selections.push(selection);
+            flow = self.dfs(
+                status.child(&selection),
+                pruner,
+                statuses,
+                selections,
+                stats,
+                visitor,
+            );
+            selections.pop();
+            if flow.is_break() {
+                break;
             }
         }
+        if flow.is_continue() && emitted == 0 && floor_skipped == 0 {
+            // Every selection was vetoed by filters: the node is a dead
+            // end under the active constraints.
+            flow = visitor(PathVisit {
+                statuses,
+                selections,
+                kind: LeafKind::DeadEnd,
+            });
+        }
+        statuses.pop();
+        flow
     }
 
     // ------------------------------------------------------------------
@@ -402,67 +459,152 @@ impl<'a> Explorer<'a> {
         let mut stack: Vec<NodeId> = vec![graph.root()];
         while let Some(id) = stack.pop() {
             let status = *graph.status(id);
-            match self.disposition(&status, pruner.as_ref()) {
+            let expansion = match self.disposition(status, pruner.as_ref(), no_table) {
                 Disposition::Leaf(kind) => {
                     graph.nodes[id.index()].kind = NodeKind::Leaf(kind);
+                    continue;
                 }
                 Disposition::Pruned(reason) => {
                     record_prune(&mut stats, reason);
                     graph.nodes[id.index()].kind = NodeKind::Pruned(reason);
+                    continue;
                 }
-                Disposition::Expand {
-                    min_selection,
-                    include_empty,
-                } => {
-                    stats.nodes_expanded += 1;
-                    let options = *status.options();
-                    let iter = if include_empty {
-                        SelectionIter::with_empty(&options, self.max_per_semester)
-                    } else {
-                        SelectionIter::new(&options, self.max_per_semester)
-                    };
-                    let edge_start = graph.edges.len() as u32;
-                    let mut emitted = 0usize;
-                    let mut floor_skipped = 0usize;
-                    for selection in iter {
-                        if selection.len() < min_selection {
-                            floor_skipped += 1;
-                            stats.pruned_time += 1;
-                            continue;
-                        }
-                        if !self.selection_allowed(&status, &selection) {
-                            continue;
-                        }
-                        if graph.nodes.len() >= node_budget {
-                            return Err(ExploreError::BudgetExceeded { node_budget });
-                        }
-                        let edge = graph.push_edge(id, selection);
-                        let child = graph.push_node(status.advance(self.catalog, &selection), edge);
-                        graph.edges[edge.index()].to = child;
-                        stats.edges_created += 1;
-                        emitted += 1;
-                        stack.push(child);
-                    }
-                    graph.nodes[id.index()].children = edge_start..graph.edges.len() as u32;
-                    graph.nodes[id.index()].kind = if emitted > 0 {
-                        NodeKind::Interior
-                    } else if floor_skipped > 0 {
-                        NodeKind::Pruned(crate::pruning::PruneReason::Time)
-                    } else {
-                        NodeKind::Leaf(LeafKind::DeadEnd)
-                    };
+                Disposition::Known(never) => match never {},
+                Disposition::Expand(expansion) => expansion,
+            };
+            stats.nodes_expanded += 1;
+            let edge_start = graph.edges.len() as u32;
+            let mut emitted = 0usize;
+            let mut floor_skipped = 0usize;
+            for selection in expansion.selections(self.max_per_semester) {
+                if selection.len() < expansion.min_selection {
+                    floor_skipped += 1;
+                    stats.pruned_time += 1;
+                    continue;
                 }
+                if !self.selection_allowed(&status, &selection) {
+                    continue;
+                }
+                if graph.nodes.len() >= node_budget {
+                    return Err(ExploreError::BudgetExceeded { node_budget });
+                }
+                // Every graph node carries its full status, so children
+                // are materialized as they are created.
+                let edge = graph.push_edge(id, selection);
+                let child = graph.push_node(status.advance(self.catalog, &selection), edge);
+                graph.edges[edge.index()].to = child;
+                stats.edges_created += 1;
+                emitted += 1;
+                stack.push(child);
             }
+            graph.nodes[id.index()].children = edge_start..graph.edges.len() as u32;
+            graph.nodes[id.index()].kind = if emitted > 0 {
+                NodeKind::Interior
+            } else if floor_skipped > 0 {
+                NodeKind::Pruned(PruneReason::Time)
+            } else {
+                NodeKind::Leaf(LeafKind::DeadEnd)
+            };
         }
         Ok(graph)
     }
 }
 
+/// The classifier as it was before options became lazy: every decision
+/// read off an eagerly built [`EnrollmentStatus`], the goal tested with
+/// [`Goal::satisfied`] and the pruners through their public
+/// [`Pruner::evaluate`]. The tests hold [`Explorer::disposition`] to it.
+#[cfg(test)]
+pub(crate) mod eager {
+    use super::*;
+
+    /// How the eager classifier settles a state.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) enum Eager {
+        Leaf(LeafKind),
+        Pruned(PruneReason),
+        Expand {
+            min_selection: usize,
+            include_empty: bool,
+            options: CourseSet,
+        },
+    }
+
+    /// The eager decision, and whether reaching it took the options.
+    pub(crate) fn disposition(e: &Explorer<'_>, status: &EnrollmentStatus) -> (Eager, bool) {
+        if e.goal()
+            .is_some_and(|goal| goal.satisfied(status.completed()))
+        {
+            return (Eager::Leaf(LeafKind::Goal), false);
+        }
+        if status.semester() >= e.deadline() {
+            return (Eager::Leaf(LeafKind::Deadline), false);
+        }
+        let mut min_selection = 0;
+        if let Some(pruner) = e.pruner() {
+            match pruner.evaluate(status) {
+                PruneDecision::Prune(reason) => return (Eager::Pruned(reason), false),
+                PruneDecision::Explore { min_selection_size } => {
+                    if e.strategic_selections {
+                        min_selection = min_selection_size;
+                    }
+                }
+            }
+        }
+        let options = *status.options();
+        // Waiting helps when some untaken course is offered strictly
+        // between this semester and the deadline.
+        let (first, last) = (status.semester().next(), e.deadline() + (-1));
+        let can_wait = first <= last
+            && !e
+                .catalog()
+                .offered_between(first, last)
+                .difference(status.completed())
+                .is_empty();
+        let include_empty = match e.wait_policy() {
+            WaitPolicy::Always => true,
+            WaitPolicy::Never => false,
+            WaitPolicy::WhenNoOptions => options.is_empty() && can_wait,
+        };
+        let decision = if options.is_empty() && !include_empty {
+            Eager::Leaf(LeafKind::DeadEnd)
+        } else if min_selection > 0 && options.is_empty() {
+            Eager::Pruned(PruneReason::Time)
+        } else {
+            Eager::Expand {
+                min_selection,
+                include_empty: include_empty && min_selection == 0,
+                options,
+            }
+        };
+        (decision, true)
+    }
+
+    /// The selections an expanding state emits children for, in order.
+    pub(crate) fn admitted(
+        e: &Explorer<'_>,
+        status: &EnrollmentStatus,
+        min_selection: usize,
+        include_empty: bool,
+    ) -> Vec<CourseSet> {
+        let iter = if include_empty {
+            SelectionIter::with_empty(status.options(), e.max_per_semester())
+        } else {
+            SelectionIter::new(status.options(), e.max_per_semester())
+        };
+        iter.filter(|sel| sel.len() >= min_selection && e.selection_allowed(status, sel))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::eager::{self, Eager};
     use super::*;
+    use crate::status::eligible_calls;
     use coursenav_catalog::{CatalogBuilder, CourseSpec, Term};
     use coursenav_prereq::Expr;
+    use proptest::prelude::*;
 
     fn fall(y: i32) -> Semester {
         Semester::new(y, Term::Fall)
@@ -712,6 +854,160 @@ mod tests {
             ControlFlow::Break(())
         });
         assert_eq!(seen, 1);
+    }
+
+    /// Classifies `state` twice — once with a table that misses, once
+    /// with one that hits — and checks both against the eager reference
+    /// on its materialized status. `whole` marks a state handed in with
+    /// its options already computed.
+    fn check_classification(
+        e: &Explorer<'_>,
+        state: impl Classifiable,
+        whole: bool,
+    ) -> Result<(), TestCaseError> {
+        let eager_status = EnrollmentStatus::new(e.catalog(), state.semester(), *state.completed());
+        let (expected, read_options) = eager::disposition(e, &eager_status);
+        let pruner = e.pruner();
+
+        let mut looked_up = false;
+        let before = eligible_calls();
+        let got = e.disposition(state, pruner.as_ref(), |key| {
+            assert_eq!(*key, state.state_key());
+            looked_up = true;
+            None::<()>
+        });
+        let computed = eligible_calls() - before;
+        prop_assert_eq!(looked_up, read_options, "the table sits between the phases");
+        let got = match got {
+            Disposition::Leaf(kind) => Eager::Leaf(kind),
+            Disposition::Pruned(reason) => Eager::Pruned(reason),
+            Disposition::Known(()) => unreachable!("the table missed"),
+            Disposition::Expand(expansion) => {
+                prop_assert_eq!(expansion.status, eager_status, "materialized == eager");
+                Eager::Expand {
+                    min_selection: expansion.min_selection,
+                    include_empty: expansion.include_empty,
+                    options: *expansion.status.options(),
+                }
+            }
+        };
+        prop_assert_eq!(&got, &expected);
+        // A whole status is never recomputed; an unexpanded one is
+        // materialized only past the table.
+        prop_assert_eq!(computed, u64::from(read_options && !whole));
+
+        let before = eligible_calls();
+        let hit = e.disposition(state, pruner.as_ref(), |_| Some(()));
+        prop_assert_eq!(eligible_calls(), before, "a hit never takes the options");
+        match (hit, &expected) {
+            (Disposition::Known(()), _) => prop_assert!(read_options),
+            (Disposition::Leaf(kind), Eager::Leaf(want)) => {
+                prop_assert!(!read_options);
+                prop_assert_eq!(kind, *want);
+            }
+            (Disposition::Pruned(reason), Eager::Pruned(want)) => {
+                prop_assert!(!read_options);
+                prop_assert_eq!(reason, *want);
+            }
+            _ => prop_assert!(false, "a hit answered {:?} differently", expected),
+        }
+        Ok(())
+    }
+
+    fn arb_prune() -> impl Strategy<Value = PruneConfig> {
+        prop_oneof![
+            Just(PruneConfig::all()),
+            Just(PruneConfig::none()),
+            Just(PruneConfig::time_only()),
+            Just(PruneConfig::availability_only()),
+        ]
+    }
+
+    fn arb_wait() -> impl Strategy<Value = WaitPolicy> {
+        prop_oneof![
+            Just(WaitPolicy::WhenNoOptions),
+            Just(WaitPolicy::Never),
+            Just(WaitPolicy::Always),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For every reachable state, and every child its admitted
+        /// selections lead to, the two-phase classifier agrees with the
+        /// eager one: leaf kind, prune reason, strategic floor, wait
+        /// selection and the materialized options — and it consults the
+        /// table, and computes options, exactly when the eager one needed
+        /// the options.
+        #[test]
+        fn classification_matches_eager_status(
+            seed in 0u64..1_000,
+            horizon in 1i32..5,
+            m in 1usize..4,
+            goal_kind in 0u8..3,
+            prune in arb_prune(),
+            wait in arb_wait(),
+            strategic in any::<bool>(),
+            filters in prop::collection::vec((any::<bool>(), 0usize..12), 0..3),
+        ) {
+            let synth = coursenav_catalog::SyntheticCatalog::generate(
+                &coursenav_catalog::SyntheticConfig {
+                    seed,
+                    ..coursenav_catalog::SyntheticConfig::small()
+                },
+            );
+            let cat = &synth.catalog;
+            let start = EnrollmentStatus::fresh(cat, synth.start);
+            let deadline = synth.start + horizon;
+            let course = |i: usize| cat.courses().nth(i % cat.len()).unwrap().id();
+            let goal = match goal_kind {
+                0 => None,
+                1 => Some(Goal::degree(synth.degree.clone())),
+                // (c0 and c3) or c7: a goal with two DNF terms.
+                _ => Some(Goal::courses(
+                    coursenav_prereq::Expr::Atom(course(0))
+                        .and(coursenav_prereq::Expr::Atom(course(3)))
+                        .or(coursenav_prereq::Expr::Atom(course(7))),
+                )),
+            };
+            let mut e = match goal {
+                Some(goal) => Explorer::goal_driven(cat, start, deadline, m, goal).unwrap(),
+                None => Explorer::deadline_driven(cat, start, deadline, m).unwrap(),
+            }
+            .with_prune(prune)
+            .with_wait_policy(wait)
+            .with_strategic_selections(strategic);
+            for (avoid, i) in filters {
+                e = if avoid {
+                    e.with_filter(Arc::new(crate::filter::AvoidCourses(
+                        CourseSet::from_iter([course(i)]),
+                    )))
+                } else {
+                    e.with_filter(Arc::new(crate::filter::MaxSemesterWorkload(
+                        10.0 * (1 + i % 3) as f64,
+                    )))
+                };
+            }
+
+            check_classification(&e, start, true)?;
+            let mut seen = std::collections::HashSet::new();
+            let mut stack = vec![start];
+            while let Some(status) = stack.pop() {
+                if !seen.insert(status.state_key()) {
+                    continue;
+                }
+                let (Eager::Expand { min_selection, include_empty, .. }, _) =
+                    eager::disposition(&e, &status)
+                else {
+                    continue;
+                };
+                for selection in eager::admitted(&e, &status, min_selection, include_empty) {
+                    check_classification(&e, status.child(&selection), false)?;
+                    stack.push(status.advance(cat, &selection));
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
-use crate::expand::SelectionIter;
-use crate::explorer::{Disposition, Explorer};
+use crate::explorer::{no_table, Disposition, Explorer};
 use crate::memo::TranspositionTable;
 use crate::unique::{DagNodeId, DagNodeKind, UniqueTable};
 
@@ -98,28 +97,21 @@ impl Explorer<'_> {
     ) -> (Vec<SelectionImpact>, bool) {
         let pruner = self.pruner();
         let start = *self.start();
-        let Disposition::Expand {
-            min_selection,
-            include_empty,
-        } = self.disposition(&start, pruner.as_ref())
+        let Disposition::Expand(expansion) = self.disposition(start, pruner.as_ref(), no_table)
         else {
             return (Vec::new(), false);
         };
-        let options = *start.options();
-        let iter = if include_empty {
-            SelectionIter::with_empty(&options, self.max_per_semester())
-        } else {
-            SelectionIter::new(&options, self.max_per_semester())
-        };
         let mut impacts = Vec::new();
         let mut truncated = false;
-        for selection in iter {
-            if selection.len() < min_selection {
+        for selection in expansion.selections(self.max_per_semester()) {
+            if selection.len() < expansion.min_selection {
                 continue;
             }
             if !self.selection_allowed(&start, &selection) {
                 continue;
             }
+            // Each impact reports the child's options, so every child is
+            // materialized.
             let child = start.advance(self.catalog(), &selection);
             let (counts, _work, expired) = self
                 .restarted(child)

@@ -29,14 +29,13 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 
 use crate::error::ExploreError;
-use crate::expand::SelectionIter;
-use crate::explorer::{Disposition, Explorer};
+use crate::explorer::{no_table, Disposition, Explorer};
 use crate::path::{LeafKind, Path};
 use crate::pruning::record_prune;
 use crate::ranked::RankedPath;
 use crate::ranking::Ranking;
 use crate::stats::{ExploreStats, PathCounts};
-use crate::status::EnrollmentStatus;
+use crate::status::Unexpanded;
 
 /// How the root expanded, mirroring the sequential engine's first step.
 pub(crate) enum RootExpansion {
@@ -49,10 +48,11 @@ pub(crate) enum RootExpansion {
     /// then emits the root as a dead-end path) rather than skipped by
     /// the strategic floor (which emits nothing).
     NoChildren { stats: ExploreStats, dead_end: bool },
-    /// First-level subtrees to deal to workers, in selection order.
+    /// First-level subtrees to deal to workers, in selection order. Each
+    /// worker materializes its own child.
     Children {
         stats: ExploreStats,
-        children: Vec<(CourseSet, EnrollmentStatus)>,
+        children: Vec<(CourseSet, Unexpanded)>,
     },
 }
 
@@ -62,28 +62,20 @@ impl<'a> Explorer<'a> {
     pub(crate) fn expand_root(&self) -> RootExpansion {
         let pruner = self.pruner();
         let mut stats = ExploreStats::default();
-        let (min_selection, include_empty) = match self.disposition(self.start(), pruner.as_ref()) {
+        let expansion = match self.disposition(*self.start(), pruner.as_ref(), no_table) {
             Disposition::Leaf(kind) => return RootExpansion::Leaf(kind),
             Disposition::Pruned(reason) => {
                 record_prune(&mut stats, reason);
                 return RootExpansion::Pruned(stats);
             }
-            Disposition::Expand {
-                min_selection,
-                include_empty,
-            } => (min_selection, include_empty),
+            Disposition::Known(never) => match never {},
+            Disposition::Expand(expansion) => expansion,
         };
         stats.nodes_expanded += 1;
-        let options = *self.start().options();
-        let iter = if include_empty {
-            SelectionIter::with_empty(&options, self.max_per_semester())
-        } else {
-            SelectionIter::new(&options, self.max_per_semester())
-        };
-        let mut children: Vec<(CourseSet, EnrollmentStatus)> = Vec::new();
+        let mut children: Vec<(CourseSet, Unexpanded)> = Vec::new();
         let mut floor_skipped = 0usize;
-        for selection in iter {
-            if selection.len() < min_selection {
+        for selection in expansion.selections(self.max_per_semester()) {
+            if selection.len() < expansion.min_selection {
                 floor_skipped += 1;
                 stats.pruned_time += 1;
                 continue;
@@ -92,8 +84,7 @@ impl<'a> Explorer<'a> {
                 continue;
             }
             stats.edges_created += 1;
-            let status = self.start().advance(self.catalog(), &selection);
-            children.push((selection, status));
+            children.push((selection, self.start().child(&selection)));
         }
         if children.is_empty() {
             return RootExpansion::NoChildren {
@@ -443,6 +434,7 @@ mod tests {
     use super::*;
     use crate::goal::Goal;
     use crate::ranking::{TimeRanking, WorkloadRanking};
+    use crate::status::EnrollmentStatus;
     use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
 
     #[test]

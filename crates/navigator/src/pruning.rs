@@ -185,14 +185,32 @@ impl<'a> Pruner<'a> {
     /// Full evaluation: prune decision plus the strategic minimum selection
     /// size when exploration continues.
     pub fn evaluate(&self, status: &EnrollmentStatus) -> PruneDecision {
+        let left = if self.config.time_based {
+            self.goal.left_lower_bound(status.completed())
+        } else {
+            None
+        };
+        self.evaluate_state(status.semester(), status.completed(), left)
+    }
+
+    /// [`Pruner::evaluate`] on a `(semester, completed)` state whose goal
+    /// gap `left` ([`Goal::left_lower_bound`] of `completed`) the caller
+    /// already computed; `left` is read only by the time-based strategy.
+    /// Options are never consulted, so the state need not be materialized.
+    pub(crate) fn evaluate_state(
+        &self,
+        semester: Semester,
+        completed: &CourseSet,
+        left: Option<usize>,
+    ) -> PruneDecision {
         let mut min_selection_size = 0;
         if self.config.time_based {
-            match self.time_oracle(status) {
+            match self.time_oracle(semester, left) {
                 None => return PruneDecision::Prune(PruneReason::Time),
                 Some(min_i) => min_selection_size = min_i,
             }
         }
-        if self.config.availability_based && self.prune_availability(status) {
+        if self.config.availability_based && self.prune_availability(semester, completed) {
             return PruneDecision::Prune(PruneReason::Availability);
         }
         PruneDecision::Explore { min_selection_size }
@@ -207,17 +225,17 @@ impl<'a> Pruner<'a> {
     /// `left_i` is computed against the whole untaken catalog (`C − X_i`) —
     /// the strategy is deliberately "agnostic of the course schedule";
     /// schedule feasibility is the availability strategy's job.
-    fn time_oracle(&self, status: &EnrollmentStatus) -> Option<usize> {
+    fn time_oracle(&self, semester: Semester, left: Option<usize>) -> Option<usize> {
         if !self.reachable_with_all {
             // `completed ∪ (C − completed) = C` for every node, so
             // unreachability is a run-level constant checked once.
             return None;
         }
-        let left = self.goal.left_lower_bound(status.completed())?;
+        let left = left?;
         if left == 0 {
             return Some(0);
         }
-        let semesters_left = (self.deadline - status.semester()).max(0) as usize;
+        let semesters_left = (self.deadline - semester).max(0) as usize;
         if left > self.max_per_semester * semesters_left {
             return None;
         }
@@ -228,25 +246,23 @@ impl<'a> Pruner<'a> {
     /// remaining semesters (`s_i ..= d−1`; a selection made in semester `t`
     /// is completed at `t+1 ≤ d`). If even that superset of any reachable
     /// `X` misses the goal, prune.
-    fn prune_availability(&self, status: &EnrollmentStatus) -> bool {
-        if self.deadline <= status.semester() {
+    fn prune_availability(&self, semester: Semester, completed: &CourseSet) -> bool {
+        if self.deadline <= semester {
             // No selections remain; the node is terminal anyway.
-            return !self.goal.satisfied(status.completed());
+            return !self.goal.satisfied(completed);
         }
         let best_case = if self.config.availability_respects_prereqs {
             // Extension: semester-by-semester eligibility closure.
             let last_selection_semester = self.deadline + (-1);
-            let mut completed = *status.completed();
-            for sem in status.semester().through(last_selection_semester) {
+            let mut completed = *completed;
+            for sem in semester.through(last_selection_semester) {
                 let eligible = self.catalog.eligible(&completed, sem);
                 completed.union_with(&eligible);
             }
             completed
         } else {
             // Paper-faithful: all offerings, prerequisites ignored.
-            status
-                .completed()
-                .union(&self.offered_rest(status.semester()))
+            completed.union(&self.offered_rest(semester))
         };
         !self.goal.satisfied(&best_case)
     }

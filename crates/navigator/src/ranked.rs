@@ -32,13 +32,12 @@ use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ExploreError;
-use crate::expand::SelectionIter;
-use crate::explorer::{Disposition, Explorer};
+use crate::explorer::{no_table, Disposition, Explorer};
 use crate::path::{LeafKind, Path};
 use crate::pruning::record_prune;
 use crate::ranking::Ranking;
 use crate::stats::ExploreStats;
-use crate::status::EnrollmentStatus;
+use crate::status::{Classifiable, Unexpanded};
 
 /// A goal path together with its cost under the requested ranking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,9 +49,10 @@ pub struct RankedPath {
 }
 
 /// Arena node of the best-first search tree. Path costs live in the heap
-/// entries; the arena only needs enough to reconstruct paths.
+/// entries; the arena only needs enough to reconstruct paths. States stay
+/// unexpanded until popped: most frontier nodes never are.
 struct SearchNode {
-    status: EnrollmentStatus,
+    state: Unexpanded,
     parent: Option<(u32, CourseSet)>,
 }
 
@@ -179,10 +179,11 @@ impl Explorer<'_> {
                 "top-k ranking requires a goal-driven exploration".into(),
             ));
         };
-        let h = |status: &EnrollmentStatus| -> f64 {
+        let h = |state: Unexpanded| -> f64 {
             match heuristic {
                 Some(h) => {
-                    let bound = h.lower_bound(self.catalog(), goal, status);
+                    let status = state.materialize(self.catalog());
+                    let bound = h.lower_bound(self.catalog(), goal, &status);
                     debug_assert!(
                         bound.is_finite() && bound >= 0.0,
                         "{} produced invalid lower bound {bound}",
@@ -195,13 +196,14 @@ impl Explorer<'_> {
         };
         let pruner = self.pruner();
         let mut stats = ExploreStats::default();
+        let root = Unexpanded::from(*self.start());
         let mut arena: Vec<SearchNode> = vec![SearchNode {
-            status: *self.start(),
+            state: root,
             parent: None,
         }];
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
-            priority: initial_cost + h(self.start()),
+            priority: initial_cost + h(root),
             cost: initial_cost,
             rank: Vec::new(),
             node: 0,
@@ -226,8 +228,8 @@ impl Explorer<'_> {
                     }
                 }
             }
-            let status = arena[entry.node as usize].status;
-            match self.disposition(&status, pruner.as_ref()) {
+            let state = arena[entry.node as usize].state;
+            let expansion = match self.disposition(state, pruner.as_ref(), no_table) {
                 Disposition::Leaf(LeafKind::Goal) => {
                     if skipped < skip {
                         // Already delivered by an earlier page: re-pop but
@@ -239,56 +241,51 @@ impl Explorer<'_> {
                             cost: entry.cost,
                         });
                     }
+                    continue;
                 }
-                Disposition::Leaf(_) => {} // non-goal leaf: discard
-                Disposition::Pruned(reason) => record_prune(&mut stats, reason),
-                Disposition::Expand {
-                    min_selection,
-                    include_empty,
-                } => {
-                    stats.nodes_expanded += 1;
-                    let options = *status.options();
-                    let iter = if include_empty {
-                        SelectionIter::with_empty(&options, self.max_per_semester())
-                    } else {
-                        SelectionIter::new(&options, self.max_per_semester())
-                    };
-                    let mut sibling = 0u32;
-                    for selection in iter {
-                        if selection.len() < min_selection {
-                            stats.pruned_time += 1;
-                            continue;
-                        }
-                        if !self.selection_allowed(&status, &selection) {
-                            continue;
-                        }
-                        let edge_cost = ranking.edge_cost(self.catalog(), &status, &selection);
-                        debug_assert!(
-                            edge_cost.is_finite() && edge_cost >= 0.0,
-                            "{} produced invalid edge cost {edge_cost}",
-                            ranking.name()
-                        );
-                        stats.edges_created += 1;
-                        let child_cost = entry.cost + edge_cost;
-                        let child_status = status.advance(self.catalog(), &selection);
-                        let child = arena.len() as u32;
-                        arena.push(SearchNode {
-                            status: child_status,
-                            parent: Some((entry.node, selection)),
-                        });
-                        let mut rank = Vec::with_capacity(entry.rank.len() + 1);
-                        rank.extend_from_slice(&entry.rank);
-                        rank.push(sibling);
-                        sibling += 1;
-                        let child_status_ref = &arena[child as usize].status;
-                        heap.push(HeapEntry {
-                            priority: child_cost + h(child_status_ref),
-                            cost: child_cost,
-                            rank,
-                            node: child,
-                        });
-                    }
+                Disposition::Leaf(_) => continue, // non-goal leaf: discard
+                Disposition::Pruned(reason) => {
+                    record_prune(&mut stats, reason);
+                    continue;
                 }
+                Disposition::Known(never) => match never {},
+                Disposition::Expand(expansion) => expansion,
+            };
+            stats.nodes_expanded += 1;
+            let status = expansion.status;
+            let mut sibling = 0u32;
+            for selection in expansion.selections(self.max_per_semester()) {
+                if selection.len() < expansion.min_selection {
+                    stats.pruned_time += 1;
+                    continue;
+                }
+                if !self.selection_allowed(&status, &selection) {
+                    continue;
+                }
+                let edge_cost = ranking.edge_cost(self.catalog(), &status, &selection);
+                debug_assert!(
+                    edge_cost.is_finite() && edge_cost >= 0.0,
+                    "{} produced invalid edge cost {edge_cost}",
+                    ranking.name()
+                );
+                stats.edges_created += 1;
+                let child_cost = entry.cost + edge_cost;
+                let child_state = status.child(&selection);
+                let child = arena.len() as u32;
+                arena.push(SearchNode {
+                    state: child_state,
+                    parent: Some((entry.node, selection)),
+                });
+                let mut rank = Vec::with_capacity(entry.rank.len() + 1);
+                rank.extend_from_slice(&entry.rank);
+                rank.push(sibling);
+                sibling += 1;
+                heap.push(HeapEntry {
+                    priority: child_cost + h(child_state),
+                    cost: child_cost,
+                    rank,
+                    node: child,
+                });
             }
         }
         Ok((out, stats, truncated))
@@ -326,7 +323,7 @@ impl Explorer<'_> {
         let mut cursor = leaf;
         loop {
             let node = &arena[cursor as usize];
-            statuses.push(node.status);
+            statuses.push(node.state.materialize(self.catalog()));
             match node.parent {
                 Some((parent, selection)) => {
                     selections.push(selection);
@@ -346,6 +343,7 @@ mod tests {
     use super::*;
     use crate::goal::Goal;
     use crate::ranking::{TimeRanking, WorkloadRanking};
+    use crate::status::EnrollmentStatus;
     use coursenav_catalog::{
         Catalog, CatalogBuilder, CourseSpec, Semester, SyntheticCatalog, SyntheticConfig, Term,
     };

@@ -20,6 +20,8 @@ pub struct EnrollmentStatus {
 impl EnrollmentStatus {
     /// The status of a student in `semester` having completed `completed`.
     pub fn new(catalog: &Catalog, semester: Semester, completed: CourseSet) -> EnrollmentStatus {
+        #[cfg(test)]
+        ELIGIBLE_CALLS.with(|calls| calls.set(calls.get() + 1));
         EnrollmentStatus {
             semester,
             completed,
@@ -54,13 +56,21 @@ impl EnrollmentStatus {
     /// Debug-asserts that `selection ⊆ Y_i` — callers enumerate selections
     /// from `options`, so a violation is a logic error.
     pub fn advance(&self, catalog: &Catalog, selection: &CourseSet) -> EnrollmentStatus {
+        self.child(selection).materialize(catalog)
+    }
+
+    /// [`EnrollmentStatus::advance`] without computing the child's options:
+    /// the engine classifies a child before deciding whether it needs them.
+    pub(crate) fn child(&self, selection: &CourseSet) -> Unexpanded {
         debug_assert!(
             selection.is_subset(&self.options),
             "selection {selection:?} not drawn from options {:?}",
             self.options
         );
-        let completed = self.completed.union(selection);
-        EnrollmentStatus::new(catalog, self.semester.next(), completed)
+        Unexpanded {
+            semester: self.semester.next(),
+            completed: self.completed.union(selection),
+        }
     }
 
     /// Compact dedup key: `(semester index, completed)` determines the whole
@@ -68,6 +78,86 @@ impl EnrollmentStatus {
     pub fn state_key(&self) -> (i32, CourseSet) {
         (self.semester.index(), self.completed)
     }
+}
+
+/// A status whose options `Y_i` are not computed yet — what an expansion
+/// hands its children. Most children end as leaves, prunes or memo hits,
+/// decided from `(semester, completed)` alone; only the ones that expand
+/// (or are emitted in a [`crate::Path`]) are materialized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Unexpanded {
+    semester: Semester,
+    completed: CourseSet,
+}
+
+impl From<EnrollmentStatus> for Unexpanded {
+    /// The status with its options dropped, to be recomputed on demand.
+    fn from(status: EnrollmentStatus) -> Unexpanded {
+        Unexpanded {
+            semester: status.semester,
+            completed: status.completed,
+        }
+    }
+}
+
+/// What the engine's classifier reads of a state: its semester and
+/// completed set up front, and its options only once it expands. A
+/// materialized status is its own materialization, so roots handed in
+/// whole are never recomputed.
+pub(crate) trait Classifiable: Copy {
+    /// Current semester `s_i`.
+    fn semester(&self) -> Semester;
+    /// Completed courses `X_i`.
+    fn completed(&self) -> &CourseSet;
+    /// The full status, options included.
+    fn materialize(self, catalog: &Catalog) -> EnrollmentStatus;
+
+    /// The dedup key, as [`EnrollmentStatus::state_key`].
+    fn state_key(&self) -> (i32, CourseSet) {
+        (self.semester().index(), *self.completed())
+    }
+}
+
+impl Classifiable for Unexpanded {
+    fn semester(&self) -> Semester {
+        self.semester
+    }
+
+    fn completed(&self) -> &CourseSet {
+        &self.completed
+    }
+
+    /// Equal to the status [`EnrollmentStatus::advance`] builds.
+    fn materialize(self, catalog: &Catalog) -> EnrollmentStatus {
+        EnrollmentStatus::new(catalog, self.semester, self.completed)
+    }
+}
+
+impl Classifiable for EnrollmentStatus {
+    fn semester(&self) -> Semester {
+        self.semester
+    }
+
+    fn completed(&self) -> &CourseSet {
+        &self.completed
+    }
+
+    fn materialize(self, _: &Catalog) -> EnrollmentStatus {
+        self
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Options computations (`Catalog::eligible` calls) made through
+    /// [`EnrollmentStatus::new`] on this thread.
+    static ELIGIBLE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Options computations made on this thread so far (tests only).
+#[cfg(test)]
+pub(crate) fn eligible_calls() -> u64 {
+    ELIGIBLE_CALLS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -138,6 +228,24 @@ mod tests {
         assert_eq!(n7.semester(), Semester::new(2012, Term::Fall));
         assert_eq!(n7.completed(), n4.completed());
         assert!(n7.options().contains(cat.id_of_str("11A").unwrap()));
+    }
+
+    #[test]
+    fn materialized_children_equal_advanced_ones() {
+        let cat = fig3_catalog();
+        let n1 = EnrollmentStatus::fresh(&cat, Semester::new(2011, Term::Fall));
+        let both = *n1.options();
+        let advanced = n1.advance(&cat, &both);
+        let before = eligible_calls();
+        let child = n1.child(&both);
+        assert_eq!(child.semester(), Semester::new(2012, Term::Spring));
+        assert_eq!(child.state_key(), advanced.state_key());
+        assert_eq!(eligible_calls(), before, "a child costs no options");
+        let status = child.materialize(&cat);
+        assert_eq!(eligible_calls(), before + 1, "one options computation");
+        assert_eq!(status, advanced);
+        assert_eq!(Classifiable::materialize(status, &cat), status);
+        assert_eq!(eligible_calls(), before + 1, "a whole status is free");
     }
 
     #[test]

@@ -16,11 +16,11 @@ use crate::cursor::{FrameState, StreamCursor};
 use crate::error::ExploreError;
 use crate::expand::SelectionIter;
 use crate::explorer::{Disposition, Explorer};
-use crate::memo::TranspositionTable;
+use crate::memo::{StateKey, TranspositionTable};
 use crate::path::{LeafKind, Path};
 use crate::pruning::{record_prune, Pruner};
 use crate::stats::ExploreStats;
-use crate::status::EnrollmentStatus;
+use crate::status::{Classifiable, EnrollmentStatus};
 
 /// Counters captured when a frame is pushed *by this stream* (not rebuilt
 /// from a cursor), so the subtree's totals can be attributed to its node
@@ -53,7 +53,9 @@ pub struct PathStream<'e, 'c> {
     selections: Vec<CourseSet>,
     frames: Vec<Frame>,
     stats: ExploreStats,
-    /// The root still needs its disposition check.
+    /// The root still needs its disposition check. `statuses` holds only
+    /// expanded nodes (plus, transiently, a leaf being emitted), so it is
+    /// empty until the root expands.
     fresh: bool,
     /// Transposition table for *counting* streams (see
     /// [`Explorer::count_paths_iter_memo`]). `None` for plain streams.
@@ -77,7 +79,7 @@ impl<'c> Explorer<'c> {
         PathStream {
             explorer: self,
             pruner: self.pruner(),
-            statuses: vec![*self.start()],
+            statuses: Vec::new(),
             selections: Vec::new(),
             frames: Vec::new(),
             stats: ExploreStats::default(),
@@ -256,68 +258,68 @@ impl PathStream<'_, '_> {
         Path::new(self.statuses.clone(), self.selections.clone())
     }
 
-    /// Handles the node currently on top of `statuses`: either returns a
-    /// finished path (leaf), or pushes a frame to expand it (and returns
-    /// `None` to keep driving), or drops it (pruned).
-    fn enter_node(&mut self) -> Option<(Path, LeafKind)> {
-        let status = *self.statuses.last().expect("stack is never empty");
-        match self.explorer.disposition(&status, self.pruner.as_ref()) {
+    /// Handles `state`, the node the last entry of `selections` leads to
+    /// (the root when `selections` is empty): either returns a finished
+    /// path (leaf), or pushes its status and a frame to expand it (and
+    /// returns `None` to keep driving), or drops it (pruned, or answered
+    /// in bulk from the table).
+    fn enter_node(&mut self, state: impl Classifiable) -> Option<(Path, LeafKind)> {
+        let table = self.table;
+        let lookup = |key: &StateKey| table.and_then(|table| table.get_count(key));
+        let expansion = match self
+            .explorer
+            .disposition(state, self.pruner.as_ref(), lookup)
+        {
             Disposition::Leaf(kind) => {
                 self.total_seen += 1;
                 if kind == LeafKind::Goal {
                     self.goal_seen += 1;
                 }
+                self.statuses
+                    .push(state.materialize(self.explorer.catalog()));
                 let path = self.current_path();
                 self.backtrack();
-                Some((path, kind))
+                return Some((path, kind));
             }
             Disposition::Pruned(reason) => {
                 record_prune(&mut self.stats, reason);
-                self.backtrack();
-                None
+                self.selections.pop();
+                return None;
             }
-            Disposition::Expand {
-                min_selection,
-                include_empty,
-            } => {
-                if let Some(table) = self.table {
-                    if let Some((total, goal, logical)) = table.get_count(&status.state_key()) {
-                        // The whole subtree answers in bulk: replay its
-                        // logical counters and step past it exactly as if
-                        // its last child had just finished.
-                        self.work.memo_hits += 1;
-                        self.stats.merge(&logical);
-                        self.total_seen += total;
-                        self.goal_seen += goal;
-                        self.bulk_total += total;
-                        self.bulk_goal += goal;
-                        self.backtrack();
-                        return None;
-                    }
-                    self.work.memo_misses += 1;
-                }
-                let base = self.table.map(|_| FrameBase {
-                    total: self.total_seen,
-                    goal: self.goal_seen,
-                    stats: self.stats,
-                });
-                self.stats.nodes_expanded += 1;
-                let options = *status.options();
-                let iter = if include_empty {
-                    SelectionIter::with_empty(&options, self.explorer.max_per_semester())
-                } else {
-                    SelectionIter::new(&options, self.explorer.max_per_semester())
-                };
-                self.frames.push(Frame {
-                    iter,
-                    min_selection,
-                    emitted: 0,
-                    floor_skipped: 0,
-                    base,
-                });
-                None
+            Disposition::Known((total, goal, logical)) => {
+                // The whole subtree answers in bulk: replay its logical
+                // counters and step past it exactly as if its last child
+                // had just finished.
+                self.work.memo_hits += 1;
+                self.stats.merge(&logical);
+                self.total_seen += total;
+                self.goal_seen += goal;
+                self.bulk_total += total;
+                self.bulk_goal += goal;
+                self.selections.pop();
+                return None;
             }
+            Disposition::Expand(expansion) => expansion,
+        };
+        if let Some(table) = self.table {
+            table.record_miss();
+            self.work.memo_misses += 1;
         }
+        let base = self.table.map(|_| FrameBase {
+            total: self.total_seen,
+            goal: self.goal_seen,
+            stats: self.stats,
+        });
+        self.stats.nodes_expanded += 1;
+        self.frames.push(Frame {
+            iter: expansion.selections(self.explorer.max_per_semester()),
+            min_selection: expansion.min_selection,
+            emitted: 0,
+            floor_skipped: 0,
+            base,
+        });
+        self.statuses.push(expansion.status);
+        None
     }
 
     /// Drains the leaf counts answered from the transposition table since
@@ -352,7 +354,7 @@ impl Iterator for PathStream<'_, '_> {
     fn next(&mut self) -> Option<(Path, LeafKind)> {
         if self.fresh {
             self.fresh = false;
-            if let Some(leaf) = self.enter_node() {
+            if let Some(leaf) = self.enter_node(*self.explorer.start()) {
                 return Some(leaf);
             }
         }
@@ -381,10 +383,8 @@ impl Iterator for PathStream<'_, '_> {
                     frame.emitted += 1;
                     self.stats.edges_created += 1;
                     let status = *self.statuses.last().expect("frame implies a node");
-                    self.statuses
-                        .push(status.advance(self.explorer.catalog(), &selection));
                     self.selections.push(selection);
-                    if let Some(leaf) = self.enter_node() {
+                    if let Some(leaf) = self.enter_node(status.child(&selection)) {
                         return Some(leaf);
                     }
                 }

@@ -10,11 +10,13 @@
 //! millions of distinct states a deep exploration *ends* in all collapse
 //! onto a handful of shared sentinels, which is where the bulk of the
 //! hash-consing compression comes from. The builder treats them as the
-//! constants they are: it classifies each state first, and a leaf or
-//! pruned state resolves straight to its kind's shared node (interned once
-//! per kind per build) with no lookup, lock or per-state record — only
-//! expandable states are looked up, expanded and interned, with their
-//! summaries folded from the child summaries the builder already holds.
+//! constants they are: it classifies each state first, and a state that
+//! is a leaf or pruned by its `(semester, completed)` pair alone resolves
+//! straight to its kind's shared node (interned once per kind per build)
+//! with no lookup, lock, per-state record or options computation — only
+//! the rest are looked up, and only a miss computes its options (a dead
+//! end still resolves to its terminal) and is expanded and interned, with
+//! its summary folded from the child summaries the builder already holds.
 //! Per-*state* facts (distinct-state counts, per-state statistics, the
 //! state DAG) are derived after the build by walking it by state key
 //! (`crate::dedup`). Each interned node carries its
@@ -42,12 +44,11 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
-use crate::expand::SelectionIter;
 use crate::explorer::{Disposition, Explorer};
 use crate::path::LeafKind;
 use crate::pruning::{record_prune, PruneReason, Pruner};
 use crate::stats::ExploreStats;
-use crate::status::EnrollmentStatus;
+use crate::status::Classifiable;
 
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
@@ -732,9 +733,9 @@ impl Explorer<'_> {
     /// Materializes this exploration as a hash-consed path DAG in `table`,
     /// returning the interned root. Each state is classified first: a leaf
     /// or pruned state resolves straight to its kind's shared terminal
-    /// node, and only expandable states are looked up, expanded and
-    /// interned — once per build, however many selection orders reach
-    /// them. States already interned by an earlier build sharing the table
+    /// node, and only expandable states are expanded and interned — once
+    /// per build, however many selection orders reach them, and computing
+    /// their options only on that first visit. States already interned by an earlier build sharing the table
     /// cost a hash-cons hit; the per-node counts and statistics come out
     /// identical to a fresh re-exploration by construction.
     ///
@@ -758,54 +759,43 @@ impl Explorer<'_> {
             deadline,
             ticks: 0,
         };
-        let (root, _) = self.dag_node(self.start(), pruner.as_ref(), &mut ctx)?;
+        let (root, _) = self.dag_node(*self.start(), pruner.as_ref(), &mut ctx)?;
         Ok(root)
     }
 
     fn dag_node(
         &self,
-        status: &EnrollmentStatus,
+        state: impl Classifiable,
         pruner: Option<&Pruner<'_>>,
         ctx: &mut BuildCtx<'_>,
     ) -> Result<(DagNodeId, Summary), DagBuildError> {
-        let (min_selection, include_empty) = match self.disposition(status, pruner) {
+        let expansion = match self.disposition(state, pruner, |key| ctx.expanded.get(key).copied())
+        {
             Disposition::Leaf(kind) => return Ok(ctx.terminal(DagNodeKind::Leaf(kind))),
             Disposition::Pruned(reason) => return Ok(ctx.terminal(DagNodeKind::Pruned(reason))),
-            Disposition::Expand {
-                min_selection,
-                include_empty,
-            } => (min_selection, include_empty),
+            Disposition::Known(resolved) => return Ok(resolved),
+            Disposition::Expand(expansion) => expansion,
         };
-        let key = status.state_key();
-        if let Some(&resolved) = ctx.expanded.get(&key) {
-            return Ok(resolved);
-        }
         if ctx.expired() {
             return Err(DagBuildError::Deadline);
         }
-        let options = *status.options();
-        let iter = if include_empty {
-            SelectionIter::with_empty(&options, self.max_per_semester())
-        } else {
-            SelectionIter::new(&options, self.max_per_semester())
-        };
+        let status = expansion.status;
         let base = ctx.edges.len();
         let mut floor_skipped = 0u64;
         let mut summary = Summary::interior(0);
-        for selection in iter {
-            if selection.len() < min_selection {
+        for selection in expansion.selections(self.max_per_semester()) {
+            if selection.len() < expansion.min_selection {
                 floor_skipped += 1;
                 continue;
             }
-            if !self.selection_allowed(status, &selection) {
+            if !self.selection_allowed(&status, &selection) {
                 continue;
             }
             let load: f64 = selection
                 .iter()
                 .map(|id| self.catalog().course(id).workload())
                 .sum();
-            let child = status.advance(self.catalog(), &selection);
-            let (child_id, child_summary) = self.dag_node(&child, pruner, ctx)?;
+            let (child_id, child_summary) = self.dag_node(status.child(&selection), pruner, ctx)?;
             summary.add_edge(&selection, load, &child_summary);
             ctx.edges.push((selection, child_id));
             ctx.loads.push(load);
@@ -821,9 +811,10 @@ impl Explorer<'_> {
                 floor_skipped,
             };
             let loads = ctx.loads[base..].into();
+            let (semester, completed) = status.state_key();
             let (id, created) = ctx
                 .table
-                .intern_summarized(key.0, key.1, kind, loads, summary);
+                .intern_summarized(semester, completed, kind, loads, summary);
             if created {
                 ctx.created += 1;
                 if let Some(node_budget) = ctx.node_budget {
@@ -836,7 +827,7 @@ impl Explorer<'_> {
         };
         ctx.edges.truncate(base);
         ctx.loads.truncate(base);
-        ctx.expanded.insert(key, resolved);
+        ctx.expanded.insert(status.state_key(), resolved);
         Ok(resolved)
     }
 }
@@ -847,6 +838,7 @@ mod tests {
     use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
 
     use crate::goal::Goal;
+    use crate::status::EnrollmentStatus;
 
     fn small_explorer(synth: &SyntheticCatalog, horizon: i32) -> Explorer<'_> {
         let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
