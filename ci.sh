@@ -15,6 +15,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Catches stale and private intra-doc links left behind when an item is
+# renamed, deleted, or narrowed to pub(crate).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> bench5 smoke (memoized vs un-memoized equivalence)"
 # The shallow configuration only; asserts memoized answers are
 # byte-identical to plain ones. Prints rows, writes no file — the

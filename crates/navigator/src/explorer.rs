@@ -20,11 +20,13 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+use std::time::Instant;
 
 use coursenav_catalog::{Catalog, CourseSet, Semester};
 
 use crate::error::ExploreError;
 use crate::expand::{SelectionIter, WaitPolicy};
+use crate::expiry::Expiry;
 use crate::filter::SelectionFilter;
 use crate::goal::Goal;
 use crate::graph::{LearningGraph, NodeId, NodeKind};
@@ -409,16 +411,54 @@ impl<'a> Explorer<'a> {
 
     /// Counts learning paths without materializing anything.
     pub fn count_paths(&self) -> PathCounts {
+        self.count_paths_until(None).0
+    }
+
+    /// [`Explorer::count_paths`] under a wall-clock deadline. The boolean
+    /// marks truncation: the counts are then lower bounds.
+    pub(crate) fn count_paths_until(&self, deadline: Option<Instant>) -> (PathCounts, bool) {
         let mut counts = PathCounts::default();
-        let stats = self.visit_paths(|visit| {
+        let mut expiry = Expiry::per_leaf(deadline);
+        counts.stats = self.visit_paths(|visit| {
+            if expiry.tick() {
+                return ControlFlow::Break(());
+            }
             counts.total_paths += 1;
             if visit.kind == LeafKind::Goal {
                 counts.goal_paths += 1;
             }
             ControlFlow::Continue(())
         });
-        counts.stats = stats;
-        counts
+        (counts, expiry.fired())
+    }
+
+    /// Collects up to `limit` paths (goal paths for goal-driven runs) in
+    /// depth-first order under a wall-clock deadline. The boolean marks
+    /// truncation: more paths exist beyond `limit`, or `deadline` expired.
+    pub(crate) fn collect_paths_until(
+        &self,
+        limit: usize,
+        deadline: Option<Instant>,
+    ) -> (Vec<Path>, bool) {
+        let goal_only = self.goal.is_some();
+        let mut paths = Vec::new();
+        let mut expiry = Expiry::per_leaf(deadline);
+        let mut over_limit = false;
+        self.visit_paths(|visit| {
+            if expiry.tick() {
+                return ControlFlow::Break(());
+            }
+            if goal_only && visit.kind != LeafKind::Goal {
+                return ControlFlow::Continue(());
+            }
+            if paths.len() >= limit {
+                over_limit = true;
+                return ControlFlow::Break(());
+            }
+            paths.push(visit.to_path());
+            ControlFlow::Continue(())
+        });
+        (paths, over_limit || expiry.fired())
     }
 
     /// Collects every path (materialized). Convenience for small runs,

@@ -90,7 +90,7 @@ impl Explorer<'_> {
     ///
     /// The boolean marks truncation: when `deadline` expires mid-count the
     /// affected entries are lower bounds and nothing partial was cached.
-    pub fn selection_impacts_memo_until(
+    pub(crate) fn selection_impacts_memo_until(
         &self,
         table: &TranspositionTable,
         deadline: Option<Instant>,

@@ -42,6 +42,7 @@ pub mod cursor;
 pub mod dedup;
 pub mod error;
 pub mod expand;
+mod expiry;
 pub mod explorer;
 pub mod filter;
 pub mod goal;
@@ -78,8 +79,7 @@ pub use goal::Goal;
 pub use graph::{EdgeId, LearningGraph, NodeId};
 pub use impact::SelectionImpact;
 pub use memo::{
-    ranking_signature, InsertGate, MemoStats, PortableEntry, PortableSuffix, StateKey,
-    TranspositionTable,
+    InsertGate, MemoStats, PortableEntry, PortableSuffix, StateKey, TranspositionTable,
 };
 pub use pareto::ParetoPath;
 pub use path::LeafKind;

@@ -25,11 +25,10 @@
 //!   cost). Non-decomposable rankings fall back to the un-memoized
 //!   search, byte-identically.
 //!
-//! The table is sharded and lock-striped so the parallel fan-out
-//! ([`Explorer::count_paths_parallel_memo_until`]) shares one memo across
-//! workers, and it is `Sync` so the serving layer can key long-lived
-//! tables under [`crate::ExplorationRequest::memo_key`] and reuse them
-//! across requests. Memory is bounded by an entry-count cap with
+//! The table is sharded and lock-striped so the parallel fan-out shares
+//! one memo across workers, and it is `Sync` so the serving layer can key
+//! long-lived tables under [`crate::ExplorationRequest::memo_key`] and
+//! reuse them across requests. Memory is bounded by an entry-count cap with
 //! LRU-ish (oldest-stamp-quartile) eviction.
 //!
 //! A state is classified before it is looked up: leaves and prunes that
@@ -58,6 +57,7 @@ use coursenav_catalog::{Catalog, CourseSet};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ExploreError;
+use crate::expiry::Expiry;
 use crate::explorer::{Disposition, Explorer};
 use crate::parallel::RootExpansion;
 use crate::path::{LeafKind, Path};
@@ -552,7 +552,8 @@ pub enum PortableEntry {
     Ranked {
         /// The memoized subtree's status key.
         key: StateKey,
-        /// The ranking signature (see [`ranking_signature`]).
+        /// The ranking signature: a stable 64-bit fingerprint of the
+        /// ranking spec's canonical form.
         sig: u64,
         /// The `k` the summary was computed for.
         k: u64,
@@ -573,7 +574,7 @@ pub struct PortableSuffix {
 /// A stable 64-bit fingerprint of a ranking spec's canonical form, used
 /// to key cached top-k summaries so different rankings (or differently
 /// weighted combinations) never share entries.
-pub fn ranking_signature(spec: &RankingSpec) -> u64 {
+pub(crate) fn ranking_signature(spec: &RankingSpec) -> u64 {
     let json =
         serde_json::to_string(&spec.canonicalized()).expect("a ranking spec always serializes");
     let mut h = DefaultHasher::new();
@@ -604,12 +605,11 @@ struct MemoRun<'e, 'c, 't> {
     explorer: &'e Explorer<'c>,
     pruner: Option<Pruner<'e>>,
     table: &'t TranspositionTable,
-    deadline: Option<Instant>,
+    /// Checked once every 64 expansions; the run unwinds once it fires.
+    expiry: Expiry,
     /// Real work performed by *this* run: actual expansions plus the
     /// memo hit/miss/eviction counters. Never attached to responses.
     work: ExploreStats,
-    ticks: u32,
-    expired: bool,
     /// The top-k answers of every terminal state, shared so a leaf or
     /// pruned child allocates nothing: no goal suffix, and the one empty
     /// suffix of a goal leaf.
@@ -627,31 +627,13 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             explorer,
             pruner: explorer.pruner(),
             table,
-            deadline,
+            expiry: Expiry::per_step(deadline),
             work: ExploreStats::default(),
-            ticks: 0,
-            expired: false,
             no_suffix: Arc::new(Vec::new()),
             goal_leaf: Arc::new(vec![RankedSuffix {
                 selections: Vec::new(),
             }]),
         }
-    }
-
-    /// Amortized wall-clock check, with the engine's usual cadence.
-    fn tick_expired(&mut self) -> bool {
-        if self.expired {
-            return true;
-        }
-        self.ticks = self.ticks.wrapping_add(1);
-        if self.ticks & 0x3F == 1 {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.expired = true;
-                }
-            }
-        }
-        self.expired
     }
 
     /// Records a lookup that fell through to an expansion.
@@ -690,7 +672,7 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             Disposition::Expand(expansion) => expansion,
         };
         self.miss();
-        if self.tick_expired() {
+        if self.expiry.tick() {
             return (0, 0, ExploreStats::default());
         }
         let mut logical = ExploreStats {
@@ -720,7 +702,7 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             total += t;
             goal += g;
             logical.merge(&l);
-            if self.expired {
+            if self.expiry.fired() {
                 return (total, goal, logical);
             }
         }
@@ -821,7 +803,7 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             Disposition::Expand(expansion) => expansion,
         };
         self.miss();
-        if self.tick_expired() {
+        if self.expiry.tick() {
             return CollectOutcome::Aborted;
         }
         let mut logical = ExploreStats {
@@ -958,7 +940,7 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             Disposition::Expand(expansion) => expansion,
         };
         self.miss();
-        if self.tick_expired() {
+        if self.expiry.tick() {
             return None;
         }
         self.work.nodes_expanded += 1;
@@ -1054,7 +1036,7 @@ impl<'c> Explorer<'c> {
     /// [`Explorer::count_paths_memo`] under a wall-clock deadline. The
     /// boolean marks truncation: the counts are lower bounds and nothing
     /// partial was cached.
-    pub fn count_paths_memo_until(
+    pub(crate) fn count_paths_memo_until(
         &self,
         table: &TranspositionTable,
         deadline: Option<Instant>,
@@ -1068,7 +1050,7 @@ impl<'c> Explorer<'c> {
                 stats: logical,
             },
             run.work,
-            run.expired,
+            run.expiry.fired(),
         )
     }
 
@@ -1079,7 +1061,7 @@ impl<'c> Explorer<'c> {
     ///
     /// # Panics
     /// Panics if `threads` is zero.
-    pub fn count_paths_parallel_memo_until(
+    pub(crate) fn count_paths_parallel_memo_until(
         &self,
         threads: usize,
         deadline: Option<Instant>,
@@ -1121,7 +1103,7 @@ impl<'c> Explorer<'c> {
                 let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
                     let mut run = MemoRun::new(self, table, deadline);
                     let result = run.count_state(child);
-                    (result, run.work, run.expired)
+                    (result, run.work, run.expiry.fired())
                 });
                 let mut out = PathCounts {
                     total_paths: 0,
@@ -1147,7 +1129,7 @@ impl<'c> Explorer<'c> {
     /// suffix sets onto the prefix wherever the table already knows a
     /// subtree. The boolean marks truncation (more paths exist beyond
     /// `limit`, or `deadline` expired).
-    pub fn collect_paths_memo_until(
+    pub(crate) fn collect_paths_memo_until(
         &self,
         table: &TranspositionTable,
         limit: usize,
@@ -1168,7 +1150,7 @@ impl<'c> Explorer<'c> {
             &mut out,
             &mut hit_limit,
         );
-        let truncated = matches!(outcome, CollectOutcome::Aborted) || run.expired;
+        let truncated = matches!(outcome, CollectOutcome::Aborted) || run.expiry.fired();
         (out, run.work, truncated)
     }
 
@@ -1177,7 +1159,7 @@ impl<'c> Explorer<'c> {
     /// when the deadline expires mid-computation — nothing partial is
     /// cached and the caller should fall back to the un-memoized search.
     /// `sig` fingerprints the ranking (see [`ranking_signature`]).
-    pub fn top_k_memo_until(
+    pub(crate) fn top_k_memo_until(
         &self,
         ranking: &dyn Ranking,
         sig: u64,

@@ -13,15 +13,15 @@
 //! - counts and statistics merge by addition;
 //! - collected paths concatenate in child order = DFS order;
 //! - ranked top-k subtree searches are seeded with the root edge's cost
-//!   ([`Explorer::ranked_search_seeded`]) so cost accumulation is the
+//!   (`Explorer::ranked_search_seeded`) so cost accumulation is the
 //!   same left-to-right fold as sequential (bit-identical floats), and a
 //!   stable merge by cost reproduces the sequential (cost, tree-rank)
 //!   pop order.
 //!
 //! Each variant also takes the serving layer's wall-clock deadline;
-//! workers check it with the same amortized cadence as
-//! `NavigatorService::run_until`, so a parallel run under budget returns
-//! a truncated partial instead of stalling an interactive client.
+//! workers check it with the same amortized cadence as the sequential
+//! engine, so a parallel run under budget returns a truncated partial
+//! instead of stalling an interactive client.
 
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -29,6 +29,7 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 
 use crate::error::ExploreError;
+use crate::expiry::Expiry;
 use crate::explorer::{no_table, Disposition, Explorer};
 use crate::path::{LeafKind, Path};
 use crate::pruning::record_prune;
@@ -160,7 +161,7 @@ impl<'a> Explorer<'a> {
     ///
     /// # Panics
     /// Panics if `threads` is zero.
-    pub fn count_paths_parallel_until(
+    pub(crate) fn count_paths_parallel_until(
         &self,
         threads: usize,
         deadline: Option<Instant>,
@@ -214,25 +215,7 @@ impl<'a> Explorer<'a> {
                 children,
             } => {
                 let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
-                    let mut counts = PathCounts::default();
-                    let mut truncated = false;
-                    let mut ticks = 0u32;
-                    let stats = self.restarted(child).visit_paths(|visit| {
-                        ticks = ticks.wrapping_add(1);
-                        if let Some(d) = deadline {
-                            if ticks & 0xFF == 1 && Instant::now() >= d {
-                                truncated = true;
-                                return ControlFlow::Break(());
-                            }
-                        }
-                        counts.total_paths += 1;
-                        if visit.kind == LeafKind::Goal {
-                            counts.goal_paths += 1;
-                        }
-                        ControlFlow::Continue(())
-                    });
-                    counts.stats = stats;
-                    (counts, truncated)
+                    self.restarted(child).count_paths_until(deadline)
                 });
                 let mut out = PathCounts {
                     total_paths: 0,
@@ -258,7 +241,7 @@ impl<'a> Explorer<'a> {
     ///
     /// # Panics
     /// Panics if `threads` is zero.
-    pub fn collect_paths_parallel_until(
+    pub(crate) fn collect_paths_parallel_until(
         &self,
         threads: usize,
         limit: usize,
@@ -298,15 +281,10 @@ impl<'a> Explorer<'a> {
                 let cap = limit.saturating_add(1);
                 let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
                     let mut out: Vec<Path> = Vec::new();
-                    let mut truncated = false;
-                    let mut ticks = 0u32;
+                    let mut expiry = Expiry::per_leaf(deadline);
                     self.restarted(child).visit_paths(|visit| {
-                        ticks = ticks.wrapping_add(1);
-                        if let Some(d) = deadline {
-                            if ticks & 0xFF == 1 && Instant::now() >= d {
-                                truncated = true;
-                                return ControlFlow::Break(());
-                            }
+                        if expiry.tick() {
+                            return ControlFlow::Break(());
                         }
                         if goal_only && visit.kind != LeafKind::Goal {
                             return ControlFlow::Continue(());
@@ -323,7 +301,7 @@ impl<'a> Explorer<'a> {
                         }
                         ControlFlow::Continue(())
                     });
-                    (out, truncated)
+                    (out, expiry.fired())
                 });
                 let mut paths: Vec<Path> = Vec::new();
                 let mut truncated = false;
@@ -350,7 +328,7 @@ impl<'a> Explorer<'a> {
     ///
     /// # Panics
     /// Panics if `threads` is zero.
-    pub fn top_k_parallel_until(
+    pub(crate) fn top_k_parallel_until(
         &self,
         ranking: &dyn Ranking,
         k: usize,

@@ -17,7 +17,7 @@
 //! The tree-rank tie-break (rather than global insertion FIFO) makes the
 //! order *composable*: the pop order restricted to any first-level subtree
 //! equals that subtree's own search order, so `parallel.rs` can search
-//! subtrees independently (seeded via [`Explorer::ranked_search_seeded`])
+//! subtrees independently (seeded via `Explorer::ranked_search_seeded`)
 //! and merge by (cost, child index) into the exact sequential answer.
 //!
 //! [`Explorer::top_k_by_enumeration`] is the brute-force baseline
@@ -32,6 +32,7 @@ use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ExploreError;
+use crate::expiry::Expiry;
 use crate::explorer::{no_table, Disposition, Explorer};
 use crate::path::{LeafKind, Path};
 use crate::pruning::record_prune;
@@ -209,24 +210,15 @@ impl Explorer<'_> {
             node: 0,
         });
         let mut out: Vec<RankedPath> = Vec::with_capacity(k.min(1024));
-        let mut truncated = false;
-        let mut pops = 0u32;
+        let mut expiry = Expiry::per_step(deadline);
         let mut skipped = 0usize;
 
         while let Some(entry) = heap.pop() {
             if out.len() >= k {
                 break;
             }
-            // Deadline check amortized over pops; `Instant::now` is cheap
-            // but not free against sub-microsecond expansions.
-            pops = pops.wrapping_add(1);
-            if pops & 0x3F == 1 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        truncated = true;
-                        break;
-                    }
-                }
+            if expiry.tick() {
+                break;
             }
             let state = arena[entry.node as usize].state;
             let expansion = match self.disposition(state, pruner.as_ref(), no_table) {
@@ -288,7 +280,7 @@ impl Explorer<'_> {
                 });
             }
         }
-        Ok((out, stats, truncated))
+        Ok((out, stats, expiry.fired()))
     }
 
     /// Baseline: enumerate every goal path, rank, and truncate to `k`.

@@ -3,10 +3,10 @@
 //! The paper's interaction model is a front end that pulls a *page* of
 //! paths, lets the student inspect them, and comes back for more. This
 //! module is the service-level entry point for that loop:
-//! [`NavigatorService::run_page`] serves one page of an exploration and
-//! hands back an [`ExplorationCursor`] when more remains, and
-//! [`NavigatorService::run_page_with`] additionally pushes each path
-//! through a sink as it is found (the NDJSON streaming endpoint).
+//! [`NavigatorService::run_page_memo`] serves one page of an exploration,
+//! optionally pushing each path through a sink as it is found (the NDJSON
+//! streaming endpoint), and hands back an [`ExplorationCursor`] when more
+//! remains.
 //!
 //! Paging is *exact*: concatenating the pages of a request yields
 //! byte-identical output to running the same request unpaged — count
@@ -16,12 +16,13 @@
 //! ([`crate::StreamCursor`]) in O(depth) work; ranked output resumes by
 //! replaying the deterministic best-first search while skipping the
 //! already-delivered goal pops (cheap: skipped goals are popped but never
-//! reconstructed into paths).
+//! reconstructed into paths), or by slicing the memoized top-k.
 
 use std::ops::ControlFlow;
 use std::time::Instant;
 
 use crate::cursor::ExplorationCursor;
+use crate::expiry::Expiry;
 use crate::memo::{ranking_signature, TranspositionTable};
 use crate::path::{LeafKind, Path};
 use crate::ranked::RankedPath;
@@ -53,66 +54,32 @@ pub struct PageOutcome {
 }
 
 impl NavigatorService<'_> {
-    /// Serves one page of `req`: up to `page_size` paths (collect/top-k)
-    /// or leaves (count), resuming from `cursor` when one is given. The
-    /// returned [`PageOutcome::cursor`] is `Some` exactly when the
-    /// exploration stopped early with more to deliver — page filled or
-    /// `deadline` expired — and resuming with it continues as if the run
-    /// had never paused.
+    /// Serves one page of `req`: the one paged dispatch. A page holds up
+    /// to `page_size` paths (collect/top-k) or leaves (count), resuming
+    /// from `cursor` when one is given. The returned
+    /// [`PageOutcome::cursor`] is `Some` exactly when the exploration
+    /// stopped early with more to deliver — page filled or `deadline`
+    /// expired — and resuming with it continues as if the run had never
+    /// paused.
+    ///
+    /// With a `sink`, each path is pushed through it the moment it is
+    /// found (collect) or in best-first order once ranked (top-k). The
+    /// paths also appear in the returned response, so a caller that only
+    /// wants the summary can clear them before serializing.
+    ///
+    /// With a `table`, counting pages answer memoized subtrees in bulk (a
+    /// page may then overshoot its nominal size — a bulk hit delivers a
+    /// whole subtree's leaves at once — but the accumulated totals, final
+    /// statistics, and cursors stay exact), and ranked pages under a
+    /// decomposable ranking are sliced out of the memoized top-k. `None`
+    /// runs the un-memoized reference engine; collect output never uses
+    /// the table.
     ///
     /// `cursor` must come from a previous page of an equivalent request
     /// (same [`ExplorationRequest::cache_key`]); anything else is
     /// [`ServiceError::InvalidCursor`]. Tampered frontier state is
     /// detected by replaying it against the catalog — never trusted,
     /// never a panic.
-    pub fn run_page(
-        &self,
-        req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
-    ) -> Result<PageOutcome, ServiceError> {
-        self.run_page_with(req, cursor, deadline, None)
-    }
-
-    /// [`NavigatorService::run_page`] with streaming delivery: each path
-    /// is pushed through `sink` the moment it is found (collect) or in
-    /// best-first order once ranked (top-k). The paths also appear in the
-    /// returned response, so a caller that only wants the summary can
-    /// clear them before serializing.
-    pub fn run_page_with(
-        &self,
-        req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
-        sink: Option<&mut PageSink<'_>>,
-    ) -> Result<PageOutcome, ServiceError> {
-        let fingerprint = req.cache_key();
-        if let Some(cur) = cursor {
-            if cur.fingerprint != fingerprint {
-                return Err(ServiceError::InvalidCursor(
-                    "cursor belongs to a different request".into(),
-                ));
-            }
-        }
-        match req.output {
-            OutputMode::Count => self.count_page(req, cursor, deadline, &fingerprint),
-            OutputMode::Collect { limit } => {
-                self.collect_page(req, cursor, deadline, sink, &fingerprint, limit)
-            }
-            OutputMode::TopK { k } => {
-                self.ranked_page(req, cursor, deadline, sink, &fingerprint, k)
-            }
-        }
-    }
-
-    /// [`NavigatorService::run_page`] through a transposition table.
-    /// Counting pages answer memoized subtrees in bulk (a page may then
-    /// overshoot its nominal size — a bulk hit delivers a whole subtree's
-    /// leaves at once — but the accumulated totals, final statistics, and
-    /// cursors stay exact). Ranked pages under a decomposable ranking are
-    /// sliced out of the memoized top-k; anything else — collect output,
-    /// non-decomposable rankings, `table == None` — behaves exactly like
-    /// [`NavigatorService::run_page`].
     pub fn run_page_memo(
         &self,
         req: &ExplorationRequest,
@@ -121,9 +88,6 @@ impl NavigatorService<'_> {
         sink: Option<&mut PageSink<'_>>,
         table: Option<&TranspositionTable>,
     ) -> Result<PageOutcome, ServiceError> {
-        let Some(table) = table else {
-            return self.run_page_with(req, cursor, deadline, sink);
-        };
         let fingerprint = req.cache_key();
         if let Some(cur) = cursor {
             if cur.fingerprint != fingerprint {
@@ -134,56 +98,48 @@ impl NavigatorService<'_> {
         }
         match req.output {
             // Count pages stream no per-path items, so the sink is moot.
-            OutputMode::Count => self.count_page_memo(req, cursor, deadline, &fingerprint, table),
+            OutputMode::Count => self.count_page(req, cursor, deadline, &fingerprint, table),
             OutputMode::Collect { limit } => {
                 self.collect_page(req, cursor, deadline, sink, &fingerprint, limit)
             }
             OutputMode::TopK { k } => {
-                let decomposable = req
-                    .ranking
-                    .as_ref()
-                    .map(|spec| spec.decomposable())
-                    .unwrap_or(false);
-                if decomposable {
-                    self.ranked_page_memo(req, cursor, deadline, sink, &fingerprint, k, table)
-                } else {
-                    self.ranked_page(req, cursor, deadline, sink, &fingerprint, k)
-                }
+                self.ranked_page(req, cursor, deadline, sink, &fingerprint, k, table)
             }
         }
     }
 
-    fn count_page_memo(
+    fn count_page(
         &self,
         req: &ExplorationRequest,
         cursor: Option<&ExplorationCursor>,
         deadline: Option<Instant>,
         fingerprint: &str,
-        table: &TranspositionTable,
+        table: Option<&TranspositionTable>,
     ) -> Result<PageOutcome, ServiceError> {
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
-        let (mut stream, mut total_paths, mut goal_paths, emitted_before) = match cursor {
+        let (stream, mut total_paths, mut goal_paths, emitted_before) = match cursor {
             Some(cur) => {
                 let frontier = cur.frontier.as_ref().ok_or_else(|| {
                     ServiceError::InvalidCursor("count cursor is missing its frontier".into())
                 })?;
                 (
-                    explorer.resume_count_paths_iter_memo(frontier, table)?,
+                    explorer.resume_paths_iter(frontier)?,
                     cur.total_paths,
                     cur.goal_paths,
                     cur.emitted,
                 )
             }
-            None => (explorer.count_paths_iter_memo(table), 0, 0, 0),
+            None => (explorer.paths_iter(), 0, 0, 0),
         };
+        let mut stream = stream.with_table(table);
         let page_cap = req.page_size.unwrap_or(usize::MAX).max(1);
-        let mut expired = expiry_check(deadline);
+        let mut expiry = Expiry::per_step(deadline);
         let mut leaves_this_page = 0usize;
         let mut truncated = false;
         let mut next = None;
         loop {
-            if leaves_this_page >= page_cap || expired() {
+            if leaves_this_page >= page_cap || expiry.tick() {
                 // Snapshot *before* pulling further so no leaf is counted
                 // twice or lost across the page boundary. Bulk hits leave
                 // the frontier exactly as if the subtree's last child had
@@ -207,148 +163,6 @@ impl NavigatorService<'_> {
             leaves_this_page =
                 leaves_this_page.saturating_add(bulk_total.min(u128::from(u32::MAX)) as usize);
             match item {
-                None => break,
-                Some((_, kind)) => {
-                    total_paths += 1;
-                    if kind == LeafKind::Goal {
-                        goal_paths += 1;
-                    }
-                    leaves_this_page += 1;
-                }
-            }
-        }
-        Ok(PageOutcome {
-            response: ExplorationResponse::Counts {
-                api_version: API_VERSION,
-                total_paths,
-                goal_paths,
-                stats: *stream.stats(),
-                truncated,
-                next_cursor: None,
-                millis: t0.elapsed().as_millis(),
-            },
-            cursor: next,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn ranked_page_memo(
-        &self,
-        req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
-        sink: Option<&mut PageSink<'_>>,
-        fingerprint: &str,
-        k: usize,
-        table: &TranspositionTable,
-    ) -> Result<PageOutcome, ServiceError> {
-        let spec = req
-            .ranking
-            .as_ref()
-            .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
-        let ranking = self.resolve_ranking(spec)?;
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        let emitted_before = match cursor {
-            Some(cur) => {
-                if cur.emitted > k as u64 {
-                    return Err(ServiceError::InvalidCursor(
-                        "cursor claims more paths than k".into(),
-                    ));
-                }
-                cur.emitted as usize
-            }
-            None => 0,
-        };
-        let sig = ranking_signature(spec);
-        let Some((all, _work)) =
-            explorer.top_k_memo_until(ranking.as_ref(), sig, k, table, deadline)?
-        else {
-            // Deadline expired mid-DP: fall back to the un-memoized paged
-            // search, which returns the true best-so-far prefix.
-            return self.ranked_page(req, cursor, deadline, sink, fingerprint, k);
-        };
-        let remaining = k - emitted_before;
-        let page_cap = req
-            .page_size
-            .map(|p| p.max(1))
-            .unwrap_or(remaining)
-            .min(remaining);
-        let lo = all.len().min(emitted_before);
-        let hi = all.len().min(emitted_before + page_cap);
-        let paths: Vec<RankedPath> = all[lo..hi].to_vec();
-        if let Some(sink) = sink {
-            for ranked in &paths {
-                if sink(StreamedItem::Ranked(ranked)).is_break() {
-                    break;
-                }
-            }
-        }
-        let emitted_total = emitted_before + paths.len();
-        let more = emitted_total < all.len();
-        let next = more.then(|| ExplorationCursor {
-            fingerprint: fingerprint.to_string(),
-            emitted: emitted_total as u64,
-            total_paths: 0,
-            goal_paths: 0,
-            frontier: None,
-        });
-        Ok(PageOutcome {
-            response: ExplorationResponse::Ranked {
-                api_version: API_VERSION,
-                ranking: ranking.name().to_string(),
-                paths,
-                truncated: more,
-                next_cursor: None,
-                millis: t0.elapsed().as_millis(),
-            },
-            cursor: next,
-        })
-    }
-
-    fn count_page(
-        &self,
-        req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
-        fingerprint: &str,
-    ) -> Result<PageOutcome, ServiceError> {
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        let (mut stream, mut total_paths, mut goal_paths, emitted_before) = match cursor {
-            Some(cur) => {
-                let frontier = cur.frontier.as_ref().ok_or_else(|| {
-                    ServiceError::InvalidCursor("count cursor is missing its frontier".into())
-                })?;
-                (
-                    explorer.resume_paths_iter(frontier)?,
-                    cur.total_paths,
-                    cur.goal_paths,
-                    cur.emitted,
-                )
-            }
-            None => (explorer.paths_iter(), 0, 0, 0),
-        };
-        let page_cap = req.page_size.unwrap_or(usize::MAX).max(1);
-        let mut expired = expiry_check(deadline);
-        let mut leaves_this_page = 0usize;
-        let mut truncated = false;
-        let mut next = None;
-        loop {
-            if leaves_this_page >= page_cap || expired() {
-                // Snapshot *before* pulling further so no leaf is counted
-                // twice or lost across the page boundary.
-                truncated = true;
-                next = Some(ExplorationCursor {
-                    fingerprint: fingerprint.to_string(),
-                    emitted: emitted_before + leaves_this_page as u64,
-                    total_paths,
-                    goal_paths,
-                    frontier: Some(stream.cursor()),
-                });
-                break;
-            }
-            match stream.next() {
                 None => break,
                 Some((_, kind)) => {
                     total_paths += 1;
@@ -405,7 +219,7 @@ impl NavigatorService<'_> {
             .map(|p| p.max(1))
             .unwrap_or(usize::MAX)
             .min(remaining_limit);
-        let mut expired = expiry_check(deadline);
+        let mut expiry = Expiry::per_step(deadline);
         let mut paths: Vec<Path> = Vec::new();
         let mut truncated = false;
         let mut next = None;
@@ -427,7 +241,7 @@ impl NavigatorService<'_> {
             // At the overall limit the unpaged run keeps scanning until
             // the next collectible path to decide `truncated`; mirror it
             // so the final page reports the same flag.
-            if expired() {
+            if expiry.tick() {
                 truncated = true;
                 if !page_full {
                     next = Some(ExplorationCursor {
@@ -484,6 +298,7 @@ impl NavigatorService<'_> {
         })
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn ranked_page(
         &self,
         req: &ExplorationRequest,
@@ -492,6 +307,7 @@ impl NavigatorService<'_> {
         sink: Option<&mut PageSink<'_>>,
         fingerprint: &str,
         k: usize,
+        table: Option<&TranspositionTable>,
     ) -> Result<PageOutcome, ServiceError> {
         let spec = req
             .ranking
@@ -517,14 +333,40 @@ impl NavigatorService<'_> {
             .map(|p| p.max(1))
             .unwrap_or(remaining)
             .min(remaining);
-        let (paths, _stats, deadline_truncated) = explorer.ranked_search_paged(
-            ranking.as_ref(),
-            None,
-            emitted_before,
-            page_cap,
-            deadline,
-            0.0,
-        )?;
+        let memoized = match table.filter(|_| spec.decomposable()) {
+            Some(table) => explorer.top_k_memo_until(
+                ranking.as_ref(),
+                ranking_signature(spec),
+                k,
+                table,
+                deadline,
+            )?,
+            None => None,
+        };
+        let (paths, more) = match memoized {
+            Some((all, _work)) => {
+                let lo = all.len().min(emitted_before);
+                let hi = all.len().min(emitted_before + page_cap);
+                (all[lo..hi].to_vec(), hi < all.len())
+            }
+            // No table, a non-decomposable ranking, or the deadline expired
+            // mid-DP: the paged search returns the true best-so-far prefix.
+            // One goal pop past the page (within `k`) tells whether more
+            // paths follow, so no trailing empty page is ever promised.
+            None => {
+                let (mut paths, _stats, deadline_truncated) = explorer.ranked_search_paged(
+                    ranking.as_ref(),
+                    None,
+                    emitted_before,
+                    page_cap.saturating_add(1).min(remaining),
+                    deadline,
+                    0.0,
+                )?;
+                let more = deadline_truncated || paths.len() > page_cap;
+                paths.truncate(page_cap);
+                (paths, more)
+            }
+        };
         if let Some(sink) = sink {
             for ranked in &paths {
                 if sink(StreamedItem::Ranked(ranked)).is_break() {
@@ -532,11 +374,9 @@ impl NavigatorService<'_> {
                 }
             }
         }
-        let emitted_total = emitted_before + paths.len();
-        let more = deadline_truncated || (paths.len() == page_cap && emitted_total < k);
         let next = more.then(|| ExplorationCursor {
             fingerprint: fingerprint.to_string(),
-            emitted: emitted_total as u64,
+            emitted: (emitted_before + paths.len()) as u64,
             total_paths: 0,
             goal_paths: 0,
             frontier: None,
@@ -555,19 +395,6 @@ impl NavigatorService<'_> {
     }
 }
 
-/// An amortized wall-clock deadline check (`Instant::now` is cheap but
-/// not free against sub-microsecond pulls).
-fn expiry_check(deadline: Option<Instant>) -> impl FnMut() -> bool {
-    let mut ticks = 0u32;
-    move || {
-        ticks = ticks.wrapping_add(1);
-        match deadline {
-            Some(d) => ticks & 0x3F == 1 && Instant::now() >= d,
-            None => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,7 +410,7 @@ mod tests {
         let mut hops = 0usize;
         loop {
             let outcome = service
-                .run_page(req, cursor.as_ref(), None)
+                .run_page_memo(req, cursor.as_ref(), None, None, None)
                 .expect("page serves");
             pages.push(outcome.response);
             hops += 1;
@@ -714,27 +541,27 @@ mod tests {
             OutputMode::Collect { limit: 40 },
         );
         req.page_size = Some(3);
-        let outcome = service.run_page(&req, None, None).unwrap();
+        let outcome = service.run_page_memo(&req, None, None, None, None).unwrap();
         let cursor = outcome.cursor.expect("more pages remain");
 
         let mut other = req.clone();
         other.max_per_semester = 2;
         assert!(matches!(
-            service.run_page(&other, Some(&cursor), None),
+            service.run_page_memo(&other, Some(&cursor), None, None, None),
             Err(ServiceError::InvalidCursor(_))
         ));
 
         let mut no_frontier = cursor.clone();
         no_frontier.frontier = None;
         assert!(matches!(
-            service.run_page(&req, Some(&no_frontier), None),
+            service.run_page_memo(&req, Some(&no_frontier), None, None, None),
             Err(ServiceError::InvalidCursor(_))
         ));
 
         let mut over_limit = cursor.clone();
         over_limit.emitted = 10_000;
         assert!(matches!(
-            service.run_page(&req, Some(&over_limit), None),
+            service.run_page_memo(&req, Some(&over_limit), None, None, None),
             Err(ServiceError::InvalidCursor(_))
         ));
     }
@@ -759,7 +586,7 @@ mod tests {
             ControlFlow::Continue(())
         };
         let outcome = service
-            .run_page_with(&req, None, None, Some(&mut sink))
+            .run_page_memo(&req, None, None, Some(&mut sink), None)
             .unwrap();
         match outcome.response {
             ExplorationResponse::Paths { paths, .. } => assert_eq!(streamed, paths),

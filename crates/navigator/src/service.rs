@@ -8,7 +8,6 @@
 //! serializable [`ExplorationResponse`] for the Learning Path Visualizer.
 
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,11 +20,11 @@ use crate::explorer::Explorer;
 use crate::filter::{AvoidCourses, MaxSemesterWorkload};
 use crate::goal::Goal;
 use crate::memo::{ranking_signature, TranspositionTable};
-use crate::path::{LeafKind, Path};
+use crate::path::Path;
 use crate::ranked::RankedPath;
 use crate::ranking::{Ranking, ReliabilityRanking, TimeRanking, WeightedRanking, WorkloadRanking};
 use crate::request::{ExplorationRequest, GoalSpec, OutputMode, RankingSpec};
-use crate::stats::{ExploreStats, PathCounts};
+use crate::stats::ExploreStats;
 use crate::status::EnrollmentStatus;
 
 /// Error raised while servicing a request.
@@ -329,146 +328,42 @@ impl<'a> NavigatorService<'a> {
         Ok(explorer)
     }
 
-    /// Services one request end to end. A request with a `budget_ms` is
-    /// given that wall-clock budget from this call's entry; see
-    /// [`NavigatorService::run_until`].
+    /// Services one request end to end, sequentially and without a memo
+    /// table. A request with a `budget_ms` is given that wall-clock budget
+    /// from this call's entry; see [`NavigatorService::run_until_memo`].
     pub fn run(&self, req: &ExplorationRequest) -> Result<ExplorationResponse, ServiceError> {
         let deadline = req
             .budget_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-        self.run_until(req, deadline)
+        self.run_until_memo(req, deadline, 1, None)
     }
 
-    /// Services one request end to end, stopping at `deadline` if the
-    /// exploration is still running when it passes. A deadline-stopped
-    /// response carries whatever was produced so far with its `truncated`
-    /// marker set: partial counts are lower bounds, and a partial top-k is
-    /// a correct best-first prefix. An explicit `deadline` argument
-    /// overrides the request's own `budget_ms` (the serving layer passes
-    /// its per-request deadline here).
-    pub fn run_until(
-        &self,
-        req: &ExplorationRequest,
-        deadline: Option<Instant>,
-    ) -> Result<ExplorationResponse, ServiceError> {
-        self.run_until_with(req, deadline, 1)
-    }
-
-    /// [`NavigatorService::run_until`] with an engine parallelism degree:
-    /// `parallelism > 1` fans the first-level subtrees across that many
-    /// scoped worker threads (`Explorer::*_parallel_until`). Answers are
-    /// byte-identical to the sequential ones — same paths, same order,
-    /// bit-identical costs — so the serving layer can cache them under
-    /// the same canonical key regardless of how they were computed.
-    pub fn run_until_with(
-        &self,
-        req: &ExplorationRequest,
-        deadline: Option<Instant>,
-        parallelism: usize,
-    ) -> Result<ExplorationResponse, ServiceError> {
-        if parallelism > 1 {
-            return self.run_parallel(req, deadline, parallelism);
-        }
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        // Amortizes `Instant::now` over leaf visits; leaves outnumber
-        // interior nodes, so the check cannot starve on a deep branch.
-        let mut ticks = 0u32;
-        let mut expired = move || {
-            ticks = ticks.wrapping_add(1);
-            match deadline {
-                Some(d) => ticks & 0xFF == 1 && Instant::now() >= d,
-                None => false,
-            }
-        };
-        match req.output {
-            OutputMode::Count => {
-                let mut counts = PathCounts::default();
-                let mut truncated = false;
-                let stats = explorer.visit_paths(|visit| {
-                    if expired() {
-                        truncated = true;
-                        return ControlFlow::Break(());
-                    }
-                    counts.total_paths += 1;
-                    if visit.kind == LeafKind::Goal {
-                        counts.goal_paths += 1;
-                    }
-                    ControlFlow::Continue(())
-                });
-                Ok(ExplorationResponse::Counts {
-                    api_version: API_VERSION,
-                    total_paths: counts.total_paths,
-                    goal_paths: counts.goal_paths,
-                    stats,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::Collect { limit } => {
-                let mut paths = Vec::new();
-                let mut truncated = false;
-                explorer.visit_paths(|visit| {
-                    if expired() {
-                        truncated = true;
-                        return ControlFlow::Break(());
-                    }
-                    // Goal-driven runs return goal paths; deadline-driven
-                    // runs return every path.
-                    if explorer.goal().is_some() && visit.kind != LeafKind::Goal {
-                        return ControlFlow::Continue(());
-                    }
-                    if paths.len() >= limit {
-                        truncated = true;
-                        return ControlFlow::Break(());
-                    }
-                    paths.push(visit.to_path());
-                    ControlFlow::Continue(())
-                });
-                Ok(ExplorationResponse::Paths {
-                    api_version: API_VERSION,
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::TopK { k } => {
-                let spec = req
-                    .ranking
-                    .as_ref()
-                    .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
-                let ranking = self.resolve_ranking(spec)?;
-                let (paths, truncated) = explorer.top_k_until(ranking.as_ref(), k, deadline)?;
-                Ok(ExplorationResponse::Ranked {
-                    api_version: API_VERSION,
-                    ranking: ranking.name().to_string(),
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-        }
-    }
-
-    /// [`NavigatorService::run_until_with`] through a transposition table:
-    /// whole subtrees already in `table` are answered from it instead of
-    /// being re-explored, and newly-explored subtrees are inserted for the
-    /// next run. Responses are byte-identical to the un-memoized ones —
-    /// same counts, same paths, same order, same *logical* statistics
-    /// (memo hits replay the cached subtree's counters, so the §5.2
-    /// pruning breakdown is stable warm or cold).
+    /// Services one request end to end: the one unpaged dispatch.
     ///
-    /// Routing: `table == None` is exactly
-    /// [`NavigatorService::run_until_with`]. Count output uses the
-    /// memoized counter (parallel workers share the table when
-    /// `parallelism > 1`). Collect output uses the memoized sequential
-    /// enumerator (suffix splicing; the output limit bounds its work).
-    /// Top-k uses cached suffix summaries only under a *decomposable*
-    /// ranking ([`RankingSpec::decomposable`]) and falls back to the
-    /// un-memoized best-first search otherwise — or when the deadline
+    /// The run stops at `deadline` if the exploration is still running
+    /// when it passes. A deadline-stopped response carries whatever was
+    /// produced so far with its `truncated` marker set: partial counts are
+    /// lower bounds, and a partial top-k is a correct best-first prefix.
+    /// An explicit `deadline` overrides the request's own `budget_ms` (the
+    /// serving layer passes its per-request deadline here).
+    ///
+    /// `parallelism > 1` fans the first-level subtrees across that many
+    /// scoped worker threads. With a `table`, whole subtrees already in it
+    /// are answered from it instead of being re-explored, and
+    /// newly-explored subtrees are inserted for the next run; `None` runs
+    /// the un-memoized reference engine. Every combination answers
+    /// byte-identically — same counts, same paths, same order,
+    /// bit-identical costs, same *logical* statistics (memo hits replay the
+    /// cached subtree's counters, so the §5.2 pruning breakdown is stable
+    /// warm or cold) — so the serving layer caches them under one
+    /// canonical key.
+    ///
+    /// Routing: count output uses the memoized counter when there is a
+    /// table (parallel workers share it). Collect output with a table uses
+    /// the memoized sequential enumerator (suffix splicing; the output
+    /// limit bounds its work). Top-k uses cached suffix summaries only
+    /// under a *decomposable* ranking ([`RankingSpec::decomposable`]) and
+    /// the un-memoized best-first search otherwise — or when the deadline
     /// expires mid-computation, so a deadline-bound response is always a
     /// correct best-first prefix.
     pub fn run_until_memo(
@@ -478,17 +373,24 @@ impl<'a> NavigatorService<'a> {
         parallelism: usize,
         table: Option<&TranspositionTable>,
     ) -> Result<ExplorationResponse, ServiceError> {
-        let Some(table) = table else {
-            return self.run_until_with(req, deadline, parallelism);
-        };
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
+        let parallel = parallelism > 1;
         match req.output {
             OutputMode::Count => {
-                let (counts, _work, truncated) = if parallelism > 1 {
-                    explorer.count_paths_parallel_memo_until(parallelism, deadline, table)
-                } else {
-                    explorer.count_paths_memo_until(table, deadline)
+                let (counts, truncated) = match table {
+                    Some(table) if parallel => {
+                        let (counts, _work, truncated) =
+                            explorer.count_paths_parallel_memo_until(parallelism, deadline, table);
+                        (counts, truncated)
+                    }
+                    Some(table) => {
+                        let (counts, _work, truncated) =
+                            explorer.count_paths_memo_until(table, deadline);
+                        (counts, truncated)
+                    }
+                    None if parallel => explorer.count_paths_parallel_until(parallelism, deadline),
+                    None => explorer.count_paths_until(deadline),
                 };
                 Ok(ExplorationResponse::Counts {
                     api_version: API_VERSION,
@@ -501,72 +403,17 @@ impl<'a> NavigatorService<'a> {
                 })
             }
             OutputMode::Collect { limit } => {
-                let (paths, _work, truncated) =
-                    explorer.collect_paths_memo_until(table, limit, deadline);
-                Ok(ExplorationResponse::Paths {
-                    api_version: API_VERSION,
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::TopK { k } => {
-                let spec = req
-                    .ranking
-                    .as_ref()
-                    .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
-                if spec.decomposable() {
-                    let ranking = self.resolve_ranking(spec)?;
-                    let sig = ranking_signature(spec);
-                    if let Some((paths, _work)) =
-                        explorer.top_k_memo_until(ranking.as_ref(), sig, k, table, deadline)?
-                    {
-                        return Ok(ExplorationResponse::Ranked {
-                            api_version: API_VERSION,
-                            ranking: ranking.name().to_string(),
-                            paths,
-                            truncated: false,
-                            next_cursor: None,
-                            millis: t0.elapsed().as_millis(),
-                        });
+                let (paths, truncated) = match table {
+                    Some(table) => {
+                        let (paths, _work, truncated) =
+                            explorer.collect_paths_memo_until(table, limit, deadline);
+                        (paths, truncated)
                     }
-                }
-                // Non-decomposable ranking, or the deadline expired before
-                // the memoized computation finished: the un-memoized search
-                // is the byte-identical (and best-so-far-correct) answer.
-                self.run_until_with(req, deadline, parallelism)
-            }
-        }
-    }
-
-    /// The `parallelism > 1` arm of [`NavigatorService::run_until_with`]:
-    /// same request semantics, subtrees dealt across worker threads.
-    fn run_parallel(
-        &self,
-        req: &ExplorationRequest,
-        deadline: Option<Instant>,
-        parallelism: usize,
-    ) -> Result<ExplorationResponse, ServiceError> {
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        match req.output {
-            OutputMode::Count => {
-                let (counts, truncated) =
-                    explorer.count_paths_parallel_until(parallelism, deadline);
-                Ok(ExplorationResponse::Counts {
-                    api_version: API_VERSION,
-                    total_paths: counts.total_paths,
-                    goal_paths: counts.goal_paths,
-                    stats: counts.stats,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::Collect { limit } => {
-                let (paths, truncated) =
-                    explorer.collect_paths_parallel_until(parallelism, limit, deadline);
+                    None if parallel => {
+                        explorer.collect_paths_parallel_until(parallelism, limit, deadline)
+                    }
+                    None => explorer.collect_paths_until(limit, deadline),
+                };
                 Ok(ExplorationResponse::Paths {
                     api_version: API_VERSION,
                     paths,
@@ -581,8 +428,23 @@ impl<'a> NavigatorService<'a> {
                     .as_ref()
                     .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
                 let ranking = self.resolve_ranking(spec)?;
-                let (paths, truncated) =
-                    explorer.top_k_parallel_until(ranking.as_ref(), k, parallelism, deadline)?;
+                let memoized = match table.filter(|_| spec.decomposable()) {
+                    Some(table) => explorer.top_k_memo_until(
+                        ranking.as_ref(),
+                        ranking_signature(spec),
+                        k,
+                        table,
+                        deadline,
+                    )?,
+                    None => None,
+                };
+                let (paths, truncated) = match memoized {
+                    Some((paths, _work)) => (paths, false),
+                    None if parallel => {
+                        explorer.top_k_parallel_until(ranking.as_ref(), k, parallelism, deadline)?
+                    }
+                    None => explorer.top_k_until(ranking.as_ref(), k, deadline)?,
+                };
                 Ok(ExplorationResponse::Ranked {
                     api_version: API_VERSION,
                     ranking: ranking.name().to_string(),
@@ -777,7 +639,10 @@ mod tests {
         let service = NavigatorService::new(&cat);
         let past = Some(Instant::now());
 
-        match service.run_until(&base_request(), past).unwrap() {
+        match service
+            .run_until_memo(&base_request(), past, 1, None)
+            .unwrap()
+        {
             ExplorationResponse::Counts {
                 total_paths,
                 truncated,
@@ -791,14 +656,14 @@ mod tests {
 
         let mut req = base_request();
         req.output = OutputMode::Collect { limit: 10 };
-        let resp = service.run_until(&req, past).unwrap();
+        let resp = service.run_until_memo(&req, past, 1, None).unwrap();
         assert!(resp.truncated());
 
         let mut req = base_request();
         req.goal = Some(GoalSpec::CompleteAll(vec!["11A".into()]));
         req.ranking = Some(RankingSpec::Time);
         req.output = OutputMode::TopK { k: 5 };
-        let resp = service.run_until(&req, past).unwrap();
+        let resp = service.run_until_memo(&req, past, 1, None).unwrap();
         assert!(resp.truncated());
 
         // A generous budget on the same request runs to completion.

@@ -58,10 +58,8 @@ pub struct PathStream<'e, 'c> {
     /// empty until the root expands.
     fresh: bool,
     /// Transposition table for *counting* streams (see
-    /// [`Explorer::count_paths_iter_memo`]). `None` for plain streams.
+    /// [`PathStream::with_table`]). `None` for plain streams.
     table: Option<&'e TranspositionTable>,
-    /// Memo hit/miss/eviction counters for this stream (work stats).
-    work: ExploreStats,
     /// All leaves accounted so far, yielded or bulk-answered.
     total_seen: u128,
     goal_seen: u128,
@@ -76,54 +74,7 @@ impl<'c> Explorer<'c> {
     /// same depth-first order as [`Explorer::visit_paths`]. Pruned branches
     /// are skipped, as in the visitor API.
     pub fn paths_iter(&self) -> PathStream<'_, 'c> {
-        PathStream {
-            explorer: self,
-            pruner: self.pruner(),
-            statuses: Vec::new(),
-            selections: Vec::new(),
-            frames: Vec::new(),
-            stats: ExploreStats::default(),
-            fresh: true,
-            table: None,
-            work: ExploreStats::default(),
-            total_seen: 0,
-            goal_seen: 0,
-            bulk_total: 0,
-            bulk_goal: 0,
-        }
-    }
-
-    /// A *counting* stream through `table`: identical to
-    /// [`Explorer::paths_iter`] except that whole subtrees already in the
-    /// transposition table are answered in bulk — their logical statistics
-    /// merge into [`PathStream::stats`] and their leaf counts accumulate
-    /// for [`PathStream::take_bulk`] instead of being yielded as items —
-    /// and fully-consumed fresh subtrees are inserted on the way out.
-    /// Cursors stay valid (a bulk hit looks exactly like a completed
-    /// child), but yielded items skip memoized subtrees, so this stream is
-    /// only suitable for counting, not for collecting paths.
-    pub(crate) fn count_paths_iter_memo<'e>(
-        &'e self,
-        table: &'e TranspositionTable,
-    ) -> PathStream<'e, 'c> {
-        let mut stream = self.paths_iter();
-        stream.table = Some(table);
-        stream
-    }
-
-    /// Resumes a *counting* stream (see
-    /// [`Explorer::count_paths_iter_memo`]) from a frontier snapshot.
-    /// Frames rebuilt from the cursor are never inserted into the table
-    /// (their subtrees were partially consumed before the pause), but
-    /// lookups and inserts resume for everything explored from here on.
-    pub(crate) fn resume_count_paths_iter_memo<'e>(
-        &'e self,
-        cursor: &StreamCursor,
-        table: &'e TranspositionTable,
-    ) -> Result<PathStream<'e, 'c>, ExploreError> {
-        let mut stream = self.resume_paths_iter(cursor)?;
-        stream.table = Some(table);
-        Ok(stream)
+        PathStream::new(self, ExploreStats::default(), true)
     }
 
     /// Lazily iterates only the goal-satisfying paths.
@@ -151,29 +102,13 @@ impl<'c> Explorer<'c> {
             if !cursor.frames.is_empty() || !cursor.selections.is_empty() {
                 return Err(invalid("a fresh cursor cannot carry frontier state"));
             }
-            let mut stream = self.paths_iter();
-            stream.stats = cursor.stats;
-            return Ok(stream);
+            return Ok(PathStream::new(self, cursor.stats, true));
         }
         if cursor.frames.is_empty() {
             if !cursor.selections.is_empty() {
                 return Err(invalid("an exhausted cursor cannot carry selections"));
             }
-            return Ok(PathStream {
-                explorer: self,
-                pruner: self.pruner(),
-                statuses: Vec::new(),
-                selections: Vec::new(),
-                frames: Vec::new(),
-                stats: cursor.stats,
-                fresh: false,
-                table: None,
-                work: ExploreStats::default(),
-                total_seen: 0,
-                goal_seen: 0,
-                bulk_total: 0,
-                bulk_goal: 0,
-            });
+            return Ok(PathStream::new(self, cursor.stats, false));
         }
         if cursor.selections.len() + 1 != cursor.frames.len() {
             return Err(invalid("frontier depth does not match its selections"));
@@ -207,21 +142,48 @@ impl<'c> Explorer<'c> {
                 base: None,
             });
         }
-        Ok(PathStream {
-            explorer: self,
-            pruner: self.pruner(),
-            statuses,
-            selections: cursor.selections.clone(),
-            frames,
-            stats: cursor.stats,
-            fresh: false,
+        let mut stream = PathStream::new(self, cursor.stats, false);
+        stream.statuses = statuses;
+        stream.selections = cursor.selections.clone();
+        stream.frames = frames;
+        Ok(stream)
+    }
+}
+
+impl<'e, 'c> PathStream<'e, 'c> {
+    /// A plain stream over `explorer` with an empty DFS frontier: fresh
+    /// (the root still needs its disposition check) or exhausted.
+    fn new(explorer: &'e Explorer<'c>, stats: ExploreStats, fresh: bool) -> PathStream<'e, 'c> {
+        PathStream {
+            explorer,
+            pruner: explorer.pruner(),
+            statuses: Vec::new(),
+            selections: Vec::new(),
+            frames: Vec::new(),
+            stats,
+            fresh,
             table: None,
-            work: ExploreStats::default(),
             total_seen: 0,
             goal_seen: 0,
             bulk_total: 0,
             bulk_goal: 0,
-        })
+        }
+    }
+
+    /// Makes this a *counting* stream through `table` (`None` keeps it
+    /// plain): whole subtrees already in the transposition table are
+    /// answered in bulk — their logical statistics merge into
+    /// [`PathStream::stats`] and their leaf counts accumulate for
+    /// [`PathStream::take_bulk`] instead of being yielded as items — and
+    /// fully-consumed fresh subtrees are inserted on the way out. Cursors
+    /// stay valid (a bulk hit looks exactly like a completed child), but
+    /// yielded items skip memoized subtrees, so a table-backed stream is
+    /// only suitable for counting, not for collecting paths. Frames
+    /// rebuilt from a cursor are never inserted (their subtrees were
+    /// partially consumed before the pause).
+    pub(crate) fn with_table(mut self, table: Option<&'e TranspositionTable>) -> Self {
+        self.table = table;
+        self
     }
 }
 
@@ -290,7 +252,6 @@ impl PathStream<'_, '_> {
                 // The whole subtree answers in bulk: replay its logical
                 // counters and step past it exactly as if its last child
                 // had just finished.
-                self.work.memo_hits += 1;
                 self.stats.merge(&logical);
                 self.total_seen += total;
                 self.goal_seen += goal;
@@ -303,7 +264,6 @@ impl PathStream<'_, '_> {
         };
         if let Some(table) = self.table {
             table.record_miss();
-            self.work.memo_misses += 1;
         }
         let base = self.table.map(|_| FrameBase {
             total: self.total_seen,
@@ -333,12 +293,6 @@ impl PathStream<'_, '_> {
         self.bulk_total = 0;
         self.bulk_goal = 0;
         bulk
-    }
-
-    /// Memo hit/miss/eviction counters accumulated by this stream (work
-    /// stats — never part of the response's logical statistics).
-    pub fn memo_work(&self) -> ExploreStats {
-        self.work
     }
 
     /// Pops the just-finished node (leaf or pruned) off the path stack.
@@ -399,7 +353,7 @@ impl Iterator for PathStream<'_, '_> {
                         // Fully consumed fresh subtree: everything seen
                         // since the frame was pushed belongs to this node.
                         let status = self.statuses.last().expect("frame implies a node");
-                        self.work.memo_evictions += table.put_count(
+                        table.put_count(
                             status.state_key(),
                             self.total_seen - base.total,
                             self.goal_seen - base.goal,
@@ -567,7 +521,8 @@ mod tests {
         let plain = e.count_paths();
         let table = TranspositionTable::new(1 << 16);
         for round in 0..2 {
-            let mut stream = e.count_paths_iter_memo(&table);
+            let hits_before = table.snapshot().hits;
+            let mut stream = e.paths_iter().with_table(Some(&table));
             let mut total = 0u128;
             let mut goal_n = 0u128;
             loop {
@@ -587,7 +542,7 @@ mod tests {
             assert_eq!(goal_n, plain.goal_paths, "round {round}");
             assert_eq!(*stream.stats(), plain.stats, "round {round}");
             if round == 1 {
-                assert!(stream.memo_work().memo_hits > 0, "warm round hits");
+                assert!(table.snapshot().hits > hits_before, "warm round hits");
             }
         }
     }
@@ -602,7 +557,7 @@ mod tests {
         let table = TranspositionTable::new(1 << 16);
         // Warm the table so the paged run below takes bulk hits.
         {
-            let mut warm = e.count_paths_iter_memo(&table);
+            let mut warm = e.paths_iter().with_table(Some(&table));
             while warm.next().is_some() {}
             warm.take_bulk();
         }
@@ -610,7 +565,7 @@ mod tests {
         // cursor every few pulls and resuming from its JSON round-trip.
         let mut total = 0u128;
         let mut goal_n = 0u128;
-        let mut stream = e.count_paths_iter_memo(&table);
+        let mut stream = e.paths_iter().with_table(Some(&table));
         let mut last_stats;
         loop {
             let mut done = false;
@@ -637,8 +592,9 @@ mod tests {
             let json = serde_json::to_string(&stream.cursor()).expect("cursor serializes");
             let cursor: StreamCursor = serde_json::from_str(&json).expect("cursor parses");
             stream = e
-                .resume_count_paths_iter_memo(&cursor, &table)
-                .expect("cursor stays valid across bulk hits");
+                .resume_paths_iter(&cursor)
+                .expect("cursor stays valid across bulk hits")
+                .with_table(Some(&table));
         }
         assert_eq!(total, plain.total_paths);
         assert_eq!(goal_n, plain.goal_paths);

@@ -28,7 +28,7 @@
 //! without descending into them.
 //!
 //! Structure of the table mirrors the classic BDD unique table: nodes live
-//! in sharded append-only arenas (the low [`SHARD_BITS`] bits of a
+//! in sharded append-only arenas (the low `SHARD_BITS` bits of a
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
 //! globally), an intern index per shard maps structural hashes to candidate
 //! ids, and a shared pair-keyed apply cache memoizes `crate::apply`
@@ -44,6 +44,7 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
+use crate::expiry::Expiry;
 use crate::explorer::{Disposition, Explorer};
 use crate::path::LeafKind;
 use crate::pruning::{record_prune, PruneReason, Pruner};
@@ -702,8 +703,7 @@ struct BuildCtx<'t> {
     /// Interior nodes this build created, and the cap on them.
     created: usize,
     node_budget: Option<usize>,
-    deadline: Option<Instant>,
-    ticks: u32,
+    expiry: Expiry,
 }
 
 impl BuildCtx<'_> {
@@ -720,12 +720,6 @@ impl BuildCtx<'_> {
             );
             (id, summary)
         })
-    }
-
-    /// Amortized wall-clock check, one in 64 expansions.
-    fn expired(&mut self) -> bool {
-        self.ticks = self.ticks.wrapping_add(1);
-        self.ticks & 0x3F == 1 && self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -756,8 +750,7 @@ impl Explorer<'_> {
             loads: Vec::new(),
             created: 0,
             node_budget,
-            deadline,
-            ticks: 0,
+            expiry: Expiry::per_step(deadline),
         };
         let (root, _) = self.dag_node(*self.start(), pruner.as_ref(), &mut ctx)?;
         Ok(root)
@@ -776,7 +769,7 @@ impl Explorer<'_> {
             Disposition::Known(resolved) => return Ok(resolved),
             Disposition::Expand(expansion) => expansion,
         };
-        if ctx.expired() {
+        if ctx.expiry.tick() {
             return Err(DagBuildError::Deadline);
         }
         let status = expansion.status;

@@ -53,7 +53,7 @@ fn run_paged(
     let mut cursor: Option<ExplorationCursor> = None;
     loop {
         let outcome = service
-            .run_page(req, cursor.as_ref(), None)
+            .run_page_memo(req, cursor.as_ref(), None, None, None)
             .map_err(|e| TestCaseError::fail(format!("page failed: {e}")))?;
         pages.push(outcome.response);
         prop_assert!(pages.len() < 5_000, "paging must terminate");
@@ -171,7 +171,7 @@ proptest! {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let service = NavigatorService::new(&synth.catalog).with_degree(&synth.degree);
         let outcome = service
-            .run_page(&req, None, None)
+            .run_page_memo(&req, None, None, None, None)
             .map_err(|e| TestCaseError::fail(format!("first page failed: {e}")))?;
         let Some(mut cursor) = outcome.cursor else {
             // Single-page exploration: nothing to tamper with.
@@ -201,7 +201,7 @@ proptest! {
         }
         // The call must return, not panic; a changed fingerprint is
         // always a typed rejection.
-        let result = service.run_page(&req, Some(&cursor), None);
+        let result = service.run_page_memo(&req, Some(&cursor), None, None, None);
         if mutation == 0 {
             prop_assert!(matches!(result, Err(ServiceError::InvalidCursor(_))));
         }

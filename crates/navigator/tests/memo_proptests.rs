@@ -118,34 +118,42 @@ fn small_service(synth: &SyntheticCatalog) -> NavigatorService<'_> {
         .with_offering_model(&synth.offering)
 }
 
+/// One page's shape: its path count, its `truncated` flag, and whether a
+/// cursor followed it.
+type PageShape = (usize, bool, bool);
+
 /// Drives a paged exploration to completion. Returns the concatenation of
 /// every page's paths (as JSON) plus the final page's normalized response
-/// — the two views the memoized and plain runs must agree on. (Per-page
-/// boundaries may legitimately differ: a bulk memo hit delivers a whole
-/// subtree's leaves at once, so a memoized count page can overshoot its
-/// nominal size.)
+/// — the two views the memoized and plain runs must agree on — and every
+/// page's shape. (Count page boundaries may legitimately differ: a bulk
+/// memo hit delivers a whole subtree's leaves at once, so a memoized count
+/// page can overshoot its nominal size.)
 fn drive_pages(
     service: &NavigatorService<'_>,
     req: &ExplorationRequest,
     table: Option<&TranspositionTable>,
-) -> Result<(String, String), ServiceError> {
+) -> Result<(String, String, Vec<PageShape>), ServiceError> {
     let mut cursor: Option<ExplorationCursor> = None;
     let mut all_paths: Vec<serde_json::Value> = Vec::new();
+    let mut shapes: Vec<PageShape> = Vec::new();
     for _ in 0..10_000 {
         let outcome = service.run_page_memo(req, cursor.as_ref(), None, None, table)?;
-        match &outcome.response {
+        let len = match &outcome.response {
             ExplorationResponse::Paths { paths, .. } => {
                 all_paths.extend(paths.iter().map(serde_json::to_value));
+                paths.len()
             }
             ExplorationResponse::Ranked { paths, .. } => {
                 all_paths.extend(paths.iter().map(serde_json::to_value));
+                paths.len()
             }
-            ExplorationResponse::Counts { .. } => {}
-        }
+            ExplorationResponse::Counts { .. } => 0,
+        };
+        shapes.push((len, outcome.response.truncated(), outcome.cursor.is_some()));
         let last = normalized_json(&outcome.response);
         match outcome.cursor {
             Some(next) => cursor = Some(next),
-            None => return Ok((serde_json::to_string(&all_paths).unwrap(), last)),
+            None => return Ok((serde_json::to_string(&all_paths).unwrap(), last, shapes)),
         }
     }
     panic!("page loop failed to terminate");
@@ -165,7 +173,7 @@ proptest! {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let service = small_service(&synth);
         let table = TranspositionTable::new(1 << 14);
-        let plain = service.run_until_with(&req, None, 1);
+        let plain = service.run_until_memo(&req, None, 1, None);
         let cold = service.run_until_memo(&req, None, threads, Some(&table));
         let warm = service.run_until_memo(&req, None, threads, Some(&table));
         match (plain, cold, warm) {
@@ -190,7 +198,9 @@ proptest! {
     /// totals and statistics, collected paths, ranked paths — concatenate
     /// to exactly the plain paged answer, against one table shared (and
     /// progressively warmed) across the whole page sequence, then again
-    /// fully warm.
+    /// fully warm. Goal-driven requests are also checked ranked by time
+    /// with `k` past most goal-path counts, where the memoized top-k
+    /// serves the ranked pages.
     #[test]
     fn memoized_pages_splice_identically(
         req in arb_request(),
@@ -200,30 +210,56 @@ proptest! {
         let service = small_service(&synth);
         let mut req = req;
         req.page_size = Some(page_size);
-        let table = TranspositionTable::new(1 << 14);
-        let plain = drive_pages(&service, &req, None);
-        let cold = drive_pages(&service, &req, Some(&table));
-        let warm = drive_pages(&service, &req, Some(&table));
-        match (plain, cold, warm) {
-            (Ok((p_paths, p_last)), Ok((c_paths, c_last)), Ok((w_paths, w_last))) => {
-                prop_assert_eq!(&p_paths, &c_paths, "cold paged paths diverged");
-                prop_assert_eq!(&p_paths, &w_paths, "warm paged paths diverged");
-                // The final page carries the cumulative counts and logical
-                // statistics; they must match however the pages split.
-                if matches!(req.output, OutputMode::Count) {
-                    prop_assert_eq!(&p_last, &c_last, "cold count summary diverged");
-                    prop_assert_eq!(&p_last, &w_last, "warm count summary diverged");
-                }
-            }
-            (Err(p), Err(c), Err(w)) => {
-                prop_assert_eq!(p.to_string(), c.to_string());
-                prop_assert_eq!(w.to_string(), c.to_string());
-            }
-            (p, c, w) => {
-                return Err(TestCaseError::fail(format!(
-                    "plain/cold/warm paging disagree on success: {p:?} vs {c:?} vs {w:?}"
-                )));
-            }
+        pages_splice_identically(&service, &req)?;
+        if req.goal.is_some() {
+            req.output = OutputMode::TopK { k: 60 };
+            req.ranking = Some(RankingSpec::Time);
+            pages_splice_identically(&service, &req)?;
         }
     }
+}
+
+/// Pages `req` plain, through a cold table, and through the warmed table,
+/// and checks the three runs agree.
+fn pages_splice_identically(
+    service: &NavigatorService<'_>,
+    req: &ExplorationRequest,
+) -> Result<(), TestCaseError> {
+    let table = TranspositionTable::new(1 << 14);
+    let plain = drive_pages(service, req, None);
+    let cold = drive_pages(service, req, Some(&table));
+    let warm = drive_pages(service, req, Some(&table));
+    match (plain, cold, warm) {
+        (
+            Ok((p_paths, p_last, p_pages)),
+            Ok((c_paths, c_last, c_pages)),
+            Ok((w_paths, w_last, w_pages)),
+        ) => {
+            prop_assert_eq!(&p_paths, &c_paths, "cold paged paths diverged");
+            prop_assert_eq!(&p_paths, &w_paths, "warm paged paths diverged");
+            // The final page carries the cumulative counts and logical
+            // statistics; they must match however the pages split.
+            if matches!(req.output, OutputMode::Count) {
+                prop_assert_eq!(&p_last, &c_last, "cold count summary diverged");
+                prop_assert_eq!(&p_last, &w_last, "warm count summary diverged");
+            }
+            // Ranked pages split identically however they are served:
+            // the plain search knows when the last path has been
+            // delivered, so it never promises a trailing empty page.
+            if matches!(req.output, OutputMode::TopK { .. }) {
+                prop_assert_eq!(&p_pages, &c_pages, "cold ranked pages split differently");
+                prop_assert_eq!(&p_pages, &w_pages, "warm ranked pages split differently");
+            }
+        }
+        (Err(p), Err(c), Err(w)) => {
+            prop_assert_eq!(p.to_string(), c.to_string());
+            prop_assert_eq!(w.to_string(), c.to_string());
+        }
+        (p, c, w) => {
+            return Err(TestCaseError::fail(format!(
+                "plain/cold/warm paging disagree on success: {p:?} vs {c:?} vs {w:?}"
+            )));
+        }
+    }
+    Ok(())
 }

@@ -217,8 +217,8 @@ proptest! {
         let service = NavigatorService::new(&synth.catalog)
             .with_degree(&synth.degree)
             .with_offering_model(&synth.offering);
-        let sequential = service.run_until_with(&req, None, 1);
-        let parallel = service.run_until_with(&req, None, threads);
+        let sequential = service.run_until_memo(&req, None, 1, None);
+        let parallel = service.run_until_memo(&req, None, threads, None);
         match (sequential, parallel) {
             (Ok(seq), Ok(par)) => {
                 prop_assert_eq!(normalized_json(&seq), normalized_json(&par));

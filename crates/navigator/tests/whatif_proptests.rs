@@ -173,7 +173,7 @@ proptest! {
         prop_assert_eq!(seq.served, WhatIfServed::Explored);
         prop_assert_eq!(par.served, WhatIfServed::Explored);
         prop_assert_eq!(normalized_json(&seq.response), normalized_json(&par.response));
-        let direct = service.run_until_with(&req.merged_request(), None, 1).unwrap();
+        let direct = service.run_until_memo(&req.merged_request(), None, 1, None).unwrap();
         prop_assert_eq!(normalized_json(&seq.response), normalized_json(&direct));
     }
 

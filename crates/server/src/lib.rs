@@ -8,7 +8,7 @@
 //!
 //! 1. **Interactivity.** Every `POST /explore` runs under a wall-clock
 //!    deadline threaded into the engine's `ControlFlow` machinery
-//!    ([`run_until`](coursenav_navigator::NavigatorService::run_until));
+//!    ([`run_until_memo`](coursenav_navigator::NavigatorService::run_until_memo));
 //!    a slow exploration returns a partial answer marked `truncated`
 //!    instead of holding the connection.
 //! 2. **Effective caching.** Responses are cached under the request's
