@@ -15,6 +15,13 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> DAG edge-store layout gate (release)"
+# Builds the what-if benchmark's sparse-7sem base DAG and pins its node
+# and edge counts and its packed edge store at 12 bytes an edge plus the
+# alphabets — byte accounting, not RSS, so it cannot flake. Ignored in
+# the debug run above, where the build is slow.
+cargo test -q --release -p coursenav-navigator --lib -- --ignored edge_store
+
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches stale and private intra-doc links left behind when an item is
 # renamed, deleted, or narrowed to pub(crate).

@@ -30,6 +30,19 @@
 //!
 //! Every operation memoizes through the table's apply cache, so a repeated
 //! what-if (or a what-if over a shared suffix) answers in microseconds.
+//!
+//! Edges are read in their packed form ([`crate::unique::Edges`]): per
+//! visited interior, the avoided courses become one mask over the node's
+//! alphabet, and an edge is vetoed by a mask test instead of a set
+//! intersection. A workload cap re-sums the edge's at most `m` course
+//! workloads from a dense per-course slice computed once per call, in
+//! ascending course order like `Restriction::load`, so every cap decision
+//! is bit-identical to a build with `MaxSemesterWorkload` installed; a node
+//! whose heaviest-selection bound clears the cap skips the sums.
+//! Operations that emit new nodes (`restrict`, `through`, `set_apply`)
+//! decode the surviving selections and re-encode them, so the result's
+//! alphabet is the canonical one a fresh build would store; `set_apply`
+//! matches children by decoded selection.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -40,7 +53,9 @@ use coursenav_catalog::{Catalog, CourseSet};
 
 use crate::path::LeafKind;
 use crate::stats::ExploreStats;
-use crate::unique::{DagNodeId, DagNodeKind, FoldCounts, FxMap, NodeView, UniqueTable};
+use crate::unique::{
+    DagNode, DagNodeId, DagNodeKind, Edges, FoldCounts, FxMap, Mask, NodeView, UniqueTable,
+};
 
 /// The selection-local constraint delta of a what-if: courses that may no
 /// longer be elected and/or a tightened per-semester workload cap. Applied
@@ -82,10 +97,15 @@ impl Restriction {
         }
     }
 
-    /// [`Restriction::allows`] with the selection's workload already
-    /// computed (callers that need the load anyway avoid summing twice).
-    pub(crate) fn allows_load(&self, selection: &CourseSet, load: f64) -> bool {
-        selection.is_disjoint(&self.avoid) && self.max_workload.is_none_or(|cap| load <= cap)
+    /// This restriction as it applies to the edges of one interior node.
+    fn at(&self, node: &DagNode, edges: &Edges) -> NodeVeto {
+        NodeVeto {
+            avoid: edges.mask_of(&self.avoid),
+            // Every edge's load is at most the node's heaviest-selection
+            // bound, so a cap at or above it vetoes nothing here and its
+            // per-edge sums are skipped.
+            cap: self.max_workload.filter(|&cap| cap < node.max_load),
+        }
     }
 
     /// Whether a subtree with this support set and heaviest-selection
@@ -103,6 +123,25 @@ impl Restriction {
         self.avoid.hash(&mut h);
         self.max_workload.map(f64::to_bits).hash(&mut h);
         h.finish()
+    }
+}
+
+/// A [`Restriction`] specialised to one interior node's edges.
+struct NodeVeto {
+    /// The avoided courses' alphabet positions ([`Edges::mask_of`]).
+    avoid: Mask,
+    /// The workload cap, when some edge of the node may exceed it.
+    cap: Option<f64>,
+}
+
+impl NodeVeto {
+    /// Whether edge `i` survives: its selection misses the avoided
+    /// courses, and its load re-summed from `workloads`
+    /// ([`course_workloads`]) fits the cap. Decisions are bit-identical to
+    /// [`Restriction::allows`] on the decoded selection.
+    #[inline]
+    fn keeps(&self, edges: &Edges, i: usize, workloads: &[f64]) -> bool {
+        !edges.meets(i, &self.avoid) && self.cap.is_none_or(|cap| edges.load(i, workloads) <= cap)
     }
 }
 
@@ -142,6 +181,12 @@ impl fmt::Display for ApplyError {
 }
 
 impl std::error::Error for ApplyError {}
+
+/// Every course's weekly workload, indexed by course id: the dense slice
+/// apply operations re-sum edge loads from, computed once per call.
+fn course_workloads(catalog: &Catalog) -> Vec<f64> {
+    catalog.courses().map(|course| course.workload()).collect()
+}
 
 fn op_fingerprint(tag: u8, extra: u64) -> u64 {
     let mut h = DefaultHasher::new();
@@ -284,14 +329,15 @@ impl UniqueTable {
             return root;
         }
         let op = restriction.fingerprint();
+        let workloads = course_workloads(catalog);
         let mut local = HashMap::new();
-        self.restrict_node(root, catalog, restriction, op, &mut local)
+        self.restrict_node(root, &workloads, restriction, op, &mut local)
     }
 
     fn restrict_node(
         &self,
         id: DagNodeId,
-        catalog: &Catalog,
+        workloads: &[f64],
         restriction: &Restriction,
         op: u64,
         local: &mut HashMap<DagNodeId, DagNodeId>,
@@ -319,19 +365,18 @@ impl UniqueTable {
             } => {
                 let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::with_capacity(edges.len());
                 let mut loads: Vec<f64> = Vec::with_capacity(edges.len());
-                let exact = node.loads.len() == edges.len();
-                for (i, (selection, child)) in edges.iter().enumerate() {
-                    let load = if exact {
-                        node.loads[i]
-                    } else {
-                        Restriction::load(catalog, selection)
-                    };
-                    if !restriction.allows_load(selection, load) {
+                let veto = restriction.at(&node, edges);
+                let mut unchanged = true;
+                for i in 0..edges.len() {
+                    if !veto.keeps(edges, i, workloads) {
+                        unchanged = false;
                         continue;
                     }
-                    let child = self.restrict_node(*child, catalog, restriction, op, local);
-                    new_edges.push((*selection, child));
-                    loads.push(load);
+                    let child =
+                        self.restrict_node(edges.child(i), workloads, restriction, op, local);
+                    unchanged &= child == edges.child(i);
+                    new_edges.push((edges.selection(i), child));
+                    loads.push(edges.load(i, workloads));
                 }
                 if new_edges.is_empty() && *floor_skipped == 0 {
                     // Exactly the builder's dead-end reclassification: all
@@ -342,16 +387,14 @@ impl UniqueTable {
                         DagNodeKind::Leaf(LeafKind::DeadEnd),
                         Vec::new(),
                     )
-                } else if new_edges.len() == edges.len()
-                    && new_edges.iter().zip(edges.iter()).all(|(a, b)| a == b)
-                {
+                } else if unchanged {
                     id
                 } else {
                     self.intern(
                         node.semester,
                         node.completed,
                         DagNodeKind::Interior {
-                            edges: new_edges,
+                            edges: Edges::new(&new_edges),
                             floor_skipped: *floor_skipped,
                         },
                         loads,
@@ -390,8 +433,9 @@ impl UniqueTable {
                 let mut h = DefaultHasher::new();
                 want.hash(&mut h);
                 let op = op_fingerprint(0x54, h.finish()); // 'T'
+                let workloads = course_workloads(catalog);
                 let mut local = HashMap::new();
-                self.through_node(root, catalog, &want, op, &mut local)
+                self.through_node(root, &workloads, &want, op, &mut local)
             }
         }
     }
@@ -403,7 +447,7 @@ impl UniqueTable {
     fn through_node(
         &self,
         id: DagNodeId,
-        catalog: &Catalog,
+        workloads: &[f64],
         want: &CourseSet,
         op: u64,
         local: &mut HashMap<DagNodeId, DagNodeId>,
@@ -432,20 +476,20 @@ impl UniqueTable {
         } else {
             let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::with_capacity(edges.len());
             let mut loads: Vec<f64> = Vec::with_capacity(edges.len());
-            let exact = node.loads.len() == edges.len();
+            let mut unchanged = true;
             for (i, (selection, child)) in edges.iter().enumerate() {
-                let child_remaining = remaining.difference(selection);
+                let child_remaining = remaining.difference(&selection);
                 let kept = if child_remaining.is_empty() {
                     // Every path through this edge completes the forced
                     // set; the subtree is kept untouched.
-                    Some(*child)
+                    Some(child)
                 } else {
-                    match &self.node(*child).kind {
+                    match &self.node(child).kind {
                         DagNodeKind::Leaf(_) => None,
-                        DagNodeKind::Pruned(_) => Some(*child),
+                        DagNodeKind::Pruned(_) => Some(child),
                         DagNodeKind::Empty => None,
                         DagNodeKind::Interior { .. } => {
-                            let out = self.through_node(*child, catalog, want, op, local);
+                            let out = self.through_node(child, workloads, want, op, local);
                             if self.node(out).kind == DagNodeKind::Empty {
                                 None
                             } else {
@@ -454,27 +498,22 @@ impl UniqueTable {
                         }
                     }
                 };
-                if let Some(child) = kept {
-                    new_edges.push((*selection, child));
-                    loads.push(if exact {
-                        node.loads[i]
-                    } else {
-                        Restriction::load(catalog, selection)
-                    });
+                unchanged &= kept == Some(child);
+                if let Some(kept) = kept {
+                    new_edges.push((selection, kept));
+                    loads.push(edges.load(i, workloads));
                 }
             }
             if new_edges.is_empty() {
                 self.empty()
-            } else if new_edges.len() == edges.len()
-                && new_edges.iter().zip(edges.iter()).all(|(a, b)| a == b)
-            {
+            } else if unchanged {
                 id
             } else {
                 self.intern(
                     node.semester,
                     node.completed,
                     DagNodeKind::Interior {
-                        edges: new_edges,
+                        edges: Edges::new(&new_edges),
                         floor_skipped: *floor_skipped,
                     },
                     loads,
@@ -520,8 +559,9 @@ impl UniqueTable {
         // one lock acquisition per shard instead of one per node visit.
         let view = self.view();
         let mut memo = FoldMemo::new(view.id_bound());
+        let workloads = course_workloads(catalog);
         let out = if remaining.is_empty() {
-            self.fold_restrict(&view, root, catalog, restriction, &mut memo)
+            self.fold_restrict(&view, root, &workloads, restriction, &mut memo)
                 .into_counts()
         } else {
             let mut forced: FxMap<(DagNodeId, CourseSet), Option<FoldAcc>> = FxMap::default();
@@ -529,7 +569,7 @@ impl UniqueTable {
                 &view,
                 root,
                 remaining,
-                catalog,
+                &workloads,
                 restriction,
                 &mut forced,
                 &mut memo,
@@ -545,12 +585,13 @@ impl UniqueTable {
     /// summaries, never materialized. Total (every subtree keeps *some*
     /// answer, possibly a reclassified dead end), so the memo is keyed by
     /// node id alone. Untouched subtrees answer from their stored
-    /// summaries before even probing the memo.
+    /// summaries before even probing the memo. `workloads` is
+    /// [`course_workloads`], read only under a workload cap.
     fn fold_restrict(
         &self,
         view: &NodeView<'_>,
         id: DagNodeId,
-        catalog: &Catalog,
+        workloads: &[f64],
         restriction: &Restriction,
         memo: &mut FoldMemo,
     ) -> FoldAcc {
@@ -585,28 +626,19 @@ impl UniqueTable {
                     pruned_time: *floor_skipped,
                     pruned_availability: 0,
                 };
-                let exact = node.loads.len() == edges.len();
-                for (i, (selection, child)) in edges.iter().enumerate() {
-                    if !selection.is_disjoint(&restriction.avoid) {
+                let veto = restriction.at(node, edges);
+                for i in 0..edges.len() {
+                    if !veto.keeps(edges, i, workloads) {
                         continue;
-                    }
-                    if let Some(cap) = restriction.max_workload {
-                        let load = if exact {
-                            node.loads[i]
-                        } else {
-                            Restriction::load(catalog, selection)
-                        };
-                        if load > cap {
-                            continue;
-                        }
                     }
                     survivors += 1;
                     // Probe inline before recursing: the common case is an
                     // already-folded child, answered by one array read
                     // with no call and no node fetch.
-                    let sub = match memo.get(*child) {
+                    let child = edges.child(i);
+                    let sub = match memo.get(child) {
                         Some(sub) => sub,
-                        None => self.fold_restrict(view, *child, catalog, restriction, memo),
+                        None => self.fold_restrict(view, child, workloads, restriction, memo),
                     };
                     acc.edges_created += 1;
                     acc.merge(&sub);
@@ -637,7 +669,7 @@ impl UniqueTable {
         view: &NodeView<'_>,
         id: DagNodeId,
         remaining: CourseSet,
-        catalog: &Catalog,
+        workloads: &[f64],
         restriction: &Restriction,
         forced: &mut FxMap<(DagNodeId, CourseSet), Option<FoldAcc>>,
         memo: &mut FoldMemo,
@@ -671,36 +703,34 @@ impl UniqueTable {
                         pruned_time: *floor_skipped,
                         pruned_availability: 0,
                     };
-                    let exact = node.loads.len() == edges.len();
-                    for (i, (selection, child)) in edges.iter().enumerate() {
-                        if !selection.is_disjoint(&restriction.avoid) {
+                    let veto = restriction.at(node, edges);
+                    let outstanding = edges.mask_of(&remaining);
+                    for i in 0..edges.len() {
+                        if !veto.keeps(edges, i, workloads) {
                             continue;
                         }
-                        if let Some(cap) = restriction.max_workload {
-                            let load = if exact {
-                                node.loads[i]
-                            } else {
-                                Restriction::load(catalog, selection)
-                            };
-                            if load > cap {
-                                continue;
-                            }
-                        }
                         survivors += 1;
-                        let child_remaining = remaining.difference(selection);
+                        let child = edges.child(i);
+                        // Only an edge electing an outstanding course
+                        // changes what is outstanding below it.
+                        let child_remaining = if edges.meets(i, &outstanding) {
+                            remaining.difference(&edges.selection(i))
+                        } else {
+                            remaining
+                        };
                         let sub = if child_remaining.is_empty() {
-                            Some(match memo.get(*child) {
+                            Some(match memo.get(child) {
                                 Some(sub) => sub,
                                 None => {
-                                    self.fold_restrict(view, *child, catalog, restriction, memo)
+                                    self.fold_restrict(view, child, workloads, restriction, memo)
                                 }
                             })
                         } else {
                             self.fold_forced(
                                 view,
-                                *child,
+                                child,
                                 child_remaining,
-                                catalog,
+                                workloads,
                                 restriction,
                                 forced,
                                 memo,
@@ -826,32 +856,30 @@ impl UniqueTable {
                     },
                     DagNodeKind::Interior { edges: eb, .. },
                 ) => {
-                    let b_children: HashMap<CourseSet, DagNodeId> = eb.iter().copied().collect();
+                    let b_children: HashMap<CourseSet, DagNodeId> = eb.iter().collect();
                     let mut new_edges: Vec<(CourseSet, DagNodeId)> = Vec::new();
-                    for (selection, ca) in ea {
-                        match (op, b_children.get(selection)) {
+                    for (selection, ca) in ea.iter() {
+                        match (op, b_children.get(&selection)) {
                             (_, Some(&cb)) => {
-                                let child = self.set_node(op, fp, *ca, cb, local)?;
-                                new_edges.push((*selection, child));
+                                let child = self.set_node(op, fp, ca, cb, local)?;
+                                new_edges.push((selection, child));
                             }
                             (SetOp::Intersect, None) => {}
-                            (SetOp::Union | SetOp::Diff, None) => new_edges.push((*selection, *ca)),
+                            (SetOp::Union | SetOp::Diff, None) => new_edges.push((selection, ca)),
                         }
                     }
                     if op == SetOp::Union {
                         let a_selections: HashMap<CourseSet, ()> =
-                            ea.iter().map(|(s, _)| (*s, ())).collect();
-                        for (selection, cb) in eb {
-                            if !a_selections.contains_key(selection) {
-                                new_edges.push((*selection, *cb));
+                            ea.iter().map(|(s, _)| (s, ())).collect();
+                        for (selection, cb) in eb.iter() {
+                            if !a_selections.contains_key(&selection) {
+                                new_edges.push((selection, cb));
                             }
                         }
                     }
                     if new_edges.is_empty() {
                         self.empty()
-                    } else if new_edges.len() == ea.len()
-                        && new_edges.iter().zip(ea.iter()).all(|(x, y)| x == y)
-                    {
+                    } else if new_edges.iter().copied().eq(ea.iter()) {
                         a
                     } else {
                         // No catalog in scope here, so the per-edge loads
@@ -861,7 +889,7 @@ impl UniqueTable {
                             na.semester,
                             na.completed,
                             DagNodeKind::Interior {
-                                edges: new_edges,
+                                edges: Edges::new(&new_edges),
                                 floor_skipped: *floor_skipped,
                             },
                             Vec::new(),
@@ -888,6 +916,7 @@ mod tests {
     use super::*;
     use crate::explorer::Explorer;
     use crate::filter::{AvoidCourses, MaxSemesterWorkload};
+    use crate::path::LeafKind;
     use crate::status::EnrollmentStatus;
 
     fn base_explorer(synth: &SyntheticCatalog) -> Explorer<'_> {
@@ -1139,13 +1168,353 @@ mod tests {
         };
         let child = edges
             .iter()
-            .map(|(_, c)| *c)
+            .map(|(_, c)| c)
             .find(|&c| matches!(table.node(c).kind, DagNodeKind::Interior { .. }))
             .expect("the root has an interior child");
         assert_eq!(
             table.set_apply(SetOp::Intersect, base, child),
             Err(ApplyError::AnchorMismatch)
         );
+    }
+
+    /// Every selection's summed workload in the DAG below `root`, once per
+    /// distinct value.
+    fn distinct_edge_loads(table: &UniqueTable, catalog: &Catalog, root: DagNodeId) -> Vec<f64> {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![root];
+        let mut loads = std::collections::BTreeMap::new();
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue;
+            }
+            if let DagNodeKind::Interior { edges, .. } = &table.node(id).kind {
+                for (selection, child) in edges.iter() {
+                    let load = Restriction::load(catalog, &selection);
+                    loads.insert(load.to_bits(), load);
+                    stack.push(child);
+                }
+            }
+        }
+        loads.into_values().collect()
+    }
+
+    /// A cap exactly at an edge's load keeps the edge and the next float
+    /// down drops it, so re-summing a mask's workloads must reproduce the
+    /// filter's float additions bit for bit. Three-course selections are
+    /// where summation order can show in the low bits.
+    #[test]
+    fn caps_at_every_exact_edge_load_match_filtered_builds() {
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
+        for m in [2, 3] {
+            let explorer =
+                || Explorer::deadline_driven(&synth.catalog, start, synth.start + 3, m).unwrap();
+            let table = UniqueTable::new(0);
+            let base = explorer().build_path_dag(&table, None, None).unwrap();
+            let loads = distinct_edge_loads(&table, &synth.catalog, base);
+            assert!(loads.len() > 3, "{loads:?}");
+            for load in loads {
+                for cap in [load, load.next_down()] {
+                    let filtered = explorer()
+                        .with_filter(Arc::new(MaxSemesterWorkload(cap)))
+                        .build_path_dag(&table, None, None)
+                        .unwrap();
+                    assert_cap_matches(&table, &synth.catalog, base, cap, filtered);
+                }
+            }
+        }
+    }
+
+    /// `restrict` and `whatif_counts` under `cap` agree with `filtered`, the
+    /// root a build with the cap installed as a filter interned.
+    fn assert_cap_matches(
+        table: &UniqueTable,
+        catalog: &Catalog,
+        base: DagNodeId,
+        cap: f64,
+        filtered: DagNodeId,
+    ) {
+        let r = Restriction {
+            avoid: CourseSet::EMPTY,
+            max_workload: Some(cap),
+        };
+        assert_eq!(table.restrict(base, catalog, &r), filtered, "cap {cap}");
+        let node = table.node(filtered);
+        assert_eq!(
+            table.whatif_counts(base, catalog, &r, &CourseSet::EMPTY, &CourseSet::EMPTY),
+            (node.paths, node.goal_paths, node.stats),
+            "cap {cap}"
+        );
+    }
+
+    /// A catalog of `n` schedule-free courses with workloads that are not
+    /// small integers, so summation order shows in the low bits.
+    fn wide_catalog(n: usize) -> Catalog {
+        let mut builder = coursenav_catalog::CatalogBuilder::new();
+        for i in 0..n {
+            builder.add_course(
+                coursenav_catalog::CourseSpec::new(format!("W {i}").as_str(), "wide")
+                    .workload(0.1 * (i % 13) as f64 + 2.7),
+            );
+        }
+        builder.build().unwrap()
+    }
+
+    fn ids(raw: &[u16]) -> CourseSet {
+        raw.iter()
+            .map(|&i| coursenav_catalog::CourseId::new(i))
+            .collect()
+    }
+
+    /// Interns a node from a decoded edge list the way the apply
+    /// operations must: the empty set, the unchanged `original`, or the
+    /// interior over exactly these edges with their exact loads.
+    fn oracle_node(
+        table: &UniqueTable,
+        catalog: &Catalog,
+        original: DagNodeId,
+        edges: Vec<(CourseSet, DagNodeId)>,
+    ) -> DagNodeId {
+        let node = table.node(original);
+        let DagNodeKind::Interior {
+            edges: before,
+            floor_skipped,
+        } = &node.kind
+        else {
+            panic!("oracle nodes are interiors");
+        };
+        if edges.is_empty() {
+            return table.empty();
+        }
+        if edges.iter().copied().eq(before.iter()) {
+            return original;
+        }
+        let loads = edges
+            .iter()
+            .map(|(selection, _)| Restriction::load(catalog, selection))
+            .collect();
+        table.intern(
+            node.semester,
+            node.completed,
+            DagNodeKind::Interior {
+                edges: Edges::new(&edges),
+                floor_skipped: *floor_skipped,
+            },
+            loads,
+        )
+    }
+
+    /// Selections over a 100-course alphabet need two mask words per edge;
+    /// every apply operation must agree with the same operation carried
+    /// out on the decoded edge list.
+    #[test]
+    fn wide_alphabets_match_the_decoded_edge_list() {
+        let catalog = wide_catalog(100);
+        let table = UniqueTable::new(0);
+        let leaf = |kind| table.intern(0, CourseSet::EMPTY, DagNodeKind::Leaf(kind), Vec::new());
+        let children = [
+            leaf(LeafKind::Goal),
+            leaf(LeafKind::Deadline),
+            table.intern(
+                0,
+                CourseSet::EMPTY,
+                DagNodeKind::Pruned(crate::pruning::PruneReason::Time),
+                Vec::new(),
+            ),
+        ];
+        let a_edges: Vec<(CourseSet, DagNodeId)> = (0..40u16)
+            .map(|i| (ids(&[i, i + 30, i + 60]), children[usize::from(i) % 3]))
+            .collect();
+        let a = table.intern(
+            0,
+            CourseSet::EMPTY,
+            DagNodeKind::Interior {
+                edges: Edges::new(&a_edges),
+                floor_skipped: 0,
+            },
+            Vec::new(),
+        );
+        let node = table.node(a);
+        let DagNodeKind::Interior { edges, .. } = &node.kind else {
+            panic!("interned an interior");
+        };
+        assert!(
+            edges.iter().eq(a_edges.iter().copied()),
+            "decoding inverts encoding"
+        );
+        assert_eq!(edges.words(), 2, "100 courses take two mask words");
+        let workloads = course_workloads(&catalog);
+        for (i, (selection, _)) in a_edges.iter().enumerate() {
+            assert_eq!(
+                edges.load(i, &workloads).to_bits(),
+                Restriction::load(&catalog, selection).to_bits(),
+                "edge {i}: re-summed load"
+            );
+        }
+
+        let mut cases = vec![
+            (ids(&[3]), None),
+            // A course whose alphabet position sits in the second word.
+            (ids(&[75]), None),
+            (ids(&[75]), Some(9.0)),
+            (ids(&[31, 99]), Some(8.7)),
+            (ids(&(0..100).collect::<Vec<_>>()), None),
+        ];
+        for load in distinct_edge_loads(&table, &catalog, a) {
+            cases.push((CourseSet::EMPTY, Some(load)));
+            cases.push((CourseSet::EMPTY, Some(load.next_down())));
+        }
+        for (avoid, max_workload) in cases {
+            let r = Restriction {
+                avoid,
+                max_workload,
+            };
+            let kept: Vec<_> = a_edges
+                .iter()
+                .copied()
+                .filter(|(selection, _)| r.allows(&catalog, selection))
+                .collect();
+            let expected = if kept.is_empty() {
+                table.intern(
+                    0,
+                    CourseSet::EMPTY,
+                    DagNodeKind::Leaf(LeafKind::DeadEnd),
+                    Vec::new(),
+                )
+            } else {
+                oracle_node(&table, &catalog, a, kept.clone())
+            };
+            let restricted = table.restrict(a, &catalog, &r);
+            assert_eq!(restricted, expected, "{r:?}");
+            assert_eq!(
+                table.node(restricted).max_load.to_bits(),
+                table.node(expected).max_load.to_bits()
+            );
+            let electable = kept
+                .iter()
+                .fold(CourseSet::EMPTY, |acc, (selection, _)| acc.union(selection));
+            for want in [CourseSet::EMPTY, ids(&[64]), ids(&[5, 35])] {
+                // A forced course electable nowhere empties the node;
+                // otherwise edges completing the forced set survive, and
+                // so do pruned skeletons.
+                let forced: Vec<_> = kept
+                    .iter()
+                    .copied()
+                    .filter(|(selection, child)| {
+                        want.is_subset(&electable)
+                            && (want.is_subset(selection) || *child == children[2])
+                    })
+                    .collect();
+                let through = table.through(restricted, &catalog, &CourseSet::EMPTY, want);
+                if !kept.is_empty() {
+                    assert_eq!(
+                        through,
+                        oracle_node(&table, &catalog, restricted, forced.clone())
+                    );
+                }
+                let goal = forced.iter().filter(|(_, c)| *c == children[0]).count() as u128;
+                let paths = forced.iter().filter(|(_, c)| *c != children[2]).count() as u128;
+                let (p, g, _) = table.whatif_counts(a, &catalog, &r, &want, &CourseSet::EMPTY);
+                if kept.is_empty() {
+                    // Restrict reclassified the node as a dead end: one path,
+                    // which forcing a course drops.
+                    assert_eq!((p, g), (u128::from(want.is_empty()), 0), "{r:?} {want:?}");
+                } else {
+                    assert_eq!((p, g), (paths, goal), "{r:?} {want:?}");
+                    let n = table.node(through);
+                    assert_eq!((p, g), (n.paths, n.goal_paths));
+                }
+            }
+        }
+
+        // B shares half of A's selections (with the same children) and
+        // adds selections of its own.
+        let b_edges: Vec<(CourseSet, DagNodeId)> = a_edges[20..]
+            .iter()
+            .copied()
+            .chain((0..10u16).map(|i| (ids(&[i, 99 - i]), children[1])))
+            .collect();
+        let b = table.intern(
+            0,
+            CourseSet::EMPTY,
+            DagNodeKind::Interior {
+                edges: Edges::new(&b_edges),
+                floor_skipped: 0,
+            },
+            Vec::new(),
+        );
+        let in_b = |s: &CourseSet| b_edges.iter().any(|(t, _)| t == s);
+        let empty = table.empty();
+        let expected_edges = |op: SetOp| -> Vec<(CourseSet, DagNodeId)> {
+            match op {
+                SetOp::Intersect => a_edges.iter().copied().filter(|(s, _)| in_b(s)).collect(),
+                SetOp::Diff => a_edges
+                    .iter()
+                    .map(|&(s, c)| (s, if in_b(&s) { empty } else { c }))
+                    .collect(),
+                SetOp::Union => a_edges
+                    .iter()
+                    .copied()
+                    .chain(
+                        b_edges
+                            .iter()
+                            .copied()
+                            .filter(|(s, _)| !a_edges.iter().any(|(t, _)| t == s)),
+                    )
+                    .collect(),
+            }
+        };
+        for op in [SetOp::Intersect, SetOp::Union, SetOp::Diff] {
+            let expected_edges = expected_edges(op);
+            let expected = table.intern(
+                0,
+                CourseSet::EMPTY,
+                DagNodeKind::Interior {
+                    edges: Edges::new(&expected_edges),
+                    floor_skipped: 0,
+                },
+                Vec::new(),
+            );
+            assert_eq!(table.set_apply(op, a, b).unwrap(), expected, "{op:?}");
+        }
+    }
+
+    /// A stream of distinct counting what-ifs interns nothing, so only the
+    /// caches' own bound keeps them from growing with the stream.
+    #[test]
+    fn whatif_caches_stay_within_the_table_capacity() {
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let capacity = 64;
+        let table = UniqueTable::new(capacity);
+        let base = base_explorer(&synth)
+            .build_path_dag(&table, None, None)
+            .unwrap();
+        let courses: Vec<CourseSet> = synth
+            .catalog
+            .courses()
+            .map(|c| CourseSet::from_iter([c.id()]))
+            .collect();
+        for i in 0..3 * capacity {
+            let r = Restriction {
+                avoid: courses[i % courses.len()],
+                max_workload: Some(10.0 + i as f64 / 8.0),
+            };
+            table.whatif_counts(
+                base,
+                &synth.catalog,
+                &r,
+                &CourseSet::EMPTY,
+                &CourseSet::EMPTY,
+            );
+            table.restrict(base, &synth.catalog, &r);
+            let (apply, folds) = table.cache_entries();
+            assert!(
+                apply <= capacity,
+                "{apply} apply entries after {i} what-ifs"
+            );
+            assert!(folds <= capacity, "{folds} fold entries after {i} what-ifs");
+        }
+        assert!(table.snapshot().apply_misses > 3 * capacity as u64);
     }
 
     #[test]

@@ -139,12 +139,12 @@ impl StateWalk {
                 self.stats.edges_created += edges.len() as u64;
                 self.stats.pruned_time += floor_skipped;
                 let status = state.materialize(explorer.catalog());
-                for (selection, child) in edges {
+                for (selection, child) in edges.iter() {
                     if !self
                         .seen
-                        .contains(&(semester + 1, completed.union(selection)))
+                        .contains(&(semester + 1, completed.union(&selection)))
                     {
-                        self.visit(explorer, view, status.child(selection), *child);
+                        self.visit(explorer, view, status.child(&selection), child);
                     }
                 }
                 self.order.push((status, id));
@@ -252,16 +252,16 @@ impl Explorer<'_> {
             let leaf = match &node.kind {
                 DagNodeKind::Leaf(kind) => Some(*kind),
                 DagNodeKind::Interior { edges, .. } => {
-                    for (selection, _) in edges {
+                    for (selection, _) in edges.iter() {
                         // Edges to pruned children exist structurally (they
                         // keep the node interior) but the rendered DAG only
                         // links materialized states.
-                        let to_key = (from_key.0 + 1, from_key.1.union(selection));
+                        let to_key = (from_key.0 + 1, from_key.1.union(&selection));
                         if let Some(&to) = index_of.get(&to_key) {
                             dag.edges.push(StateEdge {
                                 from,
                                 to,
-                                selection: *selection,
+                                selection,
                             });
                         }
                     }

@@ -61,11 +61,11 @@ impl Explorer<'_> {
         };
         let start = *self.start();
         let mut impacts = Vec::new();
-        for (selection, child_id) in edges {
-            let child_status = start.advance(self.catalog(), selection);
-            let child = table.node(*child_id);
+        for (selection, child_id) in edges.iter() {
+            let child_status = start.advance(self.catalog(), &selection);
+            let child = table.node(child_id);
             impacts.push(SelectionImpact {
-                selection: *selection,
+                selection,
                 options_next_semester: child_status.options().len(),
                 paths: child.paths,
                 goal_paths: child.goal_paths,

@@ -27,21 +27,37 @@
 //! (`crate::apply`) can prove whole subtrees untouched by a what-if delta
 //! without descending into them.
 //!
+//! Edges dominate the table's memory (sparse-7sem: 3.16 M edges on 74.6 k
+//! nodes), so an interior packs them the way BDD and ZDD packages pack
+//! nodes into a few machine words ([`Edges`]): the node's *alphabet* —
+//! the sorted union of its selections' courses — is stored once, and each
+//! edge is a bit-mask over alphabet positions plus a `u32` child, 12 bytes
+//! where a full `CourseSet`, child and cached `f64` load took 48. Alphabets
+//! over 64 courses take ⌈|alphabet|/64⌉ mask words per edge on the same
+//! code path. Per-edge workloads are not stored: a workload-cap apply
+//! re-sums an edge's few course workloads in ascending course order,
+//! exactly the serving filter's additions, so cap decisions are
+//! bit-identical to a filtered build.
+//!
 //! Structure of the table mirrors the classic BDD unique table: nodes live
 //! in sharded append-only arenas (the low `SHARD_BITS` bits of a
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
 //! globally), an intern index per shard maps structural hashes to candidate
 //! ids, and a shared pair-keyed apply cache memoizes `crate::apply`
-//! operations across calls. The table is `Sync`: parallel builds and
+//! operations across calls. The apply cache and the whole-call fold cache
+//! are pure, so each holds at most the table's `capacity` entries and is
+//! cleared when full; nodes are bounded by retiring the whole table
+//! ([`UniqueTable::is_full`]). The table is `Sync`: parallel builds and
 //! applies may share it, exactly like the transposition table.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use coursenav_catalog::CourseSet;
+use coursenav_catalog::{CourseId, CourseSet};
 use serde::{Deserialize, Serialize};
 
 use crate::expiry::Expiry;
@@ -157,11 +173,209 @@ pub enum DagNodeKind {
     /// edges to pruned children), plus how many selections the strategic
     /// floor skipped (they contribute `pruned-time` per tree visit).
     Interior {
-        /// `(selection, child)` in enumeration order.
-        edges: Vec<(CourseSet, DagNodeId)>,
+        /// `(selection, child)` in enumeration order, packed as masks over
+        /// the node's alphabet (see [`Edges`]).
+        edges: Edges,
         /// Selections skipped by the strategic selection-size floor.
         floor_skipped: u64,
     },
+}
+
+/// Per-edge storage on alphabets of up to 64 courses: one mask word and
+/// one child id. Wider alphabets add a word per further 64 courses.
+pub(crate) const EDGE_BYTES: usize = std::mem::size_of::<u64>() + std::mem::size_of::<DagNodeId>();
+const _: () = assert!(EDGE_BYTES == 12, "an edge is one mask word and a u32 child");
+
+const MASK_WORDS: usize = CourseSet::CAPACITY / 64;
+
+/// A selection as a bit-set over a node's alphabet positions: wide enough
+/// for any alphabet a [`CourseSet`] can hold, of which an [`Edges`] list
+/// stores only the words its alphabet needs.
+pub(crate) type Mask = [u64; MASK_WORDS];
+
+/// An interior node's edge list in one allocation of `u32` units:
+///
+/// 1. the *alphabet* — the sorted union of the courses in the edges'
+///    selections — one course id per unit;
+/// 2. one mask per edge, the selection as bits over alphabet positions:
+///    ⌈|alphabet|/64⌉ 64-bit words per edge, each stored low half first;
+/// 3. one child id per edge.
+///
+/// The alphabet is a pure function of the edge list, so the encoding is
+/// canonical: two edge lists are equal exactly when their encodings are,
+/// and hash-consing compares and hashes the packed units directly. Bit
+/// order is ascending course id, so summing a mask's course workloads bit
+/// by bit adds them in the same order as iterating the decoded selection.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Edges {
+    data: Box<[u32]>,
+    len: u32,
+    alphabet_len: u32,
+}
+
+impl Edges {
+    /// Encodes an edge list, keeping its order.
+    pub fn new(edges: &[(CourseSet, DagNodeId)]) -> Edges {
+        let mut alphabet = CourseSet::EMPTY;
+        for (selection, _) in edges {
+            alphabet.union_with(selection);
+        }
+        let alphabet_len = alphabet.len();
+        let words = alphabet_len.div_ceil(64);
+        let mut data = Vec::with_capacity(alphabet_len + edges.len() * (2 * words + 1));
+        // Alphabet position of each course id (a `CourseSet` holds at most
+        // 256 courses, so a position fits a byte).
+        let mut position = [0u8; CourseSet::CAPACITY];
+        for (k, id) in alphabet.iter().enumerate() {
+            position[id.as_usize()] = k as u8;
+            data.push(id.as_usize() as u32);
+        }
+        for (selection, _) in edges {
+            let mut mask: Mask = [0; MASK_WORDS];
+            for id in selection.iter() {
+                let k = usize::from(position[id.as_usize()]);
+                mask[k / 64] |= 1 << (k % 64);
+            }
+            for word in &mask[..words] {
+                data.push(*word as u32);
+                data.push((word >> 32) as u32);
+            }
+        }
+        data.extend(edges.iter().map(|(_, child)| child.0));
+        Edges {
+            data: data.into_boxed_slice(),
+            len: u32::try_from(edges.len()).expect("an edge count fits a u32"),
+            alphabet_len: alphabet_len as u32,
+        }
+    }
+
+    /// Number of edges.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list has no edges.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The decoded `(selection, child)` pairs, in enumeration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (CourseSet, DagNodeId)> + '_ {
+        (0..self.len()).map(move |i| (self.selection(i), self.child(i)))
+    }
+
+    /// Bytes of the packed storage: alphabet, masks and children.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Bytes of the alphabet alone.
+    #[cfg(test)]
+    pub(crate) fn alphabet_bytes(&self) -> usize {
+        self.alphabet_len as usize * std::mem::size_of::<u32>()
+    }
+
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        (self.alphabet_len as usize).div_ceil(64)
+    }
+
+    #[inline]
+    fn mask_word(&self, i: usize, word: usize) -> u64 {
+        let at = self.alphabet_len as usize + 2 * (i * self.words() + word);
+        u64::from(self.data[at]) | (u64::from(self.data[at + 1]) << 32)
+    }
+
+    /// The child of edge `i`.
+    #[inline]
+    pub(crate) fn child(&self, i: usize) -> DagNodeId {
+        DagNodeId(self.data[self.alphabet_len as usize + 2 * self.words() * self.len() + i])
+    }
+
+    /// The alphabet positions set in edge `i`'s mask, ascending.
+    #[inline]
+    fn positions(&self, i: usize) -> Positions<'_> {
+        Positions {
+            edges: self,
+            edge: i,
+            word: 0,
+            // An empty alphabet (every selection empty) has no mask words.
+            bits: if self.alphabet_len == 0 {
+                0
+            } else {
+                self.mask_word(i, 0)
+            },
+        }
+    }
+
+    /// The selection of edge `i`, decoded.
+    pub(crate) fn selection(&self, i: usize) -> CourseSet {
+        self.positions(i)
+            .map(|k| CourseId::new(self.data[k] as u16))
+            .collect()
+    }
+
+    /// The summed workload of edge `i`'s selection, read from `workloads`
+    /// (indexed by course id) in ascending course order — the order and
+    /// float additions of summing over the decoded selection.
+    #[inline]
+    pub(crate) fn load(&self, i: usize, workloads: &[f64]) -> f64 {
+        self.positions(i)
+            .map(|k| workloads[self.data[k] as usize])
+            .sum()
+    }
+
+    /// The alphabet positions of the courses of `set` (courses outside the
+    /// alphabet have none).
+    pub(crate) fn mask_of(&self, set: &CourseSet) -> Mask {
+        let alphabet = &self.data[..self.alphabet_len as usize];
+        let mut mask: Mask = [0; MASK_WORDS];
+        for id in set.iter() {
+            if let Ok(k) = alphabet.binary_search(&(id.as_usize() as u32)) {
+                mask[k / 64] |= 1 << (k % 64);
+            }
+        }
+        mask
+    }
+
+    /// Whether edge `i`'s selection shares a course with the courses whose
+    /// alphabet positions `mask` holds.
+    #[inline]
+    pub(crate) fn meets(&self, i: usize, mask: &Mask) -> bool {
+        (0..self.words()).any(|word| self.mask_word(i, word) & mask[word] != 0)
+    }
+}
+
+/// Ascending set-bit positions of one edge's mask, word by word.
+struct Positions<'a> {
+    edges: &'a Edges,
+    edge: usize,
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word >= self.edges.words() {
+                return None;
+            }
+            self.bits = self.edges.mask_word(self.edge, self.word);
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+}
+
+impl fmt::Debug for Edges {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// One interned node: identity plus the derived subtree summaries.
@@ -193,13 +407,9 @@ pub struct DagNode {
     /// Summed workload of the heaviest single selection anywhere below
     /// (`f64::INFINITY` when unknown, e.g. on set-algebra results): a
     /// workload cap at or above this bound cannot veto anything here.
+    /// Per-edge loads are not stored: a workload-cap apply re-sums the few
+    /// course workloads of each edge it tests.
     pub max_load: f64,
-    /// Summed workload of each of the node's own selections, parallel to
-    /// the interior's edge list (empty on terminals, and on set-algebra
-    /// results where no catalog was in scope — check the length). Derived
-    /// data, not identity: workload-cap applies read it instead of
-    /// re-summing per edge.
-    pub(crate) loads: Box<[f64]>,
 }
 
 impl DagNode {
@@ -293,10 +503,7 @@ fn node_hash(semester: i32, completed: &CourseSet, kind: &DagNodeKind) -> u64 {
         } => {
             3u8.hash(&mut h);
             floor_skipped.hash(&mut h);
-            for (selection, child) in edges {
-                selection.hash(&mut h);
-                child.hash(&mut h);
-            }
+            edges.hash(&mut h);
         }
     }
     h.finish()
@@ -343,6 +550,11 @@ pub(crate) type FoldCounts = (u128, u128, ExploreStats);
 pub struct UniqueTableStats {
     /// Nodes resident in the arenas.
     pub nodes: u64,
+    /// Edges of the resident interior nodes.
+    pub edges: u64,
+    /// Bytes of those nodes' packed edge storage: alphabets, masks and
+    /// children.
+    pub edge_bytes: u64,
     /// Cached exploration roots (one per distinct request frame).
     pub roots: u64,
     /// Intern requests answered by an existing node (hash-cons hits).
@@ -374,6 +586,8 @@ impl UniqueTableStats {
     /// across tenants and retired tables).
     pub fn merge(&mut self, other: &UniqueTableStats) {
         self.nodes += other.nodes;
+        self.edges += other.edges;
+        self.edge_bytes += other.edge_bytes;
         self.roots += other.roots;
         self.hash_cons_hits += other.hash_cons_hits;
         self.interned += other.interned;
@@ -387,12 +601,20 @@ impl UniqueTableStats {
 /// The sharded, hash-consed unique table. See the module docs.
 pub struct UniqueTable {
     shards: Vec<RwLock<Shard>>,
+    /// Pair-keyed apply cache, sharded like the arenas; each shard holds at
+    /// most `capacity / SHARDS` entries and is cleared when it would
+    /// exceed that (the cache is pure, so clearing only costs recompute).
     apply: Vec<Mutex<HashMap<ApplyKey, DagNodeId>>>,
     /// Whole-operation results of counting applies, one entry per
-    /// `(delta, root)` — a repeated what-if answers without any walk.
+    /// `(delta, root)` — a repeated what-if answers without any walk. At
+    /// most `capacity` entries, cleared like the apply cache: a stream of
+    /// distinct counting what-ifs interns no nodes, so the node cap alone
+    /// would never bound it.
     folds: Mutex<HashMap<ApplyKey, FoldCounts>>,
     roots: Mutex<HashMap<String, DagNodeId>>,
     capacity: usize,
+    edges: AtomicU64,
+    edge_bytes: AtomicU64,
     hash_cons_hits: AtomicU64,
     interned: AtomicU64,
     apply_hits: AtomicU64,
@@ -413,6 +635,8 @@ impl UniqueTable {
             folds: Mutex::new(HashMap::new()),
             roots: Mutex::new(HashMap::new()),
             capacity,
+            edges: AtomicU64::new(0),
+            edge_bytes: AtomicU64::new(0),
             hash_cons_hits: AtomicU64::new(0),
             interned: AtomicU64::new(0),
             apply_hits: AtomicU64::new(0),
@@ -473,11 +697,12 @@ impl UniqueTable {
     /// Subtree counts, logical statistics, and the support set are derived
     /// here, bottom-up, so they are invariants of the structure no matter
     /// who interns it. `loads` is the summed workload of each of the
-    /// node's *own* selections, parallel to an interior's edge list (the
-    /// caller computes it because only the caller holds the catalog; pass
-    /// an empty vector for terminals, or when no catalog is in scope — the
-    /// node's [`DagNode::max_load`] bound then degrades to `∞`, the
-    /// conservative "unknown").
+    /// node's *own* selections, parallel to an interior's edge list, and
+    /// only feeds the node's [`DagNode::max_load`] bound — it is not
+    /// stored (the caller computes it because only the caller holds the
+    /// catalog; pass an empty vector for terminals, or when no catalog is
+    /// in scope — the bound then degrades to `∞`, the conservative
+    /// "unknown").
     ///
     /// Terminal kinds ignore the anchor arguments: every state ending in
     /// the same [`DagNodeKind`] shares one node, the BDD terminal rule.
@@ -489,8 +714,7 @@ impl UniqueTable {
         loads: Vec<f64>,
     ) -> DagNodeId {
         let summary = self.summarize(&kind, &loads);
-        self.intern_summarized(semester, completed, kind, loads.into_boxed_slice(), summary)
-            .0
+        self.intern_summarized(semester, completed, kind, summary).0
     }
 
     /// [`UniqueTable::intern`] with the node's summary already derived by
@@ -501,7 +725,6 @@ impl UniqueTable {
         semester: i32,
         completed: CourseSet,
         kind: DagNodeKind,
-        loads: Box<[f64]>,
         summary: Summary,
     ) -> (DagNodeId, bool) {
         let (semester, completed) = match kind {
@@ -522,6 +745,11 @@ impl UniqueTable {
                 }
             }
         }
+        if let DagNodeKind::Interior { edges, .. } = &kind {
+            self.edges.fetch_add(edges.len() as u64, Ordering::Relaxed);
+            self.edge_bytes
+                .fetch_add(edges.heap_bytes() as u64, Ordering::Relaxed);
+        }
         let index = shard.nodes.len();
         shard.nodes.push(Arc::new(DagNode {
             semester,
@@ -532,7 +760,6 @@ impl UniqueTable {
             stats: summary.stats,
             support: summary.support,
             max_load: summary.max_load,
-            loads,
         }));
         shard.index.entry(hash).or_default().push(index as u32);
         self.interned.fetch_add(1, Ordering::Relaxed);
@@ -556,7 +783,7 @@ impl UniqueTable {
         }
         for (i, (selection, child)) in edges.iter().enumerate() {
             let load = loads.get(i).copied().unwrap_or(0.0);
-            summary.add_edge(selection, load, &Summary::of(&self.node(*child)));
+            summary.add_edge(&selection, load, &Summary::of(&self.node(child)));
         }
         summary
     }
@@ -611,10 +838,15 @@ impl UniqueTable {
 
     pub(crate) fn apply_put(&self, key: ApplyKey, value: DagNodeId) {
         let shard = (key.0 as usize) & (SHARDS - 1);
-        self.apply[shard]
-            .lock()
-            .expect("apply cache poisoned")
-            .insert(key, value);
+        let cap = self.cache_cap().map(|cap| cap / SHARDS);
+        let mut cache = self.apply[shard].lock().expect("apply cache poisoned");
+        bounded_insert(&mut cache, cap, key, value);
+    }
+
+    /// The entry cap of each pure cache: the node capacity, or `None` on an
+    /// unbounded table.
+    fn cache_cap(&self) -> Option<usize> {
+        (self.capacity != 0).then_some(self.capacity)
     }
 
     pub(crate) fn fold_get(&self, key: &ApplyKey) -> Option<FoldCounts> {
@@ -637,16 +869,27 @@ impl UniqueTable {
     }
 
     pub(crate) fn fold_put(&self, key: ApplyKey, value: FoldCounts) {
-        self.folds
-            .lock()
-            .expect("fold cache poisoned")
-            .insert(key, value);
+        let mut folds = self.folds.lock().expect("fold cache poisoned");
+        bounded_insert(&mut folds, self.cache_cap(), key, value);
+    }
+
+    /// Entries in the apply cache (all shards) and in the fold cache.
+    #[cfg(test)]
+    pub(crate) fn cache_entries(&self) -> (usize, usize) {
+        let apply = self
+            .apply
+            .iter()
+            .map(|shard| shard.lock().expect("apply cache poisoned").len())
+            .sum();
+        (apply, self.folds.lock().expect("fold cache poisoned").len())
     }
 
     /// Counter snapshot for metrics.
     pub fn snapshot(&self) -> UniqueTableStats {
         UniqueTableStats {
             nodes: self.len() as u64,
+            edges: self.edges.load(Ordering::Relaxed),
+            edge_bytes: self.edge_bytes.load(Ordering::Relaxed),
             roots: self.roots.lock().expect("unique roots poisoned").len() as u64,
             hash_cons_hits: self.hash_cons_hits.load(Ordering::Relaxed),
             interned: self.interned.load(Ordering::Relaxed),
@@ -656,6 +899,25 @@ impl UniqueTable {
             root_misses: self.root_misses.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Inserts into a pure cache of at most `cap` entries (`None`: unbounded),
+/// clearing it first when full. A zero cap caches nothing.
+fn bounded_insert<K: Hash + Eq, V>(
+    cache: &mut HashMap<K, V>,
+    cap: Option<usize>,
+    key: K,
+    value: V,
+) {
+    if let Some(cap) = cap {
+        if cache.len() >= cap {
+            cache.clear();
+        }
+        if cap == 0 {
+            return;
+        }
+    }
+    cache.insert(key, value);
 }
 
 /// Why a build stopped early.
@@ -695,11 +957,10 @@ struct BuildCtx<'t> {
     expanded: FxMap<(i32, CourseSet), (DagNodeId, Summary)>,
     /// Each terminal kind's shared node, interned on first use.
     terminals: [Option<(DagNodeId, Summary)>; TERMINAL_SLOTS],
-    /// Edge and load stack shared by every level of the recursion: a
-    /// node's own entries sit on top while its children are built, and
-    /// are copied out at exact size when it is interned.
+    /// Edge stack shared by every level of the recursion: a node's own
+    /// edges sit on top while its children are built, and are encoded
+    /// into an exact-size [`Edges`] when it is interned.
     edges: Vec<(CourseSet, DagNodeId)>,
-    loads: Vec<f64>,
     /// Interior nodes this build created, and the cap on them.
     created: usize,
     node_budget: Option<usize>,
@@ -711,13 +972,9 @@ impl BuildCtx<'_> {
         let slot = terminal_slot(&kind);
         *self.terminals[slot].get_or_insert_with(|| {
             let summary = Summary::terminal(&kind);
-            let (id, _) = self.table.intern_summarized(
-                TERMINAL_SEMESTER,
-                CourseSet::EMPTY,
-                kind,
-                Box::default(),
-                summary,
-            );
+            let (id, _) =
+                self.table
+                    .intern_summarized(TERMINAL_SEMESTER, CourseSet::EMPTY, kind, summary);
             (id, summary)
         })
     }
@@ -747,7 +1004,6 @@ impl Explorer<'_> {
             expanded: FxMap::default(),
             terminals: [None; TERMINAL_SLOTS],
             edges: Vec::new(),
-            loads: Vec::new(),
             created: 0,
             node_budget,
             expiry: Expiry::per_step(deadline),
@@ -791,7 +1047,6 @@ impl Explorer<'_> {
             let (child_id, child_summary) = self.dag_node(status.child(&selection), pruner, ctx)?;
             summary.add_edge(&selection, load, &child_summary);
             ctx.edges.push((selection, child_id));
-            ctx.loads.push(load);
         }
         let resolved = if ctx.edges.len() == base && floor_skipped == 0 {
             // Filters vetoed every selection: dead-end leaf, exactly as
@@ -800,14 +1055,13 @@ impl Explorer<'_> {
         } else {
             summary.stats.pruned_time += floor_skipped;
             let kind = DagNodeKind::Interior {
-                edges: ctx.edges[base..].to_vec(),
+                edges: Edges::new(&ctx.edges[base..]),
                 floor_skipped,
             };
-            let loads = ctx.loads[base..].into();
             let (semester, completed) = status.state_key();
             let (id, created) = ctx
                 .table
-                .intern_summarized(semester, completed, kind, loads, summary);
+                .intern_summarized(semester, completed, kind, summary);
             if created {
                 ctx.created += 1;
                 if let Some(node_budget) = ctx.node_budget {
@@ -819,7 +1073,6 @@ impl Explorer<'_> {
             (id, summary)
         };
         ctx.edges.truncate(base);
-        ctx.loads.truncate(base);
         ctx.expanded.insert(status.state_key(), resolved);
         Ok(resolved)
     }
@@ -940,6 +1193,53 @@ mod tests {
         assert_eq!(
             e.build_path_dag(&table, None, Some(past)).unwrap_err(),
             DagBuildError::Deadline
+        );
+    }
+
+    /// The edge-store layout gate on the what-if benchmark's base frame
+    /// (sparse catalog with eight scheduled semesters, degree goal,
+    /// deadline start + 7, three courses a semester): the DAG's node and
+    /// edge counts, and its packed edges at 12 bytes each plus the
+    /// alphabets. Byte accounting, not RSS, so it cannot flake. Slow in
+    /// debug; CI runs it in release:
+    /// `cargo test --release -p coursenav-navigator --lib -- --ignored edge_store`.
+    #[test]
+    #[ignore = "builds a 74,603-node DAG; run in release"]
+    fn sparse_7sem_edge_store_is_packed() {
+        use crate::request::{ExplorationRequest, OutputMode};
+        use crate::service::NavigatorService;
+        use crate::whatif::WhatIfRequest;
+
+        let synth = SyntheticCatalog::generate(&SyntheticConfig {
+            schedule_semesters: 8,
+            ..SyntheticConfig::sparse()
+        });
+        let service = NavigatorService::new(&synth.catalog)
+            .with_degree(&synth.degree)
+            .with_offering_model(&synth.offering);
+        let base =
+            ExplorationRequest::degree_paths(synth.start, synth.start + 7, 3, OutputMode::Count);
+        let table = UniqueTable::new(0);
+        service
+            .whatif_until(&WhatIfRequest::new(base), None, 1, None, Some(&table))
+            .unwrap();
+        let snap = table.snapshot();
+        assert_eq!((snap.nodes, snap.edges), (74_603, 3_163_770));
+        let view = table.view();
+        let alphabet_bytes: usize = view
+            .guards
+            .iter()
+            .flat_map(|shard| shard.nodes.iter())
+            .map(|node| match &node.kind {
+                DagNodeKind::Interior { edges, .. } => edges.alphabet_bytes(),
+                _ => 0,
+            })
+            .sum();
+        assert!(
+            snap.edge_bytes <= EDGE_BYTES as u64 * snap.edges + alphabet_bytes as u64,
+            "{} edge bytes for {} edges and {alphabet_bytes} alphabet bytes",
+            snap.edge_bytes,
+            snap.edges
         );
     }
 

@@ -172,9 +172,11 @@ impl DagStore {
 
     fn fold_retired(&self, old: &UniqueTable) {
         let mut stats = old.snapshot();
-        // Resident nodes and roots die with the table; only the lifetime
-        // counters carry forward.
+        // Resident nodes, their edges and roots die with the table; only
+        // the lifetime counters carry forward.
         stats.nodes = 0;
+        stats.edges = 0;
+        stats.edge_bytes = 0;
         stats.roots = 0;
         self.retired.lock().merge(&stats);
         self.tables_retired.fetch_add(1, Ordering::Relaxed);
@@ -188,6 +190,8 @@ impl DagStore {
         let mut snap = DagStoreSnapshot {
             capacity: self.capacity as u64,
             nodes: stats.nodes,
+            edges: stats.edges,
+            edge_bytes: stats.edge_bytes,
             roots: stats.roots,
             hash_cons_hits: stats.hash_cons_hits,
             interned: stats.interned,
@@ -212,6 +216,11 @@ pub struct DagStoreSnapshot {
     pub capacity: u64,
     /// Nodes resident in live tables.
     pub nodes: u64,
+    /// Edges of the resident interior nodes.
+    pub edges: u64,
+    /// Bytes of those nodes' packed edge storage (alphabets, masks and
+    /// children).
+    pub edge_bytes: u64,
     /// Cached exploration roots in live tables.
     pub roots: u64,
     /// Intern requests answered by an existing node.
@@ -718,6 +727,8 @@ fn fold_dag(a: &mut DagStoreSnapshot, b: &DagStoreSnapshot, retire: bool) {
     } else {
         a.capacity += b.capacity;
         a.nodes += b.nodes;
+        a.edges += b.edges;
+        a.edge_bytes += b.edge_bytes;
         a.roots += b.roots;
     }
     a.recompute_rate();
@@ -921,6 +932,40 @@ mod tests {
         assert_eq!(rows[0].unique_table.interned, 1);
         assert_eq!(rows[0].unique_table.tables_retired, 2);
         assert_eq!(r.aggregate_dag().interned, 1);
+    }
+
+    #[test]
+    fn retiring_a_table_zeroes_its_edge_gauges() {
+        use coursenav_catalog::{CourseId, CourseSet};
+        use coursenav_navigator::{DagNodeKind, Edges};
+
+        let r = registry(8);
+        let t = r.get(DEFAULT_TENANT).unwrap();
+        let table = t.dag().table();
+        let leaf = table.intern(
+            0,
+            CourseSet::new(),
+            DagNodeKind::Leaf(coursenav_navigator::path::LeafKind::Goal),
+            Vec::new(),
+        );
+        let selection = CourseSet::from_iter([CourseId::new(0), CourseId::new(2)]);
+        table.intern(
+            0,
+            CourseSet::new(),
+            DagNodeKind::Interior {
+                edges: Edges::new(&[(selection, leaf)]),
+                floor_skipped: 0,
+            },
+            Vec::new(),
+        );
+        let live = t.dag().snapshot();
+        assert_eq!(live.edges, 1);
+        // Two alphabet courses, one mask word, one child.
+        assert_eq!(live.edge_bytes, 2 * 4 + 12);
+        r.invalidate_tenant(DEFAULT_TENANT).unwrap();
+        let after = t.dag().snapshot();
+        assert_eq!((after.nodes, after.edges, after.edge_bytes), (0, 0, 0));
+        assert_eq!(after.interned, 2, "lifetime counters survive");
     }
 
     #[test]

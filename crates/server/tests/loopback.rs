@@ -1332,6 +1332,20 @@ fn whatif_tables_are_retired_at_their_node_cap_across_builds() {
             nodes <= cap + alone_a.max(alone_b),
             "step {i}: {nodes} resident nodes"
         );
+        // The packed edge store is reported beside the nodes and retires
+        // with them: one mask word and one child id per edge, plus the
+        // alphabets.
+        let edges = table["edges"].as_u64().unwrap();
+        let edge_bytes = table["edge-bytes"].as_u64().unwrap();
+        if i == 0 {
+            assert!(edges > 0, "step {i}: a built base has edges");
+        }
+        assert_eq!(
+            edges == 0,
+            nodes == 0,
+            "step {i}: {edges} edges, {nodes} nodes"
+        );
+        assert!(edge_bytes >= 12 * edges, "step {i}: {edge_bytes} bytes");
     }
     capped.shutdown();
     reference.shutdown();
