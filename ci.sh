@@ -15,12 +15,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> DAG edge-store layout gate (release)"
-# Builds the what-if benchmark's sparse-7sem base DAG and pins its node
-# and edge counts and its packed edge store at 12 bytes an edge plus the
-# alphabets — byte accounting, not RSS, so it cannot flake. Ignored in
-# the debug run above, where the build is slow.
-cargo test -q --release -p coursenav-navigator --lib -- --ignored edge_store
+echo "==> sparse-7sem DAG gates: edge-store layout and classifier golden (release)"
+# Both build the what-if benchmark's sparse-7sem base DAG. The layout gate
+# pins its node and edge counts and its packed edge store at 12 bytes an
+# edge plus the alphabets — byte accounting, not RSS, so it cannot flake.
+# The classifier golden pins the root's path counts and the build's
+# logical stats (expansions, edges, time and availability prunes), so a
+# goal-oracle or pruning change that moves any decision fails here.
+# Ignored in the debug run above, where the builds are slow.
+cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches stale and private intra-doc links left behind when an item is

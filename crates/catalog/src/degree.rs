@@ -181,11 +181,13 @@ impl DegreeRequirement {
 
     /// Maximum number of slots fillable by `courses` (distinctly).
     ///
-    /// Exploration evaluates this on every node, so the disjoint-region
-    /// shape (the paper's CS major: core ∪ one elective pool) takes an
-    /// allocation-free closed form; overlapping pools fall back to maximum
-    /// bipartite matching. Property tests cross-check both paths against a
-    /// brute-force oracle.
+    /// The disjoint-region shape (the paper's CS major: core ∪ one
+    /// elective pool) takes an allocation-free closed form; overlapping
+    /// pools fall back to maximum bipartite matching. Property tests
+    /// cross-check both paths against a brute-force oracle. Exploration
+    /// does not call this per node for a disjoint degree: its goal runs on
+    /// the masks `Goal::degree` compiles once; only a goal over
+    /// overlapping pools reaches the matching here on every node.
     pub fn slots_covered(&self, courses: &CourseSet) -> usize {
         // Fast path: nothing relevant completed.
         let usable = courses.intersection(&self.relevant_courses());

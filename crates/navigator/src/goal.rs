@@ -11,8 +11,15 @@
 //!
 //! Both expose the two oracles the algorithms need: a satisfaction test on
 //! `X_i`, and the `left_i` minimum-remaining-courses bound for time-based
-//! pruning. The boolean form compiles to DNF once at construction; the
-//! degree form delegates to the matching oracle in `coursenav-catalog`.
+//! pruning. Every engine runs both on every child state it classifies, so
+//! construction compiles the goal once into a *mask form*: a list of
+//! alternatives, each a list of `(mask, need)` region constraints ("at
+//! least `need` courses of `mask`"). An expression goal becomes one
+//! alternative per DNF term, `[(term, |term|)]`; a degree whose core and
+//! elective pools are pairwise disjoint becomes one alternative
+//! `[(core, |core|), (pool_i, k_i)…]`. Both oracles are then a few word
+//! operations per region. A degree with overlapping pools has no such
+//! closed form and keeps the matching oracle in `coursenav-catalog`.
 
 use coursenav_catalog::{CourseId, CourseSet, DegreeRequirement};
 use coursenav_prereq::{min_extra_to_satisfy, Dnf, Expr, MinSat};
@@ -21,6 +28,51 @@ use coursenav_prereq::{min_extra_to_satisfy, Dnf, Expr, MinSat};
 #[derive(Debug, Clone)]
 pub struct Goal {
     kind: GoalKind,
+    /// The mask form both per-state oracles run on (see the module docs);
+    /// `None` only for a degree whose pools overlap.
+    alternatives: Option<Vec<Vec<Region>>>,
+}
+
+/// One region constraint of a compiled alternative: at least `need`
+/// courses of `mask` are completed. Constraints with `need == 0` are
+/// dropped at compile time.
+#[derive(Debug, Clone)]
+struct Region {
+    mask: CourseSet,
+    need: usize,
+    /// `need == |mask|`: the constraint is `mask ⊆ X`, a subset test.
+    whole: bool,
+}
+
+impl Region {
+    /// The alternative made of these `(mask, need)` constraints.
+    fn alternative(constraints: impl IntoIterator<Item = (CourseSet, usize)>) -> Vec<Region> {
+        constraints
+            .into_iter()
+            .filter(|&(_, need)| need > 0)
+            .map(|(mask, need)| Region {
+                mask,
+                need,
+                whole: need == mask.len(),
+            })
+            .collect()
+    }
+
+    /// Courses this constraint still lacks in `completed`.
+    #[inline]
+    fn missing(&self, completed: &CourseSet) -> usize {
+        self.need
+            .saturating_sub(completed.intersection(&self.mask).len())
+    }
+
+    #[inline]
+    fn met_by(&self, completed: &CourseSet) -> bool {
+        if self.whole {
+            self.mask.is_subset(completed)
+        } else {
+            completed.intersection(&self.mask).len() >= self.need
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -36,8 +88,14 @@ impl Goal {
     /// Goal: make the boolean expression over completed courses true.
     pub fn courses(expr: Expr<CourseId>) -> Goal {
         let dnf = expr.to_dnf();
+        let alternatives = dnf
+            .terms()
+            .iter()
+            .map(|term| Region::alternative([(term.iter().copied().collect(), term.len())]))
+            .collect();
         Goal {
             kind: GoalKind::Courses { expr, dnf },
+            alternatives: Some(alternatives),
         }
     }
 
@@ -48,16 +106,35 @@ impl Goal {
 
     /// Goal: satisfy a slot-based degree requirement.
     pub fn degree(req: DegreeRequirement) -> Goal {
+        let regions = std::iter::once((*req.core(), req.core().len()))
+            .chain(req.electives().iter().map(|rule| (rule.pool, rule.k)));
+        // Pairwise disjoint exactly when no course is counted twice.
+        let mut union = CourseSet::EMPTY;
+        let mut sizes = 0;
+        for (mask, _) in regions.clone() {
+            union.union_with(&mask);
+            sizes += mask.len();
+        }
+        let alternatives = (union.len() == sizes).then(|| vec![Region::alternative(regions)]);
         Goal {
             kind: GoalKind::Degree(req),
+            alternatives,
         }
+    }
+
+    /// The degree an uncompiled goal falls back to.
+    fn matching_oracle(&self) -> &DegreeRequirement {
+        self.as_degree()
+            .expect("only degrees with overlapping pools go uncompiled")
     }
 
     /// Whether `completed` satisfies the goal.
     pub fn satisfied(&self, completed: &CourseSet) -> bool {
-        match &self.kind {
-            GoalKind::Courses { dnf, .. } => dnf.eval(&|id| completed.contains(*id)),
-            GoalKind::Degree(req) => req.satisfied(completed),
+        match &self.alternatives {
+            Some(alternatives) => alternatives
+                .iter()
+                .any(|alt| alt.iter().all(|region| region.met_by(completed))),
+            None => self.matching_oracle().satisfied(completed),
         }
     }
 
@@ -83,16 +160,15 @@ impl Goal {
     /// unsatisfiable even with every course (callers should have checked
     /// satisfiability once up front).
     pub fn left_lower_bound(&self, completed: &CourseSet) -> Option<usize> {
-        match &self.kind {
-            GoalKind::Courses { dnf, .. } => {
-                let mut best: Option<usize> = None;
-                for term in dnf.terms() {
-                    let missing = term.iter().filter(|id| !completed.contains(**id)).count();
-                    best = Some(best.map_or(missing, |b| b.min(missing)));
-                }
-                best
+        match &self.alternatives {
+            Some(alternatives) => alternatives
+                .iter()
+                .map(|alt| alt.iter().map(|region| region.missing(completed)).sum())
+                .min(),
+            None => {
+                let req = self.matching_oracle();
+                Some(req.total_slots() - req.slots_covered(completed))
             }
-            GoalKind::Degree(req) => Some(req.total_slots() - req.slots_covered(completed)),
         }
     }
 

@@ -29,7 +29,12 @@
 //! one memo across workers, and it is `Sync` so the serving layer can key
 //! long-lived tables under [`crate::ExplorationRequest::memo_key`] and
 //! reuse them across requests. Memory is bounded by an entry-count cap with
-//! LRU-ish (oldest-stamp-quartile) eviction.
+//! LRU-ish (oldest-stamp-quartile) eviction. Keys hash with the crate's
+//! word-at-a-time `FxHasher` (the unique table's), both for the shard pick
+//! and inside the shard's maps: every classified state that expands costs
+//! a lookup, and SipHash on these short keys was a measurable share of it.
+//! Fx is unkeyed, so a request could steer states into one collision
+//! chain; each shard's cap bounds that chain, and with it the cost.
 //!
 //! A state is classified before it is looked up: leaves and prunes that
 //! its `(semester, completed)` pair settles never touch the table, and a
@@ -47,8 +52,7 @@
 //! worst re-exploring a subtree.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -67,6 +71,7 @@ use crate::ranking::Ranking;
 use crate::request::RankingSpec;
 use crate::stats::{ExploreStats, PathCounts};
 use crate::status::{Classifiable, EnrollmentStatus};
+use crate::unique::{FxBuild, FxMap};
 
 /// The canonical subtree identity: semester index + completed set (the
 /// options set is derived from them), as produced by
@@ -76,6 +81,12 @@ pub type StateKey = (i32, CourseSet);
 /// Number of lock stripes. Sixteen keeps contention negligible for the
 /// worker counts the parallel fan-out uses while staying cheap to scan.
 const SHARD_COUNT: usize = 16;
+
+/// Where a key's shard index starts in its 64-bit hash. The shard maps
+/// are hashbrown tables, which take a bucket from the low bits and a tag
+/// from the top seven (57–63); bits 52–55 feed neither, so keys that
+/// share a shard still spread over its buckets.
+const SHARD_SHIFT: u32 = 52;
 
 /// Largest suffix set cached per subtree. Subtrees with more maximal
 /// suffixes are still *counted* through the memo but their paths are
@@ -146,9 +157,9 @@ struct RankedEntry {
 
 #[derive(Default)]
 struct Shard {
-    count: HashMap<StateKey, CountEntry>,
-    suffix: HashMap<StateKey, SuffixEntry>,
-    ranked: HashMap<(StateKey, u64, u64), RankedEntry>,
+    count: FxMap<StateKey, CountEntry>,
+    suffix: FxMap<StateKey, SuffixEntry>,
+    ranked: FxMap<(StateKey, u64, u64), RankedEntry>,
 }
 
 impl Shard {
@@ -254,9 +265,8 @@ impl TranspositionTable {
     }
 
     fn shard_for<K: Hash>(&self, key: &K) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARD_COUNT]
+        let hash = FxBuild::default().hash_one(key);
+        &self.shards[(hash >> SHARD_SHIFT) as usize % SHARD_COUNT]
     }
 
     fn stamp(&self) -> u64 {

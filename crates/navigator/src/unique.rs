@@ -44,11 +44,12 @@
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
 //! globally), an intern index per shard maps structural hashes to candidate
 //! ids, and a shared pair-keyed apply cache memoizes `crate::apply`
-//! operations across calls. The apply cache and the whole-call fold cache
-//! are pure, so each holds at most the table's `capacity` entries and is
-//! cleared when full; nodes are bounded by retiring the whole table
-//! ([`UniqueTable::is_full`]). The table is `Sync`: parallel builds and
-//! applies may share it, exactly like the transposition table.
+//! operations across calls. The apply cache, the whole-call fold cache and
+//! the index of built roots are pure, so each holds at most the table's
+//! `capacity` entries and is cleared when full; nodes are bounded by
+//! retiring the whole table ([`UniqueTable::is_full`]). The table is
+//! `Sync`: parallel builds and applies may share it, exactly like the
+//! transposition table.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -611,6 +612,11 @@ pub struct UniqueTable {
     /// distinct counting what-ifs interns no nodes, so the node cap alone
     /// would never bound it.
     folds: Mutex<HashMap<ApplyKey, FoldCounts>>,
+    /// Built exploration roots by frame key. At most `capacity` entries,
+    /// cleared like the fold cache: a stream of distinct frames whose
+    /// builds intern few new nodes would otherwise grow it without bound,
+    /// and a dropped root only costs a rebuild that hash-conses onto the
+    /// nodes still resident.
     roots: Mutex<HashMap<String, DagNodeId>>,
     capacity: usize,
     edges: AtomicU64,
@@ -811,10 +817,8 @@ impl UniqueTable {
 
     /// Registers a built exploration root under its frame key.
     pub fn store_root(&self, frame_key: String, root: DagNodeId) {
-        self.roots
-            .lock()
-            .expect("unique roots poisoned")
-            .insert(frame_key, root);
+        let mut roots = self.roots.lock().expect("unique roots poisoned");
+        bounded_insert(&mut roots, self.cache_cap(), frame_key, root);
     }
 
     pub(crate) fn apply_get(&self, key: &ApplyKey) -> Option<DagNodeId> {
@@ -1196,16 +1200,10 @@ mod tests {
         );
     }
 
-    /// The edge-store layout gate on the what-if benchmark's base frame
-    /// (sparse catalog with eight scheduled semesters, degree goal,
-    /// deadline start + 7, three courses a semester): the DAG's node and
-    /// edge counts, and its packed edges at 12 bytes each plus the
-    /// alphabets. Byte accounting, not RSS, so it cannot flake. Slow in
-    /// debug; CI runs it in release:
-    /// `cargo test --release -p coursenav-navigator --lib -- --ignored edge_store`.
-    #[test]
-    #[ignore = "builds a 74,603-node DAG; run in release"]
-    fn sparse_7sem_edge_store_is_packed() {
+    /// Builds the what-if benchmark's base frame — sparse catalog with
+    /// eight scheduled semesters, degree goal, deadline start + 7, three
+    /// courses a semester — into `table`, returning the count response.
+    fn sparse_7sem_base(table: &UniqueTable) -> crate::ExplorationResponse {
         use crate::request::{ExplorationRequest, OutputMode};
         use crate::service::NavigatorService;
         use crate::whatif::WhatIfRequest;
@@ -1219,10 +1217,22 @@ mod tests {
             .with_offering_model(&synth.offering);
         let base =
             ExplorationRequest::degree_paths(synth.start, synth.start + 7, 3, OutputMode::Count);
-        let table = UniqueTable::new(0);
         service
-            .whatif_until(&WhatIfRequest::new(base), None, 1, None, Some(&table))
-            .unwrap();
+            .whatif_until(&WhatIfRequest::new(base), None, 1, None, Some(table))
+            .unwrap()
+            .response
+    }
+
+    /// The edge-store layout gate on that frame: the DAG's node and edge
+    /// counts, and its packed edges at 12 bytes each plus the alphabets.
+    /// Byte accounting, not RSS, so it cannot flake. Slow in debug; CI
+    /// runs it in release, with the classifier golden below:
+    /// `cargo test --release -p coursenav-navigator --lib -- --ignored sparse_7sem`.
+    #[test]
+    #[ignore = "builds a 74,603-node DAG; run in release"]
+    fn sparse_7sem_edge_store_is_packed() {
+        let table = UniqueTable::new(0);
+        sparse_7sem_base(&table);
         let snap = table.snapshot();
         assert_eq!((snap.nodes, snap.edges), (74_603, 3_163_770));
         let view = table.view();
@@ -1241,6 +1251,59 @@ mod tests {
             snap.edge_bytes,
             snap.edges
         );
+    }
+
+    /// The classifier's decisions at benchmark scale, pinned on the same
+    /// frame: the root's path counts and the logical stats of the build,
+    /// which count every goal leaf, expansion, edge and prune of the
+    /// tree-equivalent walk. A change to the goal oracles or the pruning
+    /// strategies that moves any decision moves one of these.
+    #[test]
+    #[ignore = "builds a 74,603-node DAG; run in release"]
+    fn sparse_7sem_classifier_is_golden() {
+        let table = UniqueTable::new(0);
+        let crate::ExplorationResponse::Counts {
+            total_paths,
+            goal_paths,
+            stats,
+            truncated,
+            ..
+        } = sparse_7sem_base(&table)
+        else {
+            panic!("a count request answers with counts");
+        };
+        assert!(!truncated);
+        assert_eq!((total_paths, goal_paths), (14_900_465, 14_606_049));
+        assert_eq!(
+            (
+                stats.nodes_expanded,
+                stats.edges_created,
+                stats.pruned_time,
+                stats.pruned_availability
+            ),
+            (624_129, 29_844_088, 41_080, 14_278_415)
+        );
+    }
+
+    #[test]
+    fn root_index_stays_within_the_table_capacity() {
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let capacity = 8;
+        let table = UniqueTable::new(capacity);
+        let root = small_explorer(&synth, 2)
+            .build_path_dag(&table, None, None)
+            .unwrap();
+        for i in 0..3 * capacity {
+            table.store_root(format!("frame-{i}"), root);
+            let roots = table.snapshot().roots;
+            assert!(roots <= capacity as u64, "{roots} roots after {i} stores");
+            assert_eq!(table.root_for(&format!("frame-{i}")), Some(root));
+        }
+        let unbounded = UniqueTable::new(0);
+        for i in 0..3 * capacity {
+            unbounded.store_root(format!("frame-{i}"), root);
+        }
+        assert_eq!(unbounded.snapshot().roots, 3 * capacity as u64);
     }
 
     #[test]
