@@ -25,6 +25,13 @@ echo "==> sparse-7sem DAG gates: edge-store layout and classifier golden (releas
 # Ignored in the debug run above, where the builds are slow.
 cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 
+echo "==> §5.2 containment artifact (release, ~10 s)"
+# Regenerates the containment experiment and asserts its two pinned facts:
+# all 83 simulated graduating transcripts are contained in the generated
+# goal paths, and the memoized count finds 331,657,034 goal paths to the
+# CS major over the six-semester period.
+cargo run -q -p coursenav-bench --release --bin containment >/dev/null
+
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches stale and private intra-doc links left behind when an item is
 # renamed, deleted, or narrowed to pub(crate).

@@ -16,7 +16,7 @@
 //!    the raw allocations a consing-free build would have made (one per
 //!    distinct state reached).
 //! 3. `whatif-apply`: the same deltas answered warm from the shared DAG
-//!    (restrict/through + root cache), counts asserted equal to the
+//!    (the counting fold + root cache), counts asserted equal to the
 //!    re-explored answers delta by delta.
 //!
 //! ```text

@@ -9,16 +9,20 @@
 //! Here the 83 transcripts are simulated (three student policies over the
 //! bundled catalog; DESIGN.md §3), containment is decided by the exact
 //! membership predicate, and the generated-path count comes from the
-//! memoized-DAG counter.
+//! memoized counter over a transposition table. The binary asserts both
+//! pinned facts: 83/83 contained, and the goal-path golden.
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin containment`
 
 use coursenav_bench::{paper_goal_explorer, paper_instance, secs, timed, PAPER_M};
-use coursenav_navigator::PruneConfig;
+use coursenav_navigator::{PruneConfig, TranspositionTable};
 use coursenav_transcript::{
     check_containment, GreedyCorePolicy, RandomValidPolicy, SelectionPolicy, TranscriptSimulator,
     WorkloadAversePolicy,
 };
+
+/// Goal-driven paths to the CS major over the full six-semester period.
+const GOAL_PATHS: u128 = 331_657_034;
 
 fn main() {
     let data = paper_instance();
@@ -65,7 +69,8 @@ fn main() {
     );
 
     // --- How many options does the generator offer beyond the actual ones?
-    let (counts, t) = timed(|| explorer.count_paths_dedup());
+    let table = TranspositionTable::new(1 << 22);
+    let ((counts, _), t) = timed(|| explorer.count_paths_memo(&table));
     println!(
         "goal-driven generator: {} paths to the CS major over {} semesters ({} s, memoized count)",
         counts.goal_paths,
@@ -75,4 +80,5 @@ fn main() {
     let extra = counts.goal_paths.saturating_sub(graduates.len() as u128);
     println!("=> {extra} generated paths were never followed by any simulated student");
     assert_eq!(contained, graduates.len(), "the paper's containment result");
+    assert_eq!(counts.goal_paths, GOAL_PATHS, "the goal-path golden");
 }

@@ -31,7 +31,7 @@ use crate::explorer::Explorer;
 use crate::path::LeafKind;
 use crate::pruning::record_prune;
 use crate::stats::{ExploreStats, PathCounts};
-use crate::status::{Classifiable, EnrollmentStatus};
+use crate::status::EnrollmentStatus;
 use crate::unique::{DagBuildError, DagNodeId, DagNodeKind, FxBuild, NodeView, UniqueTable};
 
 /// A node of the deduplicated state DAG.
@@ -91,46 +91,54 @@ impl StateDag {
     }
 }
 
+/// A `(semester index, completed)` state key
+/// ([`EnrollmentStatus::state_key`]).
+type StateKey = (i32, CourseSet);
+
 /// What the dedup views know about one build, derived after the fact by
 /// walking the built DAG by state key: the builder shares terminal nodes
 /// across every state that ends in them and keeps no per-state records,
-/// so the per-*state* facts live here.
+/// so the per-*state* facts live here. The walk reads keys only — a
+/// child's key is `(semester + 1, completed ∪ selection)` — and builds no
+/// [`EnrollmentStatus`].
 struct StateWalk {
-    /// Distinct `(semester, completed)` states met, pruned included.
-    seen: HashSet<(i32, CourseSet), FxBuild>,
+    /// Distinct states met, pruned included.
+    seen: HashSet<StateKey, FxBuild>,
     /// Per-distinct-state statistics: each state contributes its expansion
     /// (or prune) once, however many selection orders reach it.
     stats: ExploreStats,
-    /// Materialized (non-pruned) states in post-order, with their nodes:
-    /// the order a depth-first build finishes them, so the root is last.
-    order: Vec<(EnrollmentStatus, DagNodeId)>,
+    /// Non-pruned states in post-order, with their nodes: the order a
+    /// depth-first build finishes them, so the root is last. Recorded only
+    /// for the state DAG ([`StateWalk::new`]'s `keep_order`).
+    order: Option<Vec<(StateKey, DagNodeId)>>,
 }
 
 impl StateWalk {
-    fn new(explorer: &Explorer<'_>, table: &UniqueTable, root: DagNodeId) -> StateWalk {
+    fn new(
+        explorer: &Explorer<'_>,
+        table: &UniqueTable,
+        root: DagNodeId,
+        keep_order: bool,
+    ) -> StateWalk {
         let mut walk = StateWalk {
             seen: HashSet::default(),
             stats: ExploreStats::default(),
-            order: Vec::new(),
+            order: keep_order.then(Vec::new),
         };
-        walk.visit(explorer, &table.view(), *explorer.start(), root);
+        walk.visit(&table.view(), explorer.start().state_key(), root);
         walk
     }
 
-    fn visit(
-        &mut self,
-        explorer: &Explorer<'_>,
-        view: &NodeView<'_>,
-        state: impl Classifiable,
-        id: DagNodeId,
-    ) {
-        let (semester, completed) = state.state_key();
-        if !self.seen.insert((semester, completed)) {
+    fn visit(&mut self, view: &NodeView<'_>, key: StateKey, id: DagNodeId) {
+        if !self.seen.insert(key) {
             return;
         }
         match &view.node(id).kind {
-            DagNodeKind::Leaf(_) => self.order.push((state.materialize(explorer.catalog()), id)),
-            DagNodeKind::Pruned(reason) => record_prune(&mut self.stats, *reason),
+            DagNodeKind::Leaf(_) => {}
+            DagNodeKind::Pruned(reason) => {
+                record_prune(&mut self.stats, *reason);
+                return;
+            }
             DagNodeKind::Interior {
                 edges,
                 floor_skipped,
@@ -138,18 +146,13 @@ impl StateWalk {
                 self.stats.nodes_expanded += 1;
                 self.stats.edges_created += edges.len() as u64;
                 self.stats.pruned_time += floor_skipped;
-                let status = state.materialize(explorer.catalog());
                 for (selection, child) in edges.iter() {
-                    if !self
-                        .seen
-                        .contains(&(semester + 1, completed.union(&selection)))
-                    {
-                        self.visit(explorer, view, status.child(&selection), child);
-                    }
+                    self.visit(view, (key.0 + 1, key.1.union(&selection)), child);
                 }
-                self.order.push((status, id));
             }
-            DagNodeKind::Empty => unreachable!("explorations never build the empty set"),
+        }
+        if let Some(order) = &mut self.order {
+            order.push((key, id));
         }
     }
 
@@ -190,7 +193,7 @@ impl Explorer<'_> {
         let (table, root) = self
             .dedup_build(None)
             .expect("unbudgeted build cannot fail");
-        StateWalk::new(self, &table, root).counts(&table, root)
+        StateWalk::new(self, &table, root, false).counts(&table, root)
     }
 
     /// Budgeted variant of [`Explorer::count_paths_dedup`]: gives up with
@@ -204,7 +207,7 @@ impl Explorer<'_> {
         state_budget: usize,
     ) -> Result<PathCounts, ExploreError> {
         let (table, root) = self.dedup_build(Some(state_budget))?;
-        let walk = StateWalk::new(self, &table, root);
+        let walk = StateWalk::new(self, &table, root, false);
         if walk.seen.len() > state_budget {
             return Err(ExploreError::BudgetExceeded {
                 node_budget: state_budget,
@@ -219,7 +222,7 @@ impl Explorer<'_> {
         let (table, root) = self
             .dedup_build(None)
             .expect("unbudgeted build cannot fail");
-        StateWalk::new(self, &table, root).seen.len()
+        StateWalk::new(self, &table, root, false).seen.len()
     }
 
     /// Builds the deduplicated state DAG, with per-state path counts.
@@ -228,8 +231,10 @@ impl Explorer<'_> {
     /// horizons can still have millions of states).
     pub fn build_state_dag(&self, state_budget: usize) -> Result<StateDag, ExploreError> {
         let (table, root) = self.dedup_build(Some(state_budget))?;
-        let walk = StateWalk::new(self, &table, root);
-        if walk.order.len() > state_budget {
+        let order = StateWalk::new(self, &table, root, true)
+            .order
+            .expect("the walk kept its order");
+        if order.len() > state_budget {
             return Err(ExploreError::BudgetExceeded {
                 node_budget: state_budget,
             });
@@ -238,17 +243,16 @@ impl Explorer<'_> {
         // Nodes are shared (terminals across all their states, interiors
         // across selection orders), so edges are resolved by *state key*,
         // which is unique per materialized state.
-        let index_of: HashMap<(i32, CourseSet), u32, FxBuild> = walk
-            .order
+        let index_of: HashMap<StateKey, u32, FxBuild> = order
             .iter()
             .enumerate()
-            .map(|(position, (status, _))| (status.state_key(), position as u32))
+            .map(|(position, (key, _))| (*key, position as u32))
             .collect();
         let view = table.view();
-        for (status, id) in &walk.order {
-            let node = view.node(*id);
+        let start = self.start().semester();
+        for &(from_key, id) in &order {
+            let node = view.node(id);
             let from = dag.states.len() as u32;
-            let from_key = status.state_key();
             let leaf = match &node.kind {
                 DagNodeKind::Leaf(kind) => Some(*kind),
                 DagNodeKind::Interior { edges, .. } => {
@@ -267,12 +271,11 @@ impl Explorer<'_> {
                     }
                     None
                 }
-                DagNodeKind::Pruned(_) | DagNodeKind::Empty => {
-                    unreachable!("pruned states are never materialized")
-                }
+                DagNodeKind::Pruned(_) => unreachable!("pruned states are never materialized"),
             };
+            let semester = start + (from_key.0 - start.index());
             dag.states.push(StateNode {
-                status: *status,
+                status: EnrollmentStatus::new(self.catalog(), semester, from_key.1),
                 leaf,
                 paths: node.paths,
                 goal_paths: node.goal_paths,

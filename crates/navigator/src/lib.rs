@@ -68,7 +68,7 @@ pub use advise::{
     AdviseOutcome, AdviseRequest, AdviseResponse, BatchAdviseRequest, Recommendation,
     StudentStatus, TranscriptSpec,
 };
-pub use apply::{ApplyError, Restriction, SetOp};
+pub use apply::Restriction;
 pub use astar::{RemainingCostHeuristic, TimeHeuristic, WorkloadHeuristic, ZeroHeuristic};
 pub use cursor::{ExplorationCursor, FrameState, SelectionIterState, StreamCursor};
 pub use dedup::{StateDag, StateEdge, StateNode};

@@ -5,8 +5,8 @@
 //! are interned by `(semester, completed-set, children)` identity, so
 //! structurally equal subtrees — across selections, across requests, even
 //! across *different* requests whose suffixes coincide — are one shared
-//! node. Terminal nodes (leaves, pruned states, the empty set) are interned
-//! by kind alone, exactly like the two terminal nodes of a BDD: the
+//! node. Terminal nodes (leaves and pruned states) are interned by kind
+//! alone, exactly like the two terminal nodes of a BDD: the
 //! millions of distinct states a deep exploration *ends* in all collapse
 //! onto a handful of shared sentinels, which is where the bulk of the
 //! hash-consing compression comes from. The builder treats them as the
@@ -23,9 +23,10 @@
 //! subtree's path counts, logical tree statistics, and a *support set* (the
 //! courses electable anywhere below, with the heaviest selection's
 //! workload), all pure functions of structure — so any root answers a
-//! counting request in O(1) once built, and the apply engine
-//! (`crate::apply`) can prove whole subtrees untouched by a what-if delta
-//! without descending into them.
+//! counting request in O(1) once built, and the what-if fold
+//! (`crate::apply`) can prove whole subtrees untouched by a delta without
+//! descending into them. Only the builder creates nodes, so every node's
+//! summary is exact.
 //!
 //! Edges dominate the table's memory (sparse-7sem: 3.16 M edges on 74.6 k
 //! nodes), so an interior packs them the way BDD and ZDD packages pack
@@ -34,7 +35,7 @@
 //! edge is a bit-mask over alphabet positions plus a `u32` child, 12 bytes
 //! where a full `CourseSet`, child and cached `f64` load took 48. Alphabets
 //! over 64 courses take ⌈|alphabet|/64⌉ mask words per edge on the same
-//! code path. Per-edge workloads are not stored: a workload-cap apply
+//! code path. Per-edge workloads are not stored: a workload-cap what-if
 //! re-sums an edge's few course workloads in ascending course order,
 //! exactly the serving filter's additions, so cap decisions are
 //! bit-identical to a filtered build.
@@ -42,14 +43,12 @@
 //! Structure of the table mirrors the classic BDD unique table: nodes live
 //! in sharded append-only arenas (the low `SHARD_BITS` bits of a
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
-//! globally), an intern index per shard maps structural hashes to candidate
-//! ids, and a shared pair-keyed apply cache memoizes `crate::apply`
-//! operations across calls. The apply cache, the whole-call fold cache and
-//! the index of built roots are pure, so each holds at most the table's
-//! `capacity` entries and is cleared when full; nodes are bounded by
-//! retiring the whole table ([`UniqueTable::is_full`]). The table is
-//! `Sync`: parallel builds and applies may share it, exactly like the
-//! transposition table.
+//! globally), and an intern index per shard maps structural hashes to
+//! candidate ids. The whole-call what-if fold cache and the index of built
+//! roots are pure, so each holds at most the table's `capacity` entries and
+//! is cleared when full; nodes are bounded by retiring the whole table
+//! ([`UniqueTable::is_full`]). The table is `Sync`: parallel builds and
+//! what-ifs may share it, exactly like the transposition table.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -131,9 +130,6 @@ pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuild>;
 pub struct DagNodeId(u32);
 
 impl DagNodeId {
-    /// Sentinel used as the second operand of unary apply-cache entries.
-    pub(crate) const NONE: DagNodeId = DagNodeId(u32::MAX);
-
     fn new(shard: usize, index: usize) -> DagNodeId {
         DagNodeId(((index as u32) << SHARD_BITS) | shard as u32)
     }
@@ -156,7 +152,7 @@ impl DagNodeId {
 /// What an interned node *is*. For interior nodes, the `(semester,
 /// completed)` anchor plus the kind is the node's full identity: two
 /// interiors with equal anchors and equal kinds are the same [`DagNodeId`].
-/// Terminal kinds (`Leaf`, `Pruned`, `Empty`) are identified by kind alone
+/// Terminal kinds (`Leaf`, `Pruned`) are identified by kind alone
 /// and shared across every state that ends there — the BDD terminal-node
 /// rule, and the bulk of the hash-consing compression.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,9 +163,6 @@ pub enum DagNodeKind {
     /// (re-exploration statistics count it, and an interior node whose
     /// surviving children are all pruned is *not* a dead end).
     Pruned(PruneReason),
-    /// The empty path set — produced only by apply operations (an
-    /// exploration never builds one). Carries no statistics.
-    Empty,
     /// An expanded state: one edge per admissible selection (including
     /// edges to pruned children), plus how many selections the strategic
     /// floor skipped (they contribute `pruned-time` per tree visit).
@@ -216,7 +209,7 @@ pub struct Edges {
 
 impl Edges {
     /// Encodes an edge list, keeping its order.
-    pub fn new(edges: &[(CourseSet, DagNodeId)]) -> Edges {
+    pub(crate) fn new(edges: &[(CourseSet, DagNodeId)]) -> Edges {
         let mut alphabet = CourseSet::EMPTY;
         for (selection, _) in edges {
             alphabet.union_with(selection);
@@ -402,22 +395,15 @@ pub struct DagNode {
     pub stats: ExploreStats,
     /// The subtree's *support*: every course appearing in any selection
     /// anywhere below. A what-if delta whose avoided courses miss the
-    /// support (and whose forced courses aren't all inside it) provably
-    /// cannot change this subtree, so apply operations skip it in O(1).
+    /// support provably cannot change this subtree, and one with a forced
+    /// course outside it keeps no path here, so the fold decides either in
+    /// O(1).
     pub support: CourseSet,
-    /// Summed workload of the heaviest single selection anywhere below
-    /// (`f64::INFINITY` when unknown, e.g. on set-algebra results): a
+    /// Summed workload of the heaviest single selection anywhere below: a
     /// workload cap at or above this bound cannot veto anything here.
-    /// Per-edge loads are not stored: a workload-cap apply re-sums the few
-    /// course workloads of each edge it tests.
+    /// Per-edge loads are not stored: a workload-cap what-if re-sums the
+    /// few course workloads of each edge it tests.
     pub max_load: f64,
-}
-
-impl DagNode {
-    /// Whether this node denotes the empty path set.
-    pub fn is_zero(&self) -> bool {
-        matches!(self.kind, DagNodeKind::Pruned(_) | DagNodeKind::Empty)
-    }
 }
 
 /// A node's derived subtree summary: counts, logical statistics, support
@@ -448,17 +434,24 @@ impl Summary {
                 summary.goal_paths = u128::from(*k == LeafKind::Goal);
             }
             DagNodeKind::Pruned(reason) => record_prune(&mut summary.stats, *reason),
-            DagNodeKind::Empty | DagNodeKind::Interior { .. } => {}
+            DagNodeKind::Interior { .. } => {}
         }
         summary
     }
 
     /// An interior's summary before any edge is folded in.
     fn interior(floor_skipped: u64) -> Summary {
-        let mut summary = Summary::terminal(&DagNodeKind::Empty);
-        summary.stats.nodes_expanded = 1;
-        summary.stats.pruned_time = floor_skipped;
-        summary
+        Summary {
+            paths: 0,
+            goal_paths: 0,
+            stats: ExploreStats {
+                nodes_expanded: 1,
+                pruned_time: floor_skipped,
+                ..ExploreStats::default()
+            },
+            support: CourseSet::EMPTY,
+            max_load: 0.0,
+        }
     }
 
     /// Folds one edge — its selection, that selection's workload, and the
@@ -471,16 +464,6 @@ impl Summary {
         self.support.union_with(selection);
         self.support.union_with(&child.support);
         self.max_load = self.max_load.max(load).max(child.max_load);
-    }
-
-    fn of(node: &DagNode) -> Summary {
-        Summary {
-            paths: node.paths,
-            goal_paths: node.goal_paths,
-            stats: node.stats,
-            support: node.support,
-            max_load: node.max_load,
-        }
     }
 }
 
@@ -497,7 +480,6 @@ fn node_hash(semester: i32, completed: &CourseSet, kind: &DagNodeKind) -> u64 {
             1u8.hash(&mut h);
             (*r as u8).hash(&mut h);
         }
-        DagNodeKind::Empty => 2u8.hash(&mut h),
         DagNodeKind::Interior {
             edges,
             floor_skipped,
@@ -536,11 +518,11 @@ impl NodeView<'_> {
     }
 }
 
-/// Key of one apply-cache entry: an operation fingerprint (hashing the
-/// operation tag and its parameters) plus the operand node(s).
-pub(crate) type ApplyKey = (u64, DagNodeId, DagNodeId);
+/// Key of one fold-cache entry: a fingerprint of the what-if delta plus
+/// the root it was folded over.
+pub(crate) type FoldKey = (u64, DagNodeId);
 
-/// Result of one counting apply (`UniqueTable::whatif_counts`):
+/// Result of one what-if fold (`UniqueTable::whatif_counts`):
 /// `(paths, goal_paths, logical tree stats)`.
 pub(crate) type FoldCounts = (u128, u128, ExploreStats);
 
@@ -562,9 +544,9 @@ pub struct UniqueTableStats {
     pub hash_cons_hits: u64,
     /// Nodes actually created (intern misses).
     pub interned: u64,
-    /// Apply operations answered from the pair-keyed apply cache.
+    /// What-if folds answered from the fold cache.
     pub apply_hits: u64,
-    /// Apply operations computed and cached.
+    /// What-if folds computed and cached.
     pub apply_misses: u64,
     /// Root-cache hits (a what-if reused an already-built base DAG).
     pub root_hits: u64,
@@ -602,16 +584,12 @@ impl UniqueTableStats {
 /// The sharded, hash-consed unique table. See the module docs.
 pub struct UniqueTable {
     shards: Vec<RwLock<Shard>>,
-    /// Pair-keyed apply cache, sharded like the arenas; each shard holds at
-    /// most `capacity / SHARDS` entries and is cleared when it would
-    /// exceed that (the cache is pure, so clearing only costs recompute).
-    apply: Vec<Mutex<HashMap<ApplyKey, DagNodeId>>>,
-    /// Whole-operation results of counting applies, one entry per
-    /// `(delta, root)` — a repeated what-if answers without any walk. At
-    /// most `capacity` entries, cleared like the apply cache: a stream of
-    /// distinct counting what-ifs interns no nodes, so the node cap alone
-    /// would never bound it.
-    folds: Mutex<HashMap<ApplyKey, FoldCounts>>,
+    /// Whole-call what-if results, one entry per `(delta, root)` — a
+    /// repeated what-if answers without any walk. At most `capacity`
+    /// entries, cleared when full (the cache is pure, so clearing only
+    /// costs recompute): a stream of distinct what-ifs interns no nodes,
+    /// so the node cap alone would never bound it.
+    folds: Mutex<HashMap<FoldKey, FoldCounts>>,
     /// Built exploration roots by frame key. At most `capacity` entries,
     /// cleared like the fold cache: a stream of distinct frames whose
     /// builds intern few new nodes would otherwise grow it without bound,
@@ -637,7 +615,6 @@ impl UniqueTable {
     pub fn new(capacity: usize) -> UniqueTable {
         UniqueTable {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
-            apply: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             folds: Mutex::new(HashMap::new()),
             roots: Mutex::new(HashMap::new()),
             capacity,
@@ -698,35 +675,14 @@ impl UniqueTable {
         }
     }
 
-    /// Interns a node, returning the id of the structurally equal resident
-    /// node when one exists (a hash-cons hit) and creating it otherwise.
-    /// Subtree counts, logical statistics, and the support set are derived
-    /// here, bottom-up, so they are invariants of the structure no matter
-    /// who interns it. `loads` is the summed workload of each of the
-    /// node's *own* selections, parallel to an interior's edge list, and
-    /// only feeds the node's [`DagNode::max_load`] bound — it is not
-    /// stored (the caller computes it because only the caller holds the
-    /// catalog; pass an empty vector for terminals, or when no catalog is
-    /// in scope — the bound then degrades to `∞`, the conservative
-    /// "unknown").
+    /// Interns a node whose summary the builder folded from the child
+    /// summaries it holds, returning the id of the structurally equal
+    /// resident node when one exists (a hash-cons hit) and creating it
+    /// otherwise. Returns the id and whether this call created the node.
     ///
     /// Terminal kinds ignore the anchor arguments: every state ending in
     /// the same [`DagNodeKind`] shares one node, the BDD terminal rule.
-    pub fn intern(
-        &self,
-        semester: i32,
-        completed: CourseSet,
-        kind: DagNodeKind,
-        loads: Vec<f64>,
-    ) -> DagNodeId {
-        let summary = self.summarize(&kind, &loads);
-        self.intern_summarized(semester, completed, kind, summary).0
-    }
-
-    /// [`UniqueTable::intern`] with the node's summary already derived by
-    /// the caller (the builder folds it from the child summaries it holds).
-    /// Returns the id and whether this call created the node.
-    fn intern_summarized(
+    fn intern(
         &self,
         semester: i32,
         completed: CourseSet,
@@ -772,28 +728,6 @@ impl UniqueTable {
         (DagNodeId::new(shard_idx, index), true)
     }
 
-    /// The summary of a node with this kind, reading its children's.
-    fn summarize(&self, kind: &DagNodeKind, loads: &[f64]) -> Summary {
-        let DagNodeKind::Interior {
-            edges,
-            floor_skipped,
-        } = kind
-        else {
-            return Summary::terminal(kind);
-        };
-        // Without exact per-edge loads the bound degrades to ∞ ("a finite
-        // cap might veto something here").
-        let mut summary = Summary::interior(*floor_skipped);
-        if loads.len() != edges.len() {
-            summary.max_load = f64::INFINITY;
-        }
-        for (i, (selection, child)) in edges.iter().enumerate() {
-            let load = loads.get(i).copied().unwrap_or(0.0);
-            summary.add_edge(&selection, load, &Summary::of(&self.node(child)));
-        }
-        summary
-    }
-
     /// Looks up a cached exploration root by its frame key
     /// ([`crate::ExplorationRequest::dag_key`]), counting the hit/miss.
     pub fn root_for(&self, frame_key: &str) -> Option<DagNodeId> {
@@ -821,39 +755,13 @@ impl UniqueTable {
         bounded_insert(&mut roots, self.cache_cap(), frame_key, root);
     }
 
-    pub(crate) fn apply_get(&self, key: &ApplyKey) -> Option<DagNodeId> {
-        let shard = (key.0 as usize) & (SHARDS - 1);
-        let hit = self.apply[shard]
-            .lock()
-            .expect("apply cache poisoned")
-            .get(key)
-            .copied();
-        match hit {
-            Some(id) => {
-                self.apply_hits.fetch_add(1, Ordering::Relaxed);
-                Some(id)
-            }
-            None => {
-                self.apply_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    pub(crate) fn apply_put(&self, key: ApplyKey, value: DagNodeId) {
-        let shard = (key.0 as usize) & (SHARDS - 1);
-        let cap = self.cache_cap().map(|cap| cap / SHARDS);
-        let mut cache = self.apply[shard].lock().expect("apply cache poisoned");
-        bounded_insert(&mut cache, cap, key, value);
-    }
-
     /// The entry cap of each pure cache: the node capacity, or `None` on an
     /// unbounded table.
     fn cache_cap(&self) -> Option<usize> {
         (self.capacity != 0).then_some(self.capacity)
     }
 
-    pub(crate) fn fold_get(&self, key: &ApplyKey) -> Option<FoldCounts> {
+    pub(crate) fn fold_get(&self, key: &FoldKey) -> Option<FoldCounts> {
         let hit = self
             .folds
             .lock()
@@ -872,20 +780,44 @@ impl UniqueTable {
         }
     }
 
-    pub(crate) fn fold_put(&self, key: ApplyKey, value: FoldCounts) {
+    pub(crate) fn fold_put(&self, key: FoldKey, value: FoldCounts) {
         let mut folds = self.folds.lock().expect("fold cache poisoned");
         bounded_insert(&mut folds, self.cache_cap(), key, value);
     }
 
-    /// Entries in the apply cache (all shards) and in the fold cache.
+    /// Entries in the fold cache.
     #[cfg(test)]
-    pub(crate) fn cache_entries(&self) -> (usize, usize) {
-        let apply = self
-            .apply
-            .iter()
-            .map(|shard| shard.lock().expect("apply cache poisoned").len())
-            .sum();
-        (apply, self.folds.lock().expect("fold cache poisoned").len())
+    pub(crate) fn fold_entries(&self) -> usize {
+        self.folds.lock().expect("fold cache poisoned").len()
+    }
+
+    /// Interns a hand-built node, its summary folded from its children's
+    /// exactly as the builder folds it; `workloads` (indexed by course id)
+    /// sums each edge's load.
+    #[cfg(test)]
+    pub(crate) fn intern_built(&self, kind: DagNodeKind, workloads: &[f64]) -> DagNodeId {
+        let summary = match &kind {
+            DagNodeKind::Interior {
+                edges,
+                floor_skipped,
+            } => {
+                let mut summary = Summary::interior(*floor_skipped);
+                for (i, (selection, child)) in edges.iter().enumerate() {
+                    let child = self.node(child);
+                    let child = Summary {
+                        paths: child.paths,
+                        goal_paths: child.goal_paths,
+                        stats: child.stats,
+                        support: child.support,
+                        max_load: child.max_load,
+                    };
+                    summary.add_edge(&selection, edges.load(i, workloads), &child);
+                }
+                summary
+            }
+            terminal => Summary::terminal(terminal),
+        };
+        self.intern(0, CourseSet::EMPTY, kind, summary).0
     }
 
     /// Counter snapshot for metrics.
@@ -947,7 +879,7 @@ fn terminal_slot(kind: &DagNodeKind) -> usize {
         DagNodeKind::Leaf(LeafKind::DeadEnd) => 2,
         DagNodeKind::Pruned(PruneReason::Time) => 3,
         DagNodeKind::Pruned(PruneReason::Availability) => 4,
-        DagNodeKind::Empty | DagNodeKind::Interior { .. } => {
+        DagNodeKind::Interior { .. } => {
             unreachable!("explorations end only in leaves and prunes")
         }
     }
@@ -976,9 +908,9 @@ impl BuildCtx<'_> {
         let slot = terminal_slot(&kind);
         *self.terminals[slot].get_or_insert_with(|| {
             let summary = Summary::terminal(&kind);
-            let (id, _) =
-                self.table
-                    .intern_summarized(TERMINAL_SEMESTER, CourseSet::EMPTY, kind, summary);
+            let (id, _) = self
+                .table
+                .intern(TERMINAL_SEMESTER, CourseSet::EMPTY, kind, summary);
             (id, summary)
         })
     }
@@ -990,9 +922,10 @@ impl Explorer<'_> {
     /// or pruned state resolves straight to its kind's shared terminal
     /// node, and only expandable states are expanded and interned — once
     /// per build, however many selection orders reach them, and computing
-    /// their options only on that first visit. States already interned by an earlier build sharing the table
-    /// cost a hash-cons hit; the per-node counts and statistics come out
-    /// identical to a fresh re-exploration by construction.
+    /// their options only on that first visit. States already interned by
+    /// an earlier build sharing the table cost a hash-cons hit; the
+    /// per-node counts and statistics come out identical to a fresh
+    /// re-exploration by construction.
     ///
     /// `node_budget` caps the interior nodes this build *creates* — the
     /// nodes it adds to the table (terminals are shared and not counted).
@@ -1063,9 +996,7 @@ impl Explorer<'_> {
                 floor_skipped,
             };
             let (semester, completed) = status.state_key();
-            let (id, created) = ctx
-                .table
-                .intern_summarized(semester, completed, kind, summary);
+            let (id, created) = ctx.table.intern(semester, completed, kind, summary);
             if created {
                 ctx.created += 1;
                 if let Some(node_budget) = ctx.node_budget {

@@ -1,6 +1,5 @@
-//! What-if advising: a base exploration plus a *delta*, answered by
-//! set-algebraic apply over the hash-consed path DAG instead of
-//! re-exploration.
+//! What-if advising: a base exploration plus a *delta*, answered by a
+//! counting fold over the hash-consed path DAG instead of re-exploration.
 //!
 //! The paper's headline scenario is interactive: a student (or advisor)
 //! asks a question, looks at the answer, and immediately asks a variant —
@@ -11,16 +10,17 @@
 //! explicitly, and [`NavigatorService::whatif_until`] answers it from
 //! structure already built: the base exploration is materialized once into
 //! a [`UniqueTable`] (and cached under its [`ExplorationRequest::dag_key`]),
-//! then the delta is applied as `restrict` (added avoid / tightened
-//! workload — `dag ∩ constraint`) and `through` (forced courses — keep
-//! exactly the paths whose completed sets cover them) in time proportional
-//! to the *shared* structure, typically milliseconds.
+//! then [`UniqueTable::whatif_counts`] folds the delta over it — added
+//! avoid and a tightened workload filter every edge, forced courses keep
+//! exactly the paths whose completed sets cover them — in time
+//! proportional to the delta-affected part of the *shared* structure,
+//! typically milliseconds.
 //!
-//! Answers are **byte-identical** to re-running the merged request through
-//! the ordinary explore path (`restrict` returns the exact node a fresh
-//! constrained build would intern — property-tested in `tests/whatif.rs`),
-//! so the serving layer caches a no-force what-if under the merged
-//! request's ordinary cache key, shared with `/v1/explore`.
+//! No-force answers are **byte-identical** to re-running the merged
+//! request through the ordinary explore path (property-tested in
+//! `tests/whatif_proptests.rs`), so the serving layer caches a no-force
+//! what-if under the merged request's ordinary cache key, shared with
+//! `/v1/explore`.
 
 use std::time::Instant;
 
@@ -168,7 +168,7 @@ impl WhatIfRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum WhatIfServed {
-    /// Set-algebraic apply over the (possibly cached) base path DAG.
+    /// The counting fold over the (possibly cached) base path DAG.
     Applied,
     /// Ordinary exploration of the merged request (non-count output, or
     /// the deadline expired before the base DAG finished building).
@@ -189,11 +189,11 @@ pub struct WhatIfOutcome {
 impl NavigatorService<'_> {
     /// Services a what-if end to end.
     ///
-    /// Count output without paging is the apply fast path: the base DAG is
+    /// Count output without paging is the fold fast path: the base DAG is
     /// looked up in `unique` by [`ExplorationRequest::dag_key`] (built and
-    /// cached on miss), the delta is applied as `restrict` + `through`,
-    /// and the counts and statistics are read off the resulting node in
-    /// O(1). Every other output mode (and paged counts) is serviced by
+    /// cached on miss), and [`UniqueTable::whatif_counts`] folds the delta
+    /// over it, reusing the stored summaries of every subtree the delta
+    /// cannot touch. Every other output mode (and paged counts) is serviced by
     /// exploring the merged request through [`NavigatorService::run_until_memo`]
     /// — same answer, ordinary cost — except forced courses, which cannot
     /// be expressed as a request and therefore *require* the fast path
@@ -263,9 +263,8 @@ impl NavigatorService<'_> {
             avoid,
             max_workload: req.delta.max_semester_workload,
         };
-        // The counting fold of restrict∘through: same numbers as
-        // materializing both applies, but provably-untouched subtrees are
-        // answered from their stored summaries without being walked.
+        // Provably-untouched subtrees are answered from their stored
+        // summaries without being walked.
         let completed = self.resolve_codes(&base.completed)?;
         let (total_paths, goal_paths, stats) =
             table.whatif_counts(root, self.catalog(), &restriction, &force, &completed);

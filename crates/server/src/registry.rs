@@ -229,9 +229,9 @@ pub struct DagStoreSnapshot {
     pub interned: u64,
     /// `hash_cons_hits / (hash_cons_hits + interned)`, in `[0, 1]`.
     pub hash_cons_hit_rate: f64,
-    /// Apply operations answered from the pair-keyed apply cache.
+    /// What-if folds answered from the fold cache.
     pub apply_hits: u64,
-    /// Apply operations computed and cached.
+    /// What-if folds computed and cached.
     pub apply_misses: u64,
     /// What-ifs that reused an already-built base DAG.
     pub root_hits: u64,
@@ -903,69 +903,66 @@ mod tests {
         );
     }
 
+    /// Builds a one-semester exploration of `data`'s catalog into `table`
+    /// and returns the table's counters: one interior root whose edges
+    /// each elect a single course, over one shared deadline leaf.
+    fn build_small_dag(data: &RegistrarData, table: &UniqueTable) -> UniqueTableStats {
+        use coursenav_navigator::{EnrollmentStatus, Explorer};
+
+        let (start, _) = data.horizon;
+        let status = EnrollmentStatus::fresh(&data.catalog, start);
+        Explorer::deadline_driven(&data.catalog, status, start + 1, 1)
+            .unwrap()
+            .build_path_dag(table, None, None)
+            .unwrap();
+        table.snapshot()
+    }
+
     #[test]
     fn dag_store_retires_tables_without_losing_counters() {
         let r = registry(8);
         let t = r.get(DEFAULT_TENANT).unwrap();
         let table = t.dag().table();
-        table.intern(
-            1,
-            coursenav_catalog::CourseSet::new(),
-            coursenav_navigator::DagNodeKind::Empty,
-            Vec::new(),
-        );
+        let built = build_small_dag(t.data(), &table);
+        assert_eq!(built.interned, 2, "the root and the deadline leaf");
         let live = t.dag().snapshot();
-        assert_eq!(live.nodes, 1);
-        assert_eq!(live.interned, 1);
+        assert_eq!(live.nodes, built.interned);
+        assert_eq!(live.interned, built.interned);
         // Invalidation retires the table: gauges reset, counters carry.
         r.invalidate_tenant(DEFAULT_TENANT).unwrap();
         let after = t.dag().snapshot();
         assert_eq!(after.nodes, 0, "fresh table is empty");
-        assert_eq!(after.interned, 1, "lifetime counters survive");
+        assert_eq!(after.interned, built.interned, "lifetime counters survive");
         assert_eq!(after.tables_retired, 1);
         // A request that resolved the old table still reads its nodes.
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.len() as u64, built.interned);
         // Catalog swaps fold the whole store into the slot's retired
         // totals, keeping per-tenant aggregates monotonic.
         r.register(DEFAULT_TENANT, brandeis_cs()).unwrap();
         let rows = r.tenants_snapshot();
-        assert_eq!(rows[0].unique_table.interned, 1);
+        assert_eq!(rows[0].unique_table.interned, built.interned);
         assert_eq!(rows[0].unique_table.tables_retired, 2);
-        assert_eq!(r.aggregate_dag().interned, 1);
+        assert_eq!(r.aggregate_dag().interned, built.interned);
     }
 
     #[test]
     fn retiring_a_table_zeroes_its_edge_gauges() {
-        use coursenav_catalog::{CourseId, CourseSet};
-        use coursenav_navigator::{DagNodeKind, Edges};
-
         let r = registry(8);
         let t = r.get(DEFAULT_TENANT).unwrap();
         let table = t.dag().table();
-        let leaf = table.intern(
-            0,
-            CourseSet::new(),
-            DagNodeKind::Leaf(coursenav_navigator::path::LeafKind::Goal),
-            Vec::new(),
-        );
-        let selection = CourseSet::from_iter([CourseId::new(0), CourseId::new(2)]);
-        table.intern(
-            0,
-            CourseSet::new(),
-            DagNodeKind::Interior {
-                edges: Edges::new(&[(selection, leaf)]),
-                floor_skipped: 0,
-            },
-            Vec::new(),
-        );
+        let built = build_small_dag(t.data(), &table);
+        assert!(built.edges > 1, "the root elects one course per edge");
         let live = t.dag().snapshot();
-        assert_eq!(live.edges, 1);
-        // Two alphabet courses, one mask word, one child.
-        assert_eq!(live.edge_bytes, 2 * 4 + 12);
+        assert_eq!(
+            (live.edges, live.edge_bytes),
+            (built.edges, built.edge_bytes)
+        );
+        // Per edge: one alphabet course, one mask word, one child.
+        assert_eq!(live.edge_bytes, built.edges * (4 + 12));
         r.invalidate_tenant(DEFAULT_TENANT).unwrap();
         let after = t.dag().snapshot();
         assert_eq!((after.nodes, after.edges, after.edge_bytes), (0, 0, 0));
-        assert_eq!(after.interned, 2, "lifetime counters survive");
+        assert_eq!(after.interned, built.interned, "lifetime counters survive");
     }
 
     #[test]
