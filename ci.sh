@@ -15,13 +15,16 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> sparse-7sem DAG gates: edge-store layout and classifier golden (release)"
-# Both build the what-if benchmark's sparse-7sem base DAG. The layout gate
-# pins its node and edge counts and its packed edge store at 12 bytes an
-# edge plus the alphabets — byte accounting, not RSS, so it cannot flake.
-# The classifier golden pins the root's path counts and the build's
+echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild hits (release)"
+# All three build the what-if benchmark's sparse-7sem base DAG. The layout
+# gate pins its node and edge counts and its packed edge store at 12 bytes
+# an edge plus the alphabets — byte accounting, not RSS, so it cannot
+# flake. The classifier golden pins the root's path counts and the build's
 # logical stats (expansions, edges, time and availability prunes), so a
-# goal-oracle or pruning change that moves any decision fails here.
+# goal-oracle or pruning change that moves any decision fails here. The
+# rebuild gate builds the frame twice into one table and requires the
+# second build to intern nothing and hash-cons once per node, pinning the
+# canonicality of the builder's enumeration-time edge encoding.
 # Ignored in the debug run above, where the builds are slow.
 cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 
@@ -31,6 +34,14 @@ echo "==> §5.2 containment artifact (release, ~10 s)"
 # goal paths, and the memoized count finds 331,657,034 goal paths to the
 # CS major over the six-semester period.
 cargo run -q -p coursenav-bench --release --bin containment >/dev/null
+
+echo "==> Table 2 goal column (release, ~12 s)"
+# Counts Table 2's goal-driven column at 4-6 semesters through the
+# memoized count and asserts every cell against its golden; the
+# 6-semester cell (1,298,609,910 paths surviving pruning, 331,657,034 goal
+# paths) is the slow one. The 7-semester row is a manual run, not a CI
+# step: `table2 -- --full` (about 200 s, 4.9 GB peak RSS).
+cargo run -q -p coursenav-bench --release --bin table2 -- --goal-only >/dev/null
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches stale and private intra-doc links left behind when an item is

@@ -14,7 +14,9 @@
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin containment`
 
-use coursenav_bench::{paper_goal_explorer, paper_instance, secs, timed, PAPER_M};
+use coursenav_bench::{
+    paper_goal_explorer, paper_instance, secs, timed, PAPER_M, PAPER_MEMO_ENTRIES,
+};
 use coursenav_navigator::{PruneConfig, TranspositionTable};
 use coursenav_transcript::{
     check_containment, GreedyCorePolicy, RandomValidPolicy, SelectionPolicy, TranscriptSimulator,
@@ -69,7 +71,7 @@ fn main() {
     );
 
     // --- How many options does the generator offer beyond the actual ones?
-    let table = TranspositionTable::new(1 << 22);
+    let table = TranspositionTable::new(PAPER_MEMO_ENTRIES);
     let ((counts, _), t) = timed(|| explorer.count_paths_memo(&table));
     println!(
         "goal-driven generator: {} paths to the CS major over {} semesters ({} s, memoized count)",

@@ -11,28 +11,38 @@
 //! ```
 //!
 //! The deadline-driven "N/A" cells are out-of-memory failures in the paper;
-//! we reproduce them with a materialization node budget. Default runs
-//! semesters 4–5; `--full` adds 6–7 (the goal-driven long-horizon counts
-//! take minutes, as in the paper).
+//! we reproduce them with a materialization node budget. The goal column
+//! is counted through a cold transposition table (the memoized count), and
+//! every goal cell computed is asserted against
+//! [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
 //!
-//! Run: `cargo run -p coursenav-bench --release --bin table2 [--full]`
+//! The default run covers semesters 4–6 and prints the 7-semester row as
+//! "N/A †" without computing it. `--full` counts that row too: a manual
+//! run of about 200 s at about 4.9 GB peak RSS. `--goal-only` skips the
+//! deadline column (the release `ci.sh` step, about 12 s).
+//!
+//! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full] [-- --goal-only]`
 
-use coursenav_bench::{paper_deadline_explorer, paper_goal_explorer, paper_instance, secs, timed};
-use coursenav_navigator::PruneConfig;
-
-/// Horizons whose goal-driven tree is too large to stream path-by-path on
-/// this denser-than-Brandeis instance; counted with the memoized-DAG
-/// counter instead (marked `†` in the output).
-const MEMOIZED_HORIZONS: &[i32] = &[7];
+use coursenav_bench::{
+    paper_deadline_explorer, paper_instance, secs, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
+    TABLE2_GOAL_GOLDENS,
+};
 
 /// Node budget standing in for the paper's 32 GB server: materializing a
 /// graph larger than this is reported N/A, as in the paper.
 const NODE_BUDGET: usize = 20_000_000;
 
+/// The horizon only `--full` counts.
+const SEVEN: i32 = 7;
+
+/// Table entries for the 7-semester count, which resolves about 16.4 M
+/// distinct states: room for all of them, so the count never evicts.
+const SEVEN_MEMO_ENTRIES: usize = 1 << 25;
+
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
+    let goal_only = std::env::args().any(|a| a == "--goal-only");
     let data = paper_instance();
-    let horizons: &[i32] = if full { &[4, 5, 6, 7] } else { &[4, 5, 6] };
 
     println!("Table 2: deadline-driven vs. goal-driven learning paths generation");
     println!(
@@ -45,33 +55,42 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
-    for &semesters in horizons {
+    for semesters in 4..=SEVEN {
+        let counted = semesters < SEVEN || full;
         // Deadline-driven: materialize the graph (the paper's Algorithm 1
         // stores it), reporting N/A when the budget is exceeded.
-        let deadline = paper_deadline_explorer(&data, semesters);
-        let ((paths, na), dt) = timed(|| match deadline.build_graph(NODE_BUDGET) {
-            Ok(graph) => (graph.path_count() as u128, false),
-            Err(_) => (0, true),
-        });
-        let (d_paths, d_time) = if na {
+        let (d_paths, d_time) = if goal_only {
+            ("-".to_string(), "-".to_string())
+        } else if !counted {
             ("N/A".to_string(), "N/A".to_string())
         } else {
-            (paths.to_string(), secs(dt))
+            let deadline = paper_deadline_explorer(&data, semesters);
+            match timed(|| deadline.build_graph(NODE_BUDGET)) {
+                (Ok(graph), dt) => (graph.path_count().to_string(), secs(dt)),
+                (Err(_), _) => ("N/A".to_string(), "N/A".to_string()),
+            }
         };
 
-        // Goal-driven with both pruning strategies.
-        let goal = paper_goal_explorer(&data, semesters, PruneConfig::all());
-        let memoized = MEMOIZED_HORIZONS.contains(&semesters);
-        let (gc, gt) = if memoized {
-            // Budget ≈ 40M distinct states (~5 GB of memo) stands in for the
-            // paper's 32 GB server; beyond it the goal side reports N/A too.
-            timed(|| goal.count_paths_dedup_budgeted(40_000_000))
+        // Goal-driven with both pruning strategies, memoized.
+        let (g_paths, g_time) = if counted {
+            let entries = if semesters == SEVEN {
+                SEVEN_MEMO_ENTRIES
+            } else {
+                PAPER_MEMO_ENTRIES
+            };
+            let (counts, dt) = timed(|| table2_goal_count(&data, semesters, entries));
+            if let Some(&(_, paths, goal_paths)) =
+                TABLE2_GOAL_GOLDENS.iter().find(|row| row.0 == semesters)
+            {
+                assert_eq!(
+                    (counts.total_paths, counts.goal_paths),
+                    (paths, goal_paths),
+                    "the {semesters}-semester goal golden"
+                );
+            }
+            (counts.total_paths.to_string(), secs(dt))
         } else {
-            timed(|| Ok(goal.count_paths()))
-        };
-        let (g_paths, g_time) = match gc {
-            Ok(c) => (c.total_paths.to_string(), secs(gt)),
-            Err(_) => ("N/A".to_string(), "N/A".to_string()),
+            ("N/A".to_string(), "N/A".to_string())
         };
 
         println!(
@@ -81,13 +100,14 @@ fn main() {
             d_time,
             g_paths,
             g_time,
-            if memoized { " †" } else { "" }
+            if counted { "" } else { " †" }
         );
     }
 
     println!("\n(goal #paths counts paths surviving pruning; the goal-satisfying subset");
-    println!(" is smaller still — see table1. Deadline N/A = node budget exceeded,");
-    println!(" the analogue of the paper's out-of-memory failure. † = memoized-DAG");
-    println!(" count: streaming generation at this horizon is impractical on this");
-    println!(" instance, whose tree outgrows the paper's by ~25x — see EXPERIMENTS.md.)");
+    println!(" is smaller still — see table1. Goal runtimes are memoized counts through");
+    println!(" a cold transposition table, not path-by-path streaming. Deadline N/A =");
+    println!(" node budget exceeded, the analogue of the paper's out-of-memory failure.");
+    println!(" † = not run by default: the 7-semester count takes about 200 s and");
+    println!(" 4.9 GB; run `table2 -- --full` — see EXPERIMENTS.md.)");
 }

@@ -11,7 +11,9 @@
 use std::time::{Duration, Instant};
 
 use coursenav_catalog::{Semester, SyntheticCatalog, SyntheticConfig};
-use coursenav_navigator::{EnrollmentStatus, Explorer, Goal, PruneConfig};
+use coursenav_navigator::{
+    EnrollmentStatus, Explorer, Goal, PathCounts, PruneConfig, TranspositionTable,
+};
 use coursenav_registrar::{brandeis_cs, RegistrarData};
 
 /// The paper's experimental constants (§5.1): students start with no CS
@@ -68,6 +70,28 @@ pub fn paper_goal_explorer(
     )
     .expect("valid request")
     .with_prune(prune)
+}
+
+/// Transposition-table entries of the paper-artifact counts: enough that
+/// the six-semester goal-driven count runs cold without evicting.
+pub const PAPER_MEMO_ENTRIES: usize = 1 << 22;
+
+/// Table 2's goal column, pinned: `(semesters, paths surviving pruning,
+/// goal paths)`. The seven-semester row is a manual run (see `table2`).
+pub const TABLE2_GOAL_GOLDENS: &[(i32, u128, u128)] = &[
+    (4, 608, 98),
+    (5, 3_180_719, 1_037_851),
+    (6, 1_298_609_910, 331_657_034),
+];
+
+/// Table 2's goal-driven count at `semesters`: the §5.1 explorer with both
+/// pruning strategies, counted through a cold transposition table of at
+/// most `memo_entries` entries.
+pub fn table2_goal_count(data: &RegistrarData, semesters: i32, memo_entries: usize) -> PathCounts {
+    let explorer = paper_goal_explorer(data, semesters, PruneConfig::all());
+    explorer
+        .count_paths_memo(&TranspositionTable::new(memo_entries))
+        .0
 }
 
 /// Deadline-driven explorer over the bundled catalog (same conventions).
@@ -129,6 +153,20 @@ mod tests {
         // sits one semester past the last scheduled one.
         let e = synthetic_goal_explorer(&synth, 8);
         assert_eq!(e.deadline(), synth.end + 1);
+    }
+
+    /// The Table 2 goal rows that count in well under a second.
+    #[test]
+    fn table2_short_goal_rows_are_golden() {
+        let data = paper_instance();
+        for &(semesters, paths, goal_paths) in &TABLE2_GOAL_GOLDENS[..2] {
+            let counts = table2_goal_count(&data, semesters, PAPER_MEMO_ENTRIES);
+            assert_eq!(
+                (counts.total_paths, counts.goal_paths),
+                (paths, goal_paths),
+                "{semesters} semesters"
+            );
+        }
     }
 
     #[test]

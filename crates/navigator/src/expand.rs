@@ -124,6 +124,17 @@ impl SelectionIter {
         })
     }
 
+    /// The options being enumerated, in ascending course order.
+    pub(crate) fn options(&self) -> &[CourseId] {
+        &self.options
+    }
+
+    /// The option positions of the selection [`Iterator::next`] last
+    /// yielded, ascending (none for the empty selection).
+    pub(crate) fn positions(&self) -> &[usize] {
+        &self.indices
+    }
+
     fn current_set(&self) -> CourseSet {
         self.indices.iter().map(|&i| self.options[i]).collect()
     }

@@ -40,6 +40,19 @@
 //! exactly the serving filter's additions, so cap decisions are
 //! bit-identical to a filtered build.
 //!
+//! The builder encodes while it enumerates. Every selection is a subset of
+//! the node's options `Y_i`, and the enumerator walks it as ascending
+//! option positions, so each kept selection's mask over those positions
+//! and its workload (summed from the node's option workloads) come
+//! straight from the enumerator, and the edge stack holds mask words and
+//! child ids instead of full course sets. At intern time the alphabet is
+//! the options some kept mask uses: usually all of them, and then the
+//! masks are already over alphabet positions and are stored verbatim;
+//! otherwise (a filter or the strategic floor kept an option out of every
+//! selection) each mask is rank-compressed onto the alphabet. The result
+//! is byte-identical to encoding the decoded edge list, so hash-consing
+//! identity does not depend on how a node was built.
+//!
 //! Structure of the table mirrors the classic BDD unique table: nodes live
 //! in sharded append-only arenas (the low `SHARD_BITS` bits of a
 //! [`DagNodeId`] select the shard, so interning contends per-shard, not
@@ -200,6 +213,12 @@ pub(crate) type Mask = [u64; MASK_WORDS];
 /// and hash-consing compares and hashes the packed units directly. Bit
 /// order is ascending course id, so summing a mask's course workloads bit
 /// by bit adds them in the same order as iterating the decoded selection.
+///
+/// The builder encodes straight from enumeration (`Edges::encode`): a
+/// node's selections are subsets of its options, so it records each as a
+/// mask over option positions while enumerating, and the alphabet is the
+/// set of options some mask uses. Tests encode a decoded edge list through
+/// the same encoder (`Edges::new`), with the list's own union as options.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Edges {
     data: Box<[u32]>,
@@ -208,39 +227,86 @@ pub struct Edges {
 }
 
 impl Edges {
-    /// Encodes an edge list, keeping its order.
-    pub(crate) fn new(edges: &[(CourseSet, DagNodeId)]) -> Edges {
-        let mut alphabet = CourseSet::EMPTY;
-        for (selection, _) in edges {
-            alphabet.union_with(selection);
-        }
-        let alphabet_len = alphabet.len();
-        let words = alphabet_len.div_ceil(64);
-        let mut data = Vec::with_capacity(alphabet_len + edges.len() * (2 * words + 1));
-        // Alphabet position of each course id (a `CourseSet` holds at most
-        // 256 courses, so a position fits a byte).
-        let mut position = [0u8; CourseSet::CAPACITY];
-        for (k, id) in alphabet.iter().enumerate() {
-            position[id.as_usize()] = k as u8;
-            data.push(id.as_usize() as u32);
-        }
-        for (selection, _) in edges {
-            let mut mask: Mask = [0; MASK_WORDS];
-            for id in selection.iter() {
-                let k = usize::from(position[id.as_usize()]);
-                mask[k / 64] |= 1 << (k % 64);
-            }
-            for word in &mask[..words] {
-                data.push(*word as u32);
-                data.push((word >> 32) as u32);
+    /// Encodes the edges `(masks[i], children[i])`, keeping their order.
+    /// `options` are ascending course ids, and each mask is the selection
+    /// as bits over their positions, ⌈|options|/64⌉ words per edge.
+    ///
+    /// The alphabet is the options that some mask uses. When that is all
+    /// of them — the common case — the masks are already over alphabet
+    /// positions and are stored verbatim; otherwise each is rank-compressed
+    /// onto the alphabet. Either way the result is the canonical encoding
+    /// of the decoded edge list.
+    pub(crate) fn encode(options: &[CourseId], masks: &[u64], children: &[DagNodeId]) -> Edges {
+        let words = options.len().div_ceil(64);
+        debug_assert_eq!(masks.len(), words * children.len());
+        let mut used: Mask = [0; MASK_WORDS];
+        if words > 0 {
+            for mask in masks.chunks_exact(words) {
+                for (used, word) in used.iter_mut().zip(mask) {
+                    *used |= word;
+                }
             }
         }
-        data.extend(edges.iter().map(|(_, child)| child.0));
+        let alphabet_len = set_bits(&used).count();
+        let alphabet_words = alphabet_len.div_ceil(64);
+        let mut data = vec![0u32; alphabet_len + children.len() * (2 * alphabet_words + 1)];
+        let (alphabet, rest) = data.split_at_mut(alphabet_len);
+        let (mask_units, child_units) = rest.split_at_mut(2 * alphabet_words * children.len());
+        for (unit, p) in alphabet.iter_mut().zip(set_bits(&used)) {
+            *unit = options[p].as_usize() as u32;
+        }
+        if alphabet_len == options.len() {
+            store_words(mask_units, masks);
+        } else if alphabet_words > 0 {
+            // Alphabet rank of each used option position (at most 256
+            // options, so a rank fits a byte).
+            let mut rank = [0u8; CourseSet::CAPACITY];
+            for (k, p) in set_bits(&used).enumerate() {
+                rank[p] = k as u8;
+            }
+            let ranked_units = mask_units.chunks_exact_mut(2 * alphabet_words);
+            for (units, mask) in ranked_units.zip(masks.chunks_exact(words)) {
+                let mut ranked: Mask = [0; MASK_WORDS];
+                for p in set_bits(mask) {
+                    let k = usize::from(rank[p]);
+                    ranked[k / 64] |= 1 << (k % 64);
+                }
+                store_words(units, &ranked[..alphabet_words]);
+            }
+        }
+        for (unit, child) in child_units.iter_mut().zip(children) {
+            *unit = child.0;
+        }
         Edges {
             data: data.into_boxed_slice(),
-            len: u32::try_from(edges.len()).expect("an edge count fits a u32"),
+            len: u32::try_from(children.len()).expect("an edge count fits a u32"),
             alphabet_len: alphabet_len as u32,
         }
+    }
+
+    /// Encodes a decoded edge list, keeping its order: the options are the
+    /// union of its selections, so every option is used.
+    #[cfg(test)]
+    pub(crate) fn new(edges: &[(CourseSet, DagNodeId)]) -> Edges {
+        let mut union = CourseSet::EMPTY;
+        for (selection, _) in edges {
+            union.union_with(selection);
+        }
+        let options: Vec<CourseId> = union.iter().collect();
+        let mut position = [0u8; CourseSet::CAPACITY];
+        for (k, id) in options.iter().enumerate() {
+            position[id.as_usize()] = k as u8;
+        }
+        let words = options.len().div_ceil(64);
+        let mut masks = vec![0u64; words * edges.len()];
+        for (i, (selection, _)) in edges.iter().enumerate() {
+            for id in selection.iter() {
+                let k = usize::from(position[id.as_usize()]);
+                masks[i * words + k / 64] |= 1 << (k % 64);
+            }
+        }
+        let children: Vec<DagNodeId> = edges.iter().map(|(_, child)| *child).collect();
+        Edges::encode(&options, &masks, &children)
     }
 
     /// Number of edges.
@@ -261,6 +327,14 @@ impl Edges {
     /// Bytes of the packed storage: alphabet, masks and children.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The alphabet as a set: every course of every selection.
+    pub(crate) fn alphabet(&self) -> CourseSet {
+        self.data[..self.alphabet_len as usize]
+            .iter()
+            .map(|&id| CourseId::new(id as u16))
+            .collect()
     }
 
     /// Bytes of the alphabet alone.
@@ -338,6 +412,28 @@ impl Edges {
     pub(crate) fn meets(&self, i: usize, mask: &Mask) -> bool {
         (0..self.words()).any(|word| self.mask_word(i, word) & mask[word] != 0)
     }
+}
+
+/// Stores mask words as `u32` units, each word low half first.
+fn store_words(units: &mut [u32], words: &[u64]) {
+    for (pair, word) in units.chunks_exact_mut(2).zip(words) {
+        pair[0] = *word as u32;
+        pair[1] = (word >> 32) as u32;
+    }
+}
+
+/// Ascending positions of the set bits of a multi-word mask.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Ascending set-bit positions of one edge's mask, word by word.
@@ -454,14 +550,14 @@ impl Summary {
         }
     }
 
-    /// Folds one edge — its selection, that selection's workload, and the
-    /// child's summary — into an interior's summary.
-    fn add_edge(&mut self, selection: &CourseSet, load: f64, child: &Summary) {
+    /// Folds one edge — its selection's workload and the child's summary —
+    /// into an interior's summary. The selections' own courses join the
+    /// support once, as the node's alphabet, when the edges are encoded.
+    fn add_edge(&mut self, load: f64, child: &Summary) {
         self.stats.edges_created += 1;
         self.stats.merge(&child.stats);
         self.paths += child.paths;
         self.goal_paths += child.goal_paths;
-        self.support.union_with(selection);
         self.support.union_with(&child.support);
         self.max_load = self.max_load.max(load).max(child.max_load);
     }
@@ -802,8 +898,8 @@ impl UniqueTable {
                 floor_skipped,
             } => {
                 let mut summary = Summary::interior(*floor_skipped);
-                for (i, (selection, child)) in edges.iter().enumerate() {
-                    let child = self.node(child);
+                for i in 0..edges.len() {
+                    let child = self.node(edges.child(i));
                     let child = Summary {
                         paths: child.paths,
                         goal_paths: child.goal_paths,
@@ -811,8 +907,9 @@ impl UniqueTable {
                         support: child.support,
                         max_load: child.max_load,
                     };
-                    summary.add_edge(&selection, edges.load(i, workloads), &child);
+                    summary.add_edge(edges.load(i, workloads), &child);
                 }
+                summary.support.union_with(&edges.alphabet());
                 summary
             }
             terminal => Summary::terminal(terminal),
@@ -893,10 +990,13 @@ struct BuildCtx<'t> {
     expanded: FxMap<(i32, CourseSet), (DagNodeId, Summary)>,
     /// Each terminal kind's shared node, interned on first use.
     terminals: [Option<(DagNodeId, Summary)>; TERMINAL_SLOTS],
-    /// Edge stack shared by every level of the recursion: a node's own
-    /// edges sit on top while its children are built, and are encoded
-    /// into an exact-size [`Edges`] when it is interned.
-    edges: Vec<(CourseSet, DagNodeId)>,
+    /// Edge stack shared by every level of the recursion, as parallel
+    /// mask words and children: a node's own edges sit on top while its
+    /// children are built, each selection a mask over the node's option
+    /// positions, and are encoded into an exact-size [`Edges`] when it is
+    /// interned.
+    masks: Vec<u64>,
+    children: Vec<DagNodeId>,
     /// Interior nodes this build created, and the cap on them.
     created: usize,
     node_budget: Option<usize>,
@@ -940,7 +1040,8 @@ impl Explorer<'_> {
             table,
             expanded: FxMap::default(),
             terminals: [None; TERMINAL_SLOTS],
-            edges: Vec::new(),
+            masks: Vec::new(),
+            children: Vec::new(),
             created: 0,
             node_budget,
             expiry: Expiry::per_step(deadline),
@@ -949,6 +1050,15 @@ impl Explorer<'_> {
         Ok(root)
     }
 
+    /// Resolves `state` to its node: a terminal, a state this build
+    /// already resolved, or a fresh expansion. An expansion builds each
+    /// kept selection's child first, folding the child's summary into its
+    /// own and pushing the selection's mask over option positions and the
+    /// child id onto the edge stack; its load comes from the option
+    /// workloads in ascending course order, the additions of
+    /// `Restriction::load`, so `max_load` is bit-identical to summing the
+    /// selection. The node's edges are then encoded from the stack in one
+    /// pass ([`Edges::encode`]), and its alphabet joins the support once.
     fn dag_node(
         &self,
         state: impl Classifiable,
@@ -965,34 +1075,53 @@ impl Explorer<'_> {
         if ctx.expiry.tick() {
             return Err(DagBuildError::Deadline);
         }
-        let status = expansion.status;
-        let base = ctx.edges.len();
+        let status = &expansion.status;
+        let mut selections = expansion.selections(self.max_per_semester());
+        // Option workloads by position.
+        let loads: Vec<f64> = selections
+            .options()
+            .iter()
+            .map(|&id| self.catalog().course(id).workload())
+            .collect();
+        let words = loads.len().div_ceil(64);
+        let (mask_base, child_base) = (ctx.masks.len(), ctx.children.len());
         let mut floor_skipped = 0u64;
         let mut summary = Summary::interior(0);
-        for selection in expansion.selections(self.max_per_semester()) {
+        while let Some(selection) = selections.next() {
             if selection.len() < expansion.min_selection {
                 floor_skipped += 1;
                 continue;
             }
-            if !self.selection_allowed(&status, &selection) {
+            if !self.selection_allowed(status, &selection) {
                 continue;
             }
-            let load: f64 = selection
-                .iter()
-                .map(|id| self.catalog().course(id).workload())
-                .sum();
+            let mut mask: Mask = [0; MASK_WORDS];
+            for &p in selections.positions() {
+                mask[p / 64] |= 1 << (p % 64);
+            }
+            let load: f64 = selections.positions().iter().map(|&p| loads[p]).sum();
             let (child_id, child_summary) = self.dag_node(status.child(&selection), pruner, ctx)?;
-            summary.add_edge(&selection, load, &child_summary);
-            ctx.edges.push((selection, child_id));
+            summary.add_edge(load, &child_summary);
+            // Usually one word: pushed in a loop, not copied by `memcpy`.
+            for &word in &mask[..words] {
+                ctx.masks.push(word);
+            }
+            ctx.children.push(child_id);
         }
-        let resolved = if ctx.edges.len() == base && floor_skipped == 0 {
+        let resolved = if ctx.children.len() == child_base && floor_skipped == 0 {
             // Filters vetoed every selection: dead-end leaf, exactly as
             // re-exploration classifies it.
             ctx.terminal(DagNodeKind::Leaf(LeafKind::DeadEnd))
         } else {
             summary.stats.pruned_time += floor_skipped;
+            let edges = Edges::encode(
+                selections.options(),
+                &ctx.masks[mask_base..],
+                &ctx.children[child_base..],
+            );
+            summary.support.union_with(&edges.alphabet());
             let kind = DagNodeKind::Interior {
-                edges: Edges::new(&ctx.edges[base..]),
+                edges,
                 floor_skipped,
             };
             let (semester, completed) = status.state_key();
@@ -1007,7 +1136,8 @@ impl Explorer<'_> {
             }
             (id, summary)
         };
-        ctx.edges.truncate(base);
+        ctx.masks.truncate(mask_base);
+        ctx.children.truncate(child_base);
         ctx.expanded.insert(status.state_key(), resolved);
         Ok(resolved)
     }
@@ -1015,9 +1145,13 @@ impl Explorer<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
+    use proptest::prelude::*;
 
+    use crate::filter::{AvoidCourses, MaxSemesterWorkload};
     use crate::goal::Goal;
     use crate::status::EnrollmentStatus;
 
@@ -1131,25 +1265,44 @@ mod tests {
         );
     }
 
-    /// Builds the what-if benchmark's base frame — sparse catalog with
-    /// eight scheduled semesters, degree goal, deadline start + 7, three
-    /// courses a semester — into `table`, returning the count response.
-    fn sparse_7sem_base(table: &UniqueTable) -> crate::ExplorationResponse {
-        use crate::request::{ExplorationRequest, OutputMode};
-        use crate::service::NavigatorService;
-        use crate::whatif::WhatIfRequest;
-
-        let synth = SyntheticCatalog::generate(&SyntheticConfig {
+    /// The what-if benchmark's sparse catalog: eight scheduled semesters.
+    fn sparse_7sem_catalog() -> SyntheticCatalog {
+        SyntheticCatalog::generate(&SyntheticConfig {
             schedule_semesters: 8,
             ..SyntheticConfig::sparse()
-        });
-        let service = NavigatorService::new(&synth.catalog)
+        })
+    }
+
+    /// The benchmark's base frame over that catalog — degree goal,
+    /// deadline start + 7, three courses a semester — and its service.
+    fn sparse_7sem_frame(
+        synth: &SyntheticCatalog,
+    ) -> (
+        crate::service::NavigatorService<'_>,
+        crate::request::ExplorationRequest,
+    ) {
+        use crate::request::{ExplorationRequest, OutputMode};
+
+        let service = crate::service::NavigatorService::new(&synth.catalog)
             .with_degree(&synth.degree)
             .with_offering_model(&synth.offering);
         let base =
             ExplorationRequest::degree_paths(synth.start, synth.start + 7, 3, OutputMode::Count);
+        (service, base)
+    }
+
+    /// Builds the base frame into `table`, returning the count response.
+    fn sparse_7sem_base(table: &UniqueTable) -> crate::ExplorationResponse {
+        let synth = sparse_7sem_catalog();
+        let (service, base) = sparse_7sem_frame(&synth);
         service
-            .whatif_until(&WhatIfRequest::new(base), None, 1, None, Some(table))
+            .whatif_until(
+                &crate::whatif::WhatIfRequest::new(base),
+                None,
+                1,
+                None,
+                Some(table),
+            )
             .unwrap()
             .response
     }
@@ -1216,6 +1369,39 @@ mod tests {
         );
     }
 
+    /// Canonicality of the enumeration-time encoder at benchmark scale: a
+    /// second build of the frame into the same table finds every node it
+    /// reaches already interned — the same root, no new node, and one
+    /// hash-cons hit per interior and per terminal kind. An encoding that
+    /// depended on anything but the edge list would intern twins here.
+    #[test]
+    #[ignore = "builds a 74,603-node DAG twice; run in release"]
+    fn sparse_7sem_rebuild_is_all_hash_cons_hits() {
+        let synth = sparse_7sem_catalog();
+        let (service, base) = sparse_7sem_frame(&synth);
+        let explorer = service.build_explorer(&base).unwrap();
+        let table = UniqueTable::new(0);
+        let first = explorer.build_path_dag(&table, None, None).unwrap();
+        let built = table.snapshot();
+        assert_eq!((built.nodes, built.interned), (74_603, 74_603));
+        assert_eq!(
+            built.hash_cons_hits, 0,
+            "a fresh build interns each node once"
+        );
+        let second = explorer.build_path_dag(&table, None, None).unwrap();
+        let rebuilt = table.snapshot();
+        assert_eq!(first, second, "the rebuild returns the same root");
+        assert_eq!(
+            rebuilt.interned, built.interned,
+            "the rebuild interns nothing"
+        );
+        assert_eq!(rebuilt.nodes, built.nodes);
+        assert_eq!(
+            rebuilt.hash_cons_hits, built.nodes,
+            "one hit per interior and per terminal kind reached"
+        );
+    }
+
     #[test]
     fn root_index_stays_within_the_table_capacity() {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
@@ -1251,7 +1437,7 @@ mod tests {
         let avoid: CourseSet = synth.catalog.courses().take(1).map(|c| c.id()).collect();
         let filtered = Explorer::deadline_driven(&synth.catalog, start, deadline, 2)
             .unwrap()
-            .with_filter(std::sync::Arc::new(crate::filter::AvoidCourses(avoid)));
+            .with_filter(Arc::new(AvoidCourses(avoid)));
         let before = table.snapshot();
         filtered.build_path_dag(&table, None, None).unwrap();
         let after = table.snapshot();
@@ -1263,5 +1449,135 @@ mod tests {
             (after.nodes - before.nodes) < solo,
             "sharing keeps the union smaller than the sum"
         );
+    }
+
+    /// Checks every interior resident in `table` against the adapter:
+    /// re-encoding its decoded edge list gives the same packed edges, so
+    /// the node compares and hashes exactly as a decoded-list build would.
+    fn interiors_are_canonical(table: &UniqueTable) -> Result<usize, TestCaseError> {
+        let view = table.view();
+        let mut interiors = 0;
+        for node in view.guards.iter().flat_map(|shard| shard.nodes.iter()) {
+            let DagNodeKind::Interior {
+                edges,
+                floor_skipped,
+            } = &node.kind
+            else {
+                continue;
+            };
+            interiors += 1;
+            let decoded: Vec<(CourseSet, DagNodeId)> = edges.iter().collect();
+            let reencoded = DagNodeKind::Interior {
+                edges: Edges::new(&decoded),
+                floor_skipped: *floor_skipped,
+            };
+            prop_assert_eq!(&reencoded, &node.kind);
+            prop_assert_eq!(
+                node_hash(node.semester, &node.completed, &reencoded),
+                node_hash(node.semester, &node.completed, &node.kind)
+            );
+        }
+        Ok(interiors)
+    }
+
+    /// The edges `(selection as option positions, child)` over `options`,
+    /// encoded from masks and, independently, from the decoded list.
+    fn encode_both(options: &[CourseId], edges: &[(&[usize], u32)]) -> (Edges, Edges) {
+        let words = options.len().div_ceil(64);
+        let mut masks = vec![0u64; words * edges.len()];
+        let mut decoded = Vec::new();
+        for (i, (positions, child)) in edges.iter().enumerate() {
+            for &p in *positions {
+                masks[i * words + p / 64] |= 1 << (p % 64);
+            }
+            let selection: CourseSet = positions.iter().map(|&p| options[p]).collect();
+            decoded.push((selection, DagNodeId(*child)));
+        }
+        let children: Vec<DagNodeId> = decoded.iter().map(|(_, child)| *child).collect();
+        let encoded = Edges::encode(options, &masks, &children);
+        assert!(
+            encoded.iter().eq(decoded.iter().copied()),
+            "decoding inverts encoding"
+        );
+        (encoded, Edges::new(&decoded))
+    }
+
+    /// Wide option sets whose used options are not a prefix: the masks
+    /// rank-compress onto the alphabet, one word when it is narrow and two
+    /// when it is not, and match the decoded-list encoding byte for byte.
+    #[test]
+    fn wide_options_rank_compress_onto_the_used_alphabet() {
+        let options: Vec<CourseId> = (0..100u16).map(|i| CourseId::new(2 * i + 1)).collect();
+        let (encoded, adapted) = encode_both(
+            &options,
+            &[
+                (&[2], 7),
+                (&[5, 70], 3),
+                (&[63, 64, 99], 7),
+                (&[], 1),
+                (&[2, 99], 0),
+            ],
+        );
+        assert_eq!(encoded, adapted);
+        assert_eq!((encoded.alphabet().len(), encoded.words()), (6, 1));
+        assert_eq!(encoded.heap_bytes(), adapted.heap_bytes());
+
+        let options: Vec<CourseId> = (0..200u16).map(CourseId::new).collect();
+        let odd: Vec<usize> = (1..200).step_by(2).collect();
+        let (encoded, adapted) = encode_both(&options, &[(&odd[..50], 1), (&odd[50..], 2)]);
+        assert_eq!(encoded, adapted);
+        assert_eq!((encoded.alphabet().len(), encoded.words()), (100, 2));
+        let kind = |edges: Edges| DagNodeKind::Interior {
+            edges,
+            floor_skipped: 0,
+        };
+        assert_eq!(
+            node_hash(0, &CourseSet::EMPTY, &kind(encoded)),
+            node_hash(0, &CourseSet::EMPTY, &kind(adapted))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The enumeration-time encoder agrees with encoding the decoded
+        /// edge list, on random small catalogs with and without a goal and
+        /// the strategic floor, under filters that keep some options out
+        /// of every selection (the rank-compressed path).
+        #[test]
+        fn enumeration_encoding_matches_the_decoded_edge_list(
+            seed in 0u64..1_000,
+            horizon in 2i32..5,
+            m in 1usize..5,
+            goal in any::<bool>(),
+            floor in any::<bool>(),
+            avoid in 0usize..3,
+            cap in prop::option::of(6.0f64..30.0),
+        ) {
+            let synth = SyntheticCatalog::generate(&SyntheticConfig {
+                seed,
+                ..SyntheticConfig::small()
+            });
+            let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
+            let deadline = synth.start + horizon;
+            let mut e = if goal {
+                let goal = Goal::degree(synth.degree.clone());
+                Explorer::goal_driven(&synth.catalog, start, deadline, m, goal)
+                    .unwrap()
+                    .with_strategic_selections(floor)
+            } else {
+                Explorer::deadline_driven(&synth.catalog, start, deadline, m).unwrap()
+            };
+            let avoided: CourseSet = synth.catalog.courses().take(avoid).map(|c| c.id()).collect();
+            if !avoided.is_empty() {
+                e = e.with_filter(Arc::new(AvoidCourses(avoided)));
+            }
+            if let Some(cap) = cap {
+                e = e.with_filter(Arc::new(MaxSemesterWorkload(cap)));
+            }
+            let table = UniqueTable::new(0);
+            e.build_path_dag(&table, None, None).unwrap();
+            interiors_are_canonical(&table)?;
+        }
     }
 }

@@ -354,12 +354,17 @@ struct Conn {
     machine: ConnMachine,
     /// Current epoll interest mask (to skip redundant `EPOLL_CTL_MOD`s).
     interest: u32,
-    /// Lazy-cancellation sequence: a fired wheel entry with a stale
-    /// sequence is ignored.
+    /// Sequence of the connection's wheel entry: a fired entry with
+    /// another sequence is not this connection's and is ignored.
     timer_seq: u64,
     timer_kind: TimerKind,
-    /// The real deadline; wheel entries that fire early re-arm to it.
+    /// The real deadline; the wheel entry, when it fires early, re-arms
+    /// to it.
     deadline: Instant,
+    /// The connection's entry is in the wheel. Re-arms while it is only
+    /// move `deadline`, so the wheel holds at most one entry per
+    /// connection however many requests it serves.
+    timer_queued: bool,
     /// The streaming hand-off buffer, while a stream is in flight.
     stream: Option<Arc<StreamBuf>>,
     /// The stream producer finished; close once everything drains.
@@ -515,6 +520,7 @@ impl Core {
 
             fired.clear();
             self.wheel.advance(Instant::now(), &mut fired);
+            self.sync_wheel_gauge();
             for &(token, seq) in &fired {
                 self.on_timer(token, seq);
             }
@@ -608,6 +614,7 @@ impl Core {
             timer_seq: 0,
             timer_kind: TimerKind::None,
             deadline: Instant::now(),
+            timer_queued: false,
             stream: None,
             stream_ended: false,
             stalled: false,
@@ -662,20 +669,41 @@ impl Core {
 
     // ---- timers ----------------------------------------------------
 
-    /// Arms (or re-arms) the connection's single logical timer.
+    /// Arms (or re-arms) the connection's single logical timer. While
+    /// the connection's entry is still in the wheel only its kind and
+    /// deadline change: deadlines only move forward, so the entry fires
+    /// early and [`Core::on_timer`] re-inserts it at the live deadline.
+    /// Disarming (`TimerKind::None`) keeps the entry too; it retires when
+    /// it fires and finds no kind.
     fn arm_timer(&mut self, token: u64, kind: TimerKind) {
         let window = self.config.keep_alive;
         let Some(conn) = self.slot_of(token) else {
             return;
         };
-        conn.timer_seq += 1;
         conn.timer_kind = kind;
         if kind == TimerKind::None {
             return;
         }
         conn.deadline = Instant::now() + window;
-        let seq = conn.timer_seq;
-        self.wheel.insert(Instant::now() + window, token, seq);
+        if conn.timer_queued {
+            return;
+        }
+        conn.timer_queued = true;
+        conn.timer_seq += 1;
+        let (deadline, seq) = (conn.deadline, conn.timer_seq);
+        self.schedule(deadline, token, seq);
+    }
+
+    /// Inserts a wheel entry and publishes the wheel's size.
+    fn schedule(&mut self, deadline: Instant, token: u64, seq: u64) {
+        self.wheel.insert(deadline, token, seq);
+        self.sync_wheel_gauge();
+    }
+
+    fn sync_wheel_gauge(&self) {
+        self.gauges
+            .timer_entries
+            .store(self.wheel.len() as u64, Ordering::Relaxed);
     }
 
     /// Pushes the live deadline forward without touching the wheel (the
@@ -696,12 +724,17 @@ impl Core {
         let Some(conn) = self.slot_of(token) else {
             return; // closed (or reused) since the entry was inserted
         };
-        if conn.timer_seq != seq || conn.timer_kind == TimerKind::None {
-            return; // lazily cancelled
+        if conn.timer_seq != seq {
+            return; // not this connection's entry
+        }
+        conn.timer_queued = false;
+        if conn.timer_kind == TimerKind::None {
+            return; // disarmed: the entry retires
         }
         if now < conn.deadline {
+            conn.timer_queued = true;
             let deadline = conn.deadline;
-            self.wheel.insert(deadline, token, seq);
+            self.schedule(deadline, token, seq);
             return;
         }
         match conn.timer_kind {
@@ -732,7 +765,8 @@ impl Core {
                     // a stall. Keep watching.
                     let deadline = now + window;
                     conn.deadline = deadline;
-                    self.wheel.insert(deadline, token, seq);
+                    conn.timer_queued = true;
+                    self.schedule(deadline, token, seq);
                 }
             }
             TimerKind::None => {}

@@ -76,6 +76,8 @@ pub struct EventLoopGauges {
     pub reaped_408: AtomicU64,
     /// Write-side stalls reaped (the peer stopped reading a response).
     pub reaped_stalled: AtomicU64,
+    /// Entries in the timer wheel: at most one per held connection.
+    pub timer_entries: AtomicU64,
 }
 
 impl EventLoopGauges {
@@ -92,6 +94,7 @@ impl EventLoopGauges {
             reaped_idle: load(&self.reaped_idle),
             reaped_408: load(&self.reaped_408),
             reaped_stalled: load(&self.reaped_stalled),
+            timer_entries: load(&self.timer_entries),
         }
     }
 }
@@ -121,6 +124,8 @@ pub struct EventLoopSnapshot {
     pub reaped_408: u64,
     /// Write-side stalls reaped.
     pub reaped_stalled: u64,
+    /// Entries in the timer wheel.
+    pub timer_entries: u64,
 }
 
 /// Maps a latency in whole milliseconds to its log2 bucket.

@@ -4,12 +4,11 @@
 //! timeouts; the event-driven core replaces all of that with one wheel
 //! the loop consults between epoll waits. Entries are `(token, seq)`
 //! pairs — the connection slab token plus a per-connection sequence
-//! number — and cancellation is lazy: re-arming a deadline just bumps
-//! the connection's sequence, and a fired entry whose sequence no
-//! longer matches is dropped by the loop. The loop keeps at most one
-//! *live* entry per connection by re-inserting at the real deadline
-//! when an entry fires early (see `event.rs`), so wheel memory is
-//! O(connections), not O(re-arms).
+//! number. A connection has at most one entry: re-arming its deadline
+//! while the entry is queued only moves the deadline, the entry fires
+//! early and the loop re-inserts it at the real deadline (see
+//! `event.rs`), and a disarmed entry retires when it fires. Wheel
+//! memory is O(connections), not O(re-arms).
 //!
 //! The wheel is deliberately dumb: fixed 10 ms ticks, a fixed ring of
 //! slots, absolute tick numbers so entries beyond one rotation simply

@@ -107,6 +107,50 @@ fn closed_connections_release_their_slots() {
     server.shutdown();
 }
 
+/// Reads one complete response off a keep-alive connection.
+fn read_response(stream: &mut TcpStream) -> common::WireResponse {
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "connection closed mid-response");
+        raw.extend_from_slice(&buf[..n]);
+        if let Some(resp) = parse_response(&raw).filter(|r| r.complete) {
+            return resp;
+        }
+    }
+}
+
+#[test]
+fn keep_alive_cycles_hold_one_timer_entry_per_connection() {
+    // Each request re-arms the connection's deadline twice (the read
+    // deadline after the response, the write deadline while it drains).
+    // Re-arms move the queued entry's deadline instead of inserting, so
+    // a thousand cycles leave one wheel entry, not two thousand.
+    let server = start(60_000, None);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for _ in 0..1_000 {
+        stream
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: a\r\n\r\n")
+            .unwrap();
+        assert_eq!(read_response(&mut stream).status, 200);
+    }
+    // The metrics request rides the same connection, the only one held.
+    stream
+        .write_all(b"GET /v1/metrics HTTP/1.1\r\nhost: a\r\n\r\n")
+        .unwrap();
+    let resp = read_response(&mut stream);
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let metrics: serde_json::Value = serde_json::from_str(resp.text()).unwrap();
+    let entries = metrics["event-loop"]["timer-entries"].as_u64().unwrap();
+    assert!(entries <= 1, "{entries} wheel entries for one connection");
+
+    server.shutdown();
+}
+
 #[test]
 fn timer_wheel_pins_408_for_partial_heads_and_silence_for_idle() {
     // The PR 2 semantics, now enforced by the loop's single timer wheel
