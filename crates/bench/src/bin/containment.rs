@@ -10,21 +10,20 @@
 //! bundled catalog; DESIGN.md §3), containment is decided by the exact
 //! membership predicate, and the generated-path count comes from the
 //! memoized counter over a transposition table. The binary asserts both
-//! pinned facts: 83/83 contained, and the goal-path golden.
+//! pinned facts: 83/83 contained, and the count golden, which is Table 2's
+//! six-semester goal cell ([`coursenav_bench::TABLE2_GOAL_GOLDENS`]).
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin containment`
 
 use coursenav_bench::{
-    paper_goal_explorer, paper_instance, secs, timed, PAPER_M, PAPER_MEMO_ENTRIES,
+    paper_goal_explorer, paper_instance, secs, table2_goal_count, timed, PAPER_M,
+    PAPER_MEMO_ENTRIES, TABLE2_GOAL_GOLDENS,
 };
-use coursenav_navigator::{PruneConfig, TranspositionTable};
+use coursenav_navigator::PruneConfig;
 use coursenav_transcript::{
     check_containment, GreedyCorePolicy, RandomValidPolicy, SelectionPolicy, TranscriptSimulator,
     WorkloadAversePolicy,
 };
-
-/// Goal-driven paths to the CS major over the full six-semester period.
-const GOAL_PATHS: u128 = 331_657_034;
 
 fn main() {
     let data = paper_instance();
@@ -71,8 +70,7 @@ fn main() {
     );
 
     // --- How many options does the generator offer beyond the actual ones?
-    let table = TranspositionTable::new(PAPER_MEMO_ENTRIES);
-    let ((counts, _), t) = timed(|| explorer.count_paths_memo(&table));
+    let (counts, t) = timed(|| table2_goal_count(&data, semesters, PAPER_MEMO_ENTRIES));
     println!(
         "goal-driven generator: {} paths to the CS major over {} semesters ({} s, memoized count)",
         counts.goal_paths,
@@ -82,5 +80,13 @@ fn main() {
     let extra = counts.goal_paths.saturating_sub(graduates.len() as u128);
     println!("=> {extra} generated paths were never followed by any simulated student");
     assert_eq!(contained, graduates.len(), "the paper's containment result");
-    assert_eq!(counts.goal_paths, GOAL_PATHS, "the goal-path golden");
+    let &(_, paths, goal_paths) = TABLE2_GOAL_GOLDENS
+        .iter()
+        .find(|row| row.0 == semesters)
+        .expect("Table 2 pins the full period");
+    assert_eq!(
+        (counts.total_paths, counts.goal_paths),
+        (paths, goal_paths),
+        "the {semesters}-semester count golden"
+    );
 }

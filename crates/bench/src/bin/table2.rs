@@ -12,20 +12,17 @@
 //!
 //! The deadline-driven "N/A" cells are out-of-memory failures in the paper;
 //! we reproduce them with a materialization node budget. The goal column
-//! is counted through a cold transposition table (the memoized count), and
-//! every goal cell computed is asserted against
-//! [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
+//! is counted through a cold transposition table (the memoized count); its
+//! cells are pinned in [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
 //!
 //! The default run covers semesters 4–6 and prints the 7-semester row as
-//! "N/A †" without computing it. `--full` counts that row too: a manual
-//! run of about 200 s at about 4.9 GB peak RSS. `--goal-only` skips the
-//! deadline column (the release `ci.sh` step, about 12 s).
+//! "N/A †" without computing it. `--full` counts that row too, a manual
+//! run (see EXPERIMENTS.md for its cost).
 //!
-//! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full] [-- --goal-only]`
+//! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full]`
 
 use coursenav_bench::{
     paper_deadline_explorer, paper_instance, secs, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
-    TABLE2_GOAL_GOLDENS,
 };
 
 /// Node budget standing in for the paper's 32 GB server: materializing a
@@ -35,13 +32,8 @@ const NODE_BUDGET: usize = 20_000_000;
 /// The horizon only `--full` counts.
 const SEVEN: i32 = 7;
 
-/// Table entries for the 7-semester count, which resolves about 16.4 M
-/// distinct states: room for all of them, so the count never evicts.
-const SEVEN_MEMO_ENTRIES: usize = 1 << 25;
-
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
-    let goal_only = std::env::args().any(|a| a == "--goal-only");
     let data = paper_instance();
 
     println!("Table 2: deadline-driven vs. goal-driven learning paths generation");
@@ -59,9 +51,7 @@ fn main() {
         let counted = semesters < SEVEN || full;
         // Deadline-driven: materialize the graph (the paper's Algorithm 1
         // stores it), reporting N/A when the budget is exceeded.
-        let (d_paths, d_time) = if goal_only {
-            ("-".to_string(), "-".to_string())
-        } else if !counted {
+        let (d_paths, d_time) = if !counted {
             ("N/A".to_string(), "N/A".to_string())
         } else {
             let deadline = paper_deadline_explorer(&data, semesters);
@@ -73,21 +63,7 @@ fn main() {
 
         // Goal-driven with both pruning strategies, memoized.
         let (g_paths, g_time) = if counted {
-            let entries = if semesters == SEVEN {
-                SEVEN_MEMO_ENTRIES
-            } else {
-                PAPER_MEMO_ENTRIES
-            };
-            let (counts, dt) = timed(|| table2_goal_count(&data, semesters, entries));
-            if let Some(&(_, paths, goal_paths)) =
-                TABLE2_GOAL_GOLDENS.iter().find(|row| row.0 == semesters)
-            {
-                assert_eq!(
-                    (counts.total_paths, counts.goal_paths),
-                    (paths, goal_paths),
-                    "the {semesters}-semester goal golden"
-                );
-            }
+            let (counts, dt) = timed(|| table2_goal_count(&data, semesters, PAPER_MEMO_ENTRIES));
             (counts.total_paths.to_string(), secs(dt))
         } else {
             ("N/A".to_string(), "N/A".to_string())
@@ -108,6 +84,5 @@ fn main() {
     println!(" is smaller still — see table1. Goal runtimes are memoized counts through");
     println!(" a cold transposition table, not path-by-path streaming. Deadline N/A =");
     println!(" node budget exceeded, the analogue of the paper's out-of-memory failure.");
-    println!(" † = not run by default: the 7-semester count takes about 200 s and");
-    println!(" 4.9 GB; run `table2 -- --full` — see EXPERIMENTS.md.)");
+    println!(" † = not run by default; `table2 -- --full` counts it — see EXPERIMENTS.md.)");
 }

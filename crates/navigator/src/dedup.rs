@@ -16,11 +16,11 @@
 //! of the interned nodes. The builder keeps no per-state records (terminal
 //! states resolve to nodes shared by kind), so the per-state facts are
 //! derived after the build by walking the DAG by state key, each distinct
-//! state once. The historical contracts are preserved exactly — the two
-//! budgets (distinct states; materialized states) as checks on that walk,
-//! error types, the [`StateDag`] shape with its root at index 0, and
-//! statistics that reflect *distinct states* (each state expanded or
-//! pruned once), not tree nodes.
+//! state once. The historical contracts are preserved exactly — the
+//! materialized-state budget as a check on that walk, error types, the
+//! [`StateDag`] shape with its root at index 0, and statistics that
+//! reflect *distinct states* (each state expanded or pruned once), not
+//! tree nodes.
 
 use std::collections::{HashMap, HashSet};
 
@@ -168,8 +168,8 @@ impl StateWalk {
 
 impl Explorer<'_> {
     /// Builds this exploration's path DAG into a fresh table. `node_budget`
-    /// caps the interior nodes created; every budget the views promise
-    /// counts a superset of those, so a build over it is over theirs too.
+    /// caps the interior nodes created; the state DAG's budget counts a
+    /// superset of those, so a build over it is over that budget too.
     fn dedup_build(
         &self,
         node_budget: Option<usize>,
@@ -194,26 +194,6 @@ impl Explorer<'_> {
             .dedup_build(None)
             .expect("unbudgeted build cannot fail");
         StateWalk::new(self, &table, root, false).counts(&table, root)
-    }
-
-    /// Budgeted variant of [`Explorer::count_paths_dedup`]: gives up with
-    /// [`ExploreError::BudgetExceeded`] when the exploration has more than
-    /// `state_budget` distinct states. The build itself stops once it has
-    /// created `state_budget` interior nodes, bounding memory on instances
-    /// whose *state space* (not just path count) is huge; the exact count
-    /// is checked on the built DAG.
-    pub fn count_paths_dedup_budgeted(
-        &self,
-        state_budget: usize,
-    ) -> Result<PathCounts, ExploreError> {
-        let (table, root) = self.dedup_build(Some(state_budget))?;
-        let walk = StateWalk::new(self, &table, root, false);
-        if walk.seen.len() > state_budget {
-            return Err(ExploreError::BudgetExceeded {
-                node_budget: state_budget,
-            });
-        }
-        Ok(walk.counts(&table, root))
     }
 
     /// Number of distinct `(semester, completed)` states reachable in this
@@ -388,22 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_dedup_matches_unbudgeted_within_budget() {
-        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
-        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
-        let e = Explorer::deadline_driven(&synth.catalog, start, synth.start + 4, 2).unwrap();
-        let plain = e.count_paths_dedup();
-        let budgeted = e.count_paths_dedup_budgeted(10_000_000).unwrap();
-        assert_eq!(plain.total_paths, budgeted.total_paths);
-        assert_eq!(plain.goal_paths, budgeted.goal_paths);
-        // And an impossible budget errors out.
-        assert!(matches!(
-            e.count_paths_dedup_budgeted(2),
-            Err(ExploreError::BudgetExceeded { node_budget: 2 })
-        ));
-    }
-
-    #[test]
     fn state_dag_counts_match_dedup_counts() {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
@@ -570,7 +534,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every dedup view — distinct-state count, per-distinct-state
-        /// statistics, the state DAG's shape, and both budget contracts —
+        /// statistics, the state DAG's shape, and its budget contract —
         /// agrees with a naive tree enumeration.
         #[test]
         fn dedup_views_match_a_naive_tree_oracle(
@@ -623,13 +587,6 @@ mod tests {
             prop_assert_eq!(dag.root().status, *e.start());
             prop_assert_eq!(dag.root().paths, tree.total_paths);
 
-            for b in [distinct - 1, distinct, distinct + 1] {
-                prop_assert_eq!(
-                    e.count_paths_dedup_budgeted(b).is_err(),
-                    distinct > b,
-                    "distinct-state budget {} over {} states", b, distinct
-                );
-            }
             for b in [materialized.saturating_sub(1), materialized, materialized + 1] {
                 prop_assert_eq!(
                     e.build_state_dag(b).is_err(),

@@ -76,7 +76,9 @@ pub struct EventLoopGauges {
     pub reaped_408: AtomicU64,
     /// Write-side stalls reaped (the peer stopped reading a response).
     pub reaped_stalled: AtomicU64,
-    /// Entries in the timer wheel: at most one per held connection.
+    /// Entries in the timer wheel: at most one per connection, counting
+    /// connections closed within the last keep-alive window (a closed
+    /// connection's entry retires when it fires).
     pub timer_entries: AtomicU64,
 }
 
@@ -124,7 +126,8 @@ pub struct EventLoopSnapshot {
     pub reaped_408: u64,
     /// Write-side stalls reaped.
     pub reaped_stalled: u64,
-    /// Entries in the timer wheel.
+    /// Entries in the timer wheel (held connections plus those closed
+    /// within the last keep-alive window, at most one each).
     pub timer_entries: u64,
 }
 

@@ -7,8 +7,10 @@
 //! number. A connection has at most one entry: re-arming its deadline
 //! while the entry is queued only moves the deadline, the entry fires
 //! early and the loop re-inserts it at the real deadline (see
-//! `event.rs`), and a disarmed entry retires when it fires. Wheel
-//! memory is O(connections), not O(re-arms).
+//! `event.rs`), and a disarmed entry retires when it fires. A closed
+//! connection's entry also stays until it fires, so the wheel holds the
+//! live connections plus those closed within the last keep-alive window:
+//! O(connections), not O(re-arms).
 //!
 //! The wheel is deliberately dumb: fixed 10 ms ticks, a fixed ring of
 //! slots, absolute tick numbers so entries beyond one rotation simply

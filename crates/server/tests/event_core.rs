@@ -121,6 +121,17 @@ fn read_response(stream: &mut TcpStream) -> common::WireResponse {
     }
 }
 
+/// The timer wheel's size, read over `stream` (a held connection).
+fn timer_entries(stream: &mut TcpStream) -> u64 {
+    stream
+        .write_all(b"GET /v1/metrics HTTP/1.1\r\nhost: a\r\n\r\n")
+        .unwrap();
+    let resp = read_response(stream);
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let metrics: serde_json::Value = serde_json::from_str(resp.text()).unwrap();
+    metrics["event-loop"]["timer-entries"].as_u64().unwrap()
+}
+
 #[test]
 fn keep_alive_cycles_hold_one_timer_entry_per_connection() {
     // Each request re-arms the connection's deadline twice (the read
@@ -128,7 +139,8 @@ fn keep_alive_cycles_hold_one_timer_entry_per_connection() {
     // Re-arms move the queued entry's deadline instead of inserting, so
     // a thousand cycles leave one wheel entry, not two thousand.
     let server = start(60_000, None);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -139,14 +151,23 @@ fn keep_alive_cycles_hold_one_timer_entry_per_connection() {
         assert_eq!(read_response(&mut stream).status, 200);
     }
     // The metrics request rides the same connection, the only one held.
-    stream
-        .write_all(b"GET /v1/metrics HTTP/1.1\r\nhost: a\r\n\r\n")
-        .unwrap();
-    let resp = read_response(&mut stream);
-    assert_eq!(resp.status, 200, "{}", resp.text());
-    let metrics: serde_json::Value = serde_json::from_str(resp.text()).unwrap();
-    let entries = metrics["event-loop"]["timer-entries"].as_u64().unwrap();
+    let entries = timer_entries(&mut stream);
     assert!(entries <= 1, "{entries} wheel entries for one connection");
+
+    // A closed connection's entry stays queued until its deadline fires,
+    // so under churn the wheel holds one entry per connection opened
+    // within the keep-alive window, however often each one re-armed.
+    const CHURNED: u64 = 50;
+    for _ in 0..CHURNED {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        healthz(&mut s);
+    }
+    let entries = timer_entries(&mut stream);
+    assert!(
+        entries <= CHURNED + 1,
+        "{entries} wheel entries for one held and {CHURNED} closed connections"
+    );
 
     server.shutdown();
 }
