@@ -15,8 +15,8 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild hits (release)"
-# All three build the what-if benchmark's sparse-7sem base DAG. The layout
+echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild hits, what-if goldens (release)"
+# All four build the what-if benchmark's sparse-7sem base DAG. The layout
 # gate pins its node and edge counts and its packed edge store at 12 bytes
 # an edge plus the alphabets — byte accounting, not RSS, so it cannot
 # flake. The classifier golden pins the root's path counts and the build's
@@ -24,7 +24,11 @@ echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild h
 # goal-oracle or pruning change that moves any decision fails here. The
 # rebuild gate builds the frame twice into one table and requires the
 # second build to intern nothing and hash-cons once per node, pinning the
-# canonicality of the builder's enumeration-time edge encoding.
+# canonicality of the builder's enumeration-time edge encoding. The what-if
+# gate pins the fold's counts and logical stats for six fixed deltas
+# (avoided courses, a workload cap, both, and forced courses) and requires
+# each restriction-only answer to equal a memoized count of the frame with
+# the restriction installed as filters.
 # Ignored in the debug run above, where the builds are slow.
 cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 

@@ -7,28 +7,39 @@
 //!
 //! The bundled catalog covers 7 semesters, so this experiment runs on the
 //! paper-shaped synthetic instance with an 8-semester schedule (DESIGN.md
-//! §3). Prints one series per period, like the figure.
+//! §3). Prints one series per period, like the figure, after asserting
+//! every cell's path count and last path's cost against
+//! `coursenav_bench::FIG4_GOLDENS`.
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin fig4 [--csv]`
-//! (`--csv` emits `k,period_semesters,seconds` rows for plotting.)
+//! (`--csv` emits `k,period_semesters,seconds,paths` rows for plotting.)
 
-use coursenav_bench::{secs, sparse_instance, synthetic_goal_explorer, timed};
-use coursenav_navigator::TimeRanking;
+use std::time::Duration;
+
+use coursenav_bench::{fig4_cell, secs, sparse_instance, timed, FIG4_GOLDENS};
 
 fn main() {
     let csv = std::env::args().any(|a| a == "--csv");
     let synth = sparse_instance(8);
-    let ks = [10usize, 100, 500, 1000];
     let periods = [6i32, 7, 8];
+    // Every cell, checked against its golden: (k, period, paths, time).
+    let cells: Vec<(usize, i32, usize, Duration)> = FIG4_GOLDENS
+        .iter()
+        .map(|&(k, period, count, last_cost)| {
+            let (paths, t) = timed(|| fig4_cell(&synth, k, period));
+            assert_eq!(
+                (paths.len(), paths.last().map(|p| p.cost)),
+                (count, Some(last_cost)),
+                "Figure 4 cell k = {k}, {period} semesters moved from its golden"
+            );
+            (k, period, paths.len(), t)
+        })
+        .collect();
 
     if csv {
         println!("k,period_semesters,seconds,paths");
-        for k in ks {
-            for period in periods {
-                let explorer = synthetic_goal_explorer(&synth, period);
-                let (paths, t) = timed(|| explorer.top_k(&TimeRanking, k).expect("goal is set"));
-                println!("{k},{period},{},{}", secs(t), paths.len());
-            }
+        for (k, period, paths, t) in cells {
+            println!("{k},{period},{},{paths}", secs(t));
         }
         return;
     }
@@ -42,13 +53,11 @@ fn main() {
     println!();
     println!("{}", "-".repeat(12 + 15 * periods.len()));
 
-    for k in ks {
-        print!("{:>12}", k);
-        for period in periods {
-            let explorer = synthetic_goal_explorer(&synth, period);
-            let (paths, t) = timed(|| explorer.top_k(&TimeRanking, k).expect("goal is set"));
-            let label = if paths.len() < k {
-                format!("{}* ({})", secs(t), paths.len())
+    for row in cells.chunks(periods.len()) {
+        print!("{:>12}", row[0].0);
+        for &(k, _, paths, t) in row {
+            let label = if paths < k {
+                format!("{}* ({paths})", secs(t))
             } else {
                 secs(t)
             };

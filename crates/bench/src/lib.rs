@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 
 use coursenav_catalog::{Semester, SyntheticCatalog, SyntheticConfig};
 use coursenav_navigator::{
-    EnrollmentStatus, Explorer, Goal, PathCounts, PruneConfig, TranspositionTable,
+    EnrollmentStatus, Explorer, Goal, PathCounts, PruneConfig, RankedPath, TimeRanking,
+    TranspositionTable,
 };
 use coursenav_registrar::{brandeis_cs, RegistrarData};
 
@@ -97,6 +98,36 @@ pub fn table2_goal_count(data: &RegistrarData, semesters: i32, memo_entries: usi
         .0
 }
 
+/// Figure 4's cells, pinned in the figure's row order: `(k, period in
+/// semesters, paths returned, the last path's cost)`, each the
+/// [`fig4_cell`] of the sparse eight-semester instance. `cargo test` checks
+/// the fastest cell, k = 10 over six semesters (about a second in a debug
+/// build; every other cell takes longer); the `fig4` binary checks every
+/// cell.
+pub const FIG4_GOLDENS: &[(usize, i32, usize, f64)] = &[
+    (10, 6, 10, 5.0),
+    (10, 7, 10, 5.0),
+    (10, 8, 10, 5.0),
+    (100, 6, 100, 5.0),
+    (100, 7, 100, 5.0),
+    (100, 8, 100, 5.0),
+    (500, 6, 500, 5.0),
+    (500, 7, 500, 5.0),
+    (500, 8, 500, 5.0),
+    (1000, 6, 1000, 5.0),
+    (1000, 7, 1000, 5.0),
+    (1000, 8, 1000, 5.0),
+];
+
+/// One Figure 4 cell: the `k` best goal paths under time-based ranking over
+/// a `period`-semester horizon of `synth` (the sparse eight-semester
+/// instance in the figure).
+pub fn fig4_cell(synth: &SyntheticCatalog, k: usize, period: i32) -> Vec<RankedPath> {
+    synthetic_goal_explorer(synth, period)
+        .top_k(&TimeRanking, k)
+        .expect("the goal is set")
+}
+
 /// Deadline-driven explorer over the bundled catalog (same conventions).
 pub fn paper_deadline_explorer(data: &RegistrarData, semesters: i32) -> Explorer<'_> {
     let start = EnrollmentStatus::fresh(&data.catalog, data.horizon.0);
@@ -170,6 +201,17 @@ mod tests {
                 "{semesters} semesters"
             );
         }
+    }
+
+    /// The fastest Figure 4 cell, k = 10 over six semesters.
+    #[test]
+    fn fig4_fastest_cell_is_golden() {
+        let (k, period, count, last_cost) = FIG4_GOLDENS[0];
+        let paths = fig4_cell(&sparse_instance(8), k, period);
+        assert_eq!(
+            (paths.len(), paths.last().map(|p| p.cost)),
+            (count, Some(last_cost))
+        );
     }
 
     #[test]

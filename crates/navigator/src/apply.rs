@@ -3,30 +3,34 @@
 //! Once an exploration is interned in a [`UniqueTable`], a what-if delta
 //! is answered by [`UniqueTable::whatif_counts`] instead of
 //! re-exploration. It walks the built DAG once, in the counting semiring,
-//! and creates no node:
+//! and creates no node. A [`Restriction`] ("avoid X", "cap my workload")
+//! filters every edge; forced courses ("every path goes through Y") keep
+//! only the paths that complete all of them. The fold carries the forced
+//! courses still *outstanding* (not yet elected on the way down) and
+//! answers each `(node, outstanding)` pair by four rules:
 //!
-//! - a [`Restriction`] ("avoid X", "cap my workload") filters every edge.
-//!   An interior whose every selection is vetoed, with nothing
-//!   floor-skipped, counts as a dead-end leaf, exactly as a build with
-//!   `AvoidCourses`/`MaxSemesterWorkload` installed classifies it. Counts
-//!   and logical statistics equal that filtered build's.
-//! - forced courses ("every path goes through Y") keep only the paths
-//!   that complete all of them. While some are outstanding, a leaf is
-//!   dropped and so is any subtree that keeps no path, statistics and
-//!   all; a pruned state is kept with its prune counter. Once none are
-//!   outstanding, the subtree is folded under the restriction alone.
+//! - a leaf is kept only when nothing is outstanding;
+//! - a pruned state is kept, with its prune counter;
+//! - an interior whose every edge is vetoed, with nothing floor-skipped,
+//!   is still expanded and ends one dead-end path, exactly as a build with
+//!   `AvoidCourses`/`MaxSemesterWorkload` installed counts it;
+//! - while forced courses are outstanding, a subtree that keeps no path is
+//!   dropped, statistics and all.
 //!
-//! The tests pin both rules to a naive tree enumeration with the filters
-//! installed.
+//! With nothing outstanding the answer is total, and its counts and
+//! logical statistics equal the filtered build's. The tests pin all four
+//! rules to a naive tree enumeration with the filters installed.
 //!
 //! Every node carries its subtree's *support set* and heaviest-selection
 //! workload (see [`crate::unique::DagNode`]), so a subtree the restriction
-//! provably cannot touch is answered from its stored counts in O(1), and
-//! one where an outstanding forced course is electable nowhere is dropped
-//! without a walk. A what-if therefore visits only the delta-affected
-//! frontier of the DAG. Per call, results are memoized by node id (and by
-//! outstanding set under force); whole-call results land in the table's
-//! fold cache, so a repeated what-if does no walk at all.
+//! provably cannot touch is answered from its stored counts in O(1) when
+//! nothing is outstanding, and one where an outstanding forced course is
+//! electable nowhere is dropped without a walk. A what-if therefore visits
+//! only the delta-affected frontier of the DAG. Per call, answers with
+//! nothing outstanding are memoized by node id in a dense array, the rest
+//! by `(node, outstanding)`; whole-call results land in the table's fold
+//! cache, keyed by the delta itself, so a repeated what-if does no walk at
+//! all.
 //!
 //! Edges are read in their packed form ([`crate::unique::Edges`]): per
 //! visited interior, the avoided courses become one mask over the node's
@@ -37,14 +41,11 @@
 //! is bit-identical to a build with `MaxSemesterWorkload` installed; a node
 //! whose heaviest-selection bound clears the cap skips the sums.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use coursenav_catalog::{Catalog, CourseSet};
 
 use crate::stats::ExploreStats;
 use crate::unique::{
-    DagNode, DagNodeId, DagNodeKind, Edges, FoldCounts, FxMap, Mask, NodeView, UniqueTable,
+    Counts, DagNode, DagNodeId, DagNodeKind, Edges, FxMap, Mask, NodeView, UniqueTable,
 };
 
 /// The selection-local constraint delta of a what-if: courses that may no
@@ -131,76 +132,17 @@ fn course_workloads(catalog: &Catalog) -> Vec<f64> {
     catalog.courses().map(|course| course.workload()).collect()
 }
 
-/// Compact per-node fold result: the two counts plus the four logical
-/// tree counters a fold can actually produce. The transposition-table
-/// counters of [`ExploreStats`] are zero on every interned node (see
-/// [`crate::unique::DagNode::stats`]) and a fold only merges node stats,
-/// so dropping them here loses nothing — and the whole accumulator packs
-/// into one cache line.
-#[derive(Clone, Copy)]
-struct FoldAcc {
-    paths: u128,
-    goal_paths: u128,
-    nodes_expanded: u64,
-    edges_created: u64,
-    pruned_time: u64,
-    pruned_availability: u64,
-}
-
-impl FoldAcc {
-    #[inline]
-    fn from_node(paths: u128, goal_paths: u128, stats: &ExploreStats) -> FoldAcc {
-        debug_assert_eq!(
-            (stats.memo_hits, stats.memo_misses, stats.memo_evictions),
-            (0, 0, 0),
-            "interned nodes carry logical stats with zero memo traffic"
-        );
-        FoldAcc {
-            paths,
-            goal_paths,
-            nodes_expanded: stats.nodes_expanded,
-            edges_created: stats.edges_created,
-            pruned_time: stats.pruned_time,
-            pruned_availability: stats.pruned_availability,
-        }
-    }
-
-    #[inline]
-    fn merge(&mut self, sub: &FoldAcc) {
-        self.paths += sub.paths;
-        self.goal_paths += sub.goal_paths;
-        self.nodes_expanded += sub.nodes_expanded;
-        self.edges_created += sub.edges_created;
-        self.pruned_time += sub.pruned_time;
-        self.pruned_availability += sub.pruned_availability;
-    }
-
-    fn into_counts(self) -> FoldCounts {
-        (
-            self.paths,
-            self.goal_paths,
-            ExploreStats {
-                nodes_expanded: self.nodes_expanded,
-                edges_created: self.edges_created,
-                pruned_time: self.pruned_time,
-                pruned_availability: self.pruned_availability,
-                ..ExploreStats::default()
-            },
-        )
-    }
-}
-
 const SLOT_WORDS: usize = 8;
 
-/// Dense id-indexed memo for the restriction fold: one cache line (eight
-/// words: paths, goal paths, four counters) per visible id, probed with a
-/// single random access. The fold touches a large fraction of the table,
-/// so a flat probe beats both hashing a key per node and a two-level
-/// slot→result indirection. The backing vector is requested zero-filled —
-/// the allocator serves untouched zero pages, so even a what-if that
-/// short-circuits immediately pays nothing for a table-sized memo. An
-/// all-zero line means "unvisited": no fold result is all-zero except the
-/// empty path set's, which is trivial to recompute on every probe.
+/// Dense id-indexed memo for the answers with nothing outstanding: one
+/// cache line (eight words: paths, goal paths, four counters) per visible
+/// id, probed with a single random access. The fold touches a large
+/// fraction of the table, so a flat probe beats both hashing a key per
+/// node and a two-level slot→result indirection. The backing vector is
+/// requested zero-filled — the allocator serves untouched zero pages, so
+/// even a what-if that short-circuits immediately pays nothing for a
+/// table-sized memo. An all-zero line means "unvisited": every answer
+/// counts a path, an expansion or a prune, so none is all-zero.
 struct FoldMemo {
     words: Vec<u64>,
 }
@@ -213,13 +155,13 @@ impl FoldMemo {
     }
 
     #[inline]
-    fn get(&self, id: DagNodeId) -> Option<FoldAcc> {
+    fn get(&self, id: DagNodeId) -> Option<Counts> {
         let at = id.raw() * SLOT_WORDS;
         let w: &[u64; SLOT_WORDS] = self.words[at..at + SLOT_WORDS].try_into().unwrap();
         if w.iter().all(|&x| x == 0) {
             return None;
         }
-        Some(FoldAcc {
+        Some(Counts {
             paths: u128::from(w[0]) | (u128::from(w[1]) << 64),
             goal_paths: u128::from(w[2]) | (u128::from(w[3]) << 64),
             nodes_expanded: w[4],
@@ -230,24 +172,122 @@ impl FoldMemo {
     }
 
     #[inline]
-    fn put(&mut self, id: DagNodeId, acc: &FoldAcc) {
+    fn put(&mut self, id: DagNodeId, counts: &Counts) {
         let at = id.raw() * SLOT_WORDS;
         let w: &mut [u64; SLOT_WORDS] = (&mut self.words[at..at + SLOT_WORDS]).try_into().unwrap();
-        w[0] = acc.paths as u64;
-        w[1] = (acc.paths >> 64) as u64;
-        w[2] = acc.goal_paths as u64;
-        w[3] = (acc.goal_paths >> 64) as u64;
-        w[4] = acc.nodes_expanded;
-        w[5] = acc.edges_created;
-        w[6] = acc.pruned_time;
-        w[7] = acc.pruned_availability;
+        w[0] = counts.paths as u64;
+        w[1] = (counts.paths >> 64) as u64;
+        w[2] = counts.goal_paths as u64;
+        w[3] = (counts.goal_paths >> 64) as u64;
+        w[4] = counts.nodes_expanded;
+        w[5] = counts.edges_created;
+        w[6] = counts.pruned_time;
+        w[7] = counts.pruned_availability;
+    }
+}
+
+/// One what-if's walk: the DAG, the delta, and the two per-call memos.
+struct Fold<'a> {
+    view: &'a NodeView<'a>,
+    /// [`course_workloads`], read only under a workload cap.
+    workloads: &'a [f64],
+    restriction: &'a Restriction,
+    /// Answers with nothing outstanding, by node id.
+    memo: FoldMemo,
+    /// Answers with forced courses outstanding, by node and outstanding
+    /// set; `None` when the subtree keeps no path.
+    forced: FxMap<(DagNodeId, CourseSet), Option<Counts>>,
+}
+
+impl Fold<'_> {
+    /// The counts of the subtree at `id` under the restriction, keeping
+    /// only paths that elect every course of `remaining` (see the module
+    /// docs for the rules). `None` means the subtree keeps no path while
+    /// `remaining` is outstanding: the edge into it is dropped and adds
+    /// nothing to the statistics. With `remaining` empty the answer is
+    /// always `Some`.
+    fn fold(&mut self, id: DagNodeId, remaining: CourseSet) -> Option<Counts> {
+        let forcing = !remaining.is_empty();
+        if forcing {
+            if let Some(out) = self.forced.get(&(id, remaining)) {
+                return *out;
+            }
+        } else if let Some(out) = self.memo.get(id) {
+            // Probed before touching the node: most edges point at
+            // already-folded children, and the probe is one flat array
+            // read against the node fetch's pointer chase.
+            return Some(out);
+        }
+        let node = self.view.node(id);
+        let out = match &node.kind {
+            // Nothing vetoable below: the subtree survives verbatim, and
+            // its stored summaries are the answer. Memoized too, so the
+            // proof is paid once per node, not once per incoming edge.
+            _ if !forcing && self.restriction.cannot_touch(&node.support, node.max_load) => {
+                Some(Counts::of(node))
+            }
+            DagNodeKind::Leaf(_) => (!forcing).then(|| Counts::of(node)),
+            // Whether a pruned state counts is up to its parent, which
+            // drops it with itself when no sibling keeps a path.
+            DagNodeKind::Pruned(_) => Some(Counts::of(node)),
+            // Some forced course is not electable below, so no path here
+            // completes the forced set.
+            DagNodeKind::Interior { .. } if !remaining.is_subset(&node.support) => None,
+            DagNodeKind::Interior {
+                edges,
+                floor_skipped,
+            } => {
+                let mut acc = Counts::interior(*floor_skipped);
+                let veto = self.restriction.at(node, edges);
+                let outstanding = edges.mask_of(&remaining);
+                for i in 0..edges.len() {
+                    if !veto.keeps(edges, i, self.workloads) {
+                        continue;
+                    }
+                    let child = edges.child(i);
+                    let sub = if forcing {
+                        // Only an edge electing an outstanding course
+                        // changes what is outstanding below it.
+                        let below = if edges.meets(i, &outstanding) {
+                            remaining.difference(&edges.selection(i))
+                        } else {
+                            remaining
+                        };
+                        self.fold(child, below)
+                    } else {
+                        // Probe inline before recursing: the common case
+                        // is an already-folded child, answered by one
+                        // array read with no call and no node fetch.
+                        self.memo.get(child).or_else(|| self.fold(child, remaining))
+                    };
+                    if let Some(sub) = sub {
+                        acc.add_edge(&sub);
+                    }
+                }
+                if forcing {
+                    // A subtree that keeps no path (a dead end, a pruned
+                    // skeleton, or one whose paths all miss a forced
+                    // course) drops whole.
+                    (acc.paths != 0).then_some(acc)
+                } else {
+                    acc.close();
+                    Some(acc)
+                }
+            }
+        };
+        if forcing {
+            self.forced.insert((id, remaining), out);
+        } else if let Some(out) = &out {
+            self.memo.put(id, out);
+        }
+        out
     }
 }
 
 impl UniqueTable {
     /// A what-if's `(paths, goal_paths, stats)` over the DAG at `root`:
     /// `restriction` filters every edge, and only paths completing every
-    /// course of `force` count (see the module docs for both rules).
+    /// course of `force` count (see the module docs for the rules).
     /// `completed_at_root` is the root state's completed set (shared
     /// terminal roots carry no anchor, so the caller supplies it). Each
     /// provably-untouched subtree is answered from its stored summaries in
@@ -267,206 +307,31 @@ impl UniqueTable {
             let node = self.node(root);
             return (node.paths, node.goal_paths, node.stats);
         }
-        let mut h = DefaultHasher::new();
-        restriction.avoid.hash(&mut h);
-        restriction.max_workload.map(f64::to_bits).hash(&mut h);
-        remaining.hash(&mut h);
-        let key = (h.finish(), root);
-        if let Some(counts) = self.fold_get(&key) {
-            return counts;
-        }
-        // The fold never interns, so it reads through a whole-table view:
-        // one lock acquisition per shard instead of one per node visit.
-        let view = self.view();
-        let mut memo = FoldMemo::new(view.id_bound());
-        let workloads = course_workloads(catalog);
-        let out = if remaining.is_empty() {
-            self.fold_restrict(&view, root, &workloads, restriction, &mut memo)
-                .into_counts()
-        } else {
-            let mut forced: FxMap<(DagNodeId, CourseSet), Option<FoldAcc>> = FxMap::default();
-            self.fold_forced(
-                &view,
-                root,
-                remaining,
-                &workloads,
+        let key = (
+            restriction.avoid,
+            restriction.max_workload.map(f64::to_bits),
+            remaining,
+            root,
+        );
+        let counts = self.fold_get(&key).unwrap_or_else(|| {
+            // The fold never interns, so it reads through a whole-table
+            // view: one lock acquisition per shard instead of one per node
+            // visit.
+            let view = self.view();
+            let out = Fold {
+                view: &view,
+                workloads: &course_workloads(catalog),
                 restriction,
-                &mut forced,
-                &mut memo,
-            )
-            .map_or((0, 0, ExploreStats::default()), FoldAcc::into_counts)
-        };
-        drop(view);
-        self.fold_put(key, out);
-        out
-    }
-
-    /// The restriction-only counting fold. Total (every subtree keeps
-    /// *some* answer, possibly a reclassified dead end), so the memo is
-    /// keyed by node id alone. Untouched subtrees answer from their stored
-    /// summaries. `workloads` is [`course_workloads`], read only under a
-    /// workload cap.
-    fn fold_restrict(
-        &self,
-        view: &NodeView<'_>,
-        id: DagNodeId,
-        workloads: &[f64],
-        restriction: &Restriction,
-        memo: &mut FoldMemo,
-    ) -> FoldAcc {
-        // Probe the dense memo before touching the node: most edges point
-        // at already-folded children, and the probe is one flat array read
-        // against the node fetch's pointer chase.
-        if let Some(out) = memo.get(id) {
-            return out;
-        }
-        let node = view.node(id);
-        if restriction.cannot_touch(&node.support, node.max_load) {
-            // Nothing vetoable below: the subtree survives verbatim, and
-            // its stored summaries are the answer. Memoized too, so the
-            // proof is paid once per node, not once per incoming edge.
-            let out = FoldAcc::from_node(node.paths, node.goal_paths, &node.stats);
-            memo.put(id, &out);
-            return out;
-        }
-        let out = match &node.kind {
-            DagNodeKind::Leaf(_) => FoldAcc::from_node(node.paths, node.goal_paths, &node.stats),
-            DagNodeKind::Pruned(_) => FoldAcc::from_node(0, 0, &node.stats),
-            DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            } => {
-                let mut survivors = 0u64;
-                let mut acc = FoldAcc {
-                    paths: 0,
-                    goal_paths: 0,
-                    nodes_expanded: 1,
-                    edges_created: 0,
-                    pruned_time: *floor_skipped,
-                    pruned_availability: 0,
-                };
-                let veto = restriction.at(node, edges);
-                for i in 0..edges.len() {
-                    if !veto.keeps(edges, i, workloads) {
-                        continue;
-                    }
-                    survivors += 1;
-                    // Probe inline before recursing: the common case is an
-                    // already-folded child, answered by one array read
-                    // with no call and no node fetch.
-                    let child = edges.child(i);
-                    let sub = match memo.get(child) {
-                        Some(sub) => sub,
-                        None => self.fold_restrict(view, child, workloads, restriction, memo),
-                    };
-                    acc.edges_created += 1;
-                    acc.merge(&sub);
-                }
-                if survivors == 0 && *floor_skipped == 0 {
-                    // The filtered build's dead-end reclassification: every
-                    // selection vetoed, nothing floor-skipped — a DeadEnd
-                    // leaf, one non-goal path.
-                    FoldAcc::from_node(1, 0, &ExploreStats::default())
-                } else {
-                    acc
-                }
+                memo: FoldMemo::new(view.id_bound()),
+                forced: FxMap::default(),
             }
-        };
-        memo.put(id, &out);
-        out
-    }
-
-    /// The counting fold with forced courses still outstanding. `None`
-    /// means "this subtree keeps no path": the edge into it is dropped and
-    /// contributes nothing to statistics. Branches whose outstanding set
-    /// empties delegate to the cheaper [`UniqueTable::fold_restrict`].
-    /// Invariant: `remaining` is nonempty here.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_forced(
-        &self,
-        view: &NodeView<'_>,
-        id: DagNodeId,
-        remaining: CourseSet,
-        workloads: &[f64],
-        restriction: &Restriction,
-        forced: &mut FxMap<(DagNodeId, CourseSet), Option<FoldAcc>>,
-        memo: &mut FoldMemo,
-    ) -> Option<FoldAcc> {
-        if let Some(out) = forced.get(&(id, remaining)) {
-            return *out;
-        }
-        let node = view.node(id);
-        let out = match &node.kind {
-            // The path ends without the forced courses: dropped.
-            DagNodeKind::Leaf(_) => None,
-            // A pruned state keeps its prune counter; whether it counts
-            // is up to its parent, which drops it with itself when no
-            // sibling keeps a path.
-            DagNodeKind::Pruned(_) => Some(FoldAcc::from_node(0, 0, &node.stats)),
-            DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            } => {
-                if !remaining.is_subset(&node.support) {
-                    // Some forced course is not electable below, so no
-                    // path here completes the forced set: the walk below
-                    // would find none.
-                    None
-                } else {
-                    let mut acc = FoldAcc {
-                        paths: 0,
-                        goal_paths: 0,
-                        nodes_expanded: 1,
-                        edges_created: 0,
-                        pruned_time: *floor_skipped,
-                        pruned_availability: 0,
-                    };
-                    let veto = restriction.at(node, edges);
-                    let outstanding = edges.mask_of(&remaining);
-                    for i in 0..edges.len() {
-                        if !veto.keeps(edges, i, workloads) {
-                            continue;
-                        }
-                        let child = edges.child(i);
-                        // Only an edge electing an outstanding course
-                        // changes what is outstanding below it.
-                        let child_remaining = if edges.meets(i, &outstanding) {
-                            remaining.difference(&edges.selection(i))
-                        } else {
-                            remaining
-                        };
-                        let sub = if child_remaining.is_empty() {
-                            Some(match memo.get(child) {
-                                Some(sub) => sub,
-                                None => {
-                                    self.fold_restrict(view, child, workloads, restriction, memo)
-                                }
-                            })
-                        } else {
-                            self.fold_forced(
-                                view,
-                                child,
-                                child_remaining,
-                                workloads,
-                                restriction,
-                                forced,
-                                memo,
-                            )
-                        };
-                        if let Some(sub) = sub {
-                            acc.edges_created += 1;
-                            acc.merge(&sub);
-                        }
-                    }
-                    // With forced courses outstanding, a subtree that
-                    // keeps no path (a dead end, a pruned skeleton, or one
-                    // whose paths all miss a forced course) drops whole.
-                    (acc.paths != 0).then_some(acc)
-                }
-            }
-        };
-        forced.insert((id, remaining), out);
-        out
+            .fold(root, remaining)
+            .unwrap_or_default();
+            drop(view);
+            self.fold_put(key, out);
+            out
+        });
+        (counts.paths, counts.goal_paths, counts.stats())
     }
 }
 
@@ -734,13 +599,15 @@ mod tests {
     /// unfolded node by node with the restriction installed as filters,
     /// `remaining` the forced courses still outstanding. `None` means the
     /// subtree keeps no path while forced courses are outstanding: a leaf
-    /// there, or a subtree with no path below. Pruned states are kept.
+    /// there, or a subtree with no path below. Pruned states are kept. A
+    /// state whose every selection is vetoed counts its expansion and ends
+    /// a dead-end path, as `Explorer`'s depth-first walk counts it.
     fn oracle(
         e: &Explorer<'_>,
         status: EnrollmentStatus,
         pruner: Option<&Pruner<'_>>,
         remaining: CourseSet,
-    ) -> Option<FoldCounts> {
+    ) -> Option<(u128, u128, ExploreStats)> {
         let leaf = |kind| {
             let counts = (
                 1,
@@ -781,7 +648,7 @@ mod tests {
             }
         }
         if allowed == 0 && floor_skipped == 0 {
-            return leaf(LeafKind::DeadEnd);
+            return remaining.is_empty().then_some((1, 0, stats));
         }
         stats.pruned_time += floor_skipped;
         (remaining.is_empty() || paths > 0).then_some((paths, goal_paths, stats))

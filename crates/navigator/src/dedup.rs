@@ -20,7 +20,7 @@
 //! materialized-state budget as a check on that walk, error types, the
 //! [`StateDag`] shape with its root at index 0, and statistics that
 //! reflect *distinct states* (each state expanded or pruned once), not
-//! tree nodes.
+//! tree nodes. The state DAG lists its states in topological order.
 
 use std::collections::{HashMap, HashSet};
 
@@ -29,10 +29,11 @@ use coursenav_catalog::CourseSet;
 use crate::error::ExploreError;
 use crate::explorer::Explorer;
 use crate::path::LeafKind;
-use crate::pruning::record_prune;
-use crate::stats::{ExploreStats, PathCounts};
+use crate::stats::PathCounts;
 use crate::status::EnrollmentStatus;
-use crate::unique::{DagBuildError, DagNodeId, DagNodeKind, FxBuild, NodeView, UniqueTable};
+use crate::unique::{
+    Counts, DagBuildError, DagNodeId, DagNodeKind, FxBuild, NodeView, UniqueTable,
+};
 
 /// A node of the deduplicated state DAG.
 #[derive(Debug, Clone)]
@@ -68,7 +69,8 @@ pub struct StateEdge {
 /// `coursenav-viz`'s `state_dag_to_dot`.
 #[derive(Debug, Clone, Default)]
 pub struct StateDag {
-    /// Distinct states; index 0 is the root.
+    /// Distinct states; index 0 is the root, and every edge runs from a
+    /// lower index to a higher one.
     pub states: Vec<StateNode>,
     /// Selection transitions between states.
     pub edges: Vec<StateEdge>,
@@ -105,8 +107,9 @@ struct StateWalk {
     /// Distinct states met, pruned included.
     seen: HashSet<StateKey, FxBuild>,
     /// Per-distinct-state statistics: each state contributes its expansion
-    /// (or prune) once, however many selection orders reach it.
-    stats: ExploreStats,
+    /// (or prune) once, however many selection orders reach it. The path
+    /// counts stay zero; the tree's come from the root's summary.
+    stats: Counts,
     /// Non-pruned states in post-order, with their nodes: the order a
     /// depth-first build finishes them, so the root is last. Recorded only
     /// for the state DAG ([`StateWalk::new`]'s `keep_order`).
@@ -122,7 +125,7 @@ impl StateWalk {
     ) -> StateWalk {
         let mut walk = StateWalk {
             seen: HashSet::default(),
-            stats: ExploreStats::default(),
+            stats: Counts::default(),
             order: keep_order.then(Vec::new),
         };
         walk.visit(&table.view(), explorer.start().state_key(), root);
@@ -135,17 +138,18 @@ impl StateWalk {
         }
         match &view.node(id).kind {
             DagNodeKind::Leaf(_) => {}
-            DagNodeKind::Pruned(reason) => {
-                record_prune(&mut self.stats, *reason);
+            pruned @ DagNodeKind::Pruned(_) => {
+                self.stats.merge(&Counts::terminal(pruned));
                 return;
             }
             DagNodeKind::Interior {
                 edges,
                 floor_skipped,
             } => {
-                self.stats.nodes_expanded += 1;
-                self.stats.edges_created += edges.len() as u64;
-                self.stats.pruned_time += floor_skipped;
+                self.stats.merge(&Counts {
+                    edges_created: edges.len() as u64,
+                    ..Counts::interior(*floor_skipped)
+                });
                 for (selection, child) in edges.iter() {
                     self.visit(view, (key.0 + 1, key.1.union(&selection)), child);
                 }
@@ -161,7 +165,7 @@ impl StateWalk {
         PathCounts {
             total_paths: root.paths,
             goal_paths: root.goal_paths,
-            stats: self.stats,
+            stats: self.stats.stats(),
         }
     }
 }
@@ -220,21 +224,29 @@ impl Explorer<'_> {
             });
         }
         let mut dag = StateDag::default();
-        // Nodes are shared (terminals across all their states, interiors
-        // across selection orders), so edges are resolved by *state key*,
-        // which is unique per materialized state.
+        // Reverse post-order: the root first, and every state before the
+        // states its selections reach. Nodes are shared (terminals across
+        // all their states, interiors across selection orders), so edges
+        // are resolved by *state key*, which is unique per materialized
+        // state.
         let index_of: HashMap<StateKey, u32, FxBuild> = order
             .iter()
+            .rev()
             .enumerate()
             .map(|(position, (key, _))| (*key, position as u32))
             .collect();
         let view = table.view();
         let start = self.start().semester();
-        for &(from_key, id) in &order {
+        for &(from_key, id) in order.iter().rev() {
             let node = view.node(id);
             let from = dag.states.len() as u32;
             let leaf = match &node.kind {
                 DagNodeKind::Leaf(kind) => Some(*kind),
+                // Filters vetoed every selection: expanded, but a dead end.
+                DagNodeKind::Interior {
+                    edges,
+                    floor_skipped: 0,
+                } if edges.is_empty() => Some(LeafKind::DeadEnd),
                 DagNodeKind::Interior { edges, .. } => {
                     for (selection, _) in edges.iter() {
                         // Edges to pruned children exist structurally (they
@@ -272,24 +284,6 @@ impl Explorer<'_> {
                 goal_paths: 0,
             });
         }
-        // The walk finishes states in post-order; re-rooting at 0 keeps the
-        // documented invariant that index 0 is the root.
-        {
-            let last = dag.states.len() as u32 - 1;
-            dag.states.swap(0, last as usize);
-            for e in &mut dag.edges {
-                if e.from == 0 {
-                    e.from = last;
-                } else if e.from == last {
-                    e.from = 0;
-                }
-                if e.to == 0 {
-                    e.to = last;
-                } else if e.to == last {
-                    e.to = 0;
-                }
-            }
-        }
         Ok(dag)
     }
 }
@@ -303,7 +297,8 @@ mod tests {
     use crate::explorer::Disposition;
     use crate::filter::AvoidCourses;
     use crate::goal::Goal;
-    use crate::pruning::{PruneReason, Pruner};
+    use crate::pruning::{record_prune, PruneReason, Pruner};
+    use crate::stats::ExploreStats;
     use coursenav_catalog::{
         Catalog, CatalogBuilder, CourseSpec, Semester, SyntheticCatalog, SyntheticConfig, Term,
     };
@@ -405,6 +400,7 @@ mod tests {
             assert!(edge.selection.is_subset(from.status.options()));
             assert_eq!(to.status.semester(), from.status.semester().next());
             assert!(from.leaf.is_none(), "edges leave interior states only");
+            assert!(edge.from < edge.to, "states are in topological order");
         }
     }
 
@@ -484,13 +480,11 @@ mod tests {
                         enumerate_tree(e, child, pruner, seen);
                     }
                 }
-                if children.is_empty() && floor_skipped == 0 {
-                    Seen::Leaf
-                } else {
-                    Seen::Expanded {
-                        children,
-                        floor_skipped,
-                    }
+                // A state whose every selection a filter vetoed is still
+                // expanded, as `Explorer`'s depth-first walk counts it.
+                Seen::Expanded {
+                    children,
+                    floor_skipped,
                 }
             }
         };

@@ -14,19 +14,22 @@
 //! is a leaf or pruned by its `(semester, completed)` pair alone resolves
 //! straight to its kind's shared node (interned once per kind per build)
 //! with no lookup, lock, per-state record or options computation — only
-//! the rest are looked up, and only a miss computes its options (a dead
-//! end still resolves to its terminal) and is expanded and interned, with
-//! its summary folded from the child summaries the builder already holds.
-//! Per-*state* facts (distinct-state counts, per-state statistics, the
-//! state DAG) are derived after the build by walking it by state key
-//! (`crate::dedup`). Each interned node carries its
-//! subtree's path counts, logical tree statistics, and a *support set* (the
-//! courses electable anywhere below, with the heaviest selection's
-//! workload), all pure functions of structure — so any root answers a
-//! counting request in O(1) once built, and the what-if fold
-//! (`crate::apply`) can prove whole subtrees untouched by a delta without
-//! descending into them. Only the builder creates nodes, so every node's
-//! summary is exact.
+//! the rest are looked up, and only a miss computes its options (a state
+//! with none still resolves to the dead-end terminal) and is expanded and
+//! interned, with its summary folded from the child summaries the builder
+//! already holds. A state whose every selection a filter vetoes is an
+//! interior with no edge, expanded and ending one dead-end path, as the
+//! explorer counts it. Per-*state* facts (distinct-state counts, per-state
+//! statistics, the state DAG) are derived after the build by walking it by
+//! state key (`crate::dedup`). Each interned node carries its subtree's
+//! path counts, logical tree statistics, and a *support set* (the courses
+//! electable anywhere below, with the heaviest selection's workload), all
+//! pure functions of structure — so any root answers a counting request in
+//! O(1) once built, and the what-if fold (`crate::apply`) can prove whole
+//! subtrees untouched by a delta without descending into them. Counts and
+//! statistics are one accumulator, `Counts`, shared by the builder, the
+//! what-if fold and the dedup views, and built by the same rules in each.
+//! Only the builder creates nodes, so every node's summary is exact.
 //!
 //! Edges dominate the table's memory (sparse-7sem: 3.16 M edges on 74.6 k
 //! nodes), so an interior packs them the way BDD and ZDD packages pack
@@ -76,7 +79,7 @@ use serde::{Deserialize, Serialize};
 use crate::expiry::Expiry;
 use crate::explorer::{Disposition, Explorer};
 use crate::path::LeafKind;
-use crate::pruning::{record_prune, PruneReason, Pruner};
+use crate::pruning::{PruneReason, Pruner};
 use crate::stats::ExploreStats;
 use crate::status::Classifiable;
 
@@ -178,7 +181,9 @@ pub enum DagNodeKind {
     Pruned(PruneReason),
     /// An expanded state: one edge per admissible selection (including
     /// edges to pruned children), plus how many selections the strategic
-    /// floor skipped (they contribute `pruned-time` per tree visit).
+    /// floor skipped (they contribute `pruned-time` per tree visit). With
+    /// no edge and nothing skipped, filters vetoed every selection and the
+    /// state ends one dead-end path.
     Interior {
         /// `(selection, child)` in enumeration order, packed as masks over
         /// the node's alphabet (see [`Edges`]).
@@ -502,49 +507,130 @@ pub struct DagNode {
     pub max_load: f64,
 }
 
-/// A node's derived subtree summary: counts, logical statistics, support
-/// and the heaviest-selection bound — pure functions of structure, folded
-/// bottom-up from the children's summaries.
+/// A subtree's path counts and the four logical tree counters: the one
+/// accumulator of every walk over the DAG. The builder folds a node's
+/// counts from its children's (inside [`Summary`]), the what-if fold
+/// re-folds them under a delta (`crate::apply`), and `crate::dedup` sums
+/// one per distinct state. The two folds build them the same way: a
+/// terminal from its kind, an interior from [`Counts::interior`], one
+/// [`Counts::add_edge`] per kept edge, then [`Counts::close`]. The
+/// transposition-table counters of [`ExploreStats`] are zero on every
+/// interned node ([`DagNode::stats`]), so they are left out and the whole
+/// accumulator packs into one cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Counts {
+    pub(crate) paths: u128,
+    pub(crate) goal_paths: u128,
+    pub(crate) nodes_expanded: u64,
+    pub(crate) edges_created: u64,
+    pub(crate) pruned_time: u64,
+    pub(crate) pruned_availability: u64,
+}
+
+impl Counts {
+    /// The constant counts of a terminal kind: a leaf ends one path (a goal
+    /// path when the goal holds there), a pruned state counts its prune.
+    pub(crate) fn terminal(kind: &DagNodeKind) -> Counts {
+        let mut counts = Counts::default();
+        match kind {
+            DagNodeKind::Leaf(k) => {
+                counts.paths = 1;
+                counts.goal_paths = u128::from(*k == LeafKind::Goal);
+            }
+            DagNodeKind::Pruned(PruneReason::Time) => counts.pruned_time = 1,
+            DagNodeKind::Pruned(PruneReason::Availability) => counts.pruned_availability = 1,
+            DagNodeKind::Interior { .. } => unreachable!("an interior is not a terminal"),
+        }
+        counts
+    }
+
+    /// An interior's counts before any edge is folded in: its expansion,
+    /// and one time prune per selection the strategic floor skipped.
+    pub(crate) fn interior(floor_skipped: u64) -> Counts {
+        Counts {
+            nodes_expanded: 1,
+            pruned_time: floor_skipped,
+            ..Counts::default()
+        }
+    }
+
+    /// Folds one kept edge and the subtree below it into an interior's
+    /// counts.
+    #[inline]
+    pub(crate) fn add_edge(&mut self, child: &Counts) {
+        self.edges_created += 1;
+        self.merge(child);
+    }
+
+    /// Adds another subtree's counts.
+    #[inline]
+    pub(crate) fn merge(&mut self, other: &Counts) {
+        self.paths += other.paths;
+        self.goal_paths += other.goal_paths;
+        self.nodes_expanded += other.nodes_expanded;
+        self.edges_created += other.edges_created;
+        self.pruned_time += other.pruned_time;
+        self.pruned_availability += other.pruned_availability;
+    }
+
+    /// Finishes an interior's counts once every kept edge is folded in. An
+    /// interior that kept no edge and skipped nothing at the floor had every
+    /// selection vetoed by a filter: it stays expanded and ends one non-goal
+    /// dead-end path, as the explorer's depth-first walk counts it. No edge
+    /// was folded exactly when `edges_created` is still zero, and then
+    /// `pruned_time` holds the floor skips alone.
+    pub(crate) fn close(&mut self) {
+        if self.edges_created == 0 && self.pruned_time == 0 {
+            self.paths = 1;
+        }
+    }
+
+    /// A node's stored counts.
+    #[inline]
+    pub(crate) fn of(node: &DagNode) -> Counts {
+        let stats = &node.stats;
+        debug_assert_eq!(
+            (stats.memo_hits, stats.memo_misses, stats.memo_evictions),
+            (0, 0, 0),
+            "interned nodes carry logical stats with zero memo traffic"
+        );
+        Counts {
+            paths: node.paths,
+            goal_paths: node.goal_paths,
+            nodes_expanded: stats.nodes_expanded,
+            edges_created: stats.edges_created,
+            pruned_time: stats.pruned_time,
+            pruned_availability: stats.pruned_availability,
+        }
+    }
+
+    /// The logical statistics, memo counters zero.
+    pub(crate) fn stats(&self) -> ExploreStats {
+        ExploreStats {
+            nodes_expanded: self.nodes_expanded,
+            edges_created: self.edges_created,
+            pruned_time: self.pruned_time,
+            pruned_availability: self.pruned_availability,
+            ..ExploreStats::default()
+        }
+    }
+}
+
+/// A node's derived subtree summary, folded bottom-up by the builder from
+/// the summaries of the children it holds: the subtree's [`Counts`], plus
+/// its support and heaviest-selection bound — pure functions of structure.
 #[derive(Debug, Clone, Copy)]
 struct Summary {
-    paths: u128,
-    goal_paths: u128,
-    stats: ExploreStats,
+    counts: Counts,
     support: CourseSet,
     max_load: f64,
 }
 
 impl Summary {
-    /// The constant summary of a terminal kind.
-    fn terminal(kind: &DagNodeKind) -> Summary {
-        let mut summary = Summary {
-            paths: 0,
-            goal_paths: 0,
-            stats: ExploreStats::default(),
-            support: CourseSet::EMPTY,
-            max_load: 0.0,
-        };
-        match kind {
-            DagNodeKind::Leaf(k) => {
-                summary.paths = 1;
-                summary.goal_paths = u128::from(*k == LeafKind::Goal);
-            }
-            DagNodeKind::Pruned(reason) => record_prune(&mut summary.stats, *reason),
-            DagNodeKind::Interior { .. } => {}
-        }
-        summary
-    }
-
-    /// An interior's summary before any edge is folded in.
-    fn interior(floor_skipped: u64) -> Summary {
+    /// A summary with these counts and nothing electable below.
+    fn new(counts: Counts) -> Summary {
         Summary {
-            paths: 0,
-            goal_paths: 0,
-            stats: ExploreStats {
-                nodes_expanded: 1,
-                pruned_time: floor_skipped,
-                ..ExploreStats::default()
-            },
+            counts,
             support: CourseSet::EMPTY,
             max_load: 0.0,
         }
@@ -554,10 +640,7 @@ impl Summary {
     /// into an interior's summary. The selections' own courses join the
     /// support once, as the node's alphabet, when the edges are encoded.
     fn add_edge(&mut self, load: f64, child: &Summary) {
-        self.stats.edges_created += 1;
-        self.stats.merge(&child.stats);
-        self.paths += child.paths;
-        self.goal_paths += child.goal_paths;
+        self.counts.add_edge(&child.counts);
         self.support.union_with(&child.support);
         self.max_load = self.max_load.max(load).max(child.max_load);
     }
@@ -614,13 +697,10 @@ impl NodeView<'_> {
     }
 }
 
-/// Key of one fold-cache entry: a fingerprint of the what-if delta plus
-/// the root it was folded over.
-pub(crate) type FoldKey = (u64, DagNodeId);
-
-/// Result of one what-if fold (`UniqueTable::whatif_counts`):
-/// `(paths, goal_paths, logical tree stats)`.
-pub(crate) type FoldCounts = (u128, u128, ExploreStats);
+/// Key of one fold-cache entry: the what-if delta itself — avoided
+/// courses, the workload cap's bits, the forced courses still outstanding
+/// at the root — and the root it was folded over.
+pub(crate) type FoldKey = (CourseSet, Option<u64>, CourseSet, DagNodeId);
 
 /// Observability counters for one unique table, serialized into the
 /// `/v1/metrics` `unique-table` block.
@@ -685,7 +765,7 @@ pub struct UniqueTable {
     /// entries, cleared when full (the cache is pure, so clearing only
     /// costs recompute): a stream of distinct what-ifs interns no nodes,
     /// so the node cap alone would never bound it.
-    folds: Mutex<HashMap<FoldKey, FoldCounts>>,
+    folds: Mutex<HashMap<FoldKey, Counts>>,
     /// Built exploration roots by frame key. At most `capacity` entries,
     /// cleared like the fold cache: a stream of distinct frames whose
     /// builds intern few new nodes would otherwise grow it without bound,
@@ -813,9 +893,9 @@ impl UniqueTable {
             semester,
             completed,
             kind,
-            paths: summary.paths,
-            goal_paths: summary.goal_paths,
-            stats: summary.stats,
+            paths: summary.counts.paths,
+            goal_paths: summary.counts.goal_paths,
+            stats: summary.counts.stats(),
             support: summary.support,
             max_load: summary.max_load,
         }));
@@ -857,7 +937,7 @@ impl UniqueTable {
         (self.capacity != 0).then_some(self.capacity)
     }
 
-    pub(crate) fn fold_get(&self, key: &FoldKey) -> Option<FoldCounts> {
+    pub(crate) fn fold_get(&self, key: &FoldKey) -> Option<Counts> {
         let hit = self
             .folds
             .lock()
@@ -876,7 +956,7 @@ impl UniqueTable {
         }
     }
 
-    pub(crate) fn fold_put(&self, key: FoldKey, value: FoldCounts) {
+    pub(crate) fn fold_put(&self, key: FoldKey, value: Counts) {
         let mut folds = self.folds.lock().expect("fold cache poisoned");
         bounded_insert(&mut folds, self.cache_cap(), key, value);
     }
@@ -897,22 +977,21 @@ impl UniqueTable {
                 edges,
                 floor_skipped,
             } => {
-                let mut summary = Summary::interior(*floor_skipped);
+                let mut summary = Summary::new(Counts::interior(*floor_skipped));
                 for i in 0..edges.len() {
                     let child = self.node(edges.child(i));
                     let child = Summary {
-                        paths: child.paths,
-                        goal_paths: child.goal_paths,
-                        stats: child.stats,
+                        counts: Counts::of(&child),
                         support: child.support,
                         max_load: child.max_load,
                     };
                     summary.add_edge(edges.load(i, workloads), &child);
                 }
+                summary.counts.close();
                 summary.support.union_with(&edges.alphabet());
                 summary
             }
-            terminal => Summary::terminal(terminal),
+            terminal => Summary::new(Counts::terminal(terminal)),
         };
         self.intern(0, CourseSet::EMPTY, kind, summary).0
     }
@@ -1007,7 +1086,7 @@ impl BuildCtx<'_> {
     fn terminal(&mut self, kind: DagNodeKind) -> (DagNodeId, Summary) {
         let slot = terminal_slot(&kind);
         *self.terminals[slot].get_or_insert_with(|| {
-            let summary = Summary::terminal(&kind);
+            let summary = Summary::new(Counts::terminal(&kind));
             let (id, _) = self
                 .table
                 .intern(TERMINAL_SEMESTER, CourseSet::EMPTY, kind, summary);
@@ -1086,7 +1165,7 @@ impl Explorer<'_> {
         let words = loads.len().div_ceil(64);
         let (mask_base, child_base) = (ctx.masks.len(), ctx.children.len());
         let mut floor_skipped = 0u64;
-        let mut summary = Summary::interior(0);
+        let mut summary = Summary::new(Counts::interior(0));
         while let Some(selection) = selections.next() {
             if selection.len() < expansion.min_selection {
                 floor_skipped += 1;
@@ -1108,34 +1187,29 @@ impl Explorer<'_> {
             }
             ctx.children.push(child_id);
         }
-        let resolved = if ctx.children.len() == child_base && floor_skipped == 0 {
-            // Filters vetoed every selection: dead-end leaf, exactly as
-            // re-exploration classifies it.
-            ctx.terminal(DagNodeKind::Leaf(LeafKind::DeadEnd))
-        } else {
-            summary.stats.pruned_time += floor_skipped;
-            let edges = Edges::encode(
-                selections.options(),
-                &ctx.masks[mask_base..],
-                &ctx.children[child_base..],
-            );
-            summary.support.union_with(&edges.alphabet());
-            let kind = DagNodeKind::Interior {
-                edges,
-                floor_skipped,
-            };
-            let (semester, completed) = status.state_key();
-            let (id, created) = ctx.table.intern(semester, completed, kind, summary);
-            if created {
-                ctx.created += 1;
-                if let Some(node_budget) = ctx.node_budget {
-                    if ctx.created > node_budget {
-                        return Err(DagBuildError::Budget { node_budget });
-                    }
+        summary.counts.pruned_time += floor_skipped;
+        summary.counts.close();
+        let edges = Edges::encode(
+            selections.options(),
+            &ctx.masks[mask_base..],
+            &ctx.children[child_base..],
+        );
+        summary.support.union_with(&edges.alphabet());
+        let kind = DagNodeKind::Interior {
+            edges,
+            floor_skipped,
+        };
+        let (semester, completed) = status.state_key();
+        let (id, created) = ctx.table.intern(semester, completed, kind, summary);
+        if created {
+            ctx.created += 1;
+            if let Some(node_budget) = ctx.node_budget {
+                if ctx.created > node_budget {
+                    return Err(DagBuildError::Budget { node_budget });
                 }
             }
-            (id, summary)
-        };
+        }
+        let resolved = (id, summary);
         ctx.masks.truncate(mask_base);
         ctx.children.truncate(child_base);
         ctx.expanded.insert(status.state_key(), resolved);
@@ -1400,6 +1474,89 @@ mod tests {
             rebuilt.hash_cons_hits, built.nodes,
             "one hit per interior and per terminal kind reached"
         );
+    }
+
+    /// What-if answers at benchmark scale: six fixed deltas over the
+    /// sparse-7sem base DAG, their counts and logical stats pinned. The
+    /// restriction-only deltas must also equal a memoized count of the
+    /// frame with the restriction installed as filters, which fails for
+    /// the avoid-plus-cap delta if a build or the fold stops counting the
+    /// expansions of the states whose every selection is vetoed (53 here).
+    #[test]
+    #[ignore = "builds a 74,603-node DAG and counts the frame three times; run in release"]
+    fn sparse_7sem_whatifs_are_golden() {
+        use crate::apply::Restriction;
+        use crate::memo::TranspositionTable;
+
+        let synth = sparse_7sem_catalog();
+        let (service, base) = sparse_7sem_frame(&synth);
+        let table = UniqueTable::new(0);
+        let explorer = || service.build_explorer(&base).unwrap();
+        let root = explorer().build_path_dag(&table, None, None).unwrap();
+        let courses = |codes: &[&str]| -> CourseSet {
+            codes
+                .iter()
+                .map(|code| synth.catalog.id_of_str(code).unwrap())
+                .collect()
+        };
+        // Avoiding CS 12 and CS 21 leaves no way to the degree; CS 45 is
+        // electable nowhere in the frame.
+        let deltas: [(&[&str], Option<f64>, &[&str]); 6] = [
+            (&["CS 12", "CS 21"], None, &[]),
+            (&[], Some(30.0), &[]),
+            (&["CS 17"], Some(36.0), &[]),
+            (&[], None, &["CS 33"]),
+            (&["CS 14"], None, &["CS 20", "CS 31"]),
+            (&[], None, &["CS 45"]),
+        ];
+        // (paths, goal paths, [expanded, edges, time prunes, availability
+        // prunes]).
+        let goldens: [(u128, u128, [u64; 4]); 6] = [
+            (0, 0, [83_241, 1_594_668, 11_342, 1_500_086]),
+            (1_384_718, 1_229_621, [113_318, 2_282_338, 34_310, 749_993]),
+            (744_403, 658_380, [74_503, 1_058_700, 8_455, 231_393]),
+            (1_388_939, 1_382_068, [174_391, 8_318_243, 2_026, 6_752_888]),
+            (0, 0, [0; 4]),
+            (0, 0, [0; 4]),
+        ];
+        for ((avoid, cap, force), (paths, goal_paths, [expanded, edges, time, availability])) in
+            deltas.into_iter().zip(goldens)
+        {
+            let r = Restriction {
+                avoid: courses(avoid),
+                max_workload: cap,
+            };
+            let stats = ExploreStats {
+                nodes_expanded: expanded,
+                edges_created: edges,
+                pruned_time: time,
+                pruned_availability: availability,
+                ..ExploreStats::default()
+            };
+            let got =
+                table.whatif_counts(root, &synth.catalog, &r, &courses(force), &CourseSet::EMPTY);
+            assert_eq!(
+                got,
+                (paths, goal_paths, stats),
+                "{avoid:?} {cap:?} {force:?}"
+            );
+            if !force.is_empty() {
+                continue;
+            }
+            let mut filtered = explorer();
+            if !r.avoid.is_empty() {
+                filtered = filtered.with_filter(Arc::new(AvoidCourses(r.avoid)));
+            }
+            if let Some(cap) = cap {
+                filtered = filtered.with_filter(Arc::new(MaxSemesterWorkload(cap)));
+            }
+            let (counts, _) = filtered.count_paths_memo(&TranspositionTable::new(1 << 18));
+            assert_eq!(
+                (counts.total_paths, counts.goal_paths, counts.stats),
+                got,
+                "{avoid:?} {cap:?}: the memoized count of the filtered frame"
+            );
+        }
     }
 
     #[test]
