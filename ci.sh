@@ -22,9 +22,12 @@ echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild h
 # flake. The classifier golden pins the root's path counts and the build's
 # logical stats (expansions, edges, time and availability prunes), so a
 # goal-oracle or pruning change that moves any decision fails here. The
-# rebuild gate builds the frame twice into one table and requires the
-# second build to intern nothing and hash-cons once per node, pinning the
-# canonicality of the builder's enumeration-time edge encoding. The what-if
+# rebuild gate builds the frame twice into one table: the first build makes
+# 74,603 intern calls (one per expanded state and per terminal kind, many of
+# them hits, since nodes are interned by structure alone), and the second
+# must return the same root, intern nothing, and raise the hits by exactly
+# the first build's intern calls, pinning the canonicality of the builder's
+# enumeration-time edge encoding. The what-if
 # gate pins the fold's counts and logical stats for six fixed deltas
 # (avoided courses, a workload cap, both, and forced courses) and requires
 # each restriction-only answer to equal a memoized count of the frame with
@@ -41,6 +44,16 @@ echo "==> §5.2 containment artifact and Table 2's 6-semester goal cell (release
 # CS major). `cargo test` pins the 4- and 5-semester cells; the 7-semester
 # row is a manual run, `table2 -- --full`.
 cargo run -q -p coursenav-bench --release --bin containment >/dev/null
+
+echo "==> Table 1, Ablation A and Figure 4 count goldens (release, ~20 s)"
+# Both binaries assert every count they print before printing it; runtimes
+# are printed, never asserted. `table1 --ablate` (~9 s on a shared 2-vCPU
+# host) checks Table 1's rows against coursenav_bench::TABLE1_GOLDENS and
+# each Ablation A count; `fig4` (~11 s) checks all twelve cells' path
+# counts, last costs and expansion counts against FIG4_GOLDENS. `cargo
+# test` pins the four-semester Table 1 row and the fastest Fig. 4 cell.
+cargo run -q -p coursenav-bench --release --bin table1 -- --ablate >/dev/null
+cargo run -q -p coursenav-bench --release --bin fig4 >/dev/null
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches stale and private intra-doc links left behind when an item is

@@ -11,9 +11,14 @@
 //! Plus the §5.2 breakdown: "82% of them are pruned using time-based
 //! pruning strategy and 18% are pruned by course-availability".
 //!
+//! The binary asserts every count it prints against its pin before
+//! printing it: Table 1's rows against `coursenav_bench::TABLE1_GOLDENS`,
+//! and with `--ablate` each Ablation A configuration's explored paths.
+//! Runtimes are printed, never asserted.
+//!
 //! Run: `cargo run -p coursenav-bench --release --bin table1 [--ablate]`
 
-use coursenav_bench::{paper_goal_explorer, paper_instance, secs, timed};
+use coursenav_bench::{paper_goal_explorer, paper_instance, secs, timed, TABLE1_GOLDENS};
 use coursenav_navigator::PruneConfig;
 
 fn main() {
@@ -31,7 +36,7 @@ fn main() {
     );
     println!("{}", "-".repeat(88));
 
-    for semesters in [4i32, 5] {
+    for &(semesters, paths, goal_paths, unpruned_paths) in TABLE1_GOLDENS {
         let pruned = paper_goal_explorer(&data, semesters, PruneConfig::all());
         let (pc, pt) = timed(|| pruned.count_paths());
         let unpruned = paper_goal_explorer(&data, semesters, PruneConfig::none());
@@ -39,6 +44,11 @@ fn main() {
         assert_eq!(
             pc.goal_paths, uc.goal_paths,
             "pruning must preserve goal paths"
+        );
+        assert_eq!(
+            (pc.total_paths, pc.goal_paths, uc.total_paths),
+            (paths, goal_paths, unpruned_paths),
+            "Table 1's {semesters}-semester row moved from its golden"
         );
         println!(
             "{:>9} | {:>14} {:>12} | {:>14} {:>12} | {:>10}",
@@ -66,16 +76,28 @@ fn main() {
             "configuration", "#paths", "runtime(s)", "pruned-time", "pruned-avail"
         );
         println!("{}", "-".repeat(88));
-        let configs: [(&str, PruneConfig, bool); 5] = [
-            ("none", PruneConfig::none(), false),
-            ("time-only", PruneConfig::time_only(), false),
-            ("availability-only", PruneConfig::availability_only(), false),
-            ("both (paper)", PruneConfig::all(), false),
-            ("both + strategic selections", PruneConfig::all(), true),
+        // (name, pruning, strategic floor, pinned explored paths).
+        let configs: [(&str, PruneConfig, bool, u128); 5] = [
+            ("none", PruneConfig::none(), false, 17_180_112),
+            ("time-only", PruneConfig::time_only(), false, 8_777_855),
+            (
+                "availability-only",
+                PruneConfig::availability_only(),
+                false,
+                5_514_503,
+            ),
+            ("both (paper)", PruneConfig::all(), false, 3_180_719),
+            (
+                "both + strategic selections",
+                PruneConfig::all(),
+                true,
+                2_593_068,
+            ),
         ];
-        for (name, config, strategic) in configs {
+        for (name, config, strategic, pinned) in configs {
             let e = paper_goal_explorer(&data, 5, config).with_strategic_selections(strategic);
             let (c, t) = timed(|| e.count_paths());
+            assert_eq!(c.total_paths, pinned, "Ablation A's {name} row moved");
             println!(
                 "{:>28} | {:>14} {:>12} | {:>12} {:>12}",
                 name,
@@ -92,6 +114,7 @@ fn main() {
         };
         let e = paper_goal_explorer(&data, 5, closure);
         let (c, t) = timed(|| e.count_paths());
+        assert_eq!(c.total_paths, 3_156_378, "the prereq-closure row moved");
         println!(
             "  prereq-closure availability: {} paths, {} s, {} availability prunes",
             c.total_paths,

@@ -11,9 +11,12 @@
 //! ```
 //!
 //! The deadline-driven "N/A" cells are out-of-memory failures in the paper;
-//! we reproduce them with a materialization node budget. The goal column
-//! is counted through a cold transposition table (the memoized count); its
-//! cells are pinned in [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
+//! we reproduce them with a materialization node budget. The binary
+//! asserts each deadline cell it runs against
+//! [`coursenav_bench::TABLE2_DEADLINE_GOLDENS`] — a path count, or the
+//! budget overflow — before printing it. The goal column is counted
+//! through a cold transposition table (the memoized count); its cells are
+//! pinned in [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
 //!
 //! The default run covers semesters 4–6 and prints the 7-semester row as
 //! "N/A †" without computing it. `--full` counts that row too, a manual
@@ -22,12 +25,9 @@
 //! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full]`
 
 use coursenav_bench::{
-    paper_deadline_explorer, paper_instance, secs, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
+    paper_instance, secs, table2_deadline_count, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
+    TABLE2_DEADLINE_GOLDENS, TABLE2_NODE_BUDGET,
 };
-
-/// Node budget standing in for the paper's 32 GB server: materializing a
-/// graph larger than this is reported N/A, as in the paper.
-const NODE_BUDGET: usize = 20_000_000;
 
 /// The horizon only `--full` counts.
 const SEVEN: i32 = 7;
@@ -39,7 +39,7 @@ fn main() {
     println!("Table 2: deadline-driven vs. goal-driven learning paths generation");
     println!(
         "(CS-major goal, m = 3, start {}; deadline graph budget {} nodes)\n",
-        data.horizon.0, NODE_BUDGET
+        data.horizon.0, TABLE2_NODE_BUDGET
     );
     println!(
         "{:>9} | {:>16} {:>12} | {:>16} {:>12}",
@@ -47,17 +47,21 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
-    for semesters in 4..=SEVEN {
+    for &(semesters, pinned) in TABLE2_DEADLINE_GOLDENS {
         let counted = semesters < SEVEN || full;
         // Deadline-driven: materialize the graph (the paper's Algorithm 1
         // stores it), reporting N/A when the budget is exceeded.
         let (d_paths, d_time) = if !counted {
             ("N/A".to_string(), "N/A".to_string())
         } else {
-            let deadline = paper_deadline_explorer(&data, semesters);
-            match timed(|| deadline.build_graph(NODE_BUDGET)) {
-                (Ok(graph), dt) => (graph.path_count().to_string(), secs(dt)),
-                (Err(_), _) => ("N/A".to_string(), "N/A".to_string()),
+            let (paths, dt) = timed(|| table2_deadline_count(&data, semesters));
+            assert_eq!(
+                paths, pinned,
+                "Table 2's {semesters}-semester deadline cell moved from its golden"
+            );
+            match paths {
+                Some(paths) => (paths.to_string(), secs(dt)),
+                None => ("N/A".to_string(), "N/A".to_string()),
             }
         };
 

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use coursenav_catalog::{Semester, SyntheticCatalog, SyntheticConfig};
 use coursenav_navigator::{
-    EnrollmentStatus, Explorer, Goal, PathCounts, PruneConfig, RankedPath, TimeRanking,
-    TranspositionTable,
+    EnrollmentStatus, ExploreStats, Explorer, Goal, PathCounts, PruneConfig, RankedPath,
+    TimeRanking, TranspositionTable,
 };
 use coursenav_registrar::{brandeis_cs, RegistrarData};
 
@@ -73,6 +73,40 @@ pub fn paper_goal_explorer(
     .with_prune(prune)
 }
 
+/// Table 1, pinned: `(semesters, paths explored with both pruning
+/// strategies, their goal paths, paths explored without pruning)`, each a
+/// streaming count of [`paper_goal_explorer`]. `cargo test` checks the
+/// four-semester row; the `table1` binary checks both.
+pub const TABLE1_GOLDENS: &[(i32, u128, u128, u128)] =
+    &[(4, 608, 98, 185_531), (5, 3_180_719, 1_037_851, 17_180_112)];
+
+/// Node budget standing in for the paper's 32 GB server in Table 2's
+/// deadline column: materializing a graph larger than this is reported
+/// N/A, as in the paper.
+pub const TABLE2_NODE_BUDGET: usize = 20_000_000;
+
+/// Table 2's deadline column, pinned: `(semesters, paths of the
+/// materialized deadline-driven graph)`, `None` where the graph outgrows
+/// [`TABLE2_NODE_BUDGET`] — the paper's out-of-memory cells, reproduced by
+/// design. `cargo test` checks the four-semester cell; the `table2`
+/// binary checks every cell it runs.
+pub const TABLE2_DEADLINE_GOLDENS: &[(i32, Option<usize>)] = &[
+    (4, Some(185_531)),
+    (5, Some(17_199_270)),
+    (6, None),
+    (7, None),
+];
+
+/// Table 2's deadline-driven cell at `semesters`: the path count of the
+/// graph [`paper_deadline_explorer`] materializes, or `None` when it
+/// outgrows [`TABLE2_NODE_BUDGET`].
+pub fn table2_deadline_count(data: &RegistrarData, semesters: i32) -> Option<usize> {
+    paper_deadline_explorer(data, semesters)
+        .build_graph(TABLE2_NODE_BUDGET)
+        .ok()
+        .map(|graph| graph.path_count())
+}
+
 /// Transposition-table entries of the paper-artifact counts: enough that
 /// the six-semester goal-driven count runs cold without evicting.
 pub const PAPER_MEMO_ENTRIES: usize = 1 << 22;
@@ -99,32 +133,39 @@ pub fn table2_goal_count(data: &RegistrarData, semesters: i32, memo_entries: usi
 }
 
 /// Figure 4's cells, pinned in the figure's row order: `(k, period in
-/// semesters, paths returned, the last path's cost)`, each the
-/// [`fig4_cell`] of the sparse eight-semester instance. `cargo test` checks
-/// the fastest cell, k = 10 over six semesters (about a second in a debug
+/// semesters, paths returned, the last path's cost, nodes the search
+/// expanded)`, each the [`fig4_cell`] of the sparse eight-semester
+/// instance. Every cell's k-th path costs 5.0, the same as its first, so a
+/// cell measures tie-broken best-first work: deterministic, and growing
+/// with k. Counts are pinned, never runtimes. `cargo test` checks the
+/// fastest cell, k = 10 over six semesters (about a second in a debug
 /// build; every other cell takes longer); the `fig4` binary checks every
 /// cell.
-pub const FIG4_GOLDENS: &[(usize, i32, usize, f64)] = &[
-    (10, 6, 10, 5.0),
-    (10, 7, 10, 5.0),
-    (10, 8, 10, 5.0),
-    (100, 6, 100, 5.0),
-    (100, 7, 100, 5.0),
-    (100, 8, 100, 5.0),
-    (500, 6, 500, 5.0),
-    (500, 7, 500, 5.0),
-    (500, 8, 500, 5.0),
-    (1000, 6, 1000, 5.0),
-    (1000, 7, 1000, 5.0),
-    (1000, 8, 1000, 5.0),
+pub const FIG4_GOLDENS: &[(usize, i32, usize, f64, u64)] = &[
+    (10, 6, 10, 5.0, 21_174),
+    (10, 7, 10, 5.0, 24_862),
+    (10, 8, 10, 5.0, 24_915),
+    (100, 6, 100, 5.0, 48_474),
+    (100, 7, 100, 5.0, 60_003),
+    (100, 8, 100, 5.0, 60_109),
+    (500, 6, 500, 5.0, 79_917),
+    (500, 7, 500, 5.0, 92_844),
+    (500, 8, 500, 5.0, 92_950),
+    (1000, 6, 1000, 5.0, 116_031),
+    (1000, 7, 1000, 5.0, 130_142),
+    (1000, 8, 1000, 5.0, 130_248),
 ];
 
 /// One Figure 4 cell: the `k` best goal paths under time-based ranking over
 /// a `period`-semester horizon of `synth` (the sparse eight-semester
-/// instance in the figure).
-pub fn fig4_cell(synth: &SyntheticCatalog, k: usize, period: i32) -> Vec<RankedPath> {
+/// instance in the figure), with the search's statistics.
+pub fn fig4_cell(
+    synth: &SyntheticCatalog,
+    k: usize,
+    period: i32,
+) -> (Vec<RankedPath>, ExploreStats) {
     synthetic_goal_explorer(synth, period)
-        .top_k(&TimeRanking, k)
+        .top_k_with_stats(&TimeRanking, k)
         .expect("the goal is set")
 }
 
@@ -189,6 +230,21 @@ mod tests {
         assert_eq!(e.deadline(), synth.end + 1);
     }
 
+    /// Table 1's four-semester row and Table 2's four-semester deadline
+    /// cell.
+    #[test]
+    fn four_semester_paper_cells_are_golden() {
+        let data = paper_instance();
+        let (semesters, paths, goal_paths, unpruned) = TABLE1_GOLDENS[0];
+        let pruned = paper_goal_explorer(&data, semesters, PruneConfig::all()).count_paths();
+        assert_eq!((pruned.total_paths, pruned.goal_paths), (paths, goal_paths));
+        let all = paper_goal_explorer(&data, semesters, PruneConfig::none()).count_paths();
+        assert_eq!((all.total_paths, all.goal_paths), (unpruned, goal_paths));
+
+        let (semesters, deadline_paths) = TABLE2_DEADLINE_GOLDENS[0];
+        assert_eq!(table2_deadline_count(&data, semesters), deadline_paths);
+    }
+
     /// The Table 2 goal rows that count in well under a second.
     #[test]
     fn table2_short_goal_rows_are_golden() {
@@ -206,11 +262,15 @@ mod tests {
     /// The fastest Figure 4 cell, k = 10 over six semesters.
     #[test]
     fn fig4_fastest_cell_is_golden() {
-        let (k, period, count, last_cost) = FIG4_GOLDENS[0];
-        let paths = fig4_cell(&sparse_instance(8), k, period);
+        let (k, period, count, last_cost, expanded) = FIG4_GOLDENS[0];
+        let (paths, stats) = fig4_cell(&sparse_instance(8), k, period);
         assert_eq!(
-            (paths.len(), paths.last().map(|p| p.cost)),
-            (count, Some(last_cost))
+            (
+                paths.len(),
+                paths.last().map(|p| p.cost),
+                stats.nodes_expanded
+            ),
+            (count, Some(last_cost), expanded)
         );
     }
 

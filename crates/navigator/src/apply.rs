@@ -26,7 +26,9 @@
 //! provably cannot touch is answered from its stored counts in O(1) when
 //! nothing is outstanding, and one where an outstanding forced course is
 //! electable nowhere is dropped without a walk. A what-if therefore visits
-//! only the delta-affected frontier of the DAG. Per call, answers with
+//! only the delta-affected frontier of the DAG, and since nodes are
+//! interned by structure alone, each structurally distinct subtree of that
+//! frontier once, however many states share it. Per call, answers with
 //! nothing outstanding are memoized by node id in a dense array, the rest
 //! by `(node, outstanding)`; whole-call results land in the table's fold
 //! cache, keyed by the delta itself, so a repeated what-if does no walk at
@@ -288,8 +290,9 @@ impl UniqueTable {
     /// A what-if's `(paths, goal_paths, stats)` over the DAG at `root`:
     /// `restriction` filters every edge, and only paths completing every
     /// course of `force` count (see the module docs for the rules).
-    /// `completed_at_root` is the root state's completed set (shared
-    /// terminal roots carry no anchor, so the caller supplies it). Each
+    /// `completed_at_root` is the root state's completed set (nodes are
+    /// interned by structure alone and carry no state, so the caller
+    /// supplies it). Each
     /// provably-untouched subtree is answered from its stored summaries in
     /// O(1), so the walk touches only the delta-affected frontier.
     /// Whole-call results are cached in the table's fold cache, so a

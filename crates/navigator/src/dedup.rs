@@ -13,10 +13,11 @@
 //! Since the hash-consed unique table ([`crate::unique`]) landed, this
 //! module is a *thin view* over it: every entry point builds the canonical
 //! path DAG via [`Explorer::build_path_dag`] and projects the answer out
-//! of the interned nodes. The builder keeps no per-state records (terminal
-//! states resolve to nodes shared by kind), so the per-state facts are
-//! derived after the build by walking the DAG by state key, each distinct
-//! state once. The historical contracts are preserved exactly — the
+//! of the interned nodes. The builder keeps no per-state records and a node
+//! is interned by structure alone (terminal states resolve to nodes shared
+//! by kind, and states whose subtrees match share one interior), so the
+//! per-state facts are derived after the build by walking the DAG by state
+//! key, each distinct state once. The historical contracts are preserved exactly — the
 //! materialized-state budget as a check on that walk, error types, the
 //! [`StateDag`] shape with its root at index 0, and statistics that
 //! reflect *distinct states* (each state expanded or pruned once), not
@@ -98,9 +99,9 @@ impl StateDag {
 type StateKey = (i32, CourseSet);
 
 /// What the dedup views know about one build, derived after the fact by
-/// walking the built DAG by state key: the builder shares terminal nodes
-/// across every state that ends in them and keeps no per-state records,
-/// so the per-*state* facts live here. The walk reads keys only — a
+/// walking the built DAG by state key: the builder shares a node across
+/// every state whose subtree has its structure and keeps no per-state
+/// records, so the per-*state* facts live here. The walk reads keys only — a
 /// child's key is `(semester + 1, completed ∪ selection)` — and builds no
 /// [`EnrollmentStatus`].
 struct StateWalk {

@@ -312,8 +312,8 @@ impl ExplorationRequest {
     /// The path-DAG root-cache key: the compact JSON of the canonical form
     /// with every field that does not change the *exploration structure*
     /// masked out. Unlike [`memo_key`], the start semester and completed
-    /// set stay — a DAG root is anchored at a concrete start state — but
-    /// the output mode and ranking are masked (the DAG captures the full
+    /// set stay — a frame's root is built from a concrete start state,
+    /// which the interned nodes do not record — but the output mode and ranking are masked (the DAG captures the full
     /// path set; counts, collections, and impacts are views over it), as
     /// are the budget, paging, and tenant fields, exactly as in
     /// [`cache_key`]. Two what-if requests over the same transcript and

@@ -1,15 +1,16 @@
 //! Hash-consed path-DAG nodes: the BDD-style unique table.
 //!
 //! The transposition table (`memo.rs`) caches subtree *answers*; this layer
-//! caches the subtrees *themselves*. Interior nodes of the exploration DAG
-//! are interned by `(semester, completed-set, children)` identity, so
-//! structurally equal subtrees — across selections, across requests, even
-//! across *different* requests whose suffixes coincide — are one shared
-//! node. Terminal nodes (leaves and pruned states) are interned by kind
-//! alone, exactly like the two terminal nodes of a BDD: the
+//! caches the subtrees *themselves*. Every node is interned by structure
+//! alone — its kind, and for an interior its floor skips and its
+//! `(selection, child)` edges — never by the state it was built from, the
+//! way a ZDD package shares nodes (Minato, DAC 1993). So structurally
+//! equal subtrees are one shared node: across selection orders, across
+//! requests whose suffixes coincide, and across *different* states whose
+//! subtrees match selection for selection. Terminal nodes (leaves and
+//! pruned states) play the part of a BDD's terminal nodes: the
 //! millions of distinct states a deep exploration *ends* in all collapse
-//! onto a handful of shared sentinels, which is where the bulk of the
-//! hash-consing compression comes from. The builder treats them as the
+//! onto a handful of shared sentinels. The builder treats them as the
 //! constants they are: it classifies each state first, and a state that
 //! is a leaf or pruned by its `(semester, completed)` pair alone resolves
 //! straight to its kind's shared node (interned once per kind per build)
@@ -31,7 +32,7 @@
 //! what-if fold and the dedup views, and built by the same rules in each.
 //! Only the builder creates nodes, so every node's summary is exact.
 //!
-//! Edges dominate the table's memory (sparse-7sem: 3.16 M edges on 74.6 k
+//! Edges dominate the table's memory (sparse-7sem: 715 k edges on 17.6 k
 //! nodes), so an interior packs them the way BDD and ZDD packages pack
 //! nodes into a few machine words ([`Edges`]): the node's *alphabet* —
 //! the sorted union of its selections' courses — is stored once, and each
@@ -86,13 +87,9 @@ use crate::status::Classifiable;
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 
-/// Anchor sentinel of shared terminal nodes (no real semester index is
-/// negative enough to collide — semester indices are small non-negatives).
-const TERMINAL_SEMESTER: i32 = i32::MIN;
-
 /// Word-at-a-time multiply-xor hasher (the FxHash construction). Structural
-/// hashing dominates interning cost — a build hashes every completed-set
-/// and every edge list — and SipHash is ~10× slower on these short
+/// hashing dominates interning cost — a build hashes every edge list and
+/// every expanded state's key — and SipHash is ~10× slower on these short
 /// fixed-width inputs without buying anything (the table is in-process,
 /// not attacker-facing).
 #[derive(Default)]
@@ -165,12 +162,12 @@ impl DagNodeId {
     }
 }
 
-/// What an interned node *is*. For interior nodes, the `(semester,
-/// completed)` anchor plus the kind is the node's full identity: two
-/// interiors with equal anchors and equal kinds are the same [`DagNodeId`].
-/// Terminal kinds (`Leaf`, `Pruned`) are identified by kind alone
-/// and shared across every state that ends there — the BDD terminal-node
-/// rule, and the bulk of the hash-consing compression.
+/// What an interned node *is*: the kind is the node's full identity, so two
+/// nodes with equal kinds are the same [`DagNodeId`] whatever states they
+/// were built from. Terminal kinds (`Leaf`, `Pruned`) are shared across
+/// every state that ends there — the BDD terminal-node rule — and an
+/// interior across every state whose subtree matches it selection for
+/// selection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DagNodeKind {
     /// A terminal path end (deadline reached, goal satisfied, dead end).
@@ -476,14 +473,7 @@ impl fmt::Debug for Edges {
 /// One interned node: identity plus the derived subtree summaries.
 #[derive(Debug, Clone)]
 pub struct DagNode {
-    /// Semester index of the anchor (`EnrollmentStatus::state_key().0`)
-    /// for interior nodes; shared terminal nodes are anchor-free and carry
-    /// the `i32::MIN` sentinel here.
-    pub semester: i32,
-    /// Courses completed at the anchor (interior nodes only; empty on the
-    /// shared terminals).
-    pub completed: CourseSet,
-    /// The node's structural identity below the anchor.
+    /// The node's structural identity.
     pub kind: DagNodeKind,
     /// Maximal paths in the subtree.
     pub paths: u128,
@@ -646,10 +636,8 @@ impl Summary {
     }
 }
 
-fn node_hash(semester: i32, completed: &CourseSet, kind: &DagNodeKind) -> u64 {
+fn node_hash(kind: &DagNodeKind) -> u64 {
     let mut h = FxHasher::default();
-    semester.hash(&mut h);
-    completed.hash(&mut h);
     match kind {
         DagNodeKind::Leaf(k) => {
             0u8.hash(&mut h);
@@ -855,21 +843,9 @@ impl UniqueTable {
     /// summaries it holds, returning the id of the structurally equal
     /// resident node when one exists (a hash-cons hit) and creating it
     /// otherwise. Returns the id and whether this call created the node.
-    ///
-    /// Terminal kinds ignore the anchor arguments: every state ending in
-    /// the same [`DagNodeKind`] shares one node, the BDD terminal rule.
-    fn intern(
-        &self,
-        semester: i32,
-        completed: CourseSet,
-        kind: DagNodeKind,
-        summary: Summary,
-    ) -> (DagNodeId, bool) {
-        let (semester, completed) = match kind {
-            DagNodeKind::Interior { .. } => (semester, completed),
-            _ => (TERMINAL_SEMESTER, CourseSet::EMPTY),
-        };
-        let hash = node_hash(semester, &completed, &kind);
+    /// One rule for every kind: equal kinds are one node.
+    fn intern(&self, kind: DagNodeKind, summary: Summary) -> (DagNodeId, bool) {
+        let hash = node_hash(&kind);
         let shard_idx = (hash as usize) & (SHARDS - 1);
         let mut shard = self.shards[shard_idx]
             .write()
@@ -877,7 +853,7 @@ impl UniqueTable {
         if let Some(candidates) = shard.index.get(&hash) {
             for &cand in candidates {
                 let node = &shard.nodes[cand as usize];
-                if node.semester == semester && node.completed == completed && node.kind == kind {
+                if node.kind == kind {
                     self.hash_cons_hits.fetch_add(1, Ordering::Relaxed);
                     return (DagNodeId::new(shard_idx, cand as usize), false);
                 }
@@ -890,8 +866,6 @@ impl UniqueTable {
         }
         let index = shard.nodes.len();
         shard.nodes.push(Arc::new(DagNode {
-            semester,
-            completed,
             kind,
             paths: summary.counts.paths,
             goal_paths: summary.counts.goal_paths,
@@ -993,7 +967,7 @@ impl UniqueTable {
             }
             terminal => Summary::new(Counts::terminal(terminal)),
         };
-        self.intern(0, CourseSet::EMPTY, kind, summary).0
+        self.intern(kind, summary).0
     }
 
     /// Counter snapshot for metrics.
@@ -1087,9 +1061,7 @@ impl BuildCtx<'_> {
         let slot = terminal_slot(&kind);
         *self.terminals[slot].get_or_insert_with(|| {
             let summary = Summary::new(Counts::terminal(&kind));
-            let (id, _) = self
-                .table
-                .intern(TERMINAL_SEMESTER, CourseSet::EMPTY, kind, summary);
+            let (id, _) = self.table.intern(kind, summary);
             (id, summary)
         })
     }
@@ -1101,13 +1073,15 @@ impl Explorer<'_> {
     /// or pruned state resolves straight to its kind's shared terminal
     /// node, and only expandable states are expanded and interned — once
     /// per build, however many selection orders reach them, and computing
-    /// their options only on that first visit. States already interned by
-    /// an earlier build sharing the table cost a hash-cons hit; the
-    /// per-node counts and statistics come out identical to a fresh
+    /// their options only on that first visit. An expanded state whose
+    /// subtree is structurally equal to a resident node's — from this
+    /// build or an earlier one sharing the table — costs a hash-cons hit;
+    /// the per-node counts and statistics come out identical to a fresh
     /// re-exploration by construction.
     ///
     /// `node_budget` caps the interior nodes this build *creates* — the
-    /// nodes it adds to the table (terminals are shared and not counted).
+    /// structurally new nodes it adds to the table (terminals are shared
+    /// and not counted).
     pub fn build_path_dag(
         &self,
         table: &UniqueTable,
@@ -1199,8 +1173,7 @@ impl Explorer<'_> {
             edges,
             floor_skipped,
         };
-        let (semester, completed) = status.state_key();
-        let (id, created) = ctx.table.intern(semester, completed, kind, summary);
+        let (id, created) = ctx.table.intern(kind, summary);
         if created {
             ctx.created += 1;
             if let Some(node_budget) = ctx.node_budget {
@@ -1225,6 +1198,7 @@ mod tests {
     use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
     use proptest::prelude::*;
 
+    use crate::explorer::no_table;
     use crate::filter::{AvoidCourses, MaxSemesterWorkload};
     use crate::goal::Goal;
     use crate::status::EnrollmentStatus;
@@ -1253,9 +1227,11 @@ mod tests {
 
     /// Golden work counters of one fixed build: a change to what the
     /// builder interns shows up here. Terminal states resolve to their
-    /// kind's shared node without an intern call, so a fresh build has no
-    /// hash-cons hits; a repeat build hits once per interior state and
-    /// once per terminal kind.
+    /// kind's shared node without an intern call, so a build makes one
+    /// intern call per expanded state and per terminal kind reached; a
+    /// fresh build's hash-cons hits are the expanded states whose subtree
+    /// matches an earlier one's by structure. A repeat build hits on every
+    /// intern call.
     #[test]
     fn build_counters_are_golden() {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
@@ -1268,15 +1244,15 @@ mod tests {
         };
         let table = UniqueTable::new(0);
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (68, 68, 0));
+        assert_eq!(counters(&table), (54, 54, 14));
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (68, 68, 68));
+        assert_eq!(counters(&table), (54, 54, 14 + 68));
         assert_eq!(e.distinct_states(), 609);
 
         let e = small_explorer(&synth, 4);
         let table = UniqueTable::new(0);
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (248, 248, 0));
+        assert_eq!(counters(&table), (66, 66, 182));
         assert_eq!(e.distinct_states(), 558);
     }
 
@@ -1387,12 +1363,12 @@ mod tests {
     /// runs it in release, with the classifier golden below:
     /// `cargo test --release -p coursenav-navigator --lib -- --ignored sparse_7sem`.
     #[test]
-    #[ignore = "builds a 74,603-node DAG; run in release"]
+    #[ignore = "builds the sparse-7sem DAG; run in release"]
     fn sparse_7sem_edge_store_is_packed() {
         let table = UniqueTable::new(0);
         sparse_7sem_base(&table);
         let snap = table.snapshot();
-        assert_eq!((snap.nodes, snap.edges), (74_603, 3_163_770));
+        assert_eq!((snap.nodes, snap.edges), (17_577, 715_017));
         let view = table.view();
         let alphabet_bytes: usize = view
             .guards
@@ -1417,7 +1393,7 @@ mod tests {
     /// tree-equivalent walk. A change to the goal oracles or the pruning
     /// strategies that moves any decision moves one of these.
     #[test]
-    #[ignore = "builds a 74,603-node DAG; run in release"]
+    #[ignore = "builds the sparse-7sem DAG; run in release"]
     fn sparse_7sem_classifier_is_golden() {
         let table = UniqueTable::new(0);
         let crate::ExplorationResponse::Counts {
@@ -1445,11 +1421,12 @@ mod tests {
 
     /// Canonicality of the enumeration-time encoder at benchmark scale: a
     /// second build of the frame into the same table finds every node it
-    /// reaches already interned — the same root, no new node, and one
-    /// hash-cons hit per interior and per terminal kind. An encoding that
-    /// depended on anything but the edge list would intern twins here.
+    /// reaches already interned — the same root, no new node, and its hits
+    /// rising by exactly the first build's intern calls (one per expanded
+    /// state and per terminal kind). An encoding that depended on anything
+    /// but the edge list would intern twins here.
     #[test]
-    #[ignore = "builds a 74,603-node DAG twice; run in release"]
+    #[ignore = "builds the sparse-7sem DAG twice; run in release"]
     fn sparse_7sem_rebuild_is_all_hash_cons_hits() {
         let synth = sparse_7sem_catalog();
         let (service, base) = sparse_7sem_frame(&synth);
@@ -1457,11 +1434,12 @@ mod tests {
         let table = UniqueTable::new(0);
         let first = explorer.build_path_dag(&table, None, None).unwrap();
         let built = table.snapshot();
-        assert_eq!((built.nodes, built.interned), (74_603, 74_603));
+        let calls = built.interned + built.hash_cons_hits;
         assert_eq!(
-            built.hash_cons_hits, 0,
-            "a fresh build interns each node once"
+            calls, 74_603,
+            "one intern call per expanded state and per terminal kind reached"
         );
+        assert_eq!(built.nodes, built.interned);
         let second = explorer.build_path_dag(&table, None, None).unwrap();
         let rebuilt = table.snapshot();
         assert_eq!(first, second, "the rebuild returns the same root");
@@ -1471,8 +1449,9 @@ mod tests {
         );
         assert_eq!(rebuilt.nodes, built.nodes);
         assert_eq!(
-            rebuilt.hash_cons_hits, built.nodes,
-            "one hit per interior and per terminal kind reached"
+            rebuilt.hash_cons_hits,
+            built.hash_cons_hits + calls,
+            "every intern call of the rebuild hits"
         );
     }
 
@@ -1483,7 +1462,7 @@ mod tests {
     /// the avoid-plus-cap delta if a build or the fold stops counting the
     /// expansions of the states whose every selection is vetoed (53 here).
     #[test]
-    #[ignore = "builds a 74,603-node DAG and counts the frame three times; run in release"]
+    #[ignore = "builds the sparse-7sem DAG and counts the frame three times; run in release"]
     fn sparse_7sem_whatifs_are_golden() {
         use crate::apply::Restriction;
         use crate::memo::TranspositionTable;
@@ -1629,12 +1608,108 @@ mod tests {
                 floor_skipped: *floor_skipped,
             };
             prop_assert_eq!(&reencoded, &node.kind);
-            prop_assert_eq!(
-                node_hash(node.semester, &node.completed, &reencoded),
-                node_hash(node.semester, &node.completed, &node.kind)
-            );
+            prop_assert_eq!(node_hash(&reencoded), node_hash(&node.kind));
         }
         Ok(interiors)
+    }
+
+    /// Checks that no two nodes resident in `table` are structurally
+    /// equal: interning by structure alone keeps one node per kind.
+    fn nodes_are_distinct(table: &UniqueTable) -> Result<(), TestCaseError> {
+        let view = table.view();
+        let mut by_hash: HashMap<u64, Vec<&DagNodeKind>> = HashMap::new();
+        for node in view.guards.iter().flat_map(|shard| shard.nodes.iter()) {
+            let bucket = by_hash.entry(node_hash(&node.kind)).or_default();
+            prop_assert!(
+                bucket.iter().all(|&kind| *kind != node.kind),
+                "two resident nodes share the structure {:?}",
+                node.kind
+            );
+            bucket.push(&node.kind);
+        }
+        Ok(())
+    }
+
+    /// Structural key of the naive interning oracle: a tag (leaf, prune or
+    /// interior), the leaf kind, prune reason or floor skips, and an
+    /// interior's `(selection, child class)` edges in enumeration order.
+    type ClassKey = (u8, u64, Vec<(CourseSet, usize)>);
+
+    /// Unfolds the exploration tree below `status` and interns each tree
+    /// node bottom-up by structure alone into `classes`, returning its
+    /// class. `by_state` only keeps the unfolding small: a state's subtree
+    /// is a function of its key.
+    fn structural_class(
+        e: &Explorer<'_>,
+        status: EnrollmentStatus,
+        pruner: Option<&Pruner<'_>>,
+        by_state: &mut HashMap<(i32, CourseSet), usize>,
+        classes: &mut HashMap<ClassKey, usize>,
+    ) -> usize {
+        if let Some(&class) = by_state.get(&status.state_key()) {
+            return class;
+        }
+        let key = match e.disposition(status, pruner, no_table) {
+            Disposition::Leaf(kind) => (0, kind as u64, Vec::new()),
+            Disposition::Pruned(reason) => (1, reason as u64, Vec::new()),
+            Disposition::Known(never) => match never {},
+            Disposition::Expand(expansion) => {
+                let mut edges = Vec::new();
+                let mut floor_skipped = 0;
+                for selection in expansion.selections(e.max_per_semester()) {
+                    if selection.len() < expansion.min_selection {
+                        floor_skipped += 1;
+                    } else if e.selection_allowed(&status, &selection) {
+                        let child = status.advance(e.catalog(), &selection);
+                        let class = structural_class(e, child, pruner, by_state, classes);
+                        edges.push((selection, class));
+                    }
+                }
+                (2, floor_skipped, edges)
+            }
+        };
+        let fresh = classes.len();
+        let class = *classes.entry(key).or_insert(fresh);
+        by_state.insert(status.state_key(), class);
+        class
+    }
+
+    /// A random small frame: a degree goal (optionally with the strategic
+    /// floor) or a bare deadline, 0–2 avoided courses from the front of the
+    /// catalog and an optional workload cap — filters that keep some
+    /// options out of every selection.
+    fn random_frame(
+        synth: &SyntheticCatalog,
+        horizon: i32,
+        m: usize,
+        goal: bool,
+        floor: bool,
+        avoid: usize,
+        cap: Option<f64>,
+    ) -> Explorer<'_> {
+        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
+        let deadline = synth.start + horizon;
+        let mut e = if goal {
+            let goal = Goal::degree(synth.degree.clone());
+            Explorer::goal_driven(&synth.catalog, start, deadline, m, goal)
+                .unwrap()
+                .with_strategic_selections(floor)
+        } else {
+            Explorer::deadline_driven(&synth.catalog, start, deadline, m).unwrap()
+        };
+        let avoided: CourseSet = synth
+            .catalog
+            .courses()
+            .take(avoid)
+            .map(|c| c.id())
+            .collect();
+        if !avoided.is_empty() {
+            e = e.with_filter(Arc::new(AvoidCourses(avoided)));
+        }
+        if let Some(cap) = cap {
+            e = e.with_filter(Arc::new(MaxSemesterWorkload(cap)));
+        }
+        e
     }
 
     /// The edges `(selection as option positions, child)` over `options`,
@@ -1688,10 +1763,7 @@ mod tests {
             edges,
             floor_skipped: 0,
         };
-        assert_eq!(
-            node_hash(0, &CourseSet::EMPTY, &kind(encoded)),
-            node_hash(0, &CourseSet::EMPTY, &kind(adapted))
-        );
+        assert_eq!(node_hash(&kind(encoded)), node_hash(&kind(adapted)));
     }
 
     proptest! {
@@ -1715,26 +1787,39 @@ mod tests {
                 seed,
                 ..SyntheticConfig::small()
             });
-            let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
-            let deadline = synth.start + horizon;
-            let mut e = if goal {
-                let goal = Goal::degree(synth.degree.clone());
-                Explorer::goal_driven(&synth.catalog, start, deadline, m, goal)
-                    .unwrap()
-                    .with_strategic_selections(floor)
-            } else {
-                Explorer::deadline_driven(&synth.catalog, start, deadline, m).unwrap()
-            };
-            let avoided: CourseSet = synth.catalog.courses().take(avoid).map(|c| c.id()).collect();
-            if !avoided.is_empty() {
-                e = e.with_filter(Arc::new(AvoidCourses(avoided)));
-            }
-            if let Some(cap) = cap {
-                e = e.with_filter(Arc::new(MaxSemesterWorkload(cap)));
-            }
+            let e = random_frame(&synth, horizon, m, goal, floor, avoid, cap);
             let table = UniqueTable::new(0);
             e.build_path_dag(&table, None, None).unwrap();
             interiors_are_canonical(&table)?;
+        }
+
+        /// Interning is by structure alone: a build holds exactly one node
+        /// per class of a naive oracle that interns the exploration tree
+        /// bottom-up by `(kind, floor skips, [(selection, child class)])`,
+        /// and no two resident nodes are structurally equal — two states
+        /// whose subtrees match selection for selection are one node.
+        #[test]
+        fn interning_matches_a_naive_structural_oracle(
+            seed in 0u64..1_000,
+            horizon in 2i32..5,
+            m in 1usize..5,
+            goal in any::<bool>(),
+            floor in any::<bool>(),
+            avoid in 0usize..3,
+            cap in prop::option::of(6.0f64..30.0),
+        ) {
+            let synth = SyntheticCatalog::generate(&SyntheticConfig {
+                seed,
+                ..SyntheticConfig::small()
+            });
+            let e = random_frame(&synth, horizon, m, goal, floor, avoid, cap);
+            let table = UniqueTable::new(0);
+            e.build_path_dag(&table, None, None).unwrap();
+            let mut classes = HashMap::new();
+            let pruner = e.pruner();
+            structural_class(&e, *e.start(), pruner.as_ref(), &mut HashMap::new(), &mut classes);
+            prop_assert_eq!(table.snapshot().nodes, classes.len() as u64);
+            nodes_are_distinct(&table)?;
         }
     }
 }

@@ -185,7 +185,9 @@ pub struct ServerConfig {
     /// work ([`memo::MemoRegistry`]). `0` disables memoization.
     pub memo_entries: usize,
     /// Per-tenant node cap on the hash-consed path-DAG table that
-    /// `/v1/whatif` builds base explorations into. A base DAG that would
+    /// `/v1/whatif` builds base explorations into. Nodes are interned by
+    /// structure, so the cap counts structurally distinct nodes, not
+    /// states. A base DAG that would
     /// outgrow it answers a typed, retryable `413 state-budget` and the
     /// saturated table is retired for a fresh one. `0` removes the cap.
     pub dag_nodes: usize,

@@ -55,8 +55,9 @@
 //!   --parallelism <n>            engine worker threads per exploration
 //!   --memo-entries <n>           per-table transposition cap (0 disables)
 //!   --dag-nodes <n>              per-tenant node budget for the what-if
-//!                                path-DAG table (oversized base DAGs
-//!                                answer a retryable 413 state-budget)
+//!                                path-DAG table, in structurally distinct
+//!                                nodes (oversized base DAGs answer a
+//!                                retryable 413 state-budget)
 //!   --catalog-dir <dir>          register every <dir>/*.cnav file as a
 //!                                tenant (tenant name = file stem); the
 //!                                positional catalog stays the default
