@@ -19,6 +19,9 @@
 //!    (the counting fold + root cache), counts asserted equal to the
 //!    re-explored answers delta by delta.
 //!
+//! Each phase is run several times (21 for `4sem`, 5 for `5sem`, 3 for
+//! `sparse-7sem`) and its row reports the median wall clock.
+//!
 //! ```text
 //! {"bench":"whatif","config":"sparse-7sem/whatif-apply","wall_ms":…,
 //!  "deltas":…,"dag_nodes":…,"raw_nodes":…,"speedup_vs_reexplore":…}
@@ -83,11 +86,12 @@ fn counts(resp: &ExplorationResponse) -> (u128, u128) {
     }
 }
 
-/// One configuration: a service, its base request, and the advising
+/// One configuration: a service, its base request, the advising
 /// session's delta vocabulary — every course in the catalog to drop in
-/// turn, plus a workload cap.
+/// turn, plus a workload cap — and how many times each phase is timed.
 struct Config<'a> {
     label: &'static str,
+    runs: usize,
     service: NavigatorService<'a>,
     base: ExplorationRequest,
     drop_codes: Vec<String>,
@@ -123,39 +127,80 @@ fn deltas(cfg: &Config<'_>) -> Vec<WhatIfRequest> {
     out
 }
 
+/// The median of `times`.
+fn median(mut times: Vec<std::time::Duration>) -> std::time::Duration {
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// Runs one configuration end to end and appends its three JSON rows.
+/// Each phase is timed `cfg.runs` times and reported as its median, so
+/// a row whose work takes microseconds is not one scheduler hiccup.
 /// Returns the apply-vs-reexplore speedup for the headline assertion.
 fn run_config(rows: &mut Vec<Row>, cfg: &Config<'_>) -> f64 {
     let whatifs = deltas(cfg);
-
-    // Status quo: every delta is a fresh exploration against a cold memo
-    // table (PR 5's best case for a first-time question).
-    let mut reexplored = Vec::with_capacity(whatifs.len());
-    let (_, t_reexplore) = timed(|| {
-        for req in &whatifs {
-            let memo = TranspositionTable::new(1 << 20);
-            let resp = cfg
-                .service
-                .run_until_memo(&req.merged_request(), None, 1, Some(&memo))
-                .expect("re-exploration answers");
-            reexplored.push(counts(&resp));
-        }
-    });
-
-    // One-time: intern the base exploration into the unique table.
-    let table = UniqueTable::new(0);
     let baseline = WhatIfRequest {
         base: cfg.base.clone(),
         transcript: None,
         delta: WhatIfDelta::default(),
     };
-    let (built, t_build) = timed(|| {
-        cfg.service
-            .whatif_until(&baseline, None, 1, None, Some(&table))
-            .expect("base DAG builds")
-    });
-    assert_eq!(built.served, WhatIfServed::Applied, "{}", cfg.label);
-    let stats = table.snapshot();
+    let (mut t_reexplore, mut t_build, mut t_apply) = (Vec::new(), Vec::new(), Vec::new());
+    let mut stats = None;
+    for _ in 0..cfg.runs {
+        // Status quo: every delta is a fresh exploration against a cold
+        // memo table (the strongest pre-DAG path for a first-time
+        // question).
+        let mut reexplored = Vec::with_capacity(whatifs.len());
+        let (_, t) = timed(|| {
+            for req in &whatifs {
+                let memo = TranspositionTable::new(1 << 20);
+                let resp = cfg
+                    .service
+                    .run_until_memo(&req.merged_request(), None, 1, Some(&memo))
+                    .expect("re-exploration answers");
+                reexplored.push(counts(&resp));
+            }
+        });
+        t_reexplore.push(t);
+
+        // One-time: intern the base exploration into a fresh unique table
+        // (a warm one would answer from its root cache).
+        let table = UniqueTable::new(0);
+        let (built, t) = timed(|| {
+            cfg.service
+                .whatif_until(&baseline, None, 1, None, Some(&table))
+                .expect("base DAG builds")
+        });
+        t_build.push(t);
+        assert_eq!(built.served, WhatIfServed::Applied, "{}", cfg.label);
+        stats = Some(table.snapshot());
+
+        // The claim: every delta answered warm from the shared DAG, counts
+        // identical to the re-explored answers. The table's fold cache
+        // would answer a repeated delta without a walk, so each run
+        // applies against the table it just built.
+        let mut applied = Vec::with_capacity(whatifs.len());
+        let (_, t) = timed(|| {
+            for req in &whatifs {
+                let outcome = cfg
+                    .service
+                    .whatif_until(req, None, 1, None, Some(&table))
+                    .expect("what-if answers");
+                assert_eq!(outcome.served, WhatIfServed::Applied, "{}", cfg.label);
+                applied.push(counts(&outcome.response));
+            }
+        });
+        t_apply.push(t);
+        for (i, (got, want)) in applied.iter().zip(&reexplored).enumerate() {
+            assert_eq!(
+                got, want,
+                "{}: delta {i} apply answer diverges from re-exploration",
+                cfg.label
+            );
+        }
+    }
+    let stats = stats.expect("at least one run");
+    let (t_reexplore, t_build, t_apply) = (median(t_reexplore), median(t_build), median(t_apply));
     // The nodes a consing-free build would allocate: one per distinct
     // state reached, terminal states included (counted untimed).
     let raw_nodes = cfg
@@ -163,27 +208,6 @@ fn run_config(rows: &mut Vec<Row>, cfg: &Config<'_>) -> f64 {
         .build_explorer(&cfg.base)
         .expect("the base exploration is valid")
         .distinct_states() as u64;
-
-    // The claim: every delta answered warm from the shared DAG, counts
-    // identical to the re-explored answers.
-    let mut applied = Vec::with_capacity(whatifs.len());
-    let (_, t_apply) = timed(|| {
-        for req in &whatifs {
-            let outcome = cfg
-                .service
-                .whatif_until(req, None, 1, None, Some(&table))
-                .expect("what-if answers");
-            assert_eq!(outcome.served, WhatIfServed::Applied, "{}", cfg.label);
-            applied.push(counts(&outcome.response));
-        }
-    });
-    for (i, (got, want)) in applied.iter().zip(&reexplored).enumerate() {
-        assert_eq!(
-            got, want,
-            "{}: delta {i} apply answer diverges from re-exploration",
-            cfg.label
-        );
-    }
 
     let speedup = t_reexplore.as_secs_f64() / t_apply.as_secs_f64().max(1e-9);
     let per = |d: std::time::Duration| ms(d) / whatifs.len() as f64;
@@ -249,6 +273,7 @@ fn main() {
     // exercise the full reexplore/build/apply pipeline).
     let shallow = Config {
         label: "4sem",
+        runs: 21,
         service: NavigatorService::new(&paper.catalog)
             .with_degree(&degree)
             .with_offering_model(paper.offering.as_ref().expect("bundled offering")),
@@ -262,6 +287,7 @@ fn main() {
     if !smoke {
         let five = Config {
             label: "5sem",
+            runs: 5,
             service: NavigatorService::new(&paper.catalog)
                 .with_degree(&degree)
                 .with_offering_model(paper.offering.as_ref().expect("bundled offering")),
@@ -276,6 +302,7 @@ fn main() {
         // much tighter cap is a rebuild in disguise, not a what-if.
         let deep = Config {
             label: "sparse-7sem",
+            runs: 3,
             service: NavigatorService::new(&sparse.catalog)
                 .with_degree(&sparse.degree)
                 .with_offering_model(&sparse.offering),

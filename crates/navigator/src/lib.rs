@@ -26,8 +26,8 @@
 //!   [`filter`]s, a memoized-DAG counting mode ([`dedup`]), and parallel
 //!   counting, collection, and top-k ([`parallel`]);
 //! - a status-keyed transposition table ([`memo`]) that folds the
-//!   exploration tree into a DAG: per-subtree counts, suffix sets, and
-//!   (for decomposable rankings) top-k summaries, shared across parallel
+//!   exploration tree into a DAG: per-subtree counts and (for
+//!   decomposable rankings) top-k summaries, shared across parallel
 //!   workers and — via the serving layer — across requests;
 //! - resumable exploration sessions: serializable DFS-frontier cursors
 //!   ([`cursor`]) and page-at-a-time request servicing with exact
@@ -78,9 +78,7 @@ pub use explorer::Explorer;
 pub use goal::Goal;
 pub use graph::{EdgeId, LearningGraph, NodeId};
 pub use impact::SelectionImpact;
-pub use memo::{
-    InsertGate, MemoStats, PortableEntry, PortableSuffix, StateKey, TranspositionTable,
-};
+pub use memo::{InsertGate, MemoStats, PortableEntry, StateKey, TranspositionTable};
 pub use pareto::ParetoPath;
 pub use path::LeafKind;
 pub use path::{Path, PathVisit};

@@ -8,22 +8,21 @@
 //! pruning). The [`TranspositionTable`] caches per-subtree results under
 //! [`EnrollmentStatus::state_key`] so each distinct status is explored
 //! once per table lifetime, the same shared-suffix canonicalization that
-//! makes BDDs tractable. Three result kinds are cached:
+//! makes BDDs tractable. Two result kinds are cached:
 //!
 //! - **counts** — `(total, goal)` path counts plus the subtree's
 //!   *logical* [`ExploreStats`] delta. Always sound: a hit replays the
 //!   cached counters, so warm and cold runs report byte-identical
 //!   statistics (the §5.2 pruning breakdown is stable) while expanding
 //!   strictly fewer nodes.
-//! - **suffix sets** — every maximal suffix below the status, in
-//!   depth-first order, kept only while the subtree has at most
-//!   [`SUFFIX_CAP`] of them. A hit splices the stored suffixes onto the
-//!   caller's prefix, reproducing `collect_paths` output exactly.
 //! - **ranked suffix summaries** — the top-`k` goal suffixes in the
 //!   best-first pop order, cacheable only for suffix-decomposable
 //!   rankings ([`crate::Ranking::decomposable`]: constant positive edge
 //!   cost). Non-decomposable rankings fall back to the un-memoized
 //!   search, byte-identically.
+//!
+//! Collect output caches nothing: the depth-first visitors emit its paths
+//! in order, and the output limit bounds their work.
 //!
 //! The table is sharded and lock-striped so the parallel fan-out shares
 //! one memo across workers, and it is `Sync` so the serving layer can key
@@ -63,7 +62,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::ExploreError;
 use crate::expiry::Expiry;
 use crate::explorer::{Disposition, Explorer};
-use crate::parallel::RootExpansion;
 use crate::path::{LeafKind, Path};
 use crate::pruning::{record_prune, Pruner};
 use crate::ranked::RankedPath;
@@ -88,11 +86,6 @@ const SHARD_COUNT: usize = 16;
 /// share a shard still spread over its buckets.
 const SHARD_SHIFT: u32 = 52;
 
-/// Largest suffix set cached per subtree. Subtrees with more maximal
-/// suffixes are still *counted* through the memo but their paths are
-/// re-enumerated on reuse (their smaller sub-subtrees usually hit).
-pub const SUFFIX_CAP: usize = 64;
-
 /// Callback consulted before every insert; returning `false` silently
 /// drops the entry. Used by the server's chaos harness to prove
 /// correctness never depends on table contents.
@@ -116,14 +109,6 @@ pub struct MemoStats {
     pub capacity: u64,
 }
 
-/// One maximal suffix below a memoized status: the per-semester
-/// selections from that status to a leaf, plus how the leaf terminated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Suffix {
-    pub(crate) selections: Vec<CourseSet>,
-    pub(crate) kind: LeafKind,
-}
-
 /// One top-k candidate below a memoized status, in best-first pop order.
 /// Under a decomposable ranking the suffix cost is determined by its
 /// length, so only the selections are stored.
@@ -141,15 +126,6 @@ struct CountEntry {
 }
 
 #[derive(Clone)]
-struct SuffixEntry {
-    suffixes: Arc<Vec<Suffix>>,
-    total: u128,
-    goal: u128,
-    logical: ExploreStats,
-    stamp: u64,
-}
-
-#[derive(Clone)]
 struct RankedEntry {
     items: Arc<Vec<RankedSuffix>>,
     stamp: u64,
@@ -158,13 +134,12 @@ struct RankedEntry {
 #[derive(Default)]
 struct Shard {
     count: FxMap<StateKey, CountEntry>,
-    suffix: FxMap<StateKey, SuffixEntry>,
     ranked: FxMap<(StateKey, u64, u64), RankedEntry>,
 }
 
 impl Shard {
     fn len(&self) -> usize {
-        self.count.len() + self.suffix.len() + self.ranked.len()
+        self.count.len() + self.ranked.len()
     }
 }
 
@@ -290,14 +265,12 @@ impl TranspositionTable {
             .count
             .values()
             .map(|e| e.stamp)
-            .chain(shard.suffix.values().map(|e| e.stamp))
             .chain(shard.ranked.values().map(|e| e.stamp))
             .collect();
         stamps.sort_unstable();
         let cut = stamps[stamps.len() / 4];
         let before = shard.len();
         shard.count.retain(|_, e| e.stamp > cut);
-        shard.suffix.retain(|_, e| e.stamp > cut);
         shard.ranked.retain(|_, e| e.stamp > cut);
         let evicted = (before - shard.len()) as u64;
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -341,50 +314,6 @@ impl TranspositionTable {
         shard.count.insert(
             key,
             CountEntry {
-                total,
-                goal,
-                logical,
-                stamp,
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        evicted
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn get_suffixes(
-        &self,
-        key: &StateKey,
-    ) -> Option<(Arc<Vec<Suffix>>, u128, u128, ExploreStats)> {
-        let mut shard = self.shard_for(key).lock().expect("shard lock poisoned");
-        let entry = shard.suffix.get_mut(key)?;
-        entry.stamp = self.hit();
-        Some((
-            entry.suffixes.clone(),
-            entry.total,
-            entry.goal,
-            entry.logical,
-        ))
-    }
-
-    pub(crate) fn put_suffixes(
-        &self,
-        key: StateKey,
-        suffixes: Arc<Vec<Suffix>>,
-        total: u128,
-        goal: u128,
-        logical: ExploreStats,
-    ) -> u64 {
-        if !self.gate_allows() {
-            return 0;
-        }
-        let mut shard = self.shard_for(&key).lock().expect("shard lock poisoned");
-        let evicted = self.evict_if_full(&mut shard);
-        let stamp = self.stamp();
-        shard.suffix.insert(
-            key,
-            SuffixEntry {
-                suffixes,
                 total,
                 goal,
                 logical,
@@ -446,25 +375,6 @@ impl TranspositionTable {
                     },
                 ));
             }
-            for (key, e) in &shard.suffix {
-                stamped.push((
-                    e.stamp,
-                    PortableEntry::Suffixes {
-                        key: *key,
-                        total: e.total,
-                        goal: e.goal,
-                        logical: e.logical,
-                        suffixes: e
-                            .suffixes
-                            .iter()
-                            .map(|s| PortableSuffix {
-                                selections: s.selections.clone(),
-                                kind: s.kind,
-                            })
-                            .collect(),
-                    },
-                ));
-            }
             for ((key, sig, k), e) in &shard.ranked {
                 stamped.push((
                     e.stamp,
@@ -499,22 +409,6 @@ impl TranspositionTable {
                 } => {
                     self.put_count(key, total, goal, logical);
                 }
-                PortableEntry::Suffixes {
-                    key,
-                    total,
-                    goal,
-                    logical,
-                    suffixes,
-                } => {
-                    let suffixes: Vec<Suffix> = suffixes
-                        .into_iter()
-                        .map(|s| Suffix {
-                            selections: s.selections,
-                            kind: s.kind,
-                        })
-                        .collect();
-                    self.put_suffixes(key, Arc::new(suffixes), total, goal, logical);
-                }
                 PortableEntry::Ranked { key, sig, k, items } => {
                     let items: Vec<RankedSuffix> = items
                         .into_iter()
@@ -530,7 +424,7 @@ impl TranspositionTable {
 }
 
 /// One memo entry decoupled from the table's private internals — the unit
-/// the serving layer's snapshot format serializes. Mirrors the three
+/// the serving layer's snapshot format serializes. Mirrors the two
 /// cached result kinds (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PortableEntry {
@@ -545,19 +439,6 @@ pub enum PortableEntry {
         /// The subtree's logical [`ExploreStats`] delta.
         logical: ExploreStats,
     },
-    /// A complete suffix set with its counts.
-    Suffixes {
-        /// The memoized subtree's status key.
-        key: StateKey,
-        /// Total complete paths below the status.
-        total: u128,
-        /// Goal-satisfying paths below the status.
-        goal: u128,
-        /// The subtree's logical [`ExploreStats`] delta.
-        logical: ExploreStats,
-        /// Every maximal suffix, in depth-first order.
-        suffixes: Vec<PortableSuffix>,
-    },
     /// A top-`k` summary under ranking signature `sig`.
     Ranked {
         /// The memoized subtree's status key.
@@ -570,15 +451,6 @@ pub enum PortableEntry {
         /// Each candidate's per-semester selections, best-first.
         items: Vec<Vec<CourseSet>>,
     },
-}
-
-/// One maximal suffix inside [`PortableEntry::Suffixes`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PortableSuffix {
-    /// Per-semester selections from the memoized status to the leaf.
-    pub selections: Vec<CourseSet>,
-    /// How the leaf terminated.
-    pub kind: LeafKind,
 }
 
 /// A stable 64-bit fingerprint of a ranking spec's canonical form, used
@@ -595,21 +467,6 @@ pub(crate) fn ranking_signature(spec: &RankingSpec) -> u64 {
 // ---------------------------------------------------------------------------
 // Memoized recursions
 // ---------------------------------------------------------------------------
-
-/// How a memoized collect subtree resolved.
-enum CollectOutcome {
-    /// Fully enumerated: counts, logical delta, and (when the subtree has
-    /// at most [`SUFFIX_CAP`] of them) its maximal suffixes.
-    Complete {
-        total: u128,
-        goal: u128,
-        logical: ExploreStats,
-        suffixes: Option<Vec<Suffix>>,
-    },
-    /// The run stopped inside this subtree (collect limit or deadline):
-    /// nothing on the spine may be cached.
-    Aborted,
-}
 
 struct MemoRun<'e, 'c, 't> {
     explorer: &'e Explorer<'c>,
@@ -726,201 +583,6 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
         (total, goal, logical)
     }
 
-    /// Enumerates the subtree below `state`, emitting collectible paths
-    /// into `out` and caching fully-enumerated subtrees. `statuses` holds
-    /// the materialized prefix from the run's root to `state`'s parent and
-    /// `selections` the selections from the root to `state` (one more).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_state(
-        &mut self,
-        state: impl Classifiable,
-        statuses: &mut Vec<EnrollmentStatus>,
-        selections: &mut Vec<CourseSet>,
-        goal_only: bool,
-        limit: usize,
-        out: &mut Vec<Path>,
-        hit_limit: &mut bool,
-    ) -> CollectOutcome {
-        let collectible = |kind: LeafKind| !goal_only || kind == LeafKind::Goal;
-        let catalog = self.explorer.catalog();
-        let table = self.table;
-        let expansion = match self
-            .explorer
-            .disposition(state, self.pruner.as_ref(), |key| table.get_suffixes(key))
-        {
-            Disposition::Leaf(kind) => {
-                if collectible(kind) {
-                    if out.len() >= limit {
-                        *hit_limit = true;
-                        return CollectOutcome::Aborted;
-                    }
-                    out.push(splice_path(
-                        catalog,
-                        statuses,
-                        selections,
-                        state.materialize(catalog),
-                        &[],
-                    ));
-                }
-                return CollectOutcome::Complete {
-                    total: 1,
-                    goal: u128::from(kind == LeafKind::Goal),
-                    logical: ExploreStats::default(),
-                    suffixes: Some(vec![Suffix {
-                        selections: Vec::new(),
-                        kind,
-                    }]),
-                };
-            }
-            Disposition::Pruned(reason) => {
-                let mut logical = ExploreStats::default();
-                record_prune(&mut logical, reason);
-                record_prune(&mut self.work, reason);
-                return CollectOutcome::Complete {
-                    total: 0,
-                    goal: 0,
-                    logical,
-                    suffixes: Some(Vec::new()),
-                };
-            }
-            Disposition::Known((cached, total, goal, logical)) => {
-                self.work.memo_hits += 1;
-                let mut here = None;
-                for suffix in cached.iter() {
-                    if !collectible(suffix.kind) {
-                        continue;
-                    }
-                    if out.len() >= limit {
-                        *hit_limit = true;
-                        return CollectOutcome::Aborted;
-                    }
-                    let here = *here.get_or_insert_with(|| state.materialize(catalog));
-                    out.push(splice_path(
-                        catalog,
-                        statuses,
-                        selections,
-                        here,
-                        &suffix.selections,
-                    ));
-                }
-                return CollectOutcome::Complete {
-                    total,
-                    goal,
-                    logical,
-                    suffixes: Some((*cached).clone()),
-                };
-            }
-            Disposition::Expand(expansion) => expansion,
-        };
-        self.miss();
-        if self.expiry.tick() {
-            return CollectOutcome::Aborted;
-        }
-        let mut logical = ExploreStats {
-            nodes_expanded: 1,
-            ..ExploreStats::default()
-        };
-        self.work.nodes_expanded += 1;
-        let mut total = 0u128;
-        let mut goal = 0u128;
-        let mut suffixes: Option<Vec<Suffix>> = Some(Vec::new());
-        let mut emitted = 0usize;
-        let mut floor_skipped = 0usize;
-        let status = expansion.status;
-        statuses.push(status);
-        for selection in expansion.selections(self.explorer.max_per_semester()) {
-            if selection.len() < expansion.min_selection {
-                floor_skipped += 1;
-                logical.pruned_time += 1;
-                self.work.pruned_time += 1;
-                continue;
-            }
-            if !self.explorer.selection_allowed(&status, &selection) {
-                continue;
-            }
-            emitted += 1;
-            logical.edges_created += 1;
-            self.work.edges_created += 1;
-            selections.push(selection);
-            let outcome = self.collect_state(
-                status.child(&selection),
-                statuses,
-                selections,
-                goal_only,
-                limit,
-                out,
-                hit_limit,
-            );
-            selections.pop();
-            match outcome {
-                CollectOutcome::Aborted => {
-                    statuses.pop();
-                    return CollectOutcome::Aborted;
-                }
-                CollectOutcome::Complete {
-                    total: t,
-                    goal: g,
-                    logical: l,
-                    suffixes: subs,
-                } => {
-                    total += t;
-                    goal += g;
-                    logical.merge(&l);
-                    suffixes = match (suffixes, subs) {
-                        (Some(mut mine), Some(theirs))
-                            if mine.len() + theirs.len() <= SUFFIX_CAP =>
-                        {
-                            for sub in theirs {
-                                let mut sels = Vec::with_capacity(sub.selections.len() + 1);
-                                sels.push(selection);
-                                sels.extend(sub.selections);
-                                mine.push(Suffix {
-                                    selections: sels,
-                                    kind: sub.kind,
-                                });
-                            }
-                            Some(mine)
-                        }
-                        _ => None,
-                    };
-                }
-            }
-        }
-        statuses.pop();
-        if emitted == 0 && floor_skipped == 0 {
-            // Every selection was vetoed: the node itself is a
-            // dead-end path, emitted after the (empty) children.
-            if collectible(LeafKind::DeadEnd) {
-                if out.len() >= limit {
-                    *hit_limit = true;
-                    return CollectOutcome::Aborted;
-                }
-                out.push(splice_path(catalog, statuses, selections, status, &[]));
-            }
-            total = 1;
-            suffixes = Some(vec![Suffix {
-                selections: Vec::new(),
-                kind: LeafKind::DeadEnd,
-            }]);
-        }
-        let key = status.state_key();
-        if let Some(suffixes) = &suffixes {
-            self.work.memo_evictions +=
-                self.table
-                    .put_suffixes(key, Arc::new(suffixes.clone()), total, goal, logical);
-        } else {
-            // Too many suffixes to store, but the counts are
-            // complete — warm the count map on the way out.
-            self.work.memo_evictions += self.table.put_count(key, total, goal, logical);
-        }
-        CollectOutcome::Complete {
-            total,
-            goal,
-            logical,
-            suffixes,
-        }
-    }
-
     /// The top-`k` goal suffixes below `state` in best-first pop order,
     /// for a decomposable ranking fingerprinted by `sig`. `None` means
     /// the deadline expired mid-computation (the caller falls back to the
@@ -1009,28 +671,16 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
     }
 }
 
-/// The path through the materialized prefix `statuses`, then `here`
-/// (reached by `selections`, one more than `statuses`), then the
-/// `suffix` selections replayed from `here`.
-fn splice_path(
-    catalog: &Catalog,
-    statuses: &[EnrollmentStatus],
-    selections: &[CourseSet],
-    here: EnrollmentStatus,
-    suffix: &[CourseSet],
-) -> Path {
-    let mut all_statuses = Vec::with_capacity(statuses.len() + 1 + suffix.len());
-    all_statuses.extend_from_slice(statuses);
-    all_statuses.push(here);
-    let mut cur = here;
+/// The path from `start` that replays the `suffix` selections.
+fn splice_path(catalog: &Catalog, start: EnrollmentStatus, suffix: &[CourseSet]) -> Path {
+    let mut statuses = Vec::with_capacity(1 + suffix.len());
+    statuses.push(start);
+    let mut cur = start;
     for sel in suffix {
         cur = cur.advance(catalog, sel);
-        all_statuses.push(cur);
+        statuses.push(cur);
     }
-    let mut all_selections = Vec::with_capacity(selections.len() + suffix.len());
-    all_selections.extend_from_slice(selections);
-    all_selections.extend_from_slice(suffix);
-    Path::new(all_statuses, all_selections)
+    Path::new(statuses, suffix.to_vec())
 }
 
 impl<'c> Explorer<'c> {
@@ -1062,106 +712,6 @@ impl<'c> Explorer<'c> {
             run.work,
             run.expiry.fired(),
         )
-    }
-
-    /// [`Explorer::count_paths_memo_until`] with the first-level subtrees
-    /// dealt to `threads` workers that share `table`. Counts and logical
-    /// stats merge in child order, so the result is byte-identical to the
-    /// sequential memoized (and un-memoized) run.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub(crate) fn count_paths_parallel_memo_until(
-        &self,
-        threads: usize,
-        deadline: Option<Instant>,
-        table: &TranspositionTable,
-    ) -> (PathCounts, ExploreStats, bool) {
-        assert!(threads > 0, "need at least one worker thread");
-        match self.expand_root() {
-            RootExpansion::Leaf(kind) => (
-                PathCounts {
-                    total_paths: 1,
-                    goal_paths: u128::from(kind == LeafKind::Goal),
-                    stats: ExploreStats::default(),
-                },
-                ExploreStats::default(),
-                false,
-            ),
-            RootExpansion::Pruned(stats) => (
-                PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats,
-                },
-                stats,
-                false,
-            ),
-            RootExpansion::NoChildren { stats, dead_end } => (
-                PathCounts {
-                    total_paths: u128::from(dead_end),
-                    goal_paths: 0,
-                    stats,
-                },
-                stats,
-                false,
-            ),
-            RootExpansion::Children {
-                stats: root_stats,
-                children,
-            } => {
-                let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
-                    let mut run = MemoRun::new(self, table, deadline);
-                    let result = run.count_state(child);
-                    (result, run.work, run.expiry.fired())
-                });
-                let mut out = PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats: root_stats,
-                };
-                let mut work = root_stats;
-                let mut truncated = false;
-                for ((total, goal, logical), sub_work, sub_truncated) in subs {
-                    out.total_paths += total;
-                    out.goal_paths += goal;
-                    out.stats.merge(&logical);
-                    work.merge(&sub_work);
-                    truncated |= sub_truncated;
-                }
-                (out, work, truncated)
-            }
-        }
-    }
-
-    /// Memoized path collection: up to `limit` paths (goal paths for
-    /// goal-driven runs) in exact depth-first order, splicing cached
-    /// suffix sets onto the prefix wherever the table already knows a
-    /// subtree. The boolean marks truncation (more paths exist beyond
-    /// `limit`, or `deadline` expired).
-    pub(crate) fn collect_paths_memo_until(
-        &self,
-        table: &TranspositionTable,
-        limit: usize,
-        deadline: Option<Instant>,
-    ) -> (Vec<Path>, ExploreStats, bool) {
-        let goal_only = self.goal().is_some();
-        let mut run = MemoRun::new(self, table, deadline);
-        let mut out = Vec::new();
-        let mut hit_limit = false;
-        let mut statuses: Vec<EnrollmentStatus> = Vec::new();
-        let mut selections: Vec<CourseSet> = Vec::new();
-        let outcome = run.collect_state(
-            *self.start(),
-            &mut statuses,
-            &mut selections,
-            goal_only,
-            limit,
-            &mut out,
-            &mut hit_limit,
-        );
-        let truncated = matches!(outcome, CollectOutcome::Aborted) || run.expiry.fired();
-        (out, run.work, truncated)
     }
 
     /// The memoized top-`k` under a *decomposable* ranking: identical to
@@ -1204,7 +754,7 @@ impl<'c> Explorer<'c> {
         let paths: Vec<RankedPath> = items
             .iter()
             .map(|item| {
-                let path = splice_path(self.catalog(), &[], &[], start, &item.selections);
+                let path = splice_path(self.catalog(), start, &item.selections);
                 let mut cost = 0.0f64;
                 for _ in 0..item.selections.len() {
                     cost += c;
@@ -1269,34 +819,12 @@ mod tests {
         let plain = e.count_paths();
         for threads in [1, 2, 4] {
             let table = TranspositionTable::new(1 << 16);
-            let (counts, _, truncated) = e.count_paths_parallel_memo_until(threads, None, &table);
+            let (counts, truncated) = e.count_paths_parallel_until(threads, None, Some(&table));
             assert_eq!(counts, plain, "threads={threads}");
             assert!(!truncated);
             // And again against the now-warm shared table.
-            let (warm, _, _) = e.count_paths_parallel_memo_until(threads, None, &table);
+            let (warm, _) = e.count_paths_parallel_until(threads, None, Some(&table));
             assert_eq!(warm, plain, "warm threads={threads}");
-        }
-    }
-
-    #[test]
-    fn memoized_collect_matches_plain_collect() {
-        let synth = synth();
-        let e = goal_explorer(&synth, 4);
-        let plain = e.collect_goal_paths();
-        let table = TranspositionTable::new(1 << 16);
-        let (cold, _, cold_trunc) = e.collect_paths_memo_until(&table, usize::MAX, None);
-        assert_eq!(cold, plain);
-        assert!(!cold_trunc);
-        let (warm, warm_work, warm_trunc) = e.collect_paths_memo_until(&table, usize::MAX, None);
-        assert_eq!(warm, plain, "spliced suffixes reproduce the paths");
-        assert!(!warm_trunc);
-        assert!(warm_work.memo_hits > 0);
-        // Truncation at a limit matches the sequential contract.
-        if plain.len() > 1 {
-            let (some, _, truncated) = e.collect_paths_memo_until(&table, plain.len() - 1, None);
-            assert_eq!(some.len(), plain.len() - 1);
-            assert_eq!(some[..], plain[..plain.len() - 1]);
-            assert!(truncated);
         }
     }
 
@@ -1370,7 +898,6 @@ mod tests {
         let plain = e.count_paths();
         let table = TranspositionTable::new(1 << 16);
         e.count_paths_memo(&table);
-        e.collect_paths_memo_until(&table, usize::MAX, None);
         let sig = ranking_signature(&RankingSpec::Time);
         e.top_k_memo_until(&TimeRanking, sig, 5, &table, None)
             .unwrap()
@@ -1391,8 +918,6 @@ mod tests {
         assert_eq!(counts, plain, "restored answers are byte-identical");
         assert_eq!(work.nodes_expanded, 0, "zero re-expansion from restore");
         assert!(work.memo_hits >= 1);
-        let (paths, _, _) = e.collect_paths_memo_until(&restored, usize::MAX, None);
-        assert_eq!(paths, e.collect_goal_paths());
         let (ranked, _) = e
             .top_k_memo_until(&TimeRanking, sig, 5, &restored, None)
             .unwrap()

@@ -18,6 +18,10 @@
 //!   stable merge by cost reproduces the sequential (cost, tree-rank)
 //!   pop order.
 //!
+//! A root that does not branch (a leaf, pruned, or with no surviving
+//! selection) leaves nothing to deal, so each mode hands it to its own
+//! sequential engine and agrees with it there by construction.
+//!
 //! Each variant also takes the serving layer's wall-clock deadline;
 //! workers check it with the same amortized cadence as the sequential
 //! engine, so a parallel run under budget returns a truncated partial
@@ -31,53 +35,36 @@ use coursenav_catalog::CourseSet;
 use crate::error::ExploreError;
 use crate::expiry::Expiry;
 use crate::explorer::{no_table, Disposition, Explorer};
+use crate::memo::TranspositionTable;
 use crate::path::{LeafKind, Path};
-use crate::pruning::record_prune;
 use crate::ranked::RankedPath;
 use crate::ranking::Ranking;
 use crate::stats::{ExploreStats, PathCounts};
 use crate::status::Unexpanded;
 
-/// How the root expanded, mirroring the sequential engine's first step.
-pub(crate) enum RootExpansion {
-    /// The root itself is a leaf: the exploration is one trivial path.
-    Leaf(LeafKind),
-    /// The root was pruned: no paths at all.
-    Pruned(ExploreStats),
-    /// The root expanded but produced no children. `dead_end` is true
-    /// when every selection was vetoed by filters (the sequential engine
-    /// then emits the root as a dead-end path) rather than skipped by
-    /// the strategic floor (which emits nothing).
-    NoChildren { stats: ExploreStats, dead_end: bool },
-    /// First-level subtrees to deal to workers, in selection order. Each
-    /// worker materializes its own child.
-    Children {
-        stats: ExploreStats,
-        children: Vec<(CourseSet, Unexpanded)>,
-    },
-}
+/// The first-level subtrees to deal to workers, in selection order, with
+/// the root's own statistics. Each worker materializes its own child.
+type Branches = (ExploreStats, Vec<(CourseSet, Unexpanded)>);
 
 impl<'a> Explorer<'a> {
     /// Expands the root exactly like the sequential engine, keeping each
-    /// surviving selection alongside the child status it leads to.
-    pub(crate) fn expand_root(&self) -> RootExpansion {
+    /// surviving selection alongside the child status it leads to. `None`
+    /// when the root does not branch — a leaf, pruned, or no selection
+    /// survives — and every mode then answers with its sequential engine.
+    fn expand_root(&self) -> Option<Branches> {
         let pruner = self.pruner();
-        let mut stats = ExploreStats::default();
         let expansion = match self.disposition(*self.start(), pruner.as_ref(), no_table) {
-            Disposition::Leaf(kind) => return RootExpansion::Leaf(kind),
-            Disposition::Pruned(reason) => {
-                record_prune(&mut stats, reason);
-                return RootExpansion::Pruned(stats);
-            }
-            Disposition::Known(never) => match never {},
             Disposition::Expand(expansion) => expansion,
+            Disposition::Known(never) => match never {},
+            Disposition::Leaf(_) | Disposition::Pruned(_) => return None,
         };
-        stats.nodes_expanded += 1;
+        let mut stats = ExploreStats {
+            nodes_expanded: 1,
+            ..ExploreStats::default()
+        };
         let mut children: Vec<(CourseSet, Unexpanded)> = Vec::new();
-        let mut floor_skipped = 0usize;
         for selection in expansion.selections(self.max_per_semester()) {
             if selection.len() < expansion.min_selection {
-                floor_skipped += 1;
                 stats.pruned_time += 1;
                 continue;
             }
@@ -87,13 +74,7 @@ impl<'a> Explorer<'a> {
             stats.edges_created += 1;
             children.push((selection, self.start().child(&selection)));
         }
-        if children.is_empty() {
-            return RootExpansion::NoChildren {
-                stats,
-                dead_end: floor_skipped == 0,
-            };
-        }
-        RootExpansion::Children { stats, children }
+        (!children.is_empty()).then_some((stats, children))
     }
 
     /// Deals `items` round-robin to at most `threads` scoped workers and
@@ -141,23 +122,20 @@ impl<'a> Explorer<'a> {
             .collect()
     }
 
-    /// The root as a single trivial path (the `start == leaf` case).
-    pub(crate) fn trivial_path(&self) -> Path {
-        Path::new(vec![*self.start()], Vec::new())
-    }
-
     /// Counts learning paths using up to `threads` worker threads.
     ///
     /// # Panics
     /// Panics if `threads` is zero.
     pub fn count_paths_parallel(&self, threads: usize) -> PathCounts {
-        self.count_paths_parallel_until(threads, None).0
+        self.count_paths_parallel_until(threads, None, None).0
     }
 
     /// [`Explorer::count_paths_parallel`] under a wall-clock deadline:
     /// when the deadline passes mid-count each worker stops, and the
     /// merged counts are returned as lower bounds with `true` as the
-    /// truncation marker. `None` runs to completion.
+    /// truncation marker. `None` runs to completion. With a `table`, every
+    /// worker runs the memoized counter against it, so the workers share
+    /// one memo; counts and logical stats merge in child order either way.
     ///
     /// # Panics
     /// Panics if `threads` is zero.
@@ -165,73 +143,35 @@ impl<'a> Explorer<'a> {
         &self,
         threads: usize,
         deadline: Option<Instant>,
+        table: Option<&TranspositionTable>,
     ) -> (PathCounts, bool) {
         assert!(threads > 0, "need at least one worker thread");
-        let expired_now = || deadline.is_some_and(|d| Instant::now() >= d);
-        match self.expand_root() {
-            RootExpansion::Leaf(kind) => {
-                if expired_now() {
-                    return (PathCounts::default(), true);
-                }
-                (
-                    PathCounts {
-                        total_paths: 1,
-                        goal_paths: u128::from(kind == LeafKind::Goal),
-                        stats: ExploreStats::default(),
-                    },
-                    false,
-                )
+        let count = |e: &Explorer<'_>| match table {
+            Some(table) => {
+                let (counts, _work, truncated) = e.count_paths_memo_until(table, deadline);
+                (counts, truncated)
             }
-            RootExpansion::Pruned(stats) => (
-                PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats,
-                },
-                false,
-            ),
-            RootExpansion::NoChildren { stats, dead_end } => {
-                if dead_end && expired_now() {
-                    return (
-                        PathCounts {
-                            total_paths: 0,
-                            goal_paths: 0,
-                            stats,
-                        },
-                        true,
-                    );
-                }
-                (
-                    PathCounts {
-                        total_paths: u128::from(dead_end),
-                        goal_paths: 0,
-                        stats,
-                    },
-                    false,
-                )
-            }
-            RootExpansion::Children {
-                stats: root_stats,
-                children,
-            } => {
-                let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
-                    self.restarted(child).count_paths_until(deadline)
-                });
-                let mut out = PathCounts {
-                    total_paths: 0,
-                    goal_paths: 0,
-                    stats: root_stats,
-                };
-                let mut truncated = false;
-                for (counts, sub_truncated) in subs {
-                    out.total_paths += counts.total_paths;
-                    out.goal_paths += counts.goal_paths;
-                    out.stats.merge(&counts.stats);
-                    truncated |= sub_truncated;
-                }
-                (out, truncated)
-            }
+            None => e.count_paths_until(deadline),
+        };
+        let Some((root_stats, children)) = self.expand_root() else {
+            return count(self);
+        };
+        let subs = self.deal_subtrees(children, threads, |_, (_, child)| {
+            count(&self.restarted(child))
+        });
+        let mut out = PathCounts {
+            total_paths: 0,
+            goal_paths: 0,
+            stats: root_stats,
+        };
+        let mut truncated = false;
+        for (counts, sub_truncated) in subs {
+            out.total_paths += counts.total_paths;
+            out.goal_paths += counts.goal_paths;
+            out.stats.merge(&counts.stats);
+            truncated |= sub_truncated;
         }
+        (out, truncated)
     }
 
     /// Collects up to `limit` learning paths (goal paths for goal-driven
@@ -248,74 +188,50 @@ impl<'a> Explorer<'a> {
         deadline: Option<Instant>,
     ) -> (Vec<Path>, bool) {
         assert!(threads > 0, "need at least one worker thread");
-        let goal_only = self.goal().is_some();
-        // One leaf visit at the root, with the sequential visitor's check
-        // order: deadline first, then the goal filter, then the limit.
-        let root_visit = |kind: LeafKind| -> (Vec<Path>, bool) {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return (Vec::new(), true);
-            }
-            if goal_only && kind != LeafKind::Goal {
-                return (Vec::new(), false);
-            }
-            if limit == 0 {
-                return (Vec::new(), true);
-            }
-            (vec![self.trivial_path()], false)
+        let Some((_, children)) = self.expand_root() else {
+            return self.collect_paths_until(limit, deadline);
         };
-        match self.expand_root() {
-            RootExpansion::Leaf(kind) => root_visit(kind),
-            RootExpansion::Pruned(_) => (Vec::new(), false),
-            RootExpansion::NoChildren { dead_end, .. } => {
-                if dead_end {
-                    root_visit(LeafKind::DeadEnd)
-                } else {
-                    (Vec::new(), false)
+        let goal_only = self.goal().is_some();
+        let root = *self.start();
+        // `limit` paths may all come from one subtree; one more per
+        // subtree distinguishes "exactly limit" from "more beyond it" after
+        // the merge.
+        let cap = limit.saturating_add(1);
+        let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
+            let mut out: Vec<Path> = Vec::new();
+            let mut expiry = Expiry::per_leaf(deadline);
+            self.restarted(child).visit_paths(|visit| {
+                if expiry.tick() {
+                    return ControlFlow::Break(());
                 }
-            }
-            RootExpansion::Children { children, .. } => {
-                let root = *self.start();
-                // `limit` paths may all come from one subtree; one more
-                // per subtree distinguishes "exactly limit" from "more
-                // beyond it" after the merge.
-                let cap = limit.saturating_add(1);
-                let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
-                    let mut out: Vec<Path> = Vec::new();
-                    let mut expiry = Expiry::per_leaf(deadline);
-                    self.restarted(child).visit_paths(|visit| {
-                        if expiry.tick() {
-                            return ControlFlow::Break(());
-                        }
-                        if goal_only && visit.kind != LeafKind::Goal {
-                            return ControlFlow::Continue(());
-                        }
-                        let mut statuses = Vec::with_capacity(visit.statuses.len() + 1);
-                        statuses.push(root);
-                        statuses.extend_from_slice(visit.statuses);
-                        let mut selections = Vec::with_capacity(visit.selections.len() + 1);
-                        selections.push(selection);
-                        selections.extend_from_slice(visit.selections);
-                        out.push(Path::new(statuses, selections));
-                        if out.len() >= cap {
-                            return ControlFlow::Break(());
-                        }
-                        ControlFlow::Continue(())
-                    });
-                    (out, expiry.fired())
-                });
-                let mut paths: Vec<Path> = Vec::new();
-                let mut truncated = false;
-                for (sub_paths, sub_truncated) in subs {
-                    truncated |= sub_truncated;
-                    paths.extend(sub_paths);
+                if goal_only && visit.kind != LeafKind::Goal {
+                    return ControlFlow::Continue(());
                 }
-                if paths.len() > limit {
-                    paths.truncate(limit);
-                    truncated = true;
+                let mut statuses = Vec::with_capacity(visit.statuses.len() + 1);
+                statuses.push(root);
+                statuses.extend_from_slice(visit.statuses);
+                let mut selections = Vec::with_capacity(visit.selections.len() + 1);
+                selections.push(selection);
+                selections.extend_from_slice(visit.selections);
+                out.push(Path::new(statuses, selections));
+                if out.len() >= cap {
+                    return ControlFlow::Break(());
                 }
-                (paths, truncated)
-            }
+                ControlFlow::Continue(())
+            });
+            (out, expiry.fired())
+        });
+        let mut paths: Vec<Path> = Vec::new();
+        let mut truncated = false;
+        for (sub_paths, sub_truncated) in subs {
+            truncated |= sub_truncated;
+            paths.extend(sub_paths);
         }
+        if paths.len() > limit {
+            paths.truncate(limit);
+            truncated = true;
+        }
+        (paths, truncated)
     }
 
     /// The top-`k` goal paths under `ranking` using up to `threads`
@@ -336,74 +252,53 @@ impl<'a> Explorer<'a> {
         deadline: Option<Instant>,
     ) -> Result<(Vec<RankedPath>, bool), ExploreError> {
         assert!(threads > 0, "need at least one worker thread");
-        if self.goal().is_none() {
-            return Err(ExploreError::InvalidRequest(
-                "top-k ranking requires a goal-driven exploration".into(),
-            ));
+        // Without a goal the sequential engine reports the typed error.
+        let Some((_, children)) = self.goal().and_then(|_| self.expand_root()) else {
+            return self.top_k_until(ranking, k, deadline);
+        };
+        let root = *self.start();
+        let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
+            let edge_cost = ranking.edge_cost(self.catalog(), &root, &selection);
+            // Seed with the sequential engine's exact expression (root
+            // cost 0.0 plus this edge) for bit-identical accumulation down
+            // the subtree.
+            let seed = 0.0 + edge_cost;
+            let (paths, _, truncated) = self
+                .restarted(child)
+                .ranked_search_seeded(ranking, None, k, deadline, seed)
+                .expect("subtree searches inherit the goal");
+            let paths: Vec<RankedPath> = paths
+                .into_iter()
+                .map(|ranked| {
+                    let mut statuses = Vec::with_capacity(ranked.path.len() + 2);
+                    statuses.push(root);
+                    statuses.extend_from_slice(ranked.path.statuses());
+                    let mut selections = Vec::with_capacity(ranked.path.len() + 1);
+                    selections.push(selection);
+                    selections.extend_from_slice(ranked.path.selections());
+                    RankedPath {
+                        path: Path::new(statuses, selections),
+                        cost: ranked.cost,
+                    }
+                })
+                .collect();
+            (paths, truncated)
+        });
+        let mut merged: Vec<RankedPath> = Vec::new();
+        let mut truncated = false;
+        for (paths, sub_truncated) in subs {
+            truncated |= sub_truncated;
+            merged.extend(paths);
         }
-        if k == 0 {
-            return Ok((Vec::new(), false));
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok((Vec::new(), true));
-        }
-        match self.expand_root() {
-            RootExpansion::Leaf(LeafKind::Goal) => Ok((
-                vec![RankedPath {
-                    path: self.trivial_path(),
-                    cost: 0.0,
-                }],
-                false,
-            )),
-            RootExpansion::Leaf(_)
-            | RootExpansion::Pruned(_)
-            | RootExpansion::NoChildren { .. } => Ok((Vec::new(), false)),
-            RootExpansion::Children { children, .. } => {
-                let root = *self.start();
-                let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
-                    let edge_cost = ranking.edge_cost(self.catalog(), &root, &selection);
-                    // Seed with the sequential engine's exact expression
-                    // (root cost 0.0 plus this edge) for bit-identical
-                    // accumulation down the subtree.
-                    let seed = 0.0 + edge_cost;
-                    let (paths, _, truncated) = self
-                        .restarted(child)
-                        .ranked_search_seeded(ranking, None, k, deadline, seed)
-                        .expect("subtree searches inherit the goal");
-                    let paths: Vec<RankedPath> = paths
-                        .into_iter()
-                        .map(|ranked| {
-                            let mut statuses = Vec::with_capacity(ranked.path.len() + 2);
-                            statuses.push(root);
-                            statuses.extend_from_slice(ranked.path.statuses());
-                            let mut selections = Vec::with_capacity(ranked.path.len() + 1);
-                            selections.push(selection);
-                            selections.extend_from_slice(ranked.path.selections());
-                            RankedPath {
-                                path: Path::new(statuses, selections),
-                                cost: ranked.cost,
-                            }
-                        })
-                        .collect();
-                    (paths, truncated)
-                });
-                let mut merged: Vec<RankedPath> = Vec::new();
-                let mut truncated = false;
-                for (paths, sub_truncated) in subs {
-                    truncated |= sub_truncated;
-                    merged.extend(paths);
-                }
-                // Stable by cost: equal costs keep (child index, subtree
-                // pop order), which is the sequential tie-break.
-                merged.sort_by(|a, b| {
-                    a.cost
-                        .partial_cmp(&b.cost)
-                        .expect("costs are finite by Ranking's contract")
-                });
-                merged.truncate(k);
-                Ok((merged, truncated))
-            }
-        }
+        // Stable by cost: equal costs keep (child index, subtree pop
+        // order), which is the sequential tie-break.
+        merged.sort_by(|a, b| {
+            a.cost
+                .partial_cmp(&b.cost)
+                .expect("costs are finite by Ranking's contract")
+        });
+        merged.truncate(k);
+        Ok((merged, truncated))
     }
 }
 
@@ -549,7 +444,7 @@ mod tests {
         let e = Explorer::goal_driven(&synth.catalog, start, synth.start + 4, 3, goal).unwrap();
         let past = Some(Instant::now());
 
-        let (counts, truncated) = e.count_paths_parallel_until(4, past);
+        let (counts, truncated) = e.count_paths_parallel_until(4, past, None);
         assert!(truncated);
         assert_eq!(counts.total_paths, 0);
 

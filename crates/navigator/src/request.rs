@@ -295,7 +295,8 @@ impl ExplorationRequest {
     /// avoid/workload filters, the wait policy, and the pruning config —
     /// so the start semester, completed set, output mode, ranking, budget,
     /// and paging are all masked. Requests from different students (or the
-    /// same student asking for counts vs. paths) therefore share one memo.
+    /// same student asking for counts vs. ranked paths) therefore share one
+    /// memo. Collect output reads no table, whatever its key.
     pub fn memo_key(&self) -> String {
         let mut canon = self.canonicalize();
         canon.start_semester = canon.deadline;

@@ -359,13 +359,13 @@ impl<'a> NavigatorService<'a> {
     /// canonical key.
     ///
     /// Routing: count output uses the memoized counter when there is a
-    /// table (parallel workers share it). Collect output with a table uses
-    /// the memoized sequential enumerator (suffix splicing; the output
-    /// limit bounds its work). Top-k uses cached suffix summaries only
-    /// under a *decomposable* ranking ([`RankingSpec::decomposable`]) and
-    /// the un-memoized best-first search otherwise — or when the deadline
-    /// expires mid-computation, so a deadline-bound response is always a
-    /// correct best-first prefix.
+    /// table (parallel workers share it). Collect output never reads the
+    /// table: the depth-first visitor (or its parallel fan-out) emits paths
+    /// in order, and the output limit bounds its work. Top-k uses cached
+    /// suffix summaries only under a *decomposable* ranking
+    /// ([`RankingSpec::decomposable`]) and the un-memoized best-first
+    /// search otherwise — or when the deadline expires mid-computation, so
+    /// a deadline-bound response is always a correct best-first prefix.
     pub fn run_until_memo(
         &self,
         req: &ExplorationRequest,
@@ -379,17 +379,14 @@ impl<'a> NavigatorService<'a> {
         match req.output {
             OutputMode::Count => {
                 let (counts, truncated) = match table {
-                    Some(table) if parallel => {
-                        let (counts, _work, truncated) =
-                            explorer.count_paths_parallel_memo_until(parallelism, deadline, table);
-                        (counts, truncated)
+                    _ if parallel => {
+                        explorer.count_paths_parallel_until(parallelism, deadline, table)
                     }
                     Some(table) => {
                         let (counts, _work, truncated) =
                             explorer.count_paths_memo_until(table, deadline);
                         (counts, truncated)
                     }
-                    None if parallel => explorer.count_paths_parallel_until(parallelism, deadline),
                     None => explorer.count_paths_until(deadline),
                 };
                 Ok(ExplorationResponse::Counts {
@@ -403,16 +400,10 @@ impl<'a> NavigatorService<'a> {
                 })
             }
             OutputMode::Collect { limit } => {
-                let (paths, truncated) = match table {
-                    Some(table) => {
-                        let (paths, _work, truncated) =
-                            explorer.collect_paths_memo_until(table, limit, deadline);
-                        (paths, truncated)
-                    }
-                    None if parallel => {
-                        explorer.collect_paths_parallel_until(parallelism, limit, deadline)
-                    }
-                    None => explorer.collect_paths_until(limit, deadline),
+                let (paths, truncated) = if parallel {
+                    explorer.collect_paths_parallel_until(parallelism, limit, deadline)
+                } else {
+                    explorer.collect_paths_until(limit, deadline)
                 };
                 Ok(ExplorationResponse::Paths {
                     api_version: API_VERSION,
@@ -670,6 +661,51 @@ mod tests {
         req.budget_ms = Some(60_000);
         let resp = service.run(&req).unwrap();
         assert!(!resp.truncated());
+    }
+
+    /// Unpaged collect is served by the table-free visitors: handing it a
+    /// table changes neither the answer nor the table, sequential or
+    /// fanned out, goal-driven or deadline-driven, limited or not.
+    #[test]
+    fn collect_leaves_the_table_alone() {
+        use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let service = NavigatorService::new(&synth.catalog).with_degree(&synth.degree);
+        let goal = |limit| {
+            ExplorationRequest::degree_paths(
+                synth.start,
+                synth.start + 4,
+                2,
+                OutputMode::Collect { limit },
+            )
+        };
+        let mut deadline = ExplorationRequest::deadline_count(synth.start, synth.start + 3, 2);
+        deadline.output = OutputMode::Collect { limit: 1000 };
+        for req in [goal(usize::MAX), goal(3), deadline] {
+            for parallelism in [1, 2] {
+                let paths = |table: Option<&TranspositionTable>| match service.run_until_memo(
+                    &req,
+                    None,
+                    parallelism,
+                    table,
+                ) {
+                    Ok(ExplorationResponse::Paths {
+                        paths, truncated, ..
+                    }) => (paths, truncated),
+                    other => panic!("expected Paths, got {other:?}"),
+                };
+                let table = TranspositionTable::new(1 << 16);
+                let plain = paths(None);
+                assert!(!plain.0.is_empty());
+                assert_eq!(paths(Some(&table)), plain, "parallelism={parallelism}");
+                let snap = table.snapshot();
+                assert_eq!(
+                    (snap.hits, snap.misses, snap.inserts),
+                    (0, 0, 0),
+                    "parallelism={parallelism}"
+                );
+            }
+        }
     }
 
     #[test]

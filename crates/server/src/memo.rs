@@ -7,8 +7,9 @@
 //! field that shapes the exploration tree — catalog semantics, prune
 //! configuration, wait policy, goal, selection cap — which is what
 //! [`ExplorationRequest::memo_key`] fingerprints (output mode, ranking,
-//! budget, and paging are deliberately masked out: a count, a collect,
-//! and a top-k over the same tree all warm each other).
+//! budget, and paging are deliberately masked out: a count and a top-k
+//! over the same tree share one table). Collect output reads no table,
+//! so the serving layer never asks the registry for one on its behalf.
 //!
 //! Memory stays bounded at two levels: each table caps its resident
 //! entries ([`TranspositionTable::new`]), and the registry caps how many

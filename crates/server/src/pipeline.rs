@@ -29,8 +29,9 @@ use std::time::{Duration, Instant};
 
 use coursenav_navigator::{
     AdviseOutcome, AdviseRequest, AdviseResponse, BatchAdviseRequest, ExplorationCursor,
-    ExplorationRequest, ExplorationResponse, ExploreError, NavigatorService, PageOutcome, PageSink,
-    ServiceError, StreamedItem, TranscriptSpec, WhatIfRequest, WhatIfServed,
+    ExplorationRequest, ExplorationResponse, ExploreError, NavigatorService, OutputMode,
+    PageOutcome, PageSink, ServiceError, StreamedItem, TranscriptSpec, TranspositionTable,
+    WhatIfRequest, WhatIfServed,
 };
 use coursenav_registrar::RegistrarData;
 use coursenav_transcript::{Transcript, TranscriptError};
@@ -132,7 +133,7 @@ impl Family for ExplorationRequest {
         let service = navigator(tenant.data());
         // Different requests over the same exploration tree share one
         // transposition table *within the tenant's partition*.
-        let table = tenant.memo().table_for(&self.memo_key());
+        let table = memo_table(tenant, self);
         match service.run_until_memo(self, deadline, state.parallelism, table.as_deref()) {
             Ok(response) => {
                 chaos!(state, crate::faults::FaultSite::PanicAfterCompute, {
@@ -288,7 +289,7 @@ impl Family for WhatIfRequest {
     fn compute(&self, state: &AppState, tenant: &Tenant) -> (Response, bool) {
         let deadline = deadline(state, self.base.budget_ms);
         let service = navigator(tenant.data());
-        let table = tenant.memo().table_for(&self.memo_key());
+        let table = memo_table(tenant, &self.merged_request());
         let dag = tenant.dag().table();
         match service.whatif_until(
             self,
@@ -609,8 +610,19 @@ fn run_explore_page(
     sink: Option<&mut PageSink<'_>>,
 ) -> Result<PageOutcome, ServiceError> {
     let deadline = deadline(state, req.budget_ms);
-    let table = tenant.memo().table_for(&req.memo_key());
+    let table = memo_table(tenant, req);
     navigator(tenant.data()).run_page_memo(req, cursor, deadline, sink, table.as_deref())
+}
+
+/// The tenant's transposition table for `req`'s exploration shape, or
+/// `None` when its output reads none: collect runs on the table-free
+/// visitors, so fetching a table for it would only create an empty one
+/// (and could LRU-evict a useful one).
+fn memo_table(tenant: &Tenant, req: &ExplorationRequest) -> Option<Arc<TranspositionTable>> {
+    if matches!(req.output, OutputMode::Collect { .. }) {
+        return None;
+    }
+    tenant.memo().table_for(&req.memo_key())
 }
 
 /// Resolves an opaque cursor token to the engine cursor it names,

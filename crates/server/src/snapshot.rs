@@ -21,7 +21,8 @@
 //!
 //! where `str` is `u32 length + UTF-8 bytes` and a course set is
 //! `u16 count + count × u16 course ids`. Memo entries carry a one-byte
-//! tag for the three cached kinds (count / suffix set / ranked summary).
+//! tag for the two cached kinds: 0 for a count, 2 for a ranked summary.
+//! Tag 1 (version 1's collect suffix sets) is retired and never reused.
 //!
 //! **The decoder never trusts a length field.** Every count is validated
 //! against the bytes actually remaining before a single element is
@@ -45,7 +46,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use coursenav_catalog::{CourseId, CourseSet};
-use coursenav_navigator::{ExploreStats, LeafKind, PortableEntry, PortableSuffix, StateKey};
+use coursenav_navigator::{ExploreStats, PortableEntry, StateKey};
 use coursenav_registrar::{write_registrar_file, RegistrarData};
 
 use crate::session::{SessionExport, SessionRecord};
@@ -55,7 +56,7 @@ pub const MAGIC: &[u8; 8] = b"CNAVSNAP";
 
 /// Format version; bumped on any layout change (no migrations — see the
 /// module docs).
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// The snapshot's file name inside the snapshot directory.
 pub const SNAPSHOT_FILE: &str = "coursenav.snap";
@@ -274,27 +275,6 @@ fn put_entry(out: &mut Vec<u8>, entry: &PortableEntry) {
             put_u128(out, *goal);
             put_stats(out, logical);
         }
-        PortableEntry::Suffixes {
-            key,
-            total,
-            goal,
-            logical,
-            suffixes,
-        } => {
-            out.push(1);
-            put_key(out, key);
-            put_u128(out, *total);
-            put_u128(out, *goal);
-            put_stats(out, logical);
-            put_u32(out, suffixes.len() as u32);
-            for suffix in suffixes {
-                put_u32(out, suffix.selections.len() as u32);
-                for set in &suffix.selections {
-                    put_set(out, set);
-                }
-                out.push(leaf_tag(suffix.kind));
-            }
-        }
         PortableEntry::Ranked { key, sig, k, items } => {
             out.push(2);
             put_key(out, key);
@@ -351,14 +331,6 @@ fn put_stats(out: &mut Vec<u8>, stats: &ExploreStats) {
         stats.memo_evictions,
     ] {
         put_u64(out, v);
-    }
-}
-
-fn leaf_tag(kind: LeafKind) -> u8 {
-    match kind {
-        LeafKind::Deadline => 0,
-        LeafKind::Goal => 1,
-        LeafKind::DeadEnd => 2,
     }
 }
 
@@ -540,15 +512,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn leaf(&mut self) -> Result<LeafKind, DecodeError> {
-        match self.u8()? {
-            0 => Ok(LeafKind::Deadline),
-            1 => Ok(LeafKind::Goal),
-            2 => Ok(LeafKind::DeadEnd),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-
     fn entry(&mut self) -> Result<PortableEntry, DecodeError> {
         match self.u8()? {
             0 => Ok(PortableEntry::Count {
@@ -557,32 +520,6 @@ impl<'a> Reader<'a> {
                 goal: self.u128()?,
                 logical: self.stats()?,
             }),
-            1 => {
-                let key = self.key()?;
-                let total = self.u128()?;
-                let goal = self.u128()?;
-                let logical = self.stats()?;
-                // Suffix minimum: selection count + leaf tag.
-                let mut suffixes = Vec::new();
-                for _ in 0..self.count(4 + 1)? {
-                    // Selection minimum: a set's count field.
-                    let mut selections = Vec::new();
-                    for _ in 0..self.count(2)? {
-                        selections.push(self.set()?);
-                    }
-                    suffixes.push(PortableSuffix {
-                        selections,
-                        kind: self.leaf()?,
-                    });
-                }
-                Ok(PortableEntry::Suffixes {
-                    key,
-                    total,
-                    goal,
-                    logical,
-                    suffixes,
-                })
-            }
             2 => {
                 let key = self.key()?;
                 let sig = self.u64()?;
@@ -686,16 +623,6 @@ mod tests {
                             total: 12,
                             goal: 7,
                             logical: stats,
-                        },
-                        PortableEntry::Suffixes {
-                            key: (5, CourseSet::EMPTY),
-                            total: 2,
-                            goal: 1,
-                            logical: ExploreStats::default(),
-                            suffixes: vec![PortableSuffix {
-                                selections: vec![set, CourseSet::EMPTY],
-                                kind: LeafKind::Goal,
-                            }],
                         },
                         PortableEntry::Ranked {
                             key: (6, set),
@@ -805,6 +732,30 @@ mod tests {
             decode(&bad_version),
             Err(DecodeError::BadVersion(VERSION + 9))
         );
+
+        // A version-1 file (it could carry suffix sets) is refused by its
+        // version, before the checksum is read.
+        let mut v1 = good.clone();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(decode(&v1), Err(DecodeError::BadVersion(1)));
+
+        // Version 1's suffix-set tag is retired: one tenant, one table,
+        // one entry tagged 1, padded past the entry-count check.
+        let mut retired = Vec::new();
+        retired.extend_from_slice(MAGIC);
+        put_u32(&mut retired, VERSION);
+        put_u32(&mut retired, 1);
+        put_str(&mut retired, "default");
+        put_u64(&mut retired, 1);
+        put_u64(&mut retired, 0);
+        put_u32(&mut retired, 1);
+        put_str(&mut retired, "m");
+        put_u32(&mut retired, 1);
+        retired.push(1);
+        retired.extend_from_slice(&[0; 64]);
+        let checksum = fnv1a(&retired);
+        put_u64(&mut retired, checksum);
+        assert_eq!(decode(&retired), Err(DecodeError::BadTag(1)));
     }
 
     #[test]

@@ -569,6 +569,31 @@ fn cross_request_memo_sharing_shows_on_metrics() {
 }
 
 #[test]
+fn collect_only_traffic_creates_no_memo_table() {
+    let server = start_default();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr);
+
+    // Collect reads no transposition table, so neither the unpaged form
+    // nor a paged walk may make the registry create one.
+    let mut req = count_request();
+    req.output = OutputMode::Collect { limit: 40 };
+    let unpaged = client.send("POST", "/v1/explore", Some(&req.to_json().unwrap()));
+    assert_eq!(unpaged.status, 200, "{}", unpaged.body);
+    req.page_size = Some(15);
+    let paged = client.send("POST", "/v1/explore", Some(&req.to_json().unwrap()));
+    assert_eq!(paged.status, 200, "{}", paged.body);
+    assert_eq!(paged.header("x-cache"), Some("bypass"));
+
+    let memo = &fetch_metrics(addr)["memo"];
+    assert_eq!(memo["enabled"], serde_json::Value::Bool(true));
+    assert_eq!(memo["tables"].as_u64(), Some(0), "{memo:?}");
+    assert_eq!(memo["inserts"].as_u64(), Some(0), "{memo:?}");
+
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_requests_share_one_connection() {
     let server = start_default();
     let addr = server.local_addr();

@@ -8,7 +8,7 @@
 //! half-accepted.
 
 use coursenav_catalog::{CourseId, CourseSet};
-use coursenav_navigator::{ExploreStats, LeafKind, PortableEntry, PortableSuffix};
+use coursenav_navigator::{ExploreStats, PortableEntry};
 use coursenav_server::session::{SessionExport, SessionRecord};
 use coursenav_server::snapshot::{decode, encode, SnapshotFile, TableRecord, TenantRecord};
 use proptest::prelude::*;
@@ -52,29 +52,6 @@ fn arb_entry() -> impl Strategy<Value = PortableEntry> {
                 logical,
             }
         ),
-        (
-            any::<i32>(),
-            arb_set(),
-            arb_stats(),
-            prop::collection::vec((prop::collection::vec(arb_set(), 0..3), 0u8..3), 0..4),
-        )
-            .prop_map(|(depth, set, logical, suffixes)| PortableEntry::Suffixes {
-                key: (depth, set),
-                total: suffixes.len() as u128,
-                goal: 1,
-                logical,
-                suffixes: suffixes
-                    .into_iter()
-                    .map(|(selections, kind)| PortableSuffix {
-                        selections,
-                        kind: match kind {
-                            0 => LeafKind::Deadline,
-                            1 => LeafKind::Goal,
-                            _ => LeafKind::DeadEnd,
-                        },
-                    })
-                    .collect(),
-            }),
         (
             any::<i32>(),
             arb_set(),

@@ -323,6 +323,31 @@ fn corrupt_files_reject_whole_and_missing_files_start_cold() {
         Err(RestoreError::Corrupt(_)) => {}
         other => panic!("truncated snapshot must be Corrupt, got {other:?}"),
     }
+
+    // A complete file stamped version 1 (the format that could carry
+    // collect suffix sets) is refused by its version, and a fresh replica
+    // that tried to load it serves cold.
+    let mut v1 = whole.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &v1).expect("write v1");
+    let replica = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start replica");
+    match replica.warm_from(&dir) {
+        Err(RestoreError::Corrupt(msg)) => {
+            assert!(msg.contains("version 1"), "{msg}");
+        }
+        other => panic!("version-1 snapshot must be refused, got {other:?}"),
+    }
+    let answer =
+        roundtrip(replica.local_addr(), "POST", "/v1/explore", Some(&req)).expect("answers");
+    assert_eq!(answer.status, 200, "{}", answer.text());
+    assert_eq!(answer.header("x-cache"), Some("miss"));
+    let metrics = fetch_metrics(replica.local_addr());
+    assert_eq!(
+        metrics["snapshot"]["restored-entries"].as_u64(),
+        Some(0),
+        "{metrics:?}"
+    );
+    replica.shutdown();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
