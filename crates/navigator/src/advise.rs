@@ -28,6 +28,7 @@ use crate::cursor::ExplorationCursor;
 use crate::memo::TranspositionTable;
 use crate::ranked::RankedPath;
 use crate::request::{ExplorationRequest, GoalSpec, OutputMode, RankingSpec};
+use crate::resume::PageSpec;
 use crate::service::{ExplorationResponse, NavigatorService, ServiceError, API_VERSION};
 
 /// Per-semester course cap assumed when a request leaves it out (the
@@ -442,23 +443,22 @@ impl NavigatorService<'_> {
             Vec::new()
         };
 
-        let (completions, completions_truncated, next) =
-            if derived.page_size.is_some() || cursor.is_some() {
-                let outcome = self.run_page_memo(&derived, cursor, deadline, None, table)?;
-                match outcome.response {
-                    ExplorationResponse::Ranked {
-                        paths, truncated, ..
-                    } => (paths, truncated, outcome.cursor),
-                    _ => unreachable!("top-k requests produce rankings"),
-                }
-            } else {
-                match self.run_until_memo(&derived, deadline, parallelism, table)? {
-                    ExplorationResponse::Ranked {
-                        paths, truncated, ..
-                    } => (paths, truncated, None),
-                    _ => unreachable!("top-k requests produce rankings"),
-                }
-            };
+        let page = PageSpec {
+            cursor,
+            size: derived.page_size,
+            deadline,
+            table,
+            parallelism,
+        };
+        let outcome = self.dispatch(&derived, page, None)?;
+        let ExplorationResponse::Ranked {
+            paths: completions,
+            truncated: completions_truncated,
+            ..
+        } = outcome.response
+        else {
+            unreachable!("top-k requests produce rankings")
+        };
         truncated |= completions_truncated;
 
         Ok(AdviseOutcome {
@@ -471,7 +471,7 @@ impl NavigatorService<'_> {
                 truncated,
                 next_cursor: None,
             },
-            cursor: next,
+            cursor: outcome.cursor,
         })
     }
 }

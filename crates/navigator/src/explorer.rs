@@ -12,6 +12,12 @@
 //!   paper's 10⁵–10⁷-path regimes;
 //! - [`Explorer::count_paths`]: count paths and collect statistics only.
 //!
+//! Visiting and counting, like the lazy [`Explorer::paths_iter`] and every
+//! count and collect the service answers, drive one depth-first walker,
+//! [`crate::PathStream`]. This module holds what it shares with every other
+//! engine loop: the two-phase classifier `Explorer::disposition`, the
+//! selection filters, and the root expansion the parallel fan-out deals.
+//!
 //! With no goal configured the engine is exactly **Algorithm 1**
 //! (deadline-driven, §4.1). Setting a goal turns it into **Algorithm 2**
 //! (goal-driven, §4.2): goal-satisfying nodes become terminal, and the
@@ -20,21 +26,20 @@
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Instant;
 
 use coursenav_catalog::{Catalog, CourseSet, Semester};
 
 use crate::error::ExploreError;
 use crate::expand::{SelectionIter, WaitPolicy};
-use crate::expiry::Expiry;
 use crate::filter::SelectionFilter;
 use crate::goal::Goal;
 use crate::graph::{LearningGraph, NodeId, NodeKind};
-use crate::memo::StateKey;
+use crate::memo::{StateKey, TranspositionTable};
 use crate::path::{LeafKind, Path, PathVisit};
 use crate::pruning::{record_prune, PruneConfig, PruneDecision, PruneReason, Pruner};
 use crate::stats::{ExploreStats, PathCounts};
-use crate::status::{Classifiable, EnrollmentStatus};
+use crate::status::{Classifiable, EnrollmentStatus, Unexpanded};
+use crate::stream::Step;
 
 /// How a node should be handled, decided before expansion by
 /// [`Explorer::disposition`]. `T` is whatever the caller's table holds for
@@ -68,6 +73,10 @@ impl Expansion {
         }
     }
 }
+
+/// The root's first-level subtrees, in selection order, with the root's
+/// own statistics (see [`Explorer::expand_root`]).
+type Branches = (ExploreStats, Vec<(CourseSet, Unexpanded)>);
 
 /// The lookup of callers that keep no table of resolved states.
 pub(crate) fn no_table(_: &StateKey) -> Option<Infallible> {
@@ -184,8 +193,8 @@ impl<'a> Explorer<'a> {
         self.max_per_semester
     }
 
-    /// A copy of this request rooted at a different status (used by the
-    /// parallel counter to hand first-level subtrees to worker threads).
+    /// A copy of this request rooted at a different status (used to count
+    /// first-level subtrees on their own).
     pub(crate) fn restarted(&self, start: impl Classifiable) -> Explorer<'a> {
         let mut e = self.clone();
         e.start = start.materialize(self.catalog);
@@ -306,8 +315,38 @@ impl<'a> Explorer<'a> {
             .all(|f| f.allow(self.catalog, status, selection))
     }
 
+    /// Expands the root the way the walker does, keeping each surviving
+    /// selection alongside the child status it leads to, with the root's
+    /// own statistics. `None` when the root does not branch — a leaf,
+    /// pruned, or no selection survives.
+    pub(crate) fn expand_root(&self) -> Option<Branches> {
+        let pruner = self.pruner();
+        let expansion = match self.disposition(self.start, pruner.as_ref(), no_table) {
+            Disposition::Expand(expansion) => expansion,
+            Disposition::Known(never) => match never {},
+            Disposition::Leaf(_) | Disposition::Pruned(_) => return None,
+        };
+        let mut stats = ExploreStats {
+            nodes_expanded: 1,
+            ..ExploreStats::default()
+        };
+        let mut children: Vec<(CourseSet, Unexpanded)> = Vec::new();
+        for selection in expansion.selections(self.max_per_semester) {
+            if selection.len() < expansion.min_selection {
+                stats.pruned_time += 1;
+                continue;
+            }
+            if !self.selection_allowed(&self.start, &selection) {
+                continue;
+            }
+            stats.edges_created += 1;
+            children.push((selection, self.start.child(&selection)));
+        }
+        (!children.is_empty()).then_some((stats, children))
+    }
+
     // ------------------------------------------------------------------
-    // Streaming mode
+    // Streaming and counting modes: both drive the one walker, `PathStream`
     // ------------------------------------------------------------------
 
     /// Streams every learning path to `visitor` in depth-first order.
@@ -317,171 +356,40 @@ impl<'a> Explorer<'a> {
         &self,
         mut visitor: impl FnMut(PathVisit<'_>) -> ControlFlow<()>,
     ) -> ExploreStats {
-        let mut stats = ExploreStats::default();
-        let pruner = self.pruner();
-        let mut statuses: Vec<EnrollmentStatus> = Vec::new();
-        let mut selections: Vec<CourseSet> = Vec::new();
-        let _ = self.dfs(
-            self.start,
-            pruner.as_ref(),
-            &mut statuses,
-            &mut selections,
-            &mut stats,
-            &mut visitor,
-        );
-        stats
-    }
-
-    /// Visits the subtree below `state`, whose parents are on `statuses`
-    /// and whose selection path is `selections` (one longer).
-    fn dfs(
-        &self,
-        state: impl Classifiable,
-        pruner: Option<&Pruner<'_>>,
-        statuses: &mut Vec<EnrollmentStatus>,
-        selections: &mut Vec<CourseSet>,
-        stats: &mut ExploreStats,
-        visitor: &mut impl FnMut(PathVisit<'_>) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let expansion = match self.disposition(state, pruner, no_table) {
-            Disposition::Leaf(kind) => {
-                statuses.push(state.materialize(self.catalog));
-                let flow = visitor(PathVisit {
-                    statuses,
-                    selections,
-                    kind,
-                });
-                statuses.pop();
-                return flow;
-            }
-            Disposition::Pruned(reason) => {
-                record_prune(stats, reason);
-                return ControlFlow::Continue(());
-            }
-            Disposition::Known(never) => match never {},
-            Disposition::Expand(expansion) => expansion,
-        };
-        stats.nodes_expanded += 1;
-        let status = expansion.status;
-        statuses.push(status);
-        let mut emitted = 0usize;
-        let mut floor_skipped = 0usize;
-        let mut flow = ControlFlow::Continue(());
-        for selection in expansion.selections(self.max_per_semester) {
-            if selection.len() < expansion.min_selection {
-                floor_skipped += 1;
-                stats.pruned_time += 1;
-                continue;
-            }
-            if !self.selection_allowed(&status, &selection) {
-                continue;
-            }
-            emitted += 1;
-            stats.edges_created += 1;
-            selections.push(selection);
-            flow = self.dfs(
-                status.child(&selection),
-                pruner,
-                statuses,
-                selections,
-                stats,
-                visitor,
-            );
-            selections.pop();
-            if flow.is_break() {
-                break;
+        let mut stream = self.paths_iter();
+        loop {
+            match stream.step() {
+                Step::Leaf(_) if stream.visit(&mut visitor).is_break() => break,
+                Step::Done => break,
+                Step::Leaf(_) | Step::Bulk => {}
             }
         }
-        if flow.is_continue() && emitted == 0 && floor_skipped == 0 {
-            // Every selection was vetoed by filters: the node is a dead
-            // end under the active constraints.
-            flow = visitor(PathVisit {
-                statuses,
-                selections,
-                kind: LeafKind::DeadEnd,
-            });
-        }
-        statuses.pop();
-        flow
+        *stream.stats()
     }
-
-    // ------------------------------------------------------------------
-    // Counting mode
-    // ------------------------------------------------------------------
 
     /// Counts learning paths without materializing anything.
     pub fn count_paths(&self) -> PathCounts {
-        self.count_paths_until(None).0
+        self.count_walk(None, None).0
     }
 
-    /// [`Explorer::count_paths`] under a wall-clock deadline. The boolean
-    /// marks truncation: the counts are then lower bounds.
-    pub(crate) fn count_paths_until(&self, deadline: Option<Instant>) -> (PathCounts, bool) {
-        let mut counts = PathCounts::default();
-        let mut expiry = Expiry::per_leaf(deadline);
-        counts.stats = self.visit_paths(|visit| {
-            if expiry.tick() {
-                return ControlFlow::Break(());
-            }
-            counts.total_paths += 1;
-            if visit.kind == LeafKind::Goal {
-                counts.goal_paths += 1;
-            }
-            ControlFlow::Continue(())
-        });
-        (counts, expiry.fired())
-    }
-
-    /// Collects up to `limit` paths (goal paths for goal-driven runs) in
-    /// depth-first order under a wall-clock deadline. The boolean marks
-    /// truncation: more paths exist beyond `limit`, or `deadline` expired.
-    pub(crate) fn collect_paths_until(
-        &self,
-        limit: usize,
-        deadline: Option<Instant>,
-    ) -> (Vec<Path>, bool) {
-        let goal_only = self.goal.is_some();
-        let mut paths = Vec::new();
-        let mut expiry = Expiry::per_leaf(deadline);
-        let mut over_limit = false;
-        self.visit_paths(|visit| {
-            if expiry.tick() {
-                return ControlFlow::Break(());
-            }
-            if goal_only && visit.kind != LeafKind::Goal {
-                return ControlFlow::Continue(());
-            }
-            if paths.len() >= limit {
-                over_limit = true;
-                return ControlFlow::Break(());
-            }
-            paths.push(visit.to_path());
-            ControlFlow::Continue(())
-        });
-        (paths, over_limit || expiry.fired())
+    /// [`Explorer::count_paths`] through a transposition table: identical
+    /// counts and *logical* statistics (the `PathCounts::stats` field),
+    /// plus the run's *work* statistics — real expansions and the
+    /// `memo_hits`/`memo_misses`/`memo_evictions` counters.
+    pub fn count_paths_memo(&self, table: &TranspositionTable) -> (PathCounts, ExploreStats) {
+        let (counts, work, _) = self.count_walk(Some(table), None);
+        (counts, work)
     }
 
     /// Collects every path (materialized). Convenience for small runs,
     /// examples, and tests; prefer [`Explorer::visit_paths`] at scale.
     pub fn collect_paths(&self) -> Vec<Path> {
-        let mut out = Vec::new();
-        self.visit_paths(|visit| {
-            out.push(visit.to_path());
-            ControlFlow::Continue(())
-        });
-        out
+        self.paths_iter().map(|(path, _)| path).collect()
     }
 
     /// Collects only the goal-satisfying paths.
     pub fn collect_goal_paths(&self) -> Vec<Path> {
-        let mut out = Vec::new();
-        self.visit_paths(|visit| {
-            if visit.kind == LeafKind::Goal {
-                out.push(visit.to_path());
-            }
-            ControlFlow::Continue(())
-        });
-        out
+        self.goal_paths_iter().collect()
     }
 
     // ------------------------------------------------------------------
@@ -618,6 +526,60 @@ pub(crate) mod eager {
             }
         };
         (decision, true)
+    }
+
+    /// The naive enumerator the walker is held to: every path in
+    /// depth-first order with its leaf kind, and the run's logical
+    /// statistics, by plain recursion over the eager classifier.
+    pub(crate) fn enumerate(e: &Explorer<'_>) -> (Vec<(Path, LeafKind)>, ExploreStats) {
+        fn walk(
+            e: &Explorer<'_>,
+            path: &mut (Vec<EnrollmentStatus>, Vec<CourseSet>),
+            out: &mut Vec<(Path, LeafKind)>,
+            stats: &mut ExploreStats,
+        ) {
+            let status = *path.0.last().expect("paths start at the root");
+            let emit = |kind, out: &mut Vec<_>, path: &(Vec<_>, Vec<_>)| {
+                out.push((Path::new(path.0.clone(), path.1.clone()), kind));
+            };
+            let (min_selection, include_empty) = match disposition(e, &status).0 {
+                Eager::Leaf(kind) => return emit(kind, out, path),
+                Eager::Pruned(reason) => return record_prune(stats, reason),
+                Eager::Expand {
+                    min_selection,
+                    include_empty,
+                    ..
+                } => (min_selection, include_empty),
+            };
+            stats.nodes_expanded += 1;
+            let selections = if include_empty {
+                SelectionIter::with_empty(status.options(), e.max_per_semester())
+            } else {
+                SelectionIter::new(status.options(), e.max_per_semester())
+            };
+            let (mut emitted, mut floor_skipped) = (0, 0);
+            for selection in selections {
+                if selection.len() < min_selection {
+                    floor_skipped += 1;
+                    stats.pruned_time += 1;
+                } else if e.selection_allowed(&status, &selection) {
+                    emitted += 1;
+                    stats.edges_created += 1;
+                    path.0.push(status.advance(e.catalog(), &selection));
+                    path.1.push(selection);
+                    walk(e, path, out, stats);
+                    path.0.pop();
+                    path.1.pop();
+                }
+            }
+            if emitted == 0 && floor_skipped == 0 {
+                // Every selection was vetoed by filters: a dead end.
+                emit(LeafKind::DeadEnd, out, path);
+            }
+        }
+        let (mut out, mut stats) = (Vec::new(), ExploreStats::default());
+        walk(e, &mut (vec![*e.start()], Vec::new()), &mut out, &mut stats);
+        (out, stats)
     }
 
     /// The selections an expanding state emits children for, in order.
@@ -971,6 +933,62 @@ mod tests {
         ]
     }
 
+    fn synthetic(seed: u64) -> coursenav_catalog::SyntheticCatalog {
+        coursenav_catalog::SyntheticCatalog::generate(&coursenav_catalog::SyntheticConfig {
+            seed,
+            ..coursenav_catalog::SyntheticConfig::small()
+        })
+    }
+
+    /// A fresh student's exploration of `synth`: deadline-driven, toward
+    /// the degree, or toward a two-term course expression, with the given
+    /// pruning, wait policy, strategic floor, and avoid / workload filters.
+    #[allow(clippy::too_many_arguments)]
+    fn configured<'s>(
+        synth: &'s coursenav_catalog::SyntheticCatalog,
+        horizon: i32,
+        m: usize,
+        goal_kind: u8,
+        prune: PruneConfig,
+        wait: WaitPolicy,
+        strategic: bool,
+        filters: &[(bool, usize)],
+    ) -> Explorer<'s> {
+        let cat = &synth.catalog;
+        let start = EnrollmentStatus::fresh(cat, synth.start);
+        let deadline = synth.start + horizon;
+        let course = |i: usize| cat.courses().nth(i % cat.len()).unwrap().id();
+        let goal = match goal_kind {
+            0 => None,
+            1 => Some(Goal::degree(synth.degree.clone())),
+            // (c0 and c3) or c7: a goal with two DNF terms.
+            _ => Some(Goal::courses(
+                coursenav_prereq::Expr::Atom(course(0))
+                    .and(coursenav_prereq::Expr::Atom(course(3)))
+                    .or(coursenav_prereq::Expr::Atom(course(7))),
+            )),
+        };
+        let mut e = match goal {
+            Some(goal) => Explorer::goal_driven(cat, start, deadline, m, goal).unwrap(),
+            None => Explorer::deadline_driven(cat, start, deadline, m).unwrap(),
+        }
+        .with_prune(prune)
+        .with_wait_policy(wait)
+        .with_strategic_selections(strategic);
+        for &(avoid, i) in filters {
+            e = if avoid {
+                e.with_filter(Arc::new(crate::filter::AvoidCourses(CourseSet::from_iter(
+                    [course(i)],
+                ))))
+            } else {
+                e.with_filter(Arc::new(crate::filter::MaxSemesterWorkload(
+                    10.0 * (1 + i % 3) as f64,
+                )))
+            };
+        }
+        e
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -991,45 +1009,9 @@ mod tests {
             strategic in any::<bool>(),
             filters in prop::collection::vec((any::<bool>(), 0usize..12), 0..3),
         ) {
-            let synth = coursenav_catalog::SyntheticCatalog::generate(
-                &coursenav_catalog::SyntheticConfig {
-                    seed,
-                    ..coursenav_catalog::SyntheticConfig::small()
-                },
-            );
-            let cat = &synth.catalog;
-            let start = EnrollmentStatus::fresh(cat, synth.start);
-            let deadline = synth.start + horizon;
-            let course = |i: usize| cat.courses().nth(i % cat.len()).unwrap().id();
-            let goal = match goal_kind {
-                0 => None,
-                1 => Some(Goal::degree(synth.degree.clone())),
-                // (c0 and c3) or c7: a goal with two DNF terms.
-                _ => Some(Goal::courses(
-                    coursenav_prereq::Expr::Atom(course(0))
-                        .and(coursenav_prereq::Expr::Atom(course(3)))
-                        .or(coursenav_prereq::Expr::Atom(course(7))),
-                )),
-            };
-            let mut e = match goal {
-                Some(goal) => Explorer::goal_driven(cat, start, deadline, m, goal).unwrap(),
-                None => Explorer::deadline_driven(cat, start, deadline, m).unwrap(),
-            }
-            .with_prune(prune)
-            .with_wait_policy(wait)
-            .with_strategic_selections(strategic);
-            for (avoid, i) in filters {
-                e = if avoid {
-                    e.with_filter(Arc::new(crate::filter::AvoidCourses(
-                        CourseSet::from_iter([course(i)]),
-                    )))
-                } else {
-                    e.with_filter(Arc::new(crate::filter::MaxSemesterWorkload(
-                        10.0 * (1 + i % 3) as f64,
-                    )))
-                };
-            }
-
+            let synth = synthetic(seed);
+            let e = configured(&synth, horizon, m, goal_kind, prune, wait, strategic, &filters);
+            let (cat, start) = (&synth.catalog, *e.start());
             check_classification(&e, start, true)?;
             let mut seen = std::collections::HashSet::new();
             let mut stack = vec![start];
@@ -1047,6 +1029,49 @@ mod tests {
                     stack.push(status.advance(cat, &selection));
                 }
             }
+        }
+
+        /// The walker answers every configuration as the naive recursive
+        /// enumerator does: the same paths and leaf kinds in the same
+        /// depth-first order, through the iterator and the visitor, and
+        /// the same counts and logical statistics through the counter,
+        /// with a table (cold, then warm) and without.
+        #[test]
+        fn walker_matches_the_naive_enumerator(
+            seed in 0u64..1_000,
+            horizon in 1i32..5,
+            m in 1usize..4,
+            goal_kind in 0u8..3,
+            prune in arb_prune(),
+            wait in arb_wait(),
+            strategic in any::<bool>(),
+            filters in prop::collection::vec((any::<bool>(), 0usize..12), 0..3),
+        ) {
+            let synth = synthetic(seed);
+            let e = configured(&synth, horizon, m, goal_kind, prune, wait, strategic, &filters);
+            let (paths, stats) = eager::enumerate(&e);
+
+            let mut stream = e.paths_iter();
+            let streamed: Vec<(Path, LeafKind)> = stream.by_ref().collect();
+            prop_assert_eq!(&streamed, &paths);
+            prop_assert_eq!(*stream.stats(), stats);
+            let mut visited = Vec::new();
+            let visit_stats = e.visit_paths(|v| {
+                visited.push((v.to_path(), v.kind));
+                ControlFlow::Continue(())
+            });
+            prop_assert_eq!(&visited, &paths);
+            prop_assert_eq!(visit_stats, stats);
+
+            let expected = PathCounts {
+                total_paths: paths.len() as u128,
+                goal_paths: paths.iter().filter(|(_, k)| *k == LeafKind::Goal).count() as u128,
+                stats,
+            };
+            prop_assert_eq!(e.count_paths(), expected);
+            let table = TranspositionTable::new(1 << 12);
+            prop_assert_eq!(e.count_paths_memo(&table).0, expected);
+            prop_assert_eq!(e.count_paths_memo(&table).0, expected);
         }
     }
 

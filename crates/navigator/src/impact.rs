@@ -15,7 +15,7 @@ use std::time::Instant;
 use coursenav_catalog::CourseSet;
 use serde::{Deserialize, Serialize};
 
-use crate::explorer::{no_table, Disposition, Explorer};
+use crate::explorer::Explorer;
 use crate::memo::TranspositionTable;
 use crate::unique::{DagNodeId, DagNodeKind, UniqueTable};
 
@@ -71,21 +71,16 @@ impl Explorer<'_> {
                 goal_paths: child.goal_paths,
             });
         }
-        impacts.sort_by(|a, b| {
-            b.goal_paths
-                .cmp(&a.goal_paths)
-                .then(b.paths.cmp(&a.paths))
-                .then(a.selection.len().cmp(&b.selection.len()))
-        });
+        rank(&mut impacts);
         impacts
     }
 
     /// [`Explorer::selection_impacts`] through a transposition table: each
-    /// root selection's subtree is counted with the memoized counter, so
-    /// subtrees already in `table` (from earlier requests, or from other
-    /// students in a cohort whose transcripts converge on the same
-    /// enrollment status) answer without re-expansion, and newly-counted
-    /// subtrees warm the table for the next caller. The impacts — counts,
+    /// root selection's subtree is counted by the depth-first walker
+    /// through `table`, so subtrees already in it (from earlier requests,
+    /// or from other students in a cohort whose transcripts converge on
+    /// the same enrollment status) answer without re-expansion, and
+    /// newly-counted subtrees warm the table for the next caller. The impacts — counts,
     /// order, everything — are byte-identical to the un-memoized ones.
     ///
     /// The boolean marks truncation: when `deadline` expires mid-count the
@@ -95,43 +90,37 @@ impl Explorer<'_> {
         table: &TranspositionTable,
         deadline: Option<Instant>,
     ) -> (Vec<SelectionImpact>, bool) {
-        let pruner = self.pruner();
-        let start = *self.start();
-        let Disposition::Expand(expansion) = self.disposition(start, pruner.as_ref(), no_table)
-        else {
+        let Some((_, children)) = self.expand_root() else {
             return (Vec::new(), false);
         };
         let mut impacts = Vec::new();
         let mut truncated = false;
-        for selection in expansion.selections(self.max_per_semester()) {
-            if selection.len() < expansion.min_selection {
-                continue;
-            }
-            if !self.selection_allowed(&start, &selection) {
-                continue;
-            }
+        for (selection, child) in children {
             // Each impact reports the child's options, so every child is
             // materialized.
-            let child = start.advance(self.catalog(), &selection);
-            let (counts, _work, expired) = self
-                .restarted(child)
-                .count_paths_memo_until(table, deadline);
+            let subtree = self.restarted(child);
+            let (counts, _work, expired) = subtree.count_walk(Some(table), deadline);
             truncated |= expired;
             impacts.push(SelectionImpact {
                 selection,
-                options_next_semester: child.options().len(),
+                options_next_semester: subtree.start().options().len(),
                 paths: counts.total_paths,
                 goal_paths: counts.goal_paths,
             });
         }
-        impacts.sort_by(|a, b| {
-            b.goal_paths
-                .cmp(&a.goal_paths)
-                .then(b.paths.cmp(&a.paths))
-                .then(a.selection.len().cmp(&b.selection.len()))
-        });
+        rank(&mut impacts);
         (impacts, truncated)
     }
+}
+
+/// Most goal paths first, then most paths, then the smallest selection.
+fn rank(impacts: &mut [SelectionImpact]) {
+    impacts.sort_by(|a, b| {
+        b.goal_paths
+            .cmp(&a.goal_paths)
+            .then(b.paths.cmp(&a.paths))
+            .then(a.selection.len().cmp(&b.selection.len()))
+    });
 }
 
 #[cfg(test)]

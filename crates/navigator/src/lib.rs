@@ -15,7 +15,10 @@
 //! - [`LearningGraph`], an arena-backed materialization with node budgets
 //!   (`graph`) — the budget reproduces the paper's Table 2 "N/A" cells;
 //! - **Algorithm 1**, deadline-driven exploration (§4.1), in three modes:
-//!   materialize, stream (visitor), and count ([`Explorer`]);
+//!   materialize, stream (visitor or lazy iterator), and count
+//!   ([`Explorer`]); streaming and counting drive one resumable
+//!   depth-first walker ([`PathStream`]), which also serves every count
+//!   and collect request, paged or not;
 //! - **Algorithm 2**, goal-driven exploration (§4.2) with the time-based and
 //!   course-availability pruning strategies as independently toggleable
 //!   flags plus per-strategy counters ([`pruning`]);
@@ -24,11 +27,12 @@
 //!   reliability / weighted composites);
 //! - extensions called out in the paper's future work: selection and path
 //!   [`filter`]s, a memoized-DAG counting mode ([`dedup`]), and parallel
-//!   counting, collection, and top-k ([`parallel`]);
+//!   counting and top-k ([`parallel`]);
 //! - a status-keyed transposition table ([`memo`]) that folds the
-//!   exploration tree into a DAG: per-subtree counts and (for
-//!   decomposable rankings) top-k summaries, shared across parallel
-//!   workers and — via the serving layer — across requests;
+//!   exploration tree into a DAG: per-subtree counts (read and written by
+//!   the walker) and, for decomposable rankings, top-k summaries, shared
+//!   across parallel workers and — via the serving layer — across
+//!   requests;
 //! - resumable exploration sessions: serializable DFS-frontier cursors
 //!   ([`cursor`]) and page-at-a-time request servicing with exact
 //!   resume semantics ([`resume`]).

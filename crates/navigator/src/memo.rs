@@ -11,18 +11,20 @@
 //! makes BDDs tractable. Two result kinds are cached:
 //!
 //! - **counts** — `(total, goal)` path counts plus the subtree's
-//!   *logical* [`ExploreStats`] delta. Always sound: a hit replays the
-//!   cached counters, so warm and cold runs report byte-identical
-//!   statistics (the §5.2 pruning breakdown is stable) while expanding
-//!   strictly fewer nodes.
+//!   *logical* [`ExploreStats`] delta, read and written by the depth-first
+//!   walker ([`crate::PathStream`]) when it is handed a table. Always
+//!   sound: a hit replays the cached counters, so warm and cold runs
+//!   report byte-identical statistics (the §5.2 pruning breakdown is
+//!   stable) while expanding strictly fewer nodes.
 //! - **ranked suffix summaries** — the top-`k` goal suffixes in the
-//!   best-first pop order, cacheable only for suffix-decomposable
-//!   rankings ([`crate::Ranking::decomposable`]: constant positive edge
-//!   cost). Non-decomposable rankings fall back to the un-memoized
-//!   search, byte-identically.
+//!   best-first pop order, computed by this module's k-best recursion and
+//!   cacheable only for suffix-decomposable rankings
+//!   ([`crate::Ranking::decomposable`]: constant positive edge cost).
+//!   Non-decomposable rankings fall back to the un-memoized search,
+//!   byte-identically.
 //!
-//! Collect output caches nothing: the depth-first visitors emit its paths
-//! in order, and the output limit bounds their work.
+//! Collect output caches nothing: the walker emits its paths in order,
+//! and the output limit bounds its work.
 //!
 //! The table is sharded and lock-striped so the parallel fan-out shares
 //! one memo across workers, and it is `Sync` so the serving layer can key
@@ -44,7 +46,8 @@
 //!
 //! Every run keeps **two** stat ledgers: the *logical* stats a response
 //! reports (tree-equivalent, memo counters always zero) and the *work*
-//! stats the memoized entry points return alongside (real expansions plus
+//! stats the memoized entry points ([`crate::Explorer::count_paths_memo`]
+//! and the memoized top-k) return alongside (real expansions plus
 //! `memo_hits`/`memo_misses`/`memo_evictions`). Correctness never depends
 //! on table contents: any entry may be dropped (see
 //! [`TranspositionTable::set_insert_gate`]) or evicted at any time, at
@@ -67,7 +70,7 @@ use crate::pruning::{record_prune, Pruner};
 use crate::ranked::RankedPath;
 use crate::ranking::Ranking;
 use crate::request::RankingSpec;
-use crate::stats::{ExploreStats, PathCounts};
+use crate::stats::ExploreStats;
 use crate::status::{Classifiable, EnrollmentStatus};
 use crate::unique::{FxBuild, FxMap};
 
@@ -465,9 +468,11 @@ pub(crate) fn ranking_signature(spec: &RankingSpec) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Memoized recursions
+// The memoized k-best recursion
 // ---------------------------------------------------------------------------
 
+/// One memoized top-k run: counts are memoized by the depth-first walker
+/// (`PathStream::with_table`), top-k summaries by this recursion.
 struct MemoRun<'e, 'c, 't> {
     explorer: &'e Explorer<'c>,
     pruner: Option<Pruner<'e>>,
@@ -507,80 +512,6 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
     fn miss(&mut self) {
         self.table.record_miss();
         self.work.memo_misses += 1;
-    }
-
-    /// Counts the subtree below `state`, answering whole subtrees from
-    /// the memo. Returns `(total, goal, logical delta)`; the logical
-    /// delta accumulates exactly what the sequential engine's counters
-    /// would for this subtree, hit or miss.
-    fn count_state(&mut self, state: impl Classifiable) -> (u128, u128, ExploreStats) {
-        let table = self.table;
-        let expansion = match self
-            .explorer
-            .disposition(state, self.pruner.as_ref(), |key| table.get_count(key))
-        {
-            Disposition::Leaf(kind) => {
-                return (
-                    1,
-                    u128::from(kind == LeafKind::Goal),
-                    ExploreStats::default(),
-                )
-            }
-            Disposition::Pruned(reason) => {
-                let mut logical = ExploreStats::default();
-                record_prune(&mut logical, reason);
-                record_prune(&mut self.work, reason);
-                return (0, 0, logical);
-            }
-            Disposition::Known(counts) => {
-                self.work.memo_hits += 1;
-                return counts;
-            }
-            Disposition::Expand(expansion) => expansion,
-        };
-        self.miss();
-        if self.expiry.tick() {
-            return (0, 0, ExploreStats::default());
-        }
-        let mut logical = ExploreStats {
-            nodes_expanded: 1,
-            ..ExploreStats::default()
-        };
-        self.work.nodes_expanded += 1;
-        let mut total = 0u128;
-        let mut goal = 0u128;
-        let mut emitted = 0usize;
-        let mut floor_skipped = 0usize;
-        let status = expansion.status;
-        for selection in expansion.selections(self.explorer.max_per_semester()) {
-            if selection.len() < expansion.min_selection {
-                floor_skipped += 1;
-                logical.pruned_time += 1;
-                self.work.pruned_time += 1;
-                continue;
-            }
-            if !self.explorer.selection_allowed(&status, &selection) {
-                continue;
-            }
-            emitted += 1;
-            logical.edges_created += 1;
-            self.work.edges_created += 1;
-            let (t, g, l) = self.count_state(status.child(&selection));
-            total += t;
-            goal += g;
-            logical.merge(&l);
-            if self.expiry.fired() {
-                return (total, goal, logical);
-            }
-        }
-        if emitted == 0 && floor_skipped == 0 {
-            // Every selection was vetoed by filters: a dead end.
-            total = 1;
-        }
-        self.work.memo_evictions += self
-            .table
-            .put_count(status.state_key(), total, goal, logical);
-        (total, goal, logical)
     }
 
     /// The top-`k` goal suffixes below `state` in best-first pop order,
@@ -684,36 +615,6 @@ fn splice_path(catalog: &Catalog, start: EnrollmentStatus, suffix: &[CourseSet])
 }
 
 impl<'c> Explorer<'c> {
-    /// [`Explorer::count_paths`] through a transposition table: identical
-    /// counts and *logical* statistics (the `PathCounts::stats` field),
-    /// plus the run's *work* statistics — real expansions and the
-    /// `memo_hits`/`memo_misses`/`memo_evictions` counters.
-    pub fn count_paths_memo(&self, table: &TranspositionTable) -> (PathCounts, ExploreStats) {
-        let (counts, work, _) = self.count_paths_memo_until(table, None);
-        (counts, work)
-    }
-
-    /// [`Explorer::count_paths_memo`] under a wall-clock deadline. The
-    /// boolean marks truncation: the counts are lower bounds and nothing
-    /// partial was cached.
-    pub(crate) fn count_paths_memo_until(
-        &self,
-        table: &TranspositionTable,
-        deadline: Option<Instant>,
-    ) -> (PathCounts, ExploreStats, bool) {
-        let mut run = MemoRun::new(self, table, deadline);
-        let (total, goal, logical) = run.count_state(*self.start());
-        (
-            PathCounts {
-                total_paths: total,
-                goal_paths: goal,
-                stats: logical,
-            },
-            run.work,
-            run.expiry.fired(),
-        )
-    }
-
     /// The memoized top-`k` under a *decomposable* ranking: identical to
     /// [`Explorer::top_k_until`] when it completes. Returns `Ok(None)`
     /// when the deadline expires mid-computation — nothing partial is

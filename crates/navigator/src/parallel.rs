@@ -1,17 +1,16 @@
 //! Parallel exploration (an extension beyond the paper).
 //!
 //! Learning-path trees are embarrassingly parallel below the first level:
-//! each first-semester selection roots an independent subtree. Every mode
-//! here expands the root sequentially (exactly like the sequential
-//! engine), deals the first-level children round-robin to `threads`
-//! crossbeam-scoped workers, runs the ordinary engine on each subtree,
-//! and merges the per-subtree results **in child-index order** — the same
-//! order the sequential depth-first engine visits them. Merged answers
-//! are therefore identical to sequential ones by construction (verified
-//! by tests), down to the bytes of their serialized form:
+//! each first-semester selection roots an independent subtree. Both modes
+//! here expand the root sequentially (`Explorer::expand_root`, the
+//! walker's own rule), deal the first-level children round-robin to
+//! `threads` crossbeam-scoped workers, run the ordinary engine on each
+//! subtree, and merge the per-subtree results **in child-index order** —
+//! the same order the sequential depth-first engine visits them. Merged
+//! answers are therefore identical to sequential ones by construction
+//! (verified by tests), down to the bytes of their serialized form:
 //!
 //! - counts and statistics merge by addition;
-//! - collected paths concatenate in child order = DFS order;
 //! - ranked top-k subtree searches are seeded with the root edge's cost
 //!   (`Explorer::ranked_search_seeded`) so cost accumulation is the
 //!   same left-to-right fold as sequential (bit-identical floats), and a
@@ -22,61 +21,25 @@
 //! selection) leaves nothing to deal, so each mode hands it to its own
 //! sequential engine and agrees with it there by construction.
 //!
+//! Collect has no fan-out: the limit bounds its work, and one walker emits
+//! its paths in depth-first order at any parallelism.
+//!
 //! Each variant also takes the serving layer's wall-clock deadline;
 //! workers check it with the same amortized cadence as the sequential
 //! engine, so a parallel run under budget returns a truncated partial
 //! instead of stalling an interactive client.
 
-use std::ops::ControlFlow;
 use std::time::Instant;
 
-use coursenav_catalog::CourseSet;
-
 use crate::error::ExploreError;
-use crate::expiry::Expiry;
-use crate::explorer::{no_table, Disposition, Explorer};
+use crate::explorer::Explorer;
 use crate::memo::TranspositionTable;
-use crate::path::{LeafKind, Path};
+use crate::path::Path;
 use crate::ranked::RankedPath;
 use crate::ranking::Ranking;
-use crate::stats::{ExploreStats, PathCounts};
-use crate::status::Unexpanded;
-
-/// The first-level subtrees to deal to workers, in selection order, with
-/// the root's own statistics. Each worker materializes its own child.
-type Branches = (ExploreStats, Vec<(CourseSet, Unexpanded)>);
+use crate::stats::PathCounts;
 
 impl<'a> Explorer<'a> {
-    /// Expands the root exactly like the sequential engine, keeping each
-    /// surviving selection alongside the child status it leads to. `None`
-    /// when the root does not branch — a leaf, pruned, or no selection
-    /// survives — and every mode then answers with its sequential engine.
-    fn expand_root(&self) -> Option<Branches> {
-        let pruner = self.pruner();
-        let expansion = match self.disposition(*self.start(), pruner.as_ref(), no_table) {
-            Disposition::Expand(expansion) => expansion,
-            Disposition::Known(never) => match never {},
-            Disposition::Leaf(_) | Disposition::Pruned(_) => return None,
-        };
-        let mut stats = ExploreStats {
-            nodes_expanded: 1,
-            ..ExploreStats::default()
-        };
-        let mut children: Vec<(CourseSet, Unexpanded)> = Vec::new();
-        for selection in expansion.selections(self.max_per_semester()) {
-            if selection.len() < expansion.min_selection {
-                stats.pruned_time += 1;
-                continue;
-            }
-            if !self.selection_allowed(self.start(), &selection) {
-                continue;
-            }
-            stats.edges_created += 1;
-            children.push((selection, self.start().child(&selection)));
-        }
-        (!children.is_empty()).then_some((stats, children))
-    }
-
     /// Deals `items` round-robin to at most `threads` scoped workers and
     /// returns `run`'s results reassembled in item order — the merge
     /// order every parallel mode relies on for determinism.
@@ -133,9 +96,10 @@ impl<'a> Explorer<'a> {
     /// [`Explorer::count_paths_parallel`] under a wall-clock deadline:
     /// when the deadline passes mid-count each worker stops, and the
     /// merged counts are returned as lower bounds with `true` as the
-    /// truncation marker. `None` runs to completion. With a `table`, every
-    /// worker runs the memoized counter against it, so the workers share
-    /// one memo; counts and logical stats merge in child order either way.
+    /// truncation marker. `None` runs to completion. Every worker walks its
+    /// subtrees with the depth-first walker, through `table` when one is
+    /// given, so the workers share one memo; counts and logical stats merge
+    /// in child order either way.
     ///
     /// # Panics
     /// Panics if `threads` is zero.
@@ -146,12 +110,9 @@ impl<'a> Explorer<'a> {
         table: Option<&TranspositionTable>,
     ) -> (PathCounts, bool) {
         assert!(threads > 0, "need at least one worker thread");
-        let count = |e: &Explorer<'_>| match table {
-            Some(table) => {
-                let (counts, _work, truncated) = e.count_paths_memo_until(table, deadline);
-                (counts, truncated)
-            }
-            None => e.count_paths_until(deadline),
+        let count = |e: &Explorer<'_>| {
+            let (counts, _work, truncated) = e.count_walk(table, deadline);
+            (counts, truncated)
         };
         let Some((root_stats, children)) = self.expand_root() else {
             return count(self);
@@ -172,66 +133,6 @@ impl<'a> Explorer<'a> {
             truncated |= sub_truncated;
         }
         (out, truncated)
-    }
-
-    /// Collects up to `limit` learning paths (goal paths for goal-driven
-    /// runs) using up to `threads` worker threads, in the exact order the
-    /// sequential engine produces them. The boolean marks truncation:
-    /// more paths exist beyond `limit`, or `deadline` expired mid-run.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub(crate) fn collect_paths_parallel_until(
-        &self,
-        threads: usize,
-        limit: usize,
-        deadline: Option<Instant>,
-    ) -> (Vec<Path>, bool) {
-        assert!(threads > 0, "need at least one worker thread");
-        let Some((_, children)) = self.expand_root() else {
-            return self.collect_paths_until(limit, deadline);
-        };
-        let goal_only = self.goal().is_some();
-        let root = *self.start();
-        // `limit` paths may all come from one subtree; one more per
-        // subtree distinguishes "exactly limit" from "more beyond it" after
-        // the merge.
-        let cap = limit.saturating_add(1);
-        let subs = self.deal_subtrees(children, threads, |_, (selection, child)| {
-            let mut out: Vec<Path> = Vec::new();
-            let mut expiry = Expiry::per_leaf(deadline);
-            self.restarted(child).visit_paths(|visit| {
-                if expiry.tick() {
-                    return ControlFlow::Break(());
-                }
-                if goal_only && visit.kind != LeafKind::Goal {
-                    return ControlFlow::Continue(());
-                }
-                let mut statuses = Vec::with_capacity(visit.statuses.len() + 1);
-                statuses.push(root);
-                statuses.extend_from_slice(visit.statuses);
-                let mut selections = Vec::with_capacity(visit.selections.len() + 1);
-                selections.push(selection);
-                selections.extend_from_slice(visit.selections);
-                out.push(Path::new(statuses, selections));
-                if out.len() >= cap {
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            });
-            (out, expiry.fired())
-        });
-        let mut paths: Vec<Path> = Vec::new();
-        let mut truncated = false;
-        for (sub_paths, sub_truncated) in subs {
-            truncated |= sub_truncated;
-            paths.extend(sub_paths);
-        }
-        if paths.len() > limit {
-            paths.truncate(limit);
-            truncated = true;
-        }
-        (paths, truncated)
     }
 
     /// The top-`k` goal paths under `ranking` using up to `threads`
@@ -357,43 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_matches_sequential_order() {
-        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
-        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
-        // Deadline-driven: every path, in DFS order.
-        let e = Explorer::deadline_driven(&synth.catalog, start, synth.start + 3, 2).unwrap();
-        let seq = e.collect_paths();
-        for threads in [1, 2, 4] {
-            let (par, truncated) = e.collect_paths_parallel_until(threads, usize::MAX, None);
-            assert!(!truncated);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        // Goal-driven: goal paths only, same order as collect_goal_paths.
-        let goal = Goal::degree(synth.degree.clone());
-        let e = Explorer::goal_driven(&synth.catalog, start, synth.start + 4, 3, goal).unwrap();
-        let seq = e.collect_goal_paths();
-        let (par, truncated) = e.collect_paths_parallel_until(3, usize::MAX, None);
-        assert!(!truncated);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn parallel_collect_respects_the_limit() {
-        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
-        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
-        let e = Explorer::deadline_driven(&synth.catalog, start, synth.start + 3, 2).unwrap();
-        let all = e.collect_paths();
-        assert!(all.len() > 5, "need enough paths to truncate");
-        let (par, truncated) = e.collect_paths_parallel_until(4, 5, None);
-        assert!(truncated, "more paths exist beyond the limit");
-        assert_eq!(par, all[..5], "the limited prefix is the DFS prefix");
-        // Exactly at the boundary: everything fits, no truncation.
-        let (par, truncated) = e.collect_paths_parallel_until(4, all.len(), None);
-        assert!(!truncated);
-        assert_eq!(par.len(), all.len());
-    }
-
-    #[test]
     fn parallel_top_k_is_bit_identical_to_sequential() {
         let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
         let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
@@ -447,10 +311,6 @@ mod tests {
         let (counts, truncated) = e.count_paths_parallel_until(4, past, None);
         assert!(truncated);
         assert_eq!(counts.total_paths, 0);
-
-        let (paths, truncated) = e.collect_paths_parallel_until(4, 100, past);
-        assert!(truncated);
-        assert!(paths.is_empty());
 
         let (paths, truncated) = e.top_k_parallel_until(&TimeRanking, 5, 4, past).unwrap();
         assert!(truncated);

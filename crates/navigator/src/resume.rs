@@ -2,7 +2,8 @@
 //!
 //! The paper's interaction model is a front end that pulls a *page* of
 //! paths, lets the student inspect them, and comes back for more. This
-//! module is the service-level entry point for that loop:
+//! module is the service-level entry point for that loop, and the one
+//! dispatch behind every exploration:
 //! [`NavigatorService::run_page_memo`] serves one page of an exploration,
 //! optionally pushing each path through a sink as it is found (the NDJSON
 //! streaming endpoint), and hands back an [`ExplorationCursor`] when more
@@ -12,11 +13,15 @@
 //! byte-identical output to running the same request unpaged — count
 //! totals match, collected paths are the same slice of the same DFS
 //! order, and ranked pages are consecutive slices of the same best-first
-//! order. Count and collect output resume from a serialized DFS frontier
-//! ([`crate::StreamCursor`]) in O(depth) work; ranked output resumes by
-//! replaying the deterministic best-first search while skipping the
-//! already-delivered goal pops (cheap: skipped goals are popped but never
-//! reconstructed into paths), or by slicing the memoized top-k.
+//! order — by construction, since an unpaged run
+//! ([`NavigatorService::run_until_memo`]) is served here as one page with
+//! no cursor and no page size. Count and collect output step the
+//! depth-first walker ([`crate::PathStream`]) and resume from its
+//! serialized frontier ([`crate::StreamCursor`]) in O(depth) work; an
+//! unpaged count may instead fan out across worker threads. Ranked output
+//! resumes by replaying the deterministic best-first search while skipping
+//! the already-delivered goal pops (cheap: skipped goals are popped but
+//! never reconstructed into paths), or by slicing the memoized top-k.
 
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -28,6 +33,8 @@ use crate::path::{LeafKind, Path};
 use crate::ranked::RankedPath;
 use crate::request::{ExplorationRequest, OutputMode};
 use crate::service::{ExplorationResponse, NavigatorService, ServiceError, API_VERSION};
+use crate::stats::PathCounts;
+use crate::stream::Step;
 
 /// One item delivered through a streaming page sink, in output order.
 #[derive(Debug, Clone, Copy)]
@@ -53,6 +60,21 @@ pub struct PageOutcome {
     pub cursor: Option<ExplorationCursor>,
 }
 
+/// How one call into [`NavigatorService::dispatch`] is bounded and served.
+#[derive(Clone, Copy)]
+pub(crate) struct PageSpec<'t> {
+    /// Where to resume; `None` starts at the root.
+    pub(crate) cursor: Option<&'t ExplorationCursor>,
+    /// Paths (collect, top-k) or leaves (count) per page; `None` runs
+    /// unpaged.
+    pub(crate) size: Option<usize>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) table: Option<&'t TranspositionTable>,
+    /// Worker threads for the count and top-k fan-outs. Only an unpaged
+    /// count fans out; a top-k fans out on its first page.
+    pub(crate) parallelism: usize,
+}
+
 impl NavigatorService<'_> {
     /// Serves one page of `req`: the one paged dispatch. A page holds up
     /// to `page_size` paths (collect/top-k) or leaves (count), resuming
@@ -72,8 +94,8 @@ impl NavigatorService<'_> {
     /// whole subtree's leaves at once — but the accumulated totals, final
     /// statistics, and cursors stay exact), and ranked pages under a
     /// decomposable ranking are sliced out of the memoized top-k. `None`
-    /// runs the un-memoized reference engine; collect output never uses
-    /// the table.
+    /// walks every subtree and searches un-memoized; collect output never
+    /// uses the table.
     ///
     /// `cursor` must come from a previous page of an equivalent request
     /// (same [`ExplorationRequest::cache_key`]); anything else is
@@ -88,101 +110,107 @@ impl NavigatorService<'_> {
         sink: Option<&mut PageSink<'_>>,
         table: Option<&TranspositionTable>,
     ) -> Result<PageOutcome, ServiceError> {
-        let fingerprint = req.cache_key();
-        if let Some(cur) = cursor {
-            if cur.fingerprint != fingerprint {
-                return Err(ServiceError::InvalidCursor(
-                    "cursor belongs to a different request".into(),
-                ));
-            }
+        let page = PageSpec {
+            cursor,
+            size: req.page_size,
+            deadline,
+            table,
+            parallelism: 1,
+        };
+        self.dispatch(req, page, sink)
+    }
+
+    /// Every exploration's one dispatch: paged and unpaged runs, count,
+    /// collect and top-k. Count and collect step the depth-first walker
+    /// (an unpaged run is a page with no cursor and no size), except that
+    /// an unpaged count at `parallelism > 1` fans out.
+    pub(crate) fn dispatch(
+        &self,
+        req: &ExplorationRequest,
+        page: PageSpec<'_>,
+        sink: Option<&mut PageSink<'_>>,
+    ) -> Result<PageOutcome, ServiceError> {
+        // The request's fingerprint is computed at most once: to check the
+        // cursor it resumes from, and to stamp the one it hands back (the
+        // pages leave that one's blank).
+        let key = page.cursor.map(|_| req.cache_key());
+        if page
+            .cursor
+            .zip(key.as_ref())
+            .is_some_and(|(cur, key)| cur.fingerprint != *key)
+        {
+            return Err(ServiceError::InvalidCursor(
+                "cursor belongs to a different request".into(),
+            ));
         }
-        match req.output {
+        let mut outcome = match req.output {
             // Count pages stream no per-path items, so the sink is moot.
-            OutputMode::Count => self.count_page(req, cursor, deadline, &fingerprint, table),
-            OutputMode::Collect { limit } => {
-                self.collect_page(req, cursor, deadline, sink, &fingerprint, limit)
-            }
-            OutputMode::TopK { k } => {
-                self.ranked_page(req, cursor, deadline, sink, &fingerprint, k, table)
-            }
+            OutputMode::Count => self.count_page(req, page),
+            OutputMode::Collect { limit } => self.collect_page(req, page, sink, limit),
+            OutputMode::TopK { k } => self.ranked_page(req, page, sink, k),
+        }?;
+        if let Some(next) = &mut outcome.cursor {
+            next.fingerprint = key.unwrap_or_else(|| req.cache_key());
         }
+        Ok(outcome)
     }
 
     fn count_page(
         &self,
         req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
-        fingerprint: &str,
-        table: Option<&TranspositionTable>,
+        page: PageSpec<'_>,
     ) -> Result<PageOutcome, ServiceError> {
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
-        let (stream, mut total_paths, mut goal_paths, emitted_before) = match cursor {
+        let counts = |counts: PathCounts, truncated: bool| ExplorationResponse::Counts {
+            api_version: API_VERSION,
+            total_paths: counts.total_paths,
+            goal_paths: counts.goal_paths,
+            stats: counts.stats,
+            truncated,
+            next_cursor: None,
+            millis: t0.elapsed().as_millis(),
+        };
+        if page.parallelism > 1 {
+            let (all, truncated) =
+                explorer.count_paths_parallel_until(page.parallelism, page.deadline, page.table);
+            return Ok(PageOutcome {
+                response: counts(all, truncated),
+                cursor: None,
+            });
+        }
+        let stream = match page.cursor {
             Some(cur) => {
                 let frontier = cur.frontier.as_ref().ok_or_else(|| {
                     ServiceError::InvalidCursor("count cursor is missing its frontier".into())
                 })?;
-                (
-                    explorer.resume_paths_iter(frontier)?,
-                    cur.total_paths,
-                    cur.goal_paths,
-                    cur.emitted,
-                )
+                explorer.resume_paths_iter(frontier)?
             }
-            None => (explorer.paths_iter(), 0, 0, 0),
+            None => explorer.paths_iter(),
         };
-        let mut stream = stream.with_table(table);
-        let page_cap = req.page_size.unwrap_or(usize::MAX).max(1);
-        let mut expiry = Expiry::per_step(deadline);
-        let mut leaves_this_page = 0usize;
-        let mut truncated = false;
-        let mut next = None;
-        loop {
-            if leaves_this_page >= page_cap || expiry.tick() {
-                // Snapshot *before* pulling further so no leaf is counted
-                // twice or lost across the page boundary. Bulk hits leave
-                // the frontier exactly as if the subtree's last child had
-                // just finished, so the cursor stays valid.
-                truncated = true;
-                next = Some(ExplorationCursor {
-                    fingerprint: fingerprint.to_string(),
-                    emitted: emitted_before + leaves_this_page as u64,
-                    total_paths,
-                    goal_paths,
-                    frontier: Some(stream.cursor()),
-                });
-                break;
-            }
-            let item = stream.next();
-            // Bulk-answered leaves count toward the page like yielded ones
-            // (after the final `None` too: a memoized root answers whole).
-            let (bulk_total, bulk_goal) = stream.take_bulk();
-            total_paths += bulk_total;
-            goal_paths += bulk_goal;
-            leaves_this_page =
-                leaves_this_page.saturating_add(bulk_total.min(u128::from(u32::MAX)) as usize);
-            match item {
-                None => break,
-                Some((_, kind)) => {
-                    total_paths += 1;
-                    if kind == LeafKind::Goal {
-                        goal_paths += 1;
-                    }
-                    leaves_this_page += 1;
-                }
-            }
-        }
+        let mut stream = stream.with_table(page.table);
+        let cap = page.size.map_or(u128::MAX, |size| size.max(1) as u128);
+        // Both checks run before every step, so no leaf is counted twice or
+        // lost across the page boundary. Bulk hits leave the frontier
+        // exactly as if the subtree's last child had just finished, so the
+        // cursor stays valid.
+        let truncated = stream.tally(cap, &mut Expiry::per_step(page.deadline));
+        let mut all = stream.counts();
+        let this_page = all.total_paths;
+        let (emitted, total, goal) = page.cursor.map_or((0, 0, 0), |cur| {
+            (cur.emitted, cur.total_paths, cur.goal_paths)
+        });
+        all.total_paths += total;
+        all.goal_paths += goal;
+        let next = truncated.then(|| ExplorationCursor {
+            fingerprint: String::new(),
+            emitted: emitted.saturating_add(this_page.min(u64::MAX.into()) as u64),
+            total_paths: all.total_paths,
+            goal_paths: all.goal_paths,
+            frontier: Some(stream.cursor()),
+        });
         Ok(PageOutcome {
-            response: ExplorationResponse::Counts {
-                api_version: API_VERSION,
-                total_paths,
-                goal_paths,
-                stats: *stream.stats(),
-                truncated,
-                next_cursor: None,
-                millis: t0.elapsed().as_millis(),
-            },
+            response: counts(all, truncated),
             cursor: next,
         })
     }
@@ -190,15 +218,13 @@ impl NavigatorService<'_> {
     fn collect_page(
         &self,
         req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
+        page: PageSpec<'_>,
         mut sink: Option<&mut PageSink<'_>>,
-        fingerprint: &str,
         limit: usize,
     ) -> Result<PageOutcome, ServiceError> {
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
-        let (mut stream, emitted_before) = match cursor {
+        let (mut stream, emitted_before) = match page.cursor {
             Some(cur) => {
                 let frontier = cur.frontier.as_ref().ok_or_else(|| {
                     ServiceError::InvalidCursor("collect cursor is missing its frontier".into())
@@ -213,79 +239,60 @@ impl NavigatorService<'_> {
             None => (explorer.paths_iter(), 0),
         };
         let goal_driven = explorer.goal().is_some();
-        let remaining_limit = limit - emitted_before;
-        let page_cap = req
-            .page_size
-            .map(|p| p.max(1))
-            .unwrap_or(usize::MAX)
-            .min(remaining_limit);
-        let mut expiry = Expiry::per_step(deadline);
+        let page_cap = page
+            .size
+            .map_or(usize::MAX, |size| size.max(1))
+            .min(limit - emitted_before);
+        let mut expiry = Expiry::per_step(page.deadline);
         let mut paths: Vec<Path> = Vec::new();
         let mut truncated = false;
-        let mut next = None;
+        let mut resume_here = false;
         loop {
             let page_full = paths.len() >= page_cap;
             if page_full && emitted_before + paths.len() < limit {
-                // Page boundary below the overall limit: snapshot before
-                // pulling further so the next page starts exactly here.
+                // Page boundary below the overall limit: the next page
+                // starts exactly here.
                 truncated = true;
-                next = Some(ExplorationCursor {
-                    fingerprint: fingerprint.to_string(),
-                    emitted: (emitted_before + paths.len()) as u64,
-                    total_paths: 0,
-                    goal_paths: 0,
-                    frontier: Some(stream.cursor()),
-                });
+                resume_here = true;
                 break;
             }
-            // At the overall limit the unpaged run keeps scanning until
-            // the next collectible path to decide `truncated`; mirror it
-            // so the final page reports the same flag.
+            // At the overall limit the run keeps scanning until the next
+            // collectible path to decide `truncated`.
             if expiry.tick() {
                 truncated = true;
-                if !page_full {
-                    next = Some(ExplorationCursor {
-                        fingerprint: fingerprint.to_string(),
-                        emitted: (emitted_before + paths.len()) as u64,
-                        total_paths: 0,
-                        goal_paths: 0,
-                        frontier: Some(stream.cursor()),
-                    });
-                }
+                resume_here = !page_full;
                 break;
             }
-            match stream.next() {
-                None => break,
-                Some((path, kind)) => {
-                    if goal_driven && kind != LeafKind::Goal {
-                        continue;
-                    }
-                    if page_full {
-                        // One more collectible path exists beyond the
-                        // limit — the unpaged `truncated` signal.
-                        truncated = true;
-                        break;
-                    }
-                    if let Some(sink) = sink.as_deref_mut() {
-                        if sink(StreamedItem::Path(&path)).is_break() {
-                            truncated = true;
-                            paths.push(path);
-                            return Ok(PageOutcome {
-                                response: ExplorationResponse::Paths {
-                                    api_version: API_VERSION,
-                                    paths,
-                                    truncated,
-                                    next_cursor: None,
-                                    millis: t0.elapsed().as_millis(),
-                                },
-                                cursor: None,
-                            });
-                        }
-                    }
-                    paths.push(path);
-                }
+            let kind = match stream.step() {
+                Step::Leaf(kind) => kind,
+                Step::Bulk => continue,
+                Step::Done => break,
+            };
+            if goal_driven && kind != LeafKind::Goal {
+                continue;
+            }
+            if page_full {
+                // One more collectible path exists beyond the limit.
+                truncated = true;
+                break;
+            }
+            let path = stream.leaf_path();
+            let hung_up = sink
+                .as_deref_mut()
+                .is_some_and(|sink| sink(StreamedItem::Path(&path)).is_break());
+            paths.push(path);
+            if hung_up {
+                truncated = true;
+                break;
             }
         }
+        let next = resume_here.then(|| ExplorationCursor {
+            fingerprint: String::new(),
+            emitted: (emitted_before + paths.len()) as u64,
+            total_paths: 0,
+            goal_paths: 0,
+            frontier: Some(stream.cursor()),
+        });
         Ok(PageOutcome {
             response: ExplorationResponse::Paths {
                 api_version: API_VERSION,
@@ -298,16 +305,12 @@ impl NavigatorService<'_> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn ranked_page(
         &self,
         req: &ExplorationRequest,
-        cursor: Option<&ExplorationCursor>,
-        deadline: Option<Instant>,
+        page: PageSpec<'_>,
         sink: Option<&mut PageSink<'_>>,
-        fingerprint: &str,
         k: usize,
-        table: Option<&TranspositionTable>,
     ) -> Result<PageOutcome, ServiceError> {
         let spec = req
             .ranking
@@ -316,7 +319,7 @@ impl NavigatorService<'_> {
         let ranking = self.resolve_ranking(spec)?;
         let explorer = self.build_explorer(req)?;
         let t0 = Instant::now();
-        let emitted_before = match cursor {
+        let emitted_before = match page.cursor {
             Some(cur) => {
                 if cur.emitted > k as u64 {
                     return Err(ServiceError::InvalidCursor(
@@ -328,18 +331,17 @@ impl NavigatorService<'_> {
             None => 0,
         };
         let remaining = k - emitted_before;
-        let page_cap = req
-            .page_size
-            .map(|p| p.max(1))
-            .unwrap_or(remaining)
+        let page_cap = page
+            .size
+            .map_or(remaining, |size| size.max(1))
             .min(remaining);
-        let memoized = match table.filter(|_| spec.decomposable()) {
+        let memoized = match page.table.filter(|_| spec.decomposable()) {
             Some(table) => explorer.top_k_memo_until(
                 ranking.as_ref(),
                 ranking_signature(spec),
                 k,
                 table,
-                deadline,
+                page.deadline,
             )?,
             None => None,
         };
@@ -350,18 +352,30 @@ impl NavigatorService<'_> {
                 (all[lo..hi].to_vec(), hi < all.len())
             }
             // No table, a non-decomposable ranking, or the deadline expired
-            // mid-DP: the paged search returns the true best-so-far prefix.
-            // One goal pop past the page (within `k`) tells whether more
-            // paths follow, so no trailing empty page is ever promised.
+            // mid-DP: the search returns the true best-so-far prefix. One
+            // goal pop past the page (within `k`) tells whether more paths
+            // follow, so no trailing empty page is ever promised.
             None => {
-                let (mut paths, _stats, deadline_truncated) = explorer.ranked_search_paged(
-                    ranking.as_ref(),
-                    None,
-                    emitted_before,
-                    page_cap.saturating_add(1).min(remaining),
-                    deadline,
-                    0.0,
-                )?;
+                let wanted = page_cap.saturating_add(1).min(remaining);
+                let (mut paths, deadline_truncated) = if page.parallelism > 1 && emitted_before == 0
+                {
+                    explorer.top_k_parallel_until(
+                        ranking.as_ref(),
+                        wanted,
+                        page.parallelism,
+                        page.deadline,
+                    )?
+                } else {
+                    let (paths, _stats, truncated) = explorer.ranked_search_paged(
+                        ranking.as_ref(),
+                        None,
+                        emitted_before,
+                        wanted,
+                        page.deadline,
+                        0.0,
+                    )?;
+                    (paths, truncated)
+                };
                 let more = deadline_truncated || paths.len() > page_cap;
                 paths.truncate(page_cap);
                 (paths, more)
@@ -375,7 +389,7 @@ impl NavigatorService<'_> {
             }
         }
         let next = more.then(|| ExplorationCursor {
-            fingerprint: fingerprint.to_string(),
+            fingerprint: String::new(),
             emitted: (emitted_before + paths.len()) as u64,
             total_paths: 0,
             goal_paths: 0,

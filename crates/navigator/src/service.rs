@@ -19,11 +19,12 @@ use crate::error::ExploreError;
 use crate::explorer::Explorer;
 use crate::filter::{AvoidCourses, MaxSemesterWorkload};
 use crate::goal::Goal;
-use crate::memo::{ranking_signature, TranspositionTable};
+use crate::memo::TranspositionTable;
 use crate::path::Path;
 use crate::ranked::RankedPath;
 use crate::ranking::{Ranking, ReliabilityRanking, TimeRanking, WeightedRanking, WorkloadRanking};
-use crate::request::{ExplorationRequest, GoalSpec, OutputMode, RankingSpec};
+use crate::request::{ExplorationRequest, GoalSpec, RankingSpec};
+use crate::resume::PageSpec;
 use crate::stats::ExploreStats;
 use crate::status::EnrollmentStatus;
 
@@ -347,25 +348,27 @@ impl<'a> NavigatorService<'a> {
     /// An explicit `deadline` overrides the request's own `budget_ms` (the
     /// serving layer passes its per-request deadline here).
     ///
-    /// `parallelism > 1` fans the first-level subtrees across that many
-    /// scoped worker threads. With a `table`, whole subtrees already in it
-    /// are answered from it instead of being re-explored, and
-    /// newly-explored subtrees are inserted for the next run; `None` runs
-    /// the un-memoized reference engine. Every combination answers
+    /// `parallelism > 1` fans the first-level subtrees of a count or top-k
+    /// across that many scoped worker threads. With a `table`, whole
+    /// subtrees already in it are answered from it instead of being
+    /// re-explored, and newly-explored subtrees are inserted for the next
+    /// run; `None` walks every subtree. Every combination answers
     /// byte-identically — same counts, same paths, same order,
     /// bit-identical costs, same *logical* statistics (memo hits replay the
     /// cached subtree's counters, so the §5.2 pruning breakdown is stable
     /// warm or cold) — so the serving layer caches them under one
     /// canonical key.
     ///
-    /// Routing: count output uses the memoized counter when there is a
-    /// table (parallel workers share it). Collect output never reads the
-    /// table: the depth-first visitor (or its parallel fan-out) emits paths
-    /// in order, and the output limit bounds its work. Top-k uses cached
+    /// Routing: this is the paged dispatch run as one page with no cursor
+    /// and no page size. Count and collect step the one depth-first walker
+    /// — a count through the table when there is one, fanned out when
+    /// `parallelism > 1`; a collect never reads the table and never fans
+    /// out, since its output limit bounds its work. Top-k uses cached
     /// suffix summaries only under a *decomposable* ranking
     /// ([`RankingSpec::decomposable`]) and the un-memoized best-first
     /// search otherwise — or when the deadline expires mid-computation, so
     /// a deadline-bound response is always a correct best-first prefix.
+    /// An already-expired deadline yields an empty, truncated answer.
     pub fn run_until_memo(
         &self,
         req: &ExplorationRequest,
@@ -373,85 +376,21 @@ impl<'a> NavigatorService<'a> {
         parallelism: usize,
         table: Option<&TranspositionTable>,
     ) -> Result<ExplorationResponse, ServiceError> {
-        let explorer = self.build_explorer(req)?;
-        let t0 = Instant::now();
-        let parallel = parallelism > 1;
-        match req.output {
-            OutputMode::Count => {
-                let (counts, truncated) = match table {
-                    _ if parallel => {
-                        explorer.count_paths_parallel_until(parallelism, deadline, table)
-                    }
-                    Some(table) => {
-                        let (counts, _work, truncated) =
-                            explorer.count_paths_memo_until(table, deadline);
-                        (counts, truncated)
-                    }
-                    None => explorer.count_paths_until(deadline),
-                };
-                Ok(ExplorationResponse::Counts {
-                    api_version: API_VERSION,
-                    total_paths: counts.total_paths,
-                    goal_paths: counts.goal_paths,
-                    stats: counts.stats,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::Collect { limit } => {
-                let (paths, truncated) = if parallel {
-                    explorer.collect_paths_parallel_until(parallelism, limit, deadline)
-                } else {
-                    explorer.collect_paths_until(limit, deadline)
-                };
-                Ok(ExplorationResponse::Paths {
-                    api_version: API_VERSION,
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-            OutputMode::TopK { k } => {
-                let spec = req
-                    .ranking
-                    .as_ref()
-                    .ok_or_else(|| ServiceError::BadRanking("top-k requires a ranking".into()))?;
-                let ranking = self.resolve_ranking(spec)?;
-                let memoized = match table.filter(|_| spec.decomposable()) {
-                    Some(table) => explorer.top_k_memo_until(
-                        ranking.as_ref(),
-                        ranking_signature(spec),
-                        k,
-                        table,
-                        deadline,
-                    )?,
-                    None => None,
-                };
-                let (paths, truncated) = match memoized {
-                    Some((paths, _work)) => (paths, false),
-                    None if parallel => {
-                        explorer.top_k_parallel_until(ranking.as_ref(), k, parallelism, deadline)?
-                    }
-                    None => explorer.top_k_until(ranking.as_ref(), k, deadline)?,
-                };
-                Ok(ExplorationResponse::Ranked {
-                    api_version: API_VERSION,
-                    ranking: ranking.name().to_string(),
-                    paths,
-                    truncated,
-                    next_cursor: None,
-                    millis: t0.elapsed().as_millis(),
-                })
-            }
-        }
+        let page = PageSpec {
+            cursor: None,
+            size: None,
+            deadline,
+            table,
+            parallelism,
+        };
+        Ok(self.dispatch(req, page, None)?.response)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::OutputMode;
     use coursenav_catalog::{CatalogBuilder, CourseSpec, Semester, Term};
     use coursenav_prereq::Expr;
 
@@ -663,9 +602,71 @@ mod tests {
         assert!(!resp.truncated());
     }
 
-    /// Unpaged collect is served by the table-free visitors: handing it a
-    /// table changes neither the answer nor the table, sequential or
-    /// fanned out, goal-driven or deadline-driven, limited or not.
+    /// One rule for an already-expired deadline: a count answers 0 paths,
+    /// truncated — with a table or without, sequential or fanned out, at a
+    /// root that is a leaf or one that branches.
+    #[test]
+    fn expired_deadline_counts_nothing_everywhere() {
+        let cat = fig3();
+        let service = NavigatorService::new(&cat);
+        let leaf_root = ExplorationRequest::deadline_count(fall(2011), fall(2011), 3);
+        for req in [leaf_root, base_request()] {
+            for parallelism in [1, 2] {
+                let table = TranspositionTable::new(1 << 10);
+                for table in [None, Some(&table)] {
+                    let past = Some(Instant::now());
+                    match service.run_until_memo(&req, past, parallelism, table) {
+                        Ok(ExplorationResponse::Counts {
+                            total_paths,
+                            goal_paths,
+                            truncated,
+                            ..
+                        }) => {
+                            let case = (req.deadline, parallelism, table.is_some());
+                            assert_eq!((total_paths, goal_paths), (0, 0), "{case:?}");
+                            assert!(truncated, "{case:?}");
+                        }
+                        other => panic!("expected Counts, got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A collect's limit cuts the depth-first order at any parallelism:
+    /// the limited prefix is the walk's prefix, truncated exactly when
+    /// more paths exist.
+    #[test]
+    fn collect_respects_the_limit() {
+        use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
+        let e = Explorer::deadline_driven(&synth.catalog, start, synth.start + 3, 2).unwrap();
+        let service = NavigatorService::new(&synth.catalog);
+        let collect = |limit| {
+            let mut req = ExplorationRequest::deadline_count(synth.start, synth.start + 3, 2);
+            req.output = OutputMode::Collect { limit };
+            match service.run_until_memo(&req, None, 4, None) {
+                Ok(ExplorationResponse::Paths {
+                    paths, truncated, ..
+                }) => (paths, truncated),
+                other => panic!("expected Paths, got {other:?}"),
+            }
+        };
+        let all = e.collect_paths();
+        assert!(all.len() > 5, "need enough paths to truncate");
+        let (par, truncated) = collect(5);
+        assert!(truncated, "more paths exist beyond the limit");
+        assert_eq!(par, all[..5], "the limited prefix is the DFS prefix");
+        // Exactly at the boundary: everything fits, no truncation.
+        let (par, truncated) = collect(all.len());
+        assert!(!truncated);
+        assert_eq!(par.len(), all.len());
+    }
+
+    /// Unpaged collect is served by the walker without a table: handing
+    /// it a table changes neither the answer nor the table, at any
+    /// parallelism, goal-driven or deadline-driven, limited or not.
     #[test]
     fn collect_leaves_the_table_alone() {
         use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};

@@ -1,35 +1,95 @@
-//! Lazy path iteration.
+//! The depth-first walker: the one engine behind every count, collect and
+//! visit of Algorithms 1 and 2.
 //!
-//! [`Explorer::visit_paths`] inverts control (the engine calls you);
-//! [`PathStream`] offers the same streaming exploration as a plain
-//! [`Iterator`], which composes with adapters, `for` loops, and pagination
-//! — "interactive data exploration" (§1) means the front end pulls a page
-//! of paths at a time and resumes later.
-//!
-//! The stream holds an explicit DFS stack (frames of partially-consumed
+//! [`PathStream`] holds an explicit DFS stack (frames of partially-consumed
 //! [`SelectionIter`]s), so it is resumable at any point and costs O(depth)
-//! memory regardless of how many paths the exploration contains.
+//! memory regardless of how many paths the exploration contains —
+//! "interactive data exploration" (§1) means the front end pulls a page of
+//! paths at a time and resumes later. It is a plain [`Iterator`] over
+//! `(Path, LeafKind)`, and every engine mode drives the same crate-private
+//! walk underneath:
+//!
+//! - [`Explorer::visit_paths`] lends the walker's status and selection
+//!   stacks to its visitor;
+//! - [`Explorer::count_paths`] and [`Explorer::count_paths_memo`] walk it
+//!   without ever materializing a leaf (a leaf's status and [`Path`] are
+//!   built only when a consumer asks for them) and without stopping at
+//!   each one;
+//! - the service's count and collect output, paged or not, and the
+//!   parallel counter's workers walk it too.
+//!
+//! With a [`TranspositionTable`] the walk counts: whole subtrees already
+//! in the table are answered in bulk — their logical statistics merge into
+//! [`PathStream::stats`] and their leaf counts into the running totals —
+//! and fully-consumed fresh subtrees are inserted on the way out. Beside
+//! the logical statistics the walker keeps a *work* ledger of what really
+//! ran: expansions, edges, prunes and the memo hits, misses and evictions.
+
+use std::time::Instant;
 
 use coursenav_catalog::CourseSet;
 
 use crate::cursor::{FrameState, StreamCursor};
 use crate::error::ExploreError;
 use crate::expand::SelectionIter;
-use crate::explorer::{Disposition, Explorer};
+use crate::expiry::Expiry;
+use crate::explorer::{Disposition, Expansion, Explorer};
 use crate::memo::{StateKey, TranspositionTable};
-use crate::path::{LeafKind, Path};
+use crate::path::{LeafKind, Path, PathVisit};
 use crate::pruning::{record_prune, Pruner};
-use crate::stats::ExploreStats;
-use crate::status::{Classifiable, EnrollmentStatus};
+use crate::stats::{ExploreStats, PathCounts};
+use crate::status::{Classifiable, EnrollmentStatus, Unexpanded};
 
-/// Counters captured when a frame is pushed *by this stream* (not rebuilt
-/// from a cursor), so the subtree's totals can be attributed to its node
-/// when the frame pops and inserted into the transposition table.
-#[derive(Clone, Copy)]
-struct FrameBase {
+/// What the walk has accounted for so far.
+#[derive(Clone, Copy, Default)]
+struct Ledger {
+    /// Logical statistics: the whole tree's, with memo hits replayed.
+    stats: ExploreStats,
+    /// Real work: expansions, edges and prunes this walk performed, plus
+    /// its memo hits, misses and evictions.
+    work: ExploreStats,
+    /// Leaves accounted since the stream was made, reached or answered in
+    /// bulk.
     total: u128,
     goal: u128,
-    stats: ExploreStats,
+}
+
+impl Ledger {
+    /// Classifies `state` (through `table` when there is one) and accounts
+    /// for it, unless it expands: a leaf or a subtree answered in bulk adds
+    /// to the totals, a prune to its counter. The answer says which it
+    /// was; a bulk answer's counts are already spent.
+    fn enter(
+        &mut self,
+        explorer: &Explorer<'_>,
+        pruner: Option<&Pruner<'_>>,
+        table: Option<&TranspositionTable>,
+        state: impl Classifiable,
+    ) -> Disposition<()> {
+        let lookup = |key: &StateKey| table.and_then(|table| table.get_count(key));
+        match explorer.disposition(state, pruner, lookup) {
+            Disposition::Leaf(kind) => {
+                self.total += 1;
+                self.goal += u128::from(kind == LeafKind::Goal);
+                Disposition::Leaf(kind)
+            }
+            Disposition::Pruned(reason) => {
+                record_prune(&mut self.stats, reason);
+                record_prune(&mut self.work, reason);
+                Disposition::Pruned(reason)
+            }
+            Disposition::Known((total, goal, logical)) => {
+                // The whole subtree answers in bulk: replay its logical
+                // counters as if it had been walked.
+                self.stats.merge(&logical);
+                self.work.memo_hits += 1;
+                self.total += total;
+                self.goal += goal;
+                Disposition::Known(())
+            }
+            Disposition::Expand(expansion) => Disposition::Expand(expansion),
+        }
+    }
 }
 
 /// One DFS frame: an expanded node's remaining selections.
@@ -38,10 +98,56 @@ struct Frame {
     min_selection: usize,
     emitted: usize,
     floor_skipped: usize,
-    /// `Some` only for frames this stream pushed itself while memoizing;
-    /// cursor-rebuilt frames were partially consumed before we saw them,
-    /// so their subtrees can never be cached.
-    base: Option<FrameBase>,
+    /// The ledger when the frame was pushed, kept only by frames this
+    /// stream pushed itself while memoizing, so the subtree's totals can be
+    /// attributed to its node and inserted into the table when the frame
+    /// pops. Cursor-rebuilt frames were partially consumed before we saw
+    /// them, so their subtrees can never be cached.
+    base: Option<Ledger>,
+}
+
+/// When a walk hands control back, besides at its end.
+enum Until<'x> {
+    /// At every leaf and every subtree answered in bulk.
+    Step,
+    /// Once `cap` leaves are accounted or `expiry` fires, checked after
+    /// every leaf and bulk answer.
+    Tally { cap: u128, expiry: &'x mut Expiry },
+}
+
+impl Until<'_> {
+    /// Whether the walk hands back control after the leaf or bulk answer
+    /// it has just accounted for.
+    fn stops(&mut self, ledger: &Ledger) -> bool {
+        match self {
+            Until::Step => true,
+            Until::Tally { cap, expiry } => ledger.total >= *cap || expiry.tick(),
+        }
+    }
+}
+
+/// What one step of the walk reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// A leaf of this kind. The path to it stays on the stacks until the
+    /// next step: [`PathStream::leaf_path`] and [`PathStream::visit`]
+    /// read it.
+    Leaf(LeafKind),
+    /// A whole subtree answered from the table; its leaves are in the
+    /// running totals.
+    Bulk,
+    /// The walk is exhausted.
+    Done,
+}
+
+/// The leaf the last step reached, popped at the start of the next step.
+#[derive(Clone, Copy)]
+enum Leaf {
+    /// Classified a leaf before expanding: its selection is on the stack,
+    /// its status (options not yet computed) is not.
+    Entered(Unexpanded),
+    /// Expanded with every selection vetoed: its status tops the stack.
+    Expanded,
 }
 
 /// A pull-based stream of learning paths. Create with
@@ -52,27 +158,22 @@ pub struct PathStream<'e, 'c> {
     statuses: Vec<EnrollmentStatus>,
     selections: Vec<CourseSet>,
     frames: Vec<Frame>,
-    stats: ExploreStats,
+    ledger: Ledger,
     /// The root still needs its disposition check. `statuses` holds only
-    /// expanded nodes (plus, transiently, a leaf being emitted), so it is
-    /// empty until the root expands.
+    /// expanded nodes (plus a pending dead end), so it is empty until the
+    /// root expands.
     fresh: bool,
+    /// The leaf the last step reached, if it reached one.
+    leaf: Option<(LeafKind, Leaf)>,
     /// Transposition table for *counting* streams (see
     /// [`PathStream::with_table`]). `None` for plain streams.
     table: Option<&'e TranspositionTable>,
-    /// All leaves accounted so far, yielded or bulk-answered.
-    total_seen: u128,
-    goal_seen: u128,
-    /// Leaves answered from the table since the last
-    /// [`PathStream::take_bulk`] — never yielded as items.
-    bulk_total: u128,
-    bulk_goal: u128,
 }
 
 impl<'c> Explorer<'c> {
-    /// Lazily iterates every learning path (with its [`LeafKind`]) in the
-    /// same depth-first order as [`Explorer::visit_paths`]. Pruned branches
-    /// are skipped, as in the visitor API.
+    /// Lazily iterates every learning path (with its [`LeafKind`]) in
+    /// depth-first order, the order [`Explorer::visit_paths`] visits them.
+    /// Pruned branches are skipped.
     pub fn paths_iter(&self) -> PathStream<'_, 'c> {
         PathStream::new(self, ExploreStats::default(), true)
     }
@@ -148,6 +249,21 @@ impl<'c> Explorer<'c> {
         stream.frames = frames;
         Ok(stream)
     }
+
+    /// Counts every path below the start through `table` (`None` walks the
+    /// whole tree), stopping once `deadline` passes. Returns the counts
+    /// with their logical statistics, the run's work statistics, and
+    /// whether the deadline cut the count short (the counts are then lower
+    /// bounds, and nothing partial was cached).
+    pub(crate) fn count_walk(
+        &self,
+        table: Option<&TranspositionTable>,
+        deadline: Option<Instant>,
+    ) -> (PathCounts, ExploreStats, bool) {
+        let mut stream = self.paths_iter().with_table(table);
+        let truncated = stream.tally(u128::MAX, &mut Expiry::per_step(deadline));
+        (stream.counts(), stream.ledger.work, truncated)
+    }
 }
 
 impl<'e, 'c> PathStream<'e, 'c> {
@@ -160,27 +276,26 @@ impl<'e, 'c> PathStream<'e, 'c> {
             statuses: Vec::new(),
             selections: Vec::new(),
             frames: Vec::new(),
-            stats,
+            ledger: Ledger {
+                stats,
+                ..Ledger::default()
+            },
             fresh,
+            leaf: None,
             table: None,
-            total_seen: 0,
-            goal_seen: 0,
-            bulk_total: 0,
-            bulk_goal: 0,
         }
     }
 
     /// Makes this a *counting* stream through `table` (`None` keeps it
     /// plain): whole subtrees already in the transposition table are
-    /// answered in bulk — their logical statistics merge into
-    /// [`PathStream::stats`] and their leaf counts accumulate for
-    /// [`PathStream::take_bulk`] instead of being yielded as items — and
-    /// fully-consumed fresh subtrees are inserted on the way out. Cursors
-    /// stay valid (a bulk hit looks exactly like a completed child), but
-    /// yielded items skip memoized subtrees, so a table-backed stream is
-    /// only suitable for counting, not for collecting paths. Frames
-    /// rebuilt from a cursor are never inserted (their subtrees were
-    /// partially consumed before the pause).
+    /// answered in bulk ([`Step::Bulk`]: their logical statistics merge
+    /// into [`PathStream::stats`] and their leaves into the totals, but
+    /// their paths are never stepped onto), and fully-consumed fresh
+    /// subtrees are inserted on the way out. Cursors stay valid (a bulk
+    /// hit looks exactly like a completed child), but the paths it yields
+    /// skip memoized subtrees, so a table-backed stream only counts.
+    /// Frames rebuilt from a cursor are never inserted (their subtrees
+    /// were partially consumed before the pause).
     pub(crate) fn with_table(mut self, table: Option<&'e TranspositionTable>) -> Self {
         self.table = table;
         self
@@ -191,7 +306,7 @@ impl PathStream<'_, '_> {
     /// Exploration statistics accumulated so far (complete once the stream
     /// is exhausted).
     pub fn stats(&self) -> &ExploreStats {
-        &self.stats
+        &self.ledger.stats
     }
 
     /// Snapshots the paused DFS frontier (plus accumulated stats) so the
@@ -199,8 +314,11 @@ impl PathStream<'_, '_> {
     /// with [`Explorer::resume_paths_iter`]. Call between [`Iterator::next`]
     /// calls; the snapshot is O(depth) regardless of how many paths remain.
     pub fn cursor(&self) -> StreamCursor {
+        // A pending leaf's selection is still on the stack; the frontier
+        // it resumes from holds one selection per frame below the root.
+        let depth = self.frames.len().saturating_sub(1);
         StreamCursor {
-            selections: self.selections.clone(),
+            selections: self.selections[..depth].to_vec(),
             frames: self
                 .frames
                 .iter()
@@ -212,65 +330,173 @@ impl PathStream<'_, '_> {
                 })
                 .collect(),
             fresh: self.fresh,
-            stats: self.stats,
+            stats: self.ledger.stats,
         }
     }
 
-    fn current_path(&self) -> Path {
-        Path::new(self.statuses.clone(), self.selections.clone())
+    /// The leaves accounted since this stream was made, with the logical
+    /// statistics so far.
+    pub(crate) fn counts(&self) -> PathCounts {
+        PathCounts {
+            total_paths: self.ledger.total,
+            goal_paths: self.ledger.goal,
+            stats: self.ledger.stats,
+        }
     }
 
-    /// Handles `state`, the node the last entry of `selections` leads to
-    /// (the root when `selections` is empty): either returns a finished
-    /// path (leaf), or pushes its status and a frame to expand it (and
-    /// returns `None` to keep driving), or drops it (pruned, or answered
-    /// in bulk from the table).
-    fn enter_node(&mut self, state: impl Classifiable) -> Option<(Path, LeafKind)> {
-        let table = self.table;
-        let lookup = |key: &StateKey| table.and_then(|table| table.get_count(key));
-        let expansion = match self
-            .explorer
-            .disposition(state, self.pruner.as_ref(), lookup)
-        {
-            Disposition::Leaf(kind) => {
-                self.total_seen += 1;
-                if kind == LeafKind::Goal {
-                    self.goal_seen += 1;
-                }
-                self.statuses
-                    .push(state.materialize(self.explorer.catalog()));
-                let path = self.current_path();
-                self.backtrack();
-                return Some((path, kind));
+    /// Lends the path to the leaf the last step reached to `visitor`,
+    /// computing the leaf's status only now.
+    ///
+    /// # Panics
+    /// Panics unless the last step reached a leaf.
+    pub(crate) fn visit<R>(&mut self, visitor: impl FnOnce(PathVisit<'_>) -> R) -> R {
+        let (kind, leaf) = self.leaf.expect("the last step reached a leaf");
+        let entered = match leaf {
+            Leaf::Entered(state) => {
+                // The root is the only leaf reached with no selection, and
+                // it arrives whole.
+                let status = if self.selections.is_empty() {
+                    *self.explorer.start()
+                } else {
+                    state.materialize(self.explorer.catalog())
+                };
+                self.statuses.push(status);
+                true
             }
-            Disposition::Pruned(reason) => {
-                record_prune(&mut self.stats, reason);
-                self.selections.pop();
-                return None;
-            }
-            Disposition::Known((total, goal, logical)) => {
-                // The whole subtree answers in bulk: replay its logical
-                // counters and step past it exactly as if its last child
-                // had just finished.
-                self.stats.merge(&logical);
-                self.total_seen += total;
-                self.goal_seen += goal;
-                self.bulk_total += total;
-                self.bulk_goal += goal;
-                self.selections.pop();
-                return None;
-            }
-            Disposition::Expand(expansion) => expansion,
+            Leaf::Expanded => false,
         };
-        if let Some(table) = self.table {
-            table.record_miss();
-        }
-        let base = self.table.map(|_| FrameBase {
-            total: self.total_seen,
-            goal: self.goal_seen,
-            stats: self.stats,
+        let out = visitor(PathVisit {
+            statuses: &self.statuses,
+            selections: &self.selections,
+            kind,
         });
-        self.stats.nodes_expanded += 1;
+        if entered {
+            self.statuses.pop();
+        }
+        out
+    }
+
+    /// The path to the leaf the last step reached, owned.
+    pub(crate) fn leaf_path(&mut self) -> Path {
+        self.visit(|visit| visit.to_path())
+    }
+
+    /// Walks until the walk is exhausted (`false`), or until it has
+    /// accounted `cap` leaves or `expiry` fires (`true`), without stopping
+    /// at each leaf. Both checks run before the first step and after every
+    /// leaf and bulk answer, so a stopped walk's [`PathStream::cursor`]
+    /// resumes exactly where it stopped.
+    pub(crate) fn tally(&mut self, cap: u128, expiry: &mut Expiry) -> bool {
+        let mut until = Until::Tally { cap, expiry };
+        until.stops(&self.ledger) || self.walk(&mut until) != Step::Done
+    }
+
+    /// Advances the walk to its next leaf, bulk-answered subtree, or end.
+    pub(crate) fn step(&mut self) -> Step {
+        self.walk(&mut Until::Step)
+    }
+
+    /// Advances the walk until `until` stops it at a leaf or a bulk
+    /// answer, or to its end. A leaf it stops at stays on the stacks until
+    /// the next walk.
+    fn walk(&mut self, until: &mut Until<'_>) -> Step {
+        match self.leaf.take() {
+            Some((_, Leaf::Entered(_))) => {
+                self.selections.pop();
+            }
+            Some((_, Leaf::Expanded)) => self.backtrack(),
+            None => {}
+        }
+        if self.fresh {
+            self.fresh = false;
+            let root = *self.explorer.start();
+            let pruner = self.pruner.as_ref();
+            match self.ledger.enter(self.explorer, pruner, self.table, root) {
+                Disposition::Leaf(kind) if until.stops(&self.ledger) => {
+                    self.leaf = Some((kind, Leaf::Entered(root.into())));
+                    return Step::Leaf(kind);
+                }
+                Disposition::Known(()) if until.stops(&self.ledger) => return Step::Bulk,
+                Disposition::Expand(expansion) => self.push(expansion),
+                _ => {}
+            }
+        }
+        loop {
+            let Some(frame) = self.frames.last_mut() else {
+                return Step::Done;
+            };
+            let status = self.statuses.last().expect("frame implies a node");
+            // Settle the top frame's children in order until one expands.
+            let mut expanding = None;
+            for selection in frame.iter.by_ref() {
+                if selection.len() < frame.min_selection {
+                    frame.floor_skipped += 1;
+                    self.ledger.stats.pruned_time += 1;
+                    self.ledger.work.pruned_time += 1;
+                    continue;
+                }
+                if !self.explorer.selection_allowed(status, &selection) {
+                    continue;
+                }
+                frame.emitted += 1;
+                self.ledger.stats.edges_created += 1;
+                self.ledger.work.edges_created += 1;
+                let child = status.child(&selection);
+                let pruner = self.pruner.as_ref();
+                match self.ledger.enter(self.explorer, pruner, self.table, child) {
+                    Disposition::Leaf(kind) if until.stops(&self.ledger) => {
+                        self.selections.push(selection);
+                        self.leaf = Some((kind, Leaf::Entered(child)));
+                        return Step::Leaf(kind);
+                    }
+                    Disposition::Known(()) if until.stops(&self.ledger) => return Step::Bulk,
+                    Disposition::Expand(expansion) => {
+                        expanding = Some((selection, expansion));
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some((selection, expansion)) = expanding {
+                self.selections.push(selection);
+                self.push(expansion);
+                continue;
+            }
+            // Frame exhausted: maybe a filtered-to-death dead end.
+            let frame = self.frames.pop().expect("checked above");
+            let dead_end = frame.emitted == 0 && frame.floor_skipped == 0;
+            if dead_end {
+                self.ledger.total += 1;
+            }
+            if let (Some(table), Some(base)) = (self.table, frame.base) {
+                // Fully consumed fresh subtree: everything seen since the
+                // frame was pushed belongs to this node.
+                let status = self.statuses.last().expect("frame implies a node");
+                self.ledger.work.memo_evictions += table.put_count(
+                    status.state_key(),
+                    self.ledger.total - base.total,
+                    self.ledger.goal - base.goal,
+                    self.ledger.stats.since(&base.stats),
+                );
+            }
+            if dead_end && until.stops(&self.ledger) {
+                self.leaf = Some((LeafKind::DeadEnd, Leaf::Expanded));
+                return Step::Leaf(LeafKind::DeadEnd);
+            }
+            self.backtrack();
+        }
+    }
+
+    /// Expands a node: accounts for the expansion (and its memo miss) and
+    /// pushes its status and a frame over its selections.
+    fn push(&mut self, expansion: Expansion) {
+        let base = self.table.map(|table| {
+            table.record_miss();
+            self.ledger.work.memo_misses += 1;
+            self.ledger
+        });
+        self.ledger.stats.nodes_expanded += 1;
+        self.ledger.work.nodes_expanded += 1;
         self.frames.push(Frame {
             iter: expansion.selections(self.explorer.max_per_semester()),
             min_selection: expansion.min_selection,
@@ -279,23 +505,9 @@ impl PathStream<'_, '_> {
             base,
         });
         self.statuses.push(expansion.status);
-        None
     }
 
-    /// Drains the leaf counts answered from the transposition table since
-    /// the last call (counting streams only; always zero otherwise).
-    /// These leaves were never yielded as items, so a counting consumer
-    /// must add them to its totals after every [`Iterator::next`] call —
-    /// including the final `None`, which a bulk-answered root produces
-    /// immediately.
-    pub(crate) fn take_bulk(&mut self) -> (u128, u128) {
-        let bulk = (self.bulk_total, self.bulk_goal);
-        self.bulk_total = 0;
-        self.bulk_goal = 0;
-        bulk
-    }
-
-    /// Pops the just-finished node (leaf or pruned) off the path stack.
+    /// Pops the finished node off the path stack.
     fn backtrack(&mut self) {
         self.statuses.pop();
         self.selections.pop();
@@ -306,67 +518,11 @@ impl Iterator for PathStream<'_, '_> {
     type Item = (Path, LeafKind);
 
     fn next(&mut self) -> Option<(Path, LeafKind)> {
-        if self.fresh {
-            self.fresh = false;
-            if let Some(leaf) = self.enter_node(*self.explorer.start()) {
-                return Some(leaf);
-            }
-        }
         loop {
-            let Some(frame) = self.frames.last_mut() else {
-                return None; // exploration exhausted
-            };
-            // Pull the next viable selection from the top frame.
-            let mut next_child: Option<CourseSet> = None;
-            for selection in frame.iter.by_ref() {
-                if selection.len() < frame.min_selection {
-                    frame.floor_skipped += 1;
-                    self.stats.pruned_time += 1;
-                    continue;
-                }
-                let status = self.statuses.last().expect("frame implies a node");
-                if !self.explorer.selection_allowed(status, &selection) {
-                    continue;
-                }
-                next_child = Some(selection);
-                break;
-            }
-            match next_child {
-                Some(selection) => {
-                    let frame = self.frames.last_mut().expect("checked above");
-                    frame.emitted += 1;
-                    self.stats.edges_created += 1;
-                    let status = *self.statuses.last().expect("frame implies a node");
-                    self.selections.push(selection);
-                    if let Some(leaf) = self.enter_node(status.child(&selection)) {
-                        return Some(leaf);
-                    }
-                }
-                None => {
-                    // Frame exhausted: maybe a filtered-to-death dead end.
-                    let frame = self.frames.pop().expect("checked above");
-                    let dead_end = frame.emitted == 0 && frame.floor_skipped == 0;
-                    if dead_end {
-                        self.total_seen += 1;
-                    }
-                    if let (Some(table), Some(base)) = (self.table, frame.base) {
-                        // Fully consumed fresh subtree: everything seen
-                        // since the frame was pushed belongs to this node.
-                        let status = self.statuses.last().expect("frame implies a node");
-                        table.put_count(
-                            status.state_key(),
-                            self.total_seen - base.total,
-                            self.goal_seen - base.goal,
-                            self.stats.since(&base.stats),
-                        );
-                    }
-                    if dead_end {
-                        let path = self.current_path();
-                        self.backtrack();
-                        return Some((path, LeafKind::DeadEnd));
-                    }
-                    self.backtrack();
-                }
+            match self.step() {
+                Step::Leaf(kind) => return Some((self.leaf_path(), kind)),
+                Step::Bulk => {}
+                Step::Done => return None,
             }
         }
     }
@@ -375,6 +531,7 @@ impl Iterator for PathStream<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::eager;
     use crate::goal::Goal;
     use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
     use std::ops::ControlFlow;
@@ -384,27 +541,34 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_visitor_exactly() {
+    fn stream_matches_oracle_exactly() {
         let s = setting();
         let start = EnrollmentStatus::fresh(&s.catalog, s.start);
         let e = Explorer::deadline_driven(&s.catalog, start, s.start + 3, 2).unwrap();
+        let (from_oracle, _) = eager::enumerate(&e);
+        let from_stream: Vec<(Path, LeafKind)> = e.paths_iter().collect();
+        assert_eq!(from_oracle.len(), from_stream.len());
+        assert_eq!(from_oracle, from_stream);
         let mut from_visitor: Vec<(Path, LeafKind)> = Vec::new();
         e.visit_paths(|v| {
             from_visitor.push((v.to_path(), v.kind));
             ControlFlow::Continue(())
         });
-        let from_stream: Vec<(Path, LeafKind)> = e.paths_iter().collect();
-        assert_eq!(from_visitor.len(), from_stream.len());
-        assert_eq!(from_visitor, from_stream);
+        assert_eq!(from_oracle, from_visitor);
     }
 
     #[test]
-    fn stream_matches_visitor_on_goal_runs() {
+    fn stream_matches_oracle_on_goal_runs() {
         let s = setting();
         let start = EnrollmentStatus::fresh(&s.catalog, s.start);
         let goal = Goal::degree(s.degree.clone());
         let e = Explorer::goal_driven(&s.catalog, start, s.start + 4, 3, goal).unwrap();
-        let collected = e.collect_goal_paths();
+        let collected: Vec<Path> = eager::enumerate(&e)
+            .0
+            .into_iter()
+            .filter(|(_, kind)| *kind == LeafKind::Goal)
+            .map(|(path, _)| path)
+            .collect();
         let streamed: Vec<Path> = e.goal_paths_iter().collect();
         assert_eq!(collected, streamed);
     }
@@ -426,15 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn stream_stats_match_visitor_stats() {
+    fn stream_stats_match_oracle_stats() {
         let s = setting();
         let start = EnrollmentStatus::fresh(&s.catalog, s.start);
         let goal = Goal::degree(s.degree.clone());
         let e = Explorer::goal_driven(&s.catalog, start, s.start + 4, 3, goal).unwrap();
-        let visitor_stats = e.visit_paths(|_| ControlFlow::Continue(()));
+        let (_, oracle_stats) = eager::enumerate(&e);
         let mut stream = e.paths_iter();
         for _ in stream.by_ref() {}
-        assert_eq!(*stream.stats(), visitor_stats);
+        assert_eq!(*stream.stats(), oracle_stats);
     }
 
     #[test]
@@ -512,34 +676,31 @@ mod tests {
         assert!(e.resume_paths_iter(&fresh_with_state).is_err());
     }
 
+    /// The oracle's path counts and logical statistics.
+    fn oracle_counts(e: &Explorer<'_>) -> PathCounts {
+        let (paths, stats) = eager::enumerate(e);
+        PathCounts {
+            total_paths: paths.len() as u128,
+            goal_paths: paths.iter().filter(|(_, k)| *k == LeafKind::Goal).count() as u128,
+            stats,
+        }
+    }
+
     #[test]
-    fn counting_stream_with_memo_matches_plain_counts() {
+    fn counting_stream_with_memo_matches_oracle_counts() {
         let s = setting();
         let start = EnrollmentStatus::fresh(&s.catalog, s.start);
         let goal = Goal::degree(s.degree.clone());
         let e = Explorer::goal_driven(&s.catalog, start, s.start + 4, 3, goal).unwrap();
-        let plain = e.count_paths();
+        let plain = oracle_counts(&e);
         let table = TranspositionTable::new(1 << 16);
         for round in 0..2 {
             let hits_before = table.snapshot().hits;
             let mut stream = e.paths_iter().with_table(Some(&table));
-            let mut total = 0u128;
-            let mut goal_n = 0u128;
-            loop {
-                let item = stream.next();
-                let (bt, bg) = stream.take_bulk();
-                total += bt;
-                goal_n += bg;
-                match item {
-                    Some((_, kind)) => {
-                        total += 1;
-                        goal_n += u128::from(kind == LeafKind::Goal);
-                    }
-                    None => break,
-                }
-            }
-            assert_eq!(total, plain.total_paths, "round {round}");
-            assert_eq!(goal_n, plain.goal_paths, "round {round}");
+            while stream.step() != Step::Done {}
+            let counts = stream.counts();
+            assert_eq!(counts.total_paths, plain.total_paths, "round {round}");
+            assert_eq!(counts.goal_paths, plain.goal_paths, "round {round}");
             assert_eq!(*stream.stats(), plain.stats, "round {round}");
             if round == 1 {
                 assert!(table.snapshot().hits > hits_before, "warm round hits");
@@ -558,36 +719,20 @@ mod tests {
         // Warm the table so the paged run below takes bulk hits.
         {
             let mut warm = e.paths_iter().with_table(Some(&table));
-            while warm.next().is_some() {}
-            warm.take_bulk();
+            while warm.step() != Step::Done {}
         }
         // Page through with a fresh memoized stream, snapshotting the
-        // cursor every few pulls and resuming from its JSON round-trip.
+        // cursor every few steps and resuming from its JSON round-trip.
         let mut total = 0u128;
         let mut goal_n = 0u128;
         let mut stream = e.paths_iter().with_table(Some(&table));
-        let mut last_stats;
-        loop {
-            let mut done = false;
-            for _ in 0..3 {
-                let item = stream.next();
-                let (bt, bg) = stream.take_bulk();
-                total += bt;
-                goal_n += bg;
-                match item {
-                    Some((_, kind)) => {
-                        total += 1;
-                        goal_n += u128::from(kind == LeafKind::Goal);
-                    }
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
-            }
-            last_stats = *stream.stats();
+        let last_stats = loop {
+            let done = (0..3).any(|_| stream.step() == Step::Done);
+            let counts = stream.counts();
+            total += counts.total_paths;
+            goal_n += counts.goal_paths;
             if done {
-                break;
+                break counts.stats;
             }
             let json = serde_json::to_string(&stream.cursor()).expect("cursor serializes");
             let cursor: StreamCursor = serde_json::from_str(&json).expect("cursor parses");
@@ -595,7 +740,7 @@ mod tests {
                 .resume_paths_iter(&cursor)
                 .expect("cursor stays valid across bulk hits")
                 .with_table(Some(&table));
-        }
+        };
         assert_eq!(total, plain.total_paths);
         assert_eq!(goal_n, plain.goal_paths);
         assert_eq!(last_stats, plain.stats);

@@ -615,9 +615,9 @@ fn run_explore_page(
 }
 
 /// The tenant's transposition table for `req`'s exploration shape, or
-/// `None` when its output reads none: collect runs on the table-free
-/// visitors, so fetching a table for it would only create an empty one
-/// (and could LRU-evict a useful one).
+/// `None` when its output reads none: collect walks without a table, so
+/// fetching a table for it would only create an empty one (and could
+/// LRU-evict a useful one).
 fn memo_table(tenant: &Tenant, req: &ExplorationRequest) -> Option<Arc<TranspositionTable>> {
     if matches!(req.output, OutputMode::Collect { .. }) {
         return None;
