@@ -29,8 +29,8 @@ echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild h
 # logical stats (expansions, edges, time and availability prunes), so a
 # goal-oracle or pruning change that moves any decision fails here. The
 # rebuild gate builds the frame twice into one table: the first build makes
-# 74,603 intern calls (one per expanded state and per terminal kind, many of
-# them hits, since nodes are interned by structure alone), and the second
+# 74,559 intern calls (one per expanded table key and per terminal kind, many
+# of them hits, since nodes are interned by structure alone), and the second
 # must return the same root, intern nothing, and raise the hits by exactly
 # the first build's intern calls, pinning the canonicality of the builder's
 # enumeration-time edge encoding. The what-if
@@ -41,15 +41,21 @@ echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild h
 # Ignored in the debug run above, where the builds are slow.
 cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 
-echo "==> §5.2 containment artifact and Table 2's 6-semester goal cell (release, ~10 s)"
+echo "==> §5.2 containment artifact and Table 2's 6-semester goal cell (release, ~1 s)"
 # Regenerates the containment experiment and asserts its two pinned facts:
 # all 83 simulated graduating transcripts are contained in the generated
 # goal paths, and the memoized count over the six-semester period matches
 # Table 2's 6-semester goal golden in coursenav_bench::TABLE2_GOAL_GOLDENS
 # (1,298,609,910 paths surviving pruning, 331,657,034 goal paths to the
-# CS major). `cargo test` pins the 4- and 5-semester cells; the 7-semester
-# row is a manual run, `table2 -- --full`.
+# CS major; the count itself takes about 0.5 s). `cargo test` pins the 4-
+# and 5-semester cells.
 cargo run -q -p coursenav-bench --release --bin containment >/dev/null
+
+echo "==> Table 2's 7-semester goal cell, the paper's † row (release, ~4 s)"
+# Counts 39,413,023,922 paths surviving pruning, 11,812,248,055 of them
+# goal paths, through a cold 2^22-entry table keyed by Explorer::table_key
+# (226,404 expansions, no eviction), and asserts the golden.
+cargo test -q --release -p coursenav-bench --lib -- --ignored table2_seven
 
 echo "==> Table 1, Ablation A and Figure 4 count goldens (release, ~20 s)"
 # Both binaries assert every count they print before printing it; runtimes

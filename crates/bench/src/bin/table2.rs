@@ -15,21 +15,23 @@
 //! asserts each deadline cell it runs against
 //! [`coursenav_bench::TABLE2_DEADLINE_GOLDENS`] — a path count, or the
 //! budget overflow — before printing it. The goal column is counted
-//! through a cold transposition table (the memoized count); its cells are
-//! pinned in [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
+//! through a cold transposition table (the memoized count), and every
+//! cell is asserted against [`coursenav_bench::TABLE2_GOAL_GOLDENS`].
 //!
-//! The default run covers semesters 4–6 and prints the 7-semester row as
-//! "N/A †" without computing it. `--full` counts that row too, a manual
-//! run (see EXPERIMENTS.md for its cost).
+//! The default run counts every goal cell, the seven-semester one (the
+//! paper's † row) included, and the deadline cells of semesters 4–6; it
+//! prints the 7-semester deadline cell as "N/A †" without materializing
+//! it. `--full` materializes that one too, a manual run (see
+//! EXPERIMENTS.md for its cost).
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full]`
 
 use coursenav_bench::{
     paper_instance, secs, table2_deadline_count, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
-    TABLE2_DEADLINE_GOLDENS, TABLE2_NODE_BUDGET,
+    TABLE2_DEADLINE_GOLDENS, TABLE2_GOAL_GOLDENS, TABLE2_NODE_BUDGET,
 };
 
-/// The horizon only `--full` counts.
+/// The horizon whose deadline cell only `--full` materializes.
 const SEVEN: i32 = 7;
 
 fn main() {
@@ -47,7 +49,13 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
 
-    for &(semesters, pinned) in TABLE2_DEADLINE_GOLDENS {
+    for (&(semesters, pinned), &(goal_semesters, paths, goal_paths)) in
+        TABLE2_DEADLINE_GOLDENS.iter().zip(TABLE2_GOAL_GOLDENS)
+    {
+        assert_eq!(
+            semesters, goal_semesters,
+            "the two columns share their rows"
+        );
         let counted = semesters < SEVEN || full;
         // Deadline-driven: materialize the graph (the paper's Algorithm 1
         // stores it), reporting N/A when the budget is exceeded.
@@ -66,20 +74,20 @@ fn main() {
         };
 
         // Goal-driven with both pruning strategies, memoized.
-        let (g_paths, g_time) = if counted {
-            let (counts, dt) = timed(|| table2_goal_count(&data, semesters, PAPER_MEMO_ENTRIES));
-            (counts.total_paths.to_string(), secs(dt))
-        } else {
-            ("N/A".to_string(), "N/A".to_string())
-        };
+        let (counts, g_time) = timed(|| table2_goal_count(&data, semesters, PAPER_MEMO_ENTRIES));
+        assert_eq!(
+            (counts.total_paths, counts.goal_paths),
+            (paths, goal_paths),
+            "Table 2's {semesters}-semester goal cell moved from its golden"
+        );
 
         println!(
             "{:>9} | {:>16} {:>12} | {:>16} {:>12}{}",
             semesters,
             d_paths,
             d_time,
-            g_paths,
-            g_time,
+            counts.total_paths,
+            secs(g_time),
             if counted { "" } else { " †" }
         );
     }
@@ -88,5 +96,6 @@ fn main() {
     println!(" is smaller still — see table1. Goal runtimes are memoized counts through");
     println!(" a cold transposition table, not path-by-path streaming. Deadline N/A =");
     println!(" node budget exceeded, the analogue of the paper's out-of-memory failure.");
-    println!(" † = not run by default; `table2 -- --full` counts it — see EXPERIMENTS.md.)");
+    println!(" † = deadline cell not run by default; `table2 -- --full` materializes it —");
+    println!(" see EXPERIMENTS.md.)");
 }

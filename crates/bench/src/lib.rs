@@ -114,12 +114,14 @@ pub const PAPER_MEMO_ENTRIES: usize = 1 << 22;
 /// Table 2's goal column, pinned: `(semesters, paths surviving pruning,
 /// goal paths)`. `cargo test` checks the four- and five-semester rows; the
 /// `containment` binary, a release `ci.sh` step, checks the six-semester
-/// row, which is also its full-period count. The seven-semester row is a
-/// manual run (see `table2`).
+/// row, which is also its full-period count; the `table2` binary checks
+/// every row, and the ignored test `table2_seven_semester_goal_row_is_golden`,
+/// another release `ci.sh` step, checks the seven-semester row.
 pub const TABLE2_GOAL_GOLDENS: &[(i32, u128, u128)] = &[
     (4, 608, 98),
     (5, 3_180_719, 1_037_851),
     (6, 1_298_609_910, 331_657_034),
+    (7, 39_413_023_922, 11_812_248_055),
 ];
 
 /// Table 2's goal-driven count at `semesters`: the §5.1 explorer with both
@@ -257,6 +259,18 @@ mod tests {
                 "{semesters} semesters"
             );
         }
+    }
+
+    /// Table 2's seven-semester goal row: a few seconds through the
+    /// projected table key in release, slow in debug. Run it with
+    /// `cargo test --release -p coursenav-bench --lib -- --ignored table2_seven`.
+    #[test]
+    #[ignore = "counts 39 G paths; run in release"]
+    fn table2_seven_semester_goal_row_is_golden() {
+        let &(semesters, paths, goal_paths) = TABLE2_GOAL_GOLDENS.last().unwrap();
+        assert_eq!(semesters, 7);
+        let counts = table2_goal_count(&paper_instance(), semesters, PAPER_MEMO_ENTRIES);
+        assert_eq!((counts.total_paths, counts.goal_paths), (paths, goal_paths));
     }
 
     /// The fastest Figure 4 cell, k = 10 over six semesters.

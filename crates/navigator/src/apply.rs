@@ -638,7 +638,7 @@ mod tests {
         for selection in expansion.selections(e.max_per_semester()) {
             if selection.len() < expansion.min_selection {
                 floor_skipped += 1;
-            } else if e.selection_allowed(&status, &selection) {
+            } else if e.selection_allowed(&selection) {
                 allowed += 1;
                 let child = status.advance(e.catalog(), &selection);
                 let below = remaining.difference(&selection);

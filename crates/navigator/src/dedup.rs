@@ -3,9 +3,13 @@
 //! The tree the paper's algorithms unfold repeats work: two different
 //! selection orders that reach the same `(semester, completed)` state have
 //! identical subtrees. The subtree below a node is a function of
-//! [`EnrollmentStatus::state_key`] alone, so path *counts* can be memoized
+//! [`EnrollmentStatus::state_key`] — indeed of the coarser table key the
+//! DAG builder shares expansions under, which drops the completed courses
+//! nothing below can read — so path *counts* can be memoized
 //! state-by-state, collapsing the exponential tree into a DAG of distinct
-//! states. The counts are exactly those of the tree enumeration (verified
+//! states. The views here stay per full state: they count and list
+//! distinct `(semester, completed)` states, however the builder shared
+//! their subtrees. The counts are exactly those of the tree enumeration (verified
 //! against streaming counts by property tests), but runtime scales with the
 //! number of distinct states — milliseconds in regimes where the paper's
 //! enumeration needed hours or exhausted memory.
@@ -16,8 +20,8 @@
 //! of the interned nodes. The builder keeps no per-state records and a node
 //! is interned by structure alone (terminal states resolve to nodes shared
 //! by kind, and states whose subtrees match share one interior), so the
-//! per-state facts are derived after the build by walking the DAG by state
-//! key, each distinct state once. The historical contracts are preserved exactly — the
+//! per-state facts are derived after the build by walking the DAG by full
+//! state key, each distinct state once. The historical contracts are preserved exactly — the
 //! materialized-state budget as a check on that walk, error types, the
 //! [`StateDag`] shape with its root at index 0, and statistics that
 //! reflect *distinct states* (each state expanded or pruned once), not
@@ -475,7 +479,7 @@ mod tests {
                 for selection in expansion.selections(e.max_per_semester()) {
                     if selection.len() < expansion.min_selection {
                         floor_skipped += 1;
-                    } else if e.selection_allowed(&status, &selection) {
+                    } else if e.selection_allowed(&selection) {
                         let child = status.advance(e.catalog(), &selection);
                         children.push(child.state_key());
                         enumerate_tree(e, child, pruner, seen);

@@ -95,6 +95,52 @@ pub struct Explorer<'a> {
     prune: PruneConfig,
     strategic_selections: bool,
     filters: Vec<Arc<dyn SelectionFilter>>,
+    live: LiveCourses,
+}
+
+/// `Live(s)` for every semester `s` from a start to `d − 1`: each course
+/// offered in `s … d−1`, plus each course named in those courses'
+/// prerequisite expressions. Nothing below a state in `s` can take, or
+/// test the prerequisites against, a course outside it.
+#[derive(Clone)]
+struct LiveCourses {
+    /// `Semester::index()` of `masks[0]`.
+    first: i32,
+    /// `None` where `Live(s)` covers the whole catalog.
+    masks: Arc<[Option<CourseSet>]>,
+}
+
+impl LiveCourses {
+    fn new(catalog: &Catalog, start: Semester, deadline: Semester) -> LiveCourses {
+        let all = catalog.all_courses();
+        let span = (deadline - start).max(0) as usize;
+        let mut masks = vec![None; span];
+        let (mut offered_rest, mut live) = (CourseSet::EMPTY, CourseSet::EMPTY);
+        // Built back to front, as suffix unions.
+        for i in (0..span).rev() {
+            let offered = catalog.offered_in(start + i as i32);
+            for id in &offered.difference(&offered_rest) {
+                catalog.course(id).prereq().for_each_atom(&mut |&atom| {
+                    live.insert(atom);
+                });
+            }
+            offered_rest.union_with(&offered);
+            live.union_with(&offered);
+            masks[i] = (!all.is_subset(&live)).then_some(live);
+        }
+        LiveCourses {
+            first: start.index(),
+            masks: masks.into(),
+        }
+    }
+
+    /// `Live(semester)`, or `None` when it covers the catalog or
+    /// `semester` lies outside the span (no projection).
+    #[inline]
+    fn get(&self, semester: Semester) -> Option<&CourseSet> {
+        let offset = usize::try_from(semester.index() - self.first).ok()?;
+        self.masks.get(offset)?.as_ref()
+    }
 }
 
 impl<'a> Explorer<'a> {
@@ -127,6 +173,7 @@ impl<'a> Explorer<'a> {
             prune: PruneConfig::none(),
             strategic_selections: false,
             filters: Vec::new(),
+            live: LiveCourses::new(catalog, start.semester(), deadline),
         })
     }
 
@@ -243,14 +290,37 @@ impl<'a> Explorer<'a> {
         !future_pool.difference(status.completed()).is_empty()
     }
 
+    /// The key a state's subtree is stored and found under in a
+    /// transposition table or a DAG build's visited map: what the subtree
+    /// can still read of `(semester, completed)`. That is `X ∩ Live(s)` —
+    /// options, eligibility, waiting and every later selection read
+    /// nothing else — plus what the goal reads of the dead courses
+    /// ([`Goal::project_dead`]; nothing without a goal). Selection filters
+    /// see only the selection, so they read nothing of `X`.
+    ///
+    /// States with one key root identical subtrees, so a table shares more
+    /// of them than under the full [`EnrollmentStatus::state_key`], which
+    /// stays the key of paths, cursors and the dedup views. Where `Live(s)`
+    /// covers the catalog the key is the full one, unprojected.
+    pub(crate) fn table_key(&self, semester: Semester, completed: &CourseSet) -> StateKey {
+        let Some(live) = self.live.get(semester) else {
+            return (semester.index(), *completed);
+        };
+        let mut key = completed.intersection(live);
+        if let Some(goal) = &self.goal {
+            key.union_with(&goal.project_dead(completed, live));
+        }
+        (semester.index(), key)
+    }
+
     /// Classifies a state in two phases around the caller's table, so a
     /// state that ends here never pays for its options `Y_i`:
     ///
     /// 1. from `(semester, completed)` alone: goal leaf, deadline leaf,
     ///    then the pruning strategies (the goal gap `left_i` is computed
     ///    once and serves both the goal test and the time oracle);
-    /// 2. `lookup` — the caller's memo or visited map — which may answer
-    ///    the state outright;
+    /// 2. `lookup` — the caller's memo or visited map, under
+    ///    [`Explorer::table_key`] — which may answer the state outright;
     /// 3. only on a miss, the options are materialized and the wait
     ///    policy, dead-end and strategic-floor rules decide.
     pub(crate) fn disposition<S: Classifiable, T>(
@@ -281,7 +351,7 @@ impl<'a> Explorer<'a> {
                 }
             }
         }
-        if let Some(known) = lookup(&state.state_key()) {
+        if let Some(known) = lookup(&self.table_key(state.semester(), state.completed())) {
             return Disposition::Known(known);
         }
         let status = state.materialize(self.catalog);
@@ -305,14 +375,11 @@ impl<'a> Explorer<'a> {
         })
     }
 
-    pub(crate) fn selection_allowed(
-        &self,
-        status: &EnrollmentStatus,
-        selection: &CourseSet,
-    ) -> bool {
+    /// Whether every selection filter admits `selection`.
+    pub(crate) fn selection_allowed(&self, selection: &CourseSet) -> bool {
         self.filters
             .iter()
-            .all(|f| f.allow(self.catalog, status, selection))
+            .all(|f| f.allow(self.catalog, selection))
     }
 
     /// Expands the root the way the walker does, keeping each surviving
@@ -336,7 +403,7 @@ impl<'a> Explorer<'a> {
                 stats.pruned_time += 1;
                 continue;
             }
-            if !self.selection_allowed(&self.start, &selection) {
+            if !self.selection_allowed(&selection) {
                 continue;
             }
             stats.edges_created += 1;
@@ -430,7 +497,7 @@ impl<'a> Explorer<'a> {
                     stats.pruned_time += 1;
                     continue;
                 }
-                if !self.selection_allowed(&status, &selection) {
+                if !self.selection_allowed(&selection) {
                     continue;
                 }
                 if graph.nodes.len() >= node_budget {
@@ -562,7 +629,7 @@ pub(crate) mod eager {
                 if selection.len() < min_selection {
                     floor_skipped += 1;
                     stats.pruned_time += 1;
-                } else if e.selection_allowed(&status, &selection) {
+                } else if e.selection_allowed(&selection) {
                     emitted += 1;
                     stats.edges_created += 1;
                     path.0.push(status.advance(e.catalog(), &selection));
@@ -594,10 +661,13 @@ pub(crate) mod eager {
         } else {
             SelectionIter::new(status.options(), e.max_per_semester())
         };
-        iter.filter(|sel| sel.len() >= min_selection && e.selection_allowed(status, sel))
+        iter.filter(|sel| sel.len() >= min_selection && e.selection_allowed(sel))
             .collect()
     }
 }
+
+#[cfg(test)]
+mod table_key_tests;
 
 #[cfg(test)]
 mod tests {
@@ -858,6 +928,21 @@ mod tests {
         assert_eq!(seen, 1);
     }
 
+    /// Whether every course of the catalog is offered in `semester … d−1`
+    /// or named in the prerequisites of one that is: where nothing is
+    /// dead, the table key is the full state key.
+    fn live_covers_catalog(e: &Explorer<'_>, semester: Semester) -> bool {
+        let cat = e.catalog();
+        let offered = cat.offered_between(semester, e.deadline() + (-1));
+        let mut live = offered;
+        for id in &offered {
+            for atom in cat.course(id).prereq().atoms() {
+                live.insert(atom);
+            }
+        }
+        cat.all_courses().is_subset(&live)
+    }
+
     /// Classifies `state` twice — once with a table that misses, once
     /// with one that hits — and checks both against the eager reference
     /// on its materialized status. `whole` marks a state handed in with
@@ -871,10 +956,15 @@ mod tests {
         let (expected, read_options) = eager::disposition(e, &eager_status);
         let pruner = e.pruner();
 
+        let (semester, completed) = (state.semester(), *state.completed());
+        let full_key = (semester.index(), completed);
+        if live_covers_catalog(e, semester) {
+            prop_assert_eq!(e.table_key(semester, &completed), full_key);
+        }
         let mut looked_up = false;
         let before = eligible_calls();
         let got = e.disposition(state, pruner.as_ref(), |key| {
-            assert_eq!(*key, state.state_key());
+            assert_eq!(*key, e.table_key(semester, &completed));
             looked_up = true;
             None::<()>
         });

@@ -5,19 +5,25 @@
 //! filters of the final learning paths" (§6). Both hooks live here:
 //!
 //! - [`SelectionFilter`]s veto individual course selections *during*
-//!   expansion, shrinking the search space;
+//!   expansion, shrinking the search space. A filter sees the selection
+//!   and the catalog only, never the state it is made from;
 //! - [`PathFilter`]s veto complete paths *after* generation, for criteria
 //!   that only make sense end-to-end.
 
 use coursenav_catalog::{Catalog, CourseSet};
 
 use crate::path::Path;
-use crate::status::EnrollmentStatus;
 
 /// Vetoes course selections during expansion.
+///
+/// The verdict reads the selection alone, never the completed set it is
+/// made from. That is what lets the engine share a subtree between states
+/// that differ only in courses nothing below them can read again (its
+/// transposition-table key, `Explorer::table_key`): a filter that read
+/// the completed set could tell such states apart.
 pub trait SelectionFilter: Send + Sync {
-    /// Whether electing `selection` at `status` is allowed.
-    fn allow(&self, catalog: &Catalog, status: &EnrollmentStatus, selection: &CourseSet) -> bool;
+    /// Whether electing `selection` is allowed.
+    fn allow(&self, catalog: &Catalog, selection: &CourseSet) -> bool;
 
     /// Diagnostic name.
     fn name(&self) -> &str {
@@ -30,7 +36,7 @@ pub trait SelectionFilter: Send + Sync {
 pub struct AvoidCourses(pub CourseSet);
 
 impl SelectionFilter for AvoidCourses {
-    fn allow(&self, _: &Catalog, _: &EnrollmentStatus, selection: &CourseSet) -> bool {
+    fn allow(&self, _: &Catalog, selection: &CourseSet) -> bool {
         selection.is_disjoint(&self.0)
     }
 
@@ -44,7 +50,7 @@ impl SelectionFilter for AvoidCourses {
 pub struct MaxSemesterWorkload(pub f64);
 
 impl SelectionFilter for MaxSemesterWorkload {
-    fn allow(&self, catalog: &Catalog, _: &EnrollmentStatus, selection: &CourseSet) -> bool {
+    fn allow(&self, catalog: &Catalog, selection: &CourseSet) -> bool {
         let load: f64 = selection
             .iter()
             .map(|id| catalog.course(id).workload())
@@ -64,7 +70,7 @@ impl SelectionFilter for MaxSemesterWorkload {
 pub struct MinCoursesPerSemester(pub usize);
 
 impl SelectionFilter for MinCoursesPerSemester {
-    fn allow(&self, _: &Catalog, _: &EnrollmentStatus, selection: &CourseSet) -> bool {
+    fn allow(&self, _: &Catalog, selection: &CourseSet) -> bool {
         selection.is_empty() || selection.len() >= self.0
     }
 
@@ -115,6 +121,7 @@ impl PathFilter for MustInclude {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::status::EnrollmentStatus;
     use coursenav_catalog::{CatalogBuilder, CourseSpec, Semester, Term};
 
     fn catalog() -> Catalog {
@@ -135,10 +142,9 @@ mod tests {
         let a = cat.id_of_str("A").unwrap();
         let b = cat.id_of_str("B").unwrap();
         let f = AvoidCourses(CourseSet::from_iter([a]));
-        let st = status(&cat);
-        assert!(!f.allow(&cat, &st, &CourseSet::from_iter([a])));
-        assert!(!f.allow(&cat, &st, &CourseSet::from_iter([a, b])));
-        assert!(f.allow(&cat, &st, &CourseSet::from_iter([b])));
+        assert!(!f.allow(&cat, &CourseSet::from_iter([a])));
+        assert!(!f.allow(&cat, &CourseSet::from_iter([a, b])));
+        assert!(f.allow(&cat, &CourseSet::from_iter([b])));
     }
 
     #[test]
@@ -147,9 +153,8 @@ mod tests {
         let a = cat.id_of_str("A").unwrap();
         let b = cat.id_of_str("B").unwrap();
         let f = MaxSemesterWorkload(10.0);
-        let st = status(&cat);
-        assert!(f.allow(&cat, &st, &CourseSet::from_iter([a])));
-        assert!(!f.allow(&cat, &st, &CourseSet::from_iter([a, b]))); // 14 > 10
+        assert!(f.allow(&cat, &CourseSet::from_iter([a])));
+        assert!(!f.allow(&cat, &CourseSet::from_iter([a, b]))); // 14 > 10
     }
 
     #[test]
@@ -157,9 +162,8 @@ mod tests {
         let cat = catalog();
         let a = cat.id_of_str("A").unwrap();
         let f = MinCoursesPerSemester(2);
-        let st = status(&cat);
-        assert!(f.allow(&cat, &st, &CourseSet::EMPTY));
-        assert!(!f.allow(&cat, &st, &CourseSet::from_iter([a])));
+        assert!(f.allow(&cat, &CourseSet::EMPTY));
+        assert!(!f.allow(&cat, &CourseSet::from_iter([a])));
     }
 
     #[test]

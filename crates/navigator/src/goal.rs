@@ -20,6 +20,11 @@
 //! `[(core, |core|), (pool_i, k_i)…]`. Both oracles are then a few word
 //! operations per region. A degree with overlapping pools has no such
 //! closed form and keeps the matching oracle in `coursenav-catalog`.
+//!
+//! The engine's transposition table keys a state by what its subtree can
+//! still read ([`crate::Explorer`]'s table key). Of the completed courses
+//! no later selection can take again — the *dead* ones — the goal reads
+//! only what `Goal::project_dead` keeps.
 
 use coursenav_catalog::{CourseId, CourseSet, DegreeRequirement};
 use coursenav_prereq::{min_extra_to_satisfy, Dnf, Expr, MinSat};
@@ -31,6 +36,20 @@ pub struct Goal {
     /// The mask form both per-state oracles run on (see the module docs);
     /// `None` only for a degree whose pools overlap.
     alternatives: Option<Vec<Vec<Region>>>,
+    /// What both oracles read of dead courses (see [`Goal::project_dead`]).
+    dead_reads: DeadReads,
+}
+
+/// What the goal oracles read of a set of dead courses.
+#[derive(Debug, Clone)]
+enum DeadReads {
+    /// The regions of a single alternative, pairwise disjoint: each
+    /// region's count, capped at its `need`.
+    CappedCounts(Vec<Region>),
+    /// These courses, as they are: the region courses of a goal with
+    /// several alternatives, whose regions overlap across alternatives,
+    /// or every relevant course of a degree whose pools overlap.
+    Courses(CourseSet),
 }
 
 /// One region constraint of a compiled alternative: at least `need`
@@ -84,6 +103,16 @@ enum GoalKind {
     Degree(DegreeRequirement),
 }
 
+impl GoalKind {
+    /// Every course the goal names.
+    fn courses(&self) -> CourseSet {
+        match self {
+            GoalKind::Courses { dnf, .. } => dnf.terms().iter().flatten().copied().collect(),
+            GoalKind::Degree(req) => req.relevant_courses(),
+        }
+    }
+}
+
 impl Goal {
     /// Goal: make the boolean expression over completed courses true.
     pub fn courses(expr: Expr<CourseId>) -> Goal {
@@ -93,10 +122,7 @@ impl Goal {
             .iter()
             .map(|term| Region::alternative([(term.iter().copied().collect(), term.len())]))
             .collect();
-        Goal {
-            kind: GoalKind::Courses { expr, dnf },
-            alternatives: Some(alternatives),
-        }
+        Goal::compiled(GoalKind::Courses { expr, dnf }, Some(alternatives))
     }
 
     /// Goal: complete every course in `set`.
@@ -116,9 +142,50 @@ impl Goal {
             sizes += mask.len();
         }
         let alternatives = (union.len() == sizes).then(|| vec![Region::alternative(regions)]);
+        Goal::compiled(GoalKind::Degree(req), alternatives)
+    }
+
+    fn compiled(kind: GoalKind, alternatives: Option<Vec<Vec<Region>>>) -> Goal {
+        let dead_reads = match &alternatives {
+            Some(alternatives) if alternatives.len() == 1 => {
+                DeadReads::CappedCounts(alternatives[0].clone())
+            }
+            _ => DeadReads::Courses(kind.courses()),
+        };
         Goal {
-            kind: GoalKind::Degree(req),
+            kind,
             alternatives,
+            dead_reads,
+        }
+    }
+
+    /// What the goal oracles ([`Goal::satisfied`], [`Goal::left_lower_bound`])
+    /// read of `completed`'s courses outside `live`, as a set of courses
+    /// outside `live`. `live` must hold every course a later selection can
+    /// add, so that the dead courses of `completed` never change again:
+    /// the oracles then answer alike for `X` and for `(X ∩ live) ∪
+    /// project_dead(X, live)`, and for every superset of either built from
+    /// live courses.
+    ///
+    /// A single alternative keeps each region's dead count, capped at its
+    /// `need` — all its `missing` and `met_by` can read — encoded as the
+    /// lowest that many of the region's dead courses, completed or not.
+    /// Regions are pairwise disjoint, so the counts stay apart in one set,
+    /// and the encoding is canonical: two states with the same capped
+    /// counts project alike. Any other goal keeps its completed dead
+    /// region (or relevant) courses as they are.
+    pub(crate) fn project_dead(&self, completed: &CourseSet, live: &CourseSet) -> CourseSet {
+        match &self.dead_reads {
+            DeadReads::CappedCounts(regions) => {
+                let mut kept = CourseSet::EMPTY;
+                for region in regions {
+                    let dead = region.mask.difference(live);
+                    let held = completed.intersection(&dead).len().min(region.need);
+                    kept.union_with(&dead.iter().take(held).collect());
+                }
+                kept
+            }
+            DeadReads::Courses(courses) => completed.intersection(courses).difference(live),
         }
     }
 

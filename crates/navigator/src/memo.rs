@@ -5,10 +5,15 @@
 //! `(completed, semester)` root *identical* subtrees — everything below a
 //! node is a pure function of its [`EnrollmentStatus`] and the run
 //! configuration (catalog, deadline, cap, goal, filters, wait policy,
-//! pruning). The [`TranspositionTable`] caches per-subtree results under
-//! [`EnrollmentStatus::state_key`] so each distinct status is explored
-//! once per table lifetime, the same shared-suffix canonicalization that
-//! makes BDDs tractable. Two result kinds are cached:
+//! pruning). It is a function of less than the whole status, too: of the
+//! completed courses that are offered again before the deadline or named
+//! in such a course's prerequisites, and of what the goal reads of the
+//! rest. The [`TranspositionTable`] caches per-subtree results under that
+//! projection, [`crate::Explorer`]'s table key, so states that differ only
+//! in courses nothing below them reads are explored once per table
+//! lifetime, the same shared-suffix canonicalization that makes BDDs
+//! tractable. (Paths, cursors and the dedup views keep the full
+//! [`EnrollmentStatus::state_key`].) Two result kinds are cached:
 //!
 //! - **counts** — `(total, goal)` path counts plus the subtree's
 //!   *logical* [`ExploreStats`] delta, read and written by the depth-first
@@ -74,9 +79,10 @@ use crate::stats::ExploreStats;
 use crate::status::{Classifiable, EnrollmentStatus};
 use crate::unique::{FxBuild, FxMap};
 
-/// The canonical subtree identity: semester index + completed set (the
-/// options set is derived from them), as produced by
-/// [`EnrollmentStatus::state_key`].
+/// A subtree identity: semester index + a set of courses. The full key
+/// ([`EnrollmentStatus::state_key`]) holds the whole completed set; a
+/// transposition table's key ([`crate::Explorer`]'s table key) holds only
+/// what the subtree can still read of it.
 pub type StateKey = (i32, CourseSet);
 
 /// Number of lock stripes. Sixteen keeps contention negligible for the
@@ -556,7 +562,7 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
                 self.work.pruned_time += 1;
                 continue;
             }
-            if !self.explorer.selection_allowed(&status, &selection) {
+            if !self.explorer.selection_allowed(&selection) {
                 continue;
             }
             self.work.edges_created += 1;
@@ -595,9 +601,10 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             merged.push(RankedSuffix { selections: sels });
         }
         let merged = Arc::new(merged);
-        self.work.memo_evictions +=
-            self.table
-                .put_ranked(status.state_key(), sig, k, merged.clone());
+        let key = self
+            .explorer
+            .table_key(status.semester(), status.completed());
+        self.work.memo_evictions += self.table.put_ranked(key, sig, k, merged.clone());
         Some(merged)
     }
 }
@@ -860,8 +867,8 @@ mod tests {
         let runs = [
             (
                 goal_explorer(&synth, 4),
-                [49, 553, 15, 287, 27, 49],
-                Some([49, 553, 15, 287, 27, 49]),
+                [44, 517, 15, 287, 32, 44],
+                Some([44, 517, 15, 287, 32, 44]),
             ),
             (
                 Explorer::goal_driven(&synth.catalog, start, synth.start + 5, 3, goal.clone())
@@ -871,14 +878,14 @@ mod tests {
             ),
             (
                 Explorer::deadline_driven(&synth.catalog, start, synth.start + 4, 2).unwrap(),
-                [247, 1461, 0, 0, 180, 247],
+                [65, 573, 0, 0, 362, 65],
                 None,
             ),
             // Long enough to run out of options: dead ends, and strategic
             // floors with nothing left to take.
             (
                 Explorer::deadline_driven(&synth.catalog, start, synth.start + 6, 3).unwrap(),
-                [1439, 12023, 0, 0, 7699, 1439],
+                [1020, 9962, 0, 0, 8118, 1020],
                 None,
             ),
             (
@@ -886,8 +893,8 @@ mod tests {
                     .unwrap()
                     .with_prune(PruneConfig::time_only())
                     .with_strategic_selections(true),
-                [886, 8435, 78, 0, 3499, 886],
-                Some([886, 8435, 78, 0, 3499, 886]),
+                [769, 7905, 62, 0, 3616, 769],
+                Some([769, 7905, 62, 0, 3616, 769]),
             ),
         ];
         for (e, count_golden, top_k_golden) in &runs {
@@ -928,7 +935,7 @@ mod tests {
     /// expansions, counted with the eager classifier: every edge into a
     /// state that only its options settle — a dead end, or a strategic
     /// floor with nothing to take — since such states are never stored.
-    /// Expandable states expand once and hit afterwards.
+    /// Expandable states expand once per table key and hit afterwards.
     fn options_checks(e: &Explorer<'_>) -> u64 {
         fn walk(
             e: &Explorer<'_>,
@@ -944,7 +951,7 @@ mod tests {
                     },
                     _,
                 ) => {
-                    if !expanded.insert(status.state_key()) {
+                    if !expanded.insert(e.table_key(status.semester(), status.completed())) {
                         return 0;
                     }
                     eager::admitted(e, &status, min_selection, include_empty)

@@ -251,7 +251,7 @@ impl Explorer<'_> {
                     stats.pruned_time += 1;
                     continue;
                 }
-                if !self.selection_allowed(&status, &selection) {
+                if !self.selection_allowed(&selection) {
                     continue;
                 }
                 let edge_cost = ranking.edge_cost(self.catalog(), &status, &selection);

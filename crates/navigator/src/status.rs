@@ -74,7 +74,10 @@ impl EnrollmentStatus {
     }
 
     /// Compact dedup key: `(semester index, completed)` determines the whole
-    /// subtree below a node, since `options` is derived from them.
+    /// subtree below a node, since `options` is derived from them. Paths,
+    /// cursors and the dedup views key states by it; a transposition table
+    /// keys them by the coarser `Explorer::table_key`, which keeps only
+    /// what the subtree can still read.
     pub fn state_key(&self) -> (i32, CourseSet) {
         (self.semester.index(), self.completed)
     }
@@ -111,11 +114,6 @@ pub(crate) trait Classifiable: Copy {
     fn completed(&self) -> &CourseSet;
     /// The full status, options included.
     fn materialize(self, catalog: &Catalog) -> EnrollmentStatus;
-
-    /// The dedup key, as [`EnrollmentStatus::state_key`].
-    fn state_key(&self) -> (i32, CourseSet) {
-        (self.semester().index(), *self.completed())
-    }
 }
 
 impl Classifiable for Unexpanded {
@@ -239,7 +237,7 @@ mod tests {
         let before = eligible_calls();
         let child = n1.child(&both);
         assert_eq!(child.semester(), Semester::new(2012, Term::Spring));
-        assert_eq!(child.state_key(), advanced.state_key());
+        assert_eq!(child.completed(), advanced.completed());
         assert_eq!(eligible_calls(), before, "a child costs no options");
         let status = child.materialize(&cat);
         assert_eq!(eligible_calls(), before + 1, "one options computation");

@@ -435,7 +435,7 @@ impl PathStream<'_, '_> {
                     self.ledger.work.pruned_time += 1;
                     continue;
                 }
-                if !self.explorer.selection_allowed(status, &selection) {
+                if !self.explorer.selection_allowed(&selection) {
                     continue;
                 }
                 frame.emitted += 1;
@@ -473,7 +473,8 @@ impl PathStream<'_, '_> {
                 // frame was pushed belongs to this node.
                 let status = self.statuses.last().expect("frame implies a node");
                 self.ledger.work.memo_evictions += table.put_count(
-                    status.state_key(),
+                    self.explorer
+                        .table_key(status.semester(), status.completed()),
                     self.ledger.total - base.total,
                     self.ledger.goal - base.goal,
                     self.ledger.stats.since(&base.stats),

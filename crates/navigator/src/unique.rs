@@ -15,7 +15,9 @@
 //! is a leaf or pruned by its `(semester, completed)` pair alone resolves
 //! straight to its kind's shared node (interned once per kind per build)
 //! with no lookup, lock, per-state record or options computation — only
-//! the rest are looked up, and only a miss computes its options (a state
+//! the rest are looked up, under the explorer's table key (states that
+//! differ only in courses nothing below them reads share one expansion),
+//! and only a miss computes its options (a state
 //! with none still resolves to the dead-end terminal) and is expanded and
 //! interned, with its summary folded from the child summaries the builder
 //! already holds. A state whose every selection a filter vetoes is an
@@ -1145,7 +1147,7 @@ impl Explorer<'_> {
                 floor_skipped += 1;
                 continue;
             }
-            if !self.selection_allowed(status, &selection) {
+            if !self.selection_allowed(&selection) {
                 continue;
             }
             let mut mask: Mask = [0; MASK_WORDS];
@@ -1185,7 +1187,10 @@ impl Explorer<'_> {
         let resolved = (id, summary);
         ctx.masks.truncate(mask_base);
         ctx.children.truncate(child_base);
-        ctx.expanded.insert(status.state_key(), resolved);
+        ctx.expanded.insert(
+            self.table_key(status.semester(), status.completed()),
+            resolved,
+        );
         Ok(resolved)
     }
 }
@@ -1227,9 +1232,10 @@ mod tests {
 
     /// Golden work counters of one fixed build: a change to what the
     /// builder interns shows up here. Terminal states resolve to their
-    /// kind's shared node without an intern call, so a build makes one
-    /// intern call per expanded state and per terminal kind reached; a
-    /// fresh build's hash-cons hits are the expanded states whose subtree
+    /// kind's shared node without an intern call, and expandable states
+    /// that share a table key share one expansion, so a build makes one
+    /// intern call per table key it expands and per terminal kind reached;
+    /// a fresh build's hash-cons hits are the expanded keys whose subtree
     /// matches an earlier one's by structure. A repeat build hits on every
     /// intern call.
     #[test]
@@ -1244,15 +1250,15 @@ mod tests {
         };
         let table = UniqueTable::new(0);
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (54, 54, 14));
+        assert_eq!(counters(&table), (54, 54, 9));
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (54, 54, 14 + 68));
+        assert_eq!(counters(&table), (54, 54, 9 + 63));
         assert_eq!(e.distinct_states(), 609);
 
         let e = small_explorer(&synth, 4);
         let table = UniqueTable::new(0);
         e.build_path_dag(&table, None, None).unwrap();
-        assert_eq!(counters(&table), (66, 66, 182));
+        assert_eq!(counters(&table), (66, 66, 0));
         assert_eq!(e.distinct_states(), 558);
     }
 
@@ -1423,8 +1429,8 @@ mod tests {
     /// second build of the frame into the same table finds every node it
     /// reaches already interned — the same root, no new node, and its hits
     /// rising by exactly the first build's intern calls (one per expanded
-    /// state and per terminal kind). An encoding that depended on anything
-    /// but the edge list would intern twins here.
+    /// table key and per terminal kind). An encoding that depended on
+    /// anything but the edge list would intern twins here.
     #[test]
     #[ignore = "builds the sparse-7sem DAG twice; run in release"]
     fn sparse_7sem_rebuild_is_all_hash_cons_hits() {
@@ -1436,8 +1442,8 @@ mod tests {
         let built = table.snapshot();
         let calls = built.interned + built.hash_cons_hits;
         assert_eq!(
-            calls, 74_603,
-            "one intern call per expanded state and per terminal kind reached"
+            calls, 74_559,
+            "one intern call per expanded table key and per terminal kind reached"
         );
         assert_eq!(built.nodes, built.interned);
         let second = explorer.build_path_dag(&table, None, None).unwrap();
@@ -1659,7 +1665,7 @@ mod tests {
                 for selection in expansion.selections(e.max_per_semester()) {
                     if selection.len() < expansion.min_selection {
                         floor_skipped += 1;
-                    } else if e.selection_allowed(&status, &selection) {
+                    } else if e.selection_allowed(&selection) {
                         let child = status.advance(e.catalog(), &selection);
                         let class = structural_class(e, child, pruner, by_state, classes);
                         edges.push((selection, class));

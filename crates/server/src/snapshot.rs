@@ -23,6 +23,9 @@
 //! `u16 count + count × u16 course ids`. Memo entries carry a one-byte
 //! tag for the two cached kinds: 0 for a count, 2 for a ranked summary.
 //! Tag 1 (version 1's collect suffix sets) is retired and never reused.
+//! An entry's state key is the engine's table key (`Explorer::table_key`):
+//! since version 3 it keeps only what the state's subtree can still read,
+//! so a version-2 file's full-state keys are refused, not reinterpreted.
 //!
 //! **The decoder never trusts a length field.** Every count is validated
 //! against the bytes actually remaining before a single element is
@@ -56,7 +59,7 @@ pub const MAGIC: &[u8; 8] = b"CNAVSNAP";
 
 /// Format version; bumped on any layout change (no migrations — see the
 /// module docs).
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// The snapshot's file name inside the snapshot directory.
 pub const SNAPSHOT_FILE: &str = "coursenav.snap";
@@ -738,6 +741,12 @@ mod tests {
         let mut v1 = good.clone();
         v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
         assert_eq!(decode(&v1), Err(DecodeError::BadVersion(1)));
+
+        // A version-2 file keys its entries by the full state, so it is
+        // refused by its version too.
+        let mut v2 = good.clone();
+        v2[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode(&v2), Err(DecodeError::BadVersion(2)));
 
         // Version 1's suffix-set tag is retired: one tenant, one table,
         // one entry tagged 1, padded past the entry-count check.

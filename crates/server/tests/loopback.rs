@@ -6,11 +6,12 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
 use coursenav_navigator::{
     AdviseRequest, ExplorationRequest, GoalSpec, OutputMode, RankingSpec, TranscriptSpec,
     WhatIfRequest,
 };
-use coursenav_registrar::brandeis_cs;
+use coursenav_registrar::{brandeis_cs, RegistrarData};
 use coursenav_server::{Server, ServerConfig};
 
 /// A minimal blocking HTTP/1.1 client over one TcpStream. `carry` holds
@@ -676,12 +677,30 @@ fn stampede_of_identical_cold_requests_computes_once() {
     .expect("start server");
     let addr = server.local_addr();
 
-    // A deliberately heavy request — `m = 5` takes on the order of a
-    // second in debug builds — so every one of the eight concurrent
-    // arrivals lands while the leader is still computing.
-    let data = brandeis_cs();
-    let mut req = ExplorationRequest::deadline_count(data.horizon.0, data.horizon.0 + 4, 5);
-    req.goal = Some(GoalSpec::Degree);
+    // A deliberately heavy request, so every one of the eight concurrent
+    // arrivals lands while the leader is still computing: a six-semester
+    // degree count on the sparse eight-semester catalog, about 0.1 s in
+    // release and seconds in debug builds. That catalog offers every
+    // course in every window, so no state's table key drops a course and
+    // the memo cannot shorten the count.
+    let synth = SyntheticCatalog::generate(&SyntheticConfig {
+        schedule_semesters: 8,
+        ..SyntheticConfig::sparse()
+    });
+    let mut req =
+        ExplorationRequest::degree_paths(synth.start, synth.start + 6, 3, OutputMode::Count);
+    req.tenant = Some("sparse".to_string());
+    server
+        .register_tenant(
+            "sparse",
+            RegistrarData {
+                catalog: synth.catalog,
+                degree: Some(synth.degree),
+                offering: Some(synth.offering),
+                horizon: (synth.start, synth.end),
+            },
+        )
+        .expect("register the sparse tenant");
     let json = req.to_json().unwrap();
 
     const N: usize = 8;

@@ -348,6 +348,30 @@ fn corrupt_files_reject_whole_and_missing_files_start_cold() {
         "{metrics:?}"
     );
     replica.shutdown();
+
+    // A complete version-2 file keys its entries by the full state, which
+    // no longer means what a table key means: refused the same way.
+    let mut v2 = whole.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &v2).expect("write v2");
+    let replica = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start replica");
+    match replica.warm_from(&dir) {
+        Err(RestoreError::Corrupt(msg)) => {
+            assert!(msg.contains("version 2"), "{msg}");
+        }
+        other => panic!("version-2 snapshot must be refused, got {other:?}"),
+    }
+    let answer =
+        roundtrip(replica.local_addr(), "POST", "/v1/explore", Some(&req)).expect("answers");
+    assert_eq!(answer.status, 200, "{}", answer.text());
+    assert_eq!(answer.header("x-cache"), Some("miss"));
+    let metrics = fetch_metrics(replica.local_addr());
+    assert_eq!(
+        metrics["snapshot"]["restored-entries"].as_u64(),
+        Some(0),
+        "{metrics:?}"
+    );
+    replica.shutdown();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
