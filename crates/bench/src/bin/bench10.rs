@@ -37,6 +37,8 @@
 //! sequential and parallel) is pinned by the `whatif_proptests` suite in
 //! `crates/navigator`.
 
+#![forbid(unsafe_code)]
+
 use coursenav_bench::{paper_instance, sparse_instance, timed, PAPER_M};
 use coursenav_navigator::{
     ExplorationRequest, ExplorationResponse, GoalSpec, NavigatorService, TranspositionTable,

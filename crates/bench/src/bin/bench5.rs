@@ -23,6 +23,8 @@
 //! only and skips the file, so CI exercises the harness without dirtying
 //! the committed artifact.
 
+#![forbid(unsafe_code)]
+
 use coursenav_bench::{
     paper_goal_explorer, paper_instance, sparse_instance, synthetic_goal_explorer, timed,
 };

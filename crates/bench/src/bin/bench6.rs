@@ -23,6 +23,8 @@
 //! committed `BENCH_6.json` is well-formed (the CI guard for the
 //! artifact).
 
+#![forbid(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};

@@ -22,6 +22,8 @@
 //! checks that the committed `BENCH_7.json` is well-formed (the CI guard
 //! for the artifact).
 
+#![forbid(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;

@@ -23,6 +23,8 @@
 //! checks that the committed `BENCH_8.json` is well-formed (the CI guard
 //! for the artifact).
 
+#![forbid(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};

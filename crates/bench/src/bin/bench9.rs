@@ -32,6 +32,8 @@
 //! live three-phase exercise, and validates the committed artifact
 //! instead of rewriting it (the CI guard).
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};

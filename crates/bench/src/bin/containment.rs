@@ -15,6 +15,8 @@
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin containment`
 
+#![forbid(unsafe_code)]
+
 use coursenav_bench::{
     paper_goal_explorer, paper_instance, secs, table2_goal_count, timed, PAPER_M,
     PAPER_MEMO_ENTRIES, TABLE2_GOAL_GOLDENS,

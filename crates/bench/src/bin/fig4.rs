@@ -16,6 +16,8 @@
 //! (`--csv` emits `k,period_semesters,seconds,paths,expanded` rows for
 //! plotting.)
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use coursenav_bench::{fig4_cell, secs, sparse_instance, timed, FIG4_GOLDENS};

@@ -18,6 +18,8 @@
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin table1 [--ablate]`
 
+#![forbid(unsafe_code)]
+
 use coursenav_bench::{paper_goal_explorer, paper_instance, secs, timed, TABLE1_GOLDENS};
 use coursenav_navigator::PruneConfig;
 

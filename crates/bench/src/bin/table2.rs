@@ -26,6 +26,8 @@
 //!
 //! Run: `cargo run -p coursenav-bench --release --bin table2 [-- --full]`
 
+#![forbid(unsafe_code)]
+
 use coursenav_bench::{
     paper_instance, secs, table2_deadline_count, table2_goal_count, timed, PAPER_MEMO_ENTRIES,
     TABLE2_DEADLINE_GOLDENS, TABLE2_GOAL_GOLDENS, TABLE2_NODE_BUDGET,

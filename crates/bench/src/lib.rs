@@ -7,6 +7,7 @@
 //! recorded in EXPERIMENTS.md.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

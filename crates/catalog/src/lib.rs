@@ -21,6 +21,7 @@
 //!   substitution rationale).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod course;

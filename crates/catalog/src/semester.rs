@@ -172,7 +172,13 @@ impl FromStr for Semester {
             .trim_start_matches('\'');
         let year: i32 = digits.parse().map_err(|_| err())?;
         let year = if digits.len() == 2 { 2000 + year } else { year };
-        Ok(Semester::new(year, term))
+        // `Semester::new` would overflow the index for years near the
+        // ends of `i32`.
+        let index = year
+            .checked_mul(2)
+            .and_then(|index| index.checked_add(matches!(term, Term::Fall) as i32))
+            .ok_or_else(err)?;
+        Ok(Semester { index })
     }
 }
 
@@ -269,6 +275,22 @@ mod tests {
         assert!("Fall".parse::<Semester>().is_err());
         assert!("Fall 20x1".parse::<Semester>().is_err());
         assert!("Fall 2011 extra".parse::<Semester>().is_err());
+    }
+
+    #[test]
+    fn parse_rejects_years_whose_index_overflows() {
+        assert!("Fall 2000000000".parse::<Semester>().is_err());
+        assert!("Spring 1073741824".parse::<Semester>().is_err());
+        assert!("Fall -1073741825".parse::<Semester>().is_err());
+        // The extremes of the index range still parse.
+        assert_eq!(
+            "Fall 1073741823".parse::<Semester>().unwrap().index(),
+            i32::MAX
+        );
+        assert_eq!(
+            "Spring -1073741824".parse::<Semester>().unwrap().index(),
+            i32::MIN
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   simpler Kuhn's-algorithm reference implementation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod matching;
 pub mod network;

@@ -25,6 +25,7 @@ use coursenav_catalog::{Catalog, CourseSet, Semester};
 use serde::{Deserialize, Serialize};
 
 use crate::cursor::ExplorationCursor;
+use crate::impact::LOCAL_TABLE_ENTRIES;
 use crate::memo::TranspositionTable;
 use crate::ranked::RankedPath;
 use crate::request::{ExplorationRequest, GoalSpec, OutputMode, RankingSpec};
@@ -37,11 +38,6 @@ pub const DEFAULT_MAX_PER_SEMESTER: usize = 3;
 
 /// Completions returned when a request leaves `k` out.
 pub const DEFAULT_K: usize = 5;
-
-/// Entry cap of the request-local transposition table used when the caller
-/// provides none: the memoized counting path (and its deadline handling)
-/// stays uniform, the table is dropped with the request.
-const LOCAL_TABLE_ENTRIES: usize = 1 << 14;
 
 /// A transcript as it crosses the wire: the semester the student started
 /// and the course *codes* they elected each semester, in order. An empty

@@ -140,7 +140,7 @@ impl Explorer<'_> {
         heuristic: &dyn RemainingCostHeuristic,
         k: usize,
     ) -> Result<(Vec<RankedPath>, ExploreStats), ExploreError> {
-        self.ranked_search(ranking, Some(heuristic), k, None)
+        self.ranked_search(ranking, Some(heuristic), 0, k, None)
             .map(|(paths, stats, _)| (paths, stats))
     }
 }

@@ -36,7 +36,7 @@ use crate::goal::Goal;
 use crate::graph::{LearningGraph, NodeId, NodeKind};
 use crate::memo::{StateKey, TranspositionTable};
 use crate::path::{LeafKind, Path, PathVisit};
-use crate::pruning::{record_prune, PruneConfig, PruneDecision, PruneReason, Pruner};
+use crate::pruning::{record_prune, OfferedRest, PruneConfig, PruneDecision, PruneReason, Pruner};
 use crate::stats::{ExploreStats, PathCounts};
 use crate::status::{Classifiable, EnrollmentStatus, Unexpanded};
 use crate::stream::Step;
@@ -83,6 +83,13 @@ pub(crate) fn no_table(_: &StateKey) -> Option<Infallible> {
     None
 }
 
+/// The longest horizon, in semesters from start to deadline, an
+/// exploration accepts. An explorer holds per-semester tables over its
+/// horizon and the walker's depth is the horizon, so without a bound one
+/// request's deadline could ask for any amount of memory; the paper's
+/// experiments and every shipped example span at most 8.
+pub const MAX_HORIZON_SEMESTERS: i64 = 64;
+
 /// One exploration request over a catalog. See the module docs.
 #[derive(Clone)]
 pub struct Explorer<'a> {
@@ -95,6 +102,7 @@ pub struct Explorer<'a> {
     prune: PruneConfig,
     strategic_selections: bool,
     filters: Vec<Arc<dyn SelectionFilter>>,
+    offered: OfferedRest,
     live: LiveCourses,
 }
 
@@ -111,21 +119,21 @@ struct LiveCourses {
 }
 
 impl LiveCourses {
-    fn new(catalog: &Catalog, start: Semester, deadline: Semester) -> LiveCourses {
+    fn new(catalog: &Catalog, offered: &OfferedRest, start: Semester, deadline: Semester) -> Self {
         let all = catalog.all_courses();
         let span = (deadline - start).max(0) as usize;
         let mut masks = vec![None; span];
-        let (mut offered_rest, mut live) = (CourseSet::EMPTY, CourseSet::EMPTY);
+        let mut live = CourseSet::EMPTY;
         // Built back to front, as suffix unions.
         for i in (0..span).rev() {
-            let offered = catalog.offered_in(start + i as i32);
-            for id in &offered.difference(&offered_rest) {
+            let semester = start + i as i32;
+            let offered_here = offered.from(semester);
+            for id in &offered_here.difference(&offered.from(semester.next())) {
                 catalog.course(id).prereq().for_each_atom(&mut |&atom| {
                     live.insert(atom);
                 });
             }
-            offered_rest.union_with(&offered);
-            live.union_with(&offered);
+            live.union_with(&offered_here);
             masks[i] = (!all.is_subset(&live)).then_some(live);
         }
         LiveCourses {
@@ -146,6 +154,10 @@ impl LiveCourses {
 impl<'a> Explorer<'a> {
     /// Algorithm 1: all learning paths from `start` to the `deadline`
     /// semester, taking at most `max_per_semester` courses per semester.
+    ///
+    /// Errors with [`ExploreError::InvalidRequest`] when the deadline
+    /// precedes the start or lies more than [`MAX_HORIZON_SEMESTERS`]
+    /// after it, or when `max_per_semester` is zero.
     pub fn deadline_driven(
         catalog: &'a Catalog,
         start: EnrollmentStatus,
@@ -158,11 +170,21 @@ impl<'a> Explorer<'a> {
                 start.semester()
             )));
         }
+        let horizon = i64::from(deadline.index()) - i64::from(start.semester().index());
+        if horizon > MAX_HORIZON_SEMESTERS {
+            return Err(ExploreError::InvalidRequest(format!(
+                "deadline {deadline} is {horizon} semesters after start semester {}; \
+                 at most {MAX_HORIZON_SEMESTERS} are explored",
+                start.semester()
+            )));
+        }
         if max_per_semester == 0 {
             return Err(ExploreError::InvalidRequest(
                 "max courses per semester must be at least 1".into(),
             ));
         }
+        let offered = OfferedRest::new(catalog, start.semester(), deadline);
+        let live = LiveCourses::new(catalog, &offered, start.semester(), deadline);
         Ok(Explorer {
             catalog,
             start,
@@ -173,12 +195,14 @@ impl<'a> Explorer<'a> {
             prune: PruneConfig::none(),
             strategic_selections: false,
             filters: Vec::new(),
-            live: LiveCourses::new(catalog, start.semester(), deadline),
+            offered,
+            live,
         })
     }
 
     /// Algorithm 2: learning paths that satisfy `goal` by `deadline`, with
     /// both pruning strategies enabled (§4.2's default configuration).
+    /// Refuses what [`Explorer::deadline_driven`] refuses.
     pub fn goal_driven(
         catalog: &'a Catalog,
         start: EnrollmentStatus,
@@ -271,7 +295,7 @@ impl<'a> Explorer<'a> {
                 self.deadline,
                 self.max_per_semester,
                 self.prune,
-                self.start.semester(),
+                &self.offered,
             )
         })
     }
@@ -281,12 +305,7 @@ impl<'a> Explorer<'a> {
     /// offered in a semester strictly between `s_i` and `d` (the Fig. 3
     /// `W₄,₇ = {}` rule; node n6 stops because nothing remains).
     fn can_wait(&self, status: &EnrollmentStatus) -> bool {
-        let first = status.semester().next();
-        let last = self.deadline + (-1);
-        if first > last {
-            return false;
-        }
-        let future_pool = self.catalog.offered_between(first, last);
+        let future_pool = self.offered.from(status.semester().next());
         !future_pool.difference(status.completed()).is_empty()
     }
 

@@ -5,9 +5,9 @@
 //! paths to a CS major?"* [`Explorer::selection_impacts`] answers it: for
 //! every selection the student could make this semester, it reports the
 //! options unlocked next semester and the number of learning paths (and
-//! goal paths, for goal-driven runs) in the resulting subtree — read
-//! straight off the hash-consed path DAG ([`crate::unique`]), where every
-//! root edge's child node already carries its subtree counts, so even
+//! goal paths, for goal-driven runs) in the resulting subtree. Each
+//! subtree is counted by the depth-first walker through one transposition
+//! table, so the states sibling subtrees share are counted once, and even
 //! 10⁷-path subtrees answer in milliseconds.
 
 use std::time::Instant;
@@ -17,7 +17,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::explorer::Explorer;
 use crate::memo::TranspositionTable;
-use crate::unique::{DagNodeId, DagNodeKind, UniqueTable};
+
+/// Entry cap of the request-local transposition table that
+/// [`Explorer::selection_impacts`] and table-less advising count through;
+/// the table is dropped with the request. A ceiling, not an allocation:
+/// the table grows only with the states a request resolves.
+pub(crate) const LOCAL_TABLE_ENTRIES: usize = 1 << 20;
 
 /// The downstream effect of electing one selection this semester.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,37 +47,8 @@ impl Explorer<'_> {
     /// Returns an empty vector when the start node is terminal (deadline
     /// reached, goal already satisfied, or no options and no wait).
     pub fn selection_impacts(&self) -> Vec<SelectionImpact> {
-        let table = UniqueTable::new(0);
-        let root = self
-            .build_path_dag(&table, None, None)
-            .expect("unbudgeted build cannot fail");
-        self.impacts_from_dag(&table, root)
-    }
-
-    /// Projects [`SelectionImpact`]s out of an already-built path DAG
-    /// rooted at this explorer's start state: each root edge already
-    /// carries the subtree's path counts on its interned child node, so
-    /// no re-exploration happens at all. Returns an empty vector when the
-    /// root is terminal.
-    pub fn impacts_from_dag(&self, table: &UniqueTable, root: DagNodeId) -> Vec<SelectionImpact> {
-        let node = table.node(root);
-        let DagNodeKind::Interior { edges, .. } = &node.kind else {
-            return Vec::new();
-        };
-        let start = *self.start();
-        let mut impacts = Vec::new();
-        for (selection, child_id) in edges.iter() {
-            let child_status = start.advance(self.catalog(), &selection);
-            let child = table.node(child_id);
-            impacts.push(SelectionImpact {
-                selection,
-                options_next_semester: child_status.options().len(),
-                paths: child.paths,
-                goal_paths: child.goal_paths,
-            });
-        }
-        rank(&mut impacts);
-        impacts
+        let table = TranspositionTable::new(LOCAL_TABLE_ENTRIES);
+        self.selection_impacts_memo_until(&table, None).0
     }
 
     /// [`Explorer::selection_impacts`] through a transposition table: each
@@ -80,8 +56,9 @@ impl Explorer<'_> {
     /// through `table`, so subtrees already in it (from earlier requests,
     /// or from other students in a cohort whose transcripts converge on
     /// the same enrollment status) answer without re-expansion, and
-    /// newly-counted subtrees warm the table for the next caller. The impacts — counts,
-    /// order, everything — are byte-identical to the un-memoized ones.
+    /// newly-counted subtrees warm the table for the next caller. The
+    /// impacts — counts, order, everything — are byte-identical whatever
+    /// the table holds.
     ///
     /// The boolean marks truncation: when `deadline` expires mid-count the
     /// affected entries are lower bounds and nothing partial was cached.
@@ -209,7 +186,23 @@ mod tests {
         let start = EnrollmentStatus::fresh(&s.catalog, s.start);
         let goal = Goal::degree(s.degree.clone());
         let e = Explorer::goal_driven(&s.catalog, start, s.start + 4, 3, goal).unwrap();
-        let plain = e.selection_impacts();
+        // The reference counts each root child with no table at all.
+        let (_, children) = e.expand_root().unwrap();
+        let mut plain: Vec<SelectionImpact> = children
+            .into_iter()
+            .map(|(selection, child)| {
+                let subtree = e.restarted(child);
+                let counts = subtree.count_paths();
+                SelectionImpact {
+                    selection,
+                    options_next_semester: subtree.start().options().len(),
+                    paths: counts.total_paths,
+                    goal_paths: counts.goal_paths,
+                }
+            })
+            .collect();
+        rank(&mut plain);
+        assert_eq!(e.selection_impacts(), plain);
         let table = TranspositionTable::new(1 << 14);
         let (cold, cold_truncated) = e.selection_impacts_memo_until(&table, None);
         assert!(!cold_truncated);

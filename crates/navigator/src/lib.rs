@@ -27,7 +27,7 @@
 //!   reliability / weighted composites);
 //! - extensions called out in the paper's future work: selection and path
 //!   [`filter`]s, a memoized-DAG counting mode ([`dedup`]), and parallel
-//!   counting and top-k ([`parallel`]);
+//!   counting ([`parallel`]);
 //! - a status-keyed transposition table ([`memo`]) that folds the
 //!   exploration tree into a DAG: per-subtree counts (read and written by
 //!   the walker) and, for decomposable rankings, top-k summaries, shared
@@ -38,6 +38,7 @@
 //!   resume semantics ([`resume`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod advise;
 pub mod apply;

@@ -7,6 +7,8 @@
 //! an invariant the integration tests verify exhaustively on small
 //! instances.
 
+use std::sync::Arc;
+
 use coursenav_catalog::{Catalog, CourseSet, Semester};
 use serde::{Deserialize, Serialize};
 
@@ -76,16 +78,55 @@ impl Default for PruneConfig {
 /// Per-strategy prune counters for one run (the §5.2 82%/18% breakdown).
 pub type PruneStats = ExploreStats;
 
+/// Courses offered in `s ..= d−1` for every semester `s` from an
+/// exploration's start to its deadline `d`: the availability strategy's
+/// `C_offered`, the pool the wait rule reads, and the base of the
+/// explorer's `Live(s)`. Built back to front once per explorer and shared
+/// by every run and every restarted copy of it.
+#[derive(Debug, Clone)]
+pub(crate) struct OfferedRest {
+    /// `Semester::index()` of `suffix[0]`.
+    first: i32,
+    suffix: Arc<[CourseSet]>,
+}
+
+impl OfferedRest {
+    pub(crate) fn new(catalog: &Catalog, start: Semester, deadline: Semester) -> OfferedRest {
+        let span = (deadline - start).max(0) as usize;
+        let mut suffix = vec![CourseSet::EMPTY; span];
+        let mut acc = CourseSet::EMPTY;
+        for i in (0..span).rev() {
+            acc.union_with(&catalog.offered_in(start + i as i32));
+            suffix[i] = acc;
+        }
+        OfferedRest {
+            first: start.index(),
+            suffix: suffix.into(),
+        }
+    }
+
+    /// Courses offered in `semester ..= d−1`; empty from `d` on.
+    ///
+    /// # Panics
+    /// If `semester` precedes the start the table was built from: no state
+    /// of an exploration, or of a subtree restarted from one, does.
+    pub(crate) fn from(&self, semester: Semester) -> CourseSet {
+        let offset = usize::try_from(semester.index() - self.first)
+            .expect("states never precede the exploration's start");
+        self.suffix.get(offset).copied().unwrap_or(CourseSet::EMPTY)
+    }
+}
+
 /// Decision oracle bundling the goal, deadline, and per-semester caps.
 ///
 /// `should_prune` is invoked on a node *before* expanding it, exactly as
 /// §4.2.3 describes ("before creating new edges and nodes at node `n_i` …
 /// we use our time-based and course-availability based pruning strategies").
 ///
-/// Construction precomputes everything that is constant across the run:
-/// the full course set, whether the goal is satisfiable at all, and the
-/// per-semester suffix unions of course offerings the availability strategy
-/// consults — the oracles then run allocation-free per node.
+/// Construction precomputes whether the goal is satisfiable at all; the
+/// per-semester suffix unions of course offerings the availability
+/// strategy consults are the explorer's `OfferedRest`, so the oracles
+/// run allocation-free per node.
 #[derive(Debug, Clone)]
 pub struct Pruner<'a> {
     catalog: &'a Catalog,
@@ -93,14 +134,10 @@ pub struct Pruner<'a> {
     deadline: Semester,
     max_per_semester: usize,
     config: PruneConfig,
-    /// First semester the exploration can visit.
-    start: Semester,
     /// Whether the goal holds even when every course is completed; when
     /// false, every node prunes immediately (time-based).
     reachable_with_all: bool,
-    /// `offered_suffix[i]` = courses offered in any semester of
-    /// `start+i ..= deadline-1` (the availability strategy's `C_offered`).
-    offered_suffix: Vec<CourseSet>,
+    offered: &'a OfferedRest,
 }
 
 /// Why a node was pruned.
@@ -129,46 +166,23 @@ pub enum PruneDecision {
 }
 
 impl<'a> Pruner<'a> {
-    /// Builds a pruner for one exploration run starting at `start`.
-    pub fn new(
+    /// Builds a pruner for one exploration run over `offered`.
+    pub(crate) fn new(
         catalog: &'a Catalog,
         goal: &'a Goal,
         deadline: Semester,
         max_per_semester: usize,
         config: PruneConfig,
-        start: Semester,
+        offered: &'a OfferedRest,
     ) -> Pruner<'a> {
-        let reachable_with_all = goal.satisfied(&catalog.all_courses());
-        // Suffix unions, built back to front: suffix(i) covers start+i ..= deadline-1.
-        let span = (deadline - start).max(0) as usize;
-        let mut offered_suffix = vec![CourseSet::EMPTY; span];
-        let mut acc = CourseSet::EMPTY;
-        for i in (0..span).rev() {
-            acc.union_with(&catalog.offered_in(start + i as i32));
-            offered_suffix[i] = acc;
-        }
         Pruner {
             catalog,
             goal,
             deadline,
             max_per_semester,
             config,
-            start,
-            reachable_with_all,
-            offered_suffix,
-        }
-    }
-
-    /// Offerings in `semester ..= deadline-1`, from the precomputed suffixes
-    /// (falling back to a direct computation for out-of-range semesters).
-    fn offered_rest(&self, semester: Semester) -> CourseSet {
-        let idx = semester - self.start;
-        if idx >= 0 && (idx as usize) < self.offered_suffix.len() {
-            self.offered_suffix[idx as usize]
-        } else if semester < self.start {
-            self.catalog.offered_between(semester, self.deadline + (-1))
-        } else {
-            CourseSet::EMPTY
+            reachable_with_all: goal.satisfied(&catalog.all_courses()),
+            offered,
         }
     }
 
@@ -262,7 +276,7 @@ impl<'a> Pruner<'a> {
             completed
         } else {
             // Paper-faithful: all offerings, prerequisites ignored.
-            completed.union(&self.offered_rest(semester))
+            completed.union(&self.offered.from(semester))
         };
         !self.goal.satisfied(&best_case)
     }
@@ -313,7 +327,8 @@ mod tests {
         // semester, so even taking everything misses 11A.
         let cat = fig3();
         let goal = all_three_goal(&cat);
-        let pruner = Pruner::new(&cat, &goal, fall(2012), 3, PruneConfig::all(), fall(2011));
+        let offered = OfferedRest::new(&cat, fall(2011), fall(2012));
+        let pruner = Pruner::new(&cat, &goal, fall(2012), 3, PruneConfig::all(), &offered);
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         let only_29a = CourseSet::from_iter([cat.id_of_str("29A").unwrap()]);
         let n4 = n1.advance(&cat, &only_29a);
@@ -324,7 +339,8 @@ mod tests {
     fn promising_nodes_are_not_pruned() {
         let cat = fig3();
         let goal = all_three_goal(&cat);
-        let pruner = Pruner::new(&cat, &goal, fall(2012), 3, PruneConfig::all(), fall(2011));
+        let offered = OfferedRest::new(&cat, fall(2011), fall(2012));
+        let pruner = Pruner::new(&cat, &goal, fall(2012), 3, PruneConfig::all(), &offered);
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         assert_eq!(pruner.should_prune(&n1), None);
         // n3 (completed {11A, 29A}) can still finish via 21A in Spring '12.
@@ -339,7 +355,8 @@ mod tests {
         // left=3 but only 2 selection semesters remain at 1 course each.
         let cat = fig3();
         let goal = all_three_goal(&cat);
-        let pruner = Pruner::new(&cat, &goal, spring(2012), 1, PruneConfig::all(), fall(2011));
+        let offered = OfferedRest::new(&cat, fall(2011), spring(2012));
+        let pruner = Pruner::new(&cat, &goal, spring(2012), 1, PruneConfig::all(), &offered);
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         assert_eq!(pruner.should_prune(&n1), Some(PruneReason::Time));
     }
@@ -350,13 +367,14 @@ mod tests {
         let cat = fig3();
         let goal = all_three_goal(&cat);
         // Deadline Spring '12: semesters_left = 1 at the Fall '11 root.
+        let offered = OfferedRest::new(&cat, fall(2011), spring(2012));
         let pruner = Pruner::new(
             &cat,
             &goal,
             spring(2012),
             3,
             PruneConfig::time_only(),
-            fall(2011),
+            &offered,
         );
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         // 3 <= 3*1: not pruned by time (availability would catch it, but
@@ -368,14 +386,8 @@ mod tests {
     fn disabled_strategies_never_fire() {
         let cat = fig3();
         let goal = all_three_goal(&cat);
-        let pruner = Pruner::new(
-            &cat,
-            &goal,
-            spring(2012),
-            1,
-            PruneConfig::none(),
-            fall(2011),
-        );
+        let offered = OfferedRest::new(&cat, fall(2011), spring(2012));
+        let pruner = Pruner::new(&cat, &goal, spring(2012), 1, PruneConfig::none(), &offered);
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         assert_eq!(pruner.should_prune(&n1), None);
     }
@@ -392,19 +404,20 @@ mod tests {
         let goal = Goal::complete_all(CourseSet::from_iter([cat.id_of_str("21A").unwrap()]));
         let status = EnrollmentStatus::fresh(&cat, spring(2012));
 
+        let offered = OfferedRest::new(&cat, spring(2012), fall(2012));
         let faithful = Pruner::new(
             &cat,
             &goal,
             fall(2012),
             3,
             PruneConfig::availability_only(),
-            spring(2012),
+            &offered,
         );
         assert_eq!(faithful.should_prune(&status), None);
 
         let mut closure_cfg = PruneConfig::availability_only();
         closure_cfg.availability_respects_prereqs = true;
-        let closure = Pruner::new(&cat, &goal, fall(2012), 3, closure_cfg, spring(2012));
+        let closure = Pruner::new(&cat, &goal, fall(2012), 3, closure_cfg, &offered);
         assert_eq!(
             closure.should_prune(&status),
             Some(PruneReason::Availability)
@@ -415,7 +428,8 @@ mod tests {
     fn node_at_deadline_pruned_iff_goal_unmet() {
         let cat = fig3();
         let goal = Goal::complete_all(CourseSet::from_iter([cat.id_of_str("11A").unwrap()]));
-        let pruner = Pruner::new(&cat, &goal, fall(2011), 3, PruneConfig::all(), fall(2011));
+        let offered = OfferedRest::new(&cat, fall(2011), fall(2011));
+        let pruner = Pruner::new(&cat, &goal, fall(2011), 3, PruneConfig::all(), &offered);
         let unmet = EnrollmentStatus::fresh(&cat, fall(2011));
         assert!(pruner.should_prune(&unmet).is_some());
         let met = EnrollmentStatus::new(
@@ -433,13 +447,14 @@ mod tests {
         // at least one course this semester.
         let cat = fig3();
         let goal = all_three_goal(&cat);
+        let offered = OfferedRest::new(&cat, fall(2011), fall(2012));
         let pruner = Pruner::new(
             &cat,
             &goal,
             fall(2012),
             2,
             PruneConfig::time_only(),
-            fall(2011),
+            &offered,
         );
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         assert_eq!(
@@ -455,7 +470,7 @@ mod tests {
             fall(2012),
             3,
             PruneConfig::time_only(),
-            fall(2011),
+            &offered,
         );
         assert_eq!(
             pruner.evaluate(&n1),
@@ -469,7 +484,8 @@ mod tests {
     fn evaluate_without_time_strategy_has_no_floor() {
         let cat = fig3();
         let goal = all_three_goal(&cat);
-        let pruner = Pruner::new(&cat, &goal, fall(2012), 1, PruneConfig::none(), fall(2011));
+        let offered = OfferedRest::new(&cat, fall(2011), fall(2012));
+        let pruner = Pruner::new(&cat, &goal, fall(2012), 1, PruneConfig::none(), &offered);
         let n1 = EnrollmentStatus::fresh(&cat, fall(2011));
         assert_eq!(
             pruner.evaluate(&n1),

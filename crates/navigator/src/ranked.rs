@@ -14,11 +14,17 @@
 //! paper's Lemma 2. The search reuses the goal-driven pruning strategies,
 //! so hopeless branches never enter the heap.
 //!
-//! The tree-rank tie-break (rather than global insertion FIFO) makes the
-//! order *composable*: the pop order restricted to any first-level subtree
-//! equals that subtree's own search order, so `parallel.rs` can search
-//! subtrees independently (seeded via `Explorer::ranked_search_seeded`)
-//! and merge by (cost, child index) into the exact sequential answer.
+//! The tree-rank tie-break (rather than global insertion FIFO) puts
+//! equal-cost paths in depth-first order, whatever the frontier's
+//! schedule. The memoized k-best (`memo.rs`) merges suffix lists in
+//! (length, child index) order, which is this order, and a ranked page
+//! falls back to this search when the memo's DP misses its deadline, so
+//! the two engines must agree tie for tie; the paged replay relies on the
+//! order being a function of the request alone. Under a constant edge
+//! cost FIFO would coincide with it, but a zero-cost edge (a wait under
+//! the workload ranking) gives a child its parent's cost, and FIFO would
+//! pop that child after equal-cost nodes pushed earlier, reordering ties
+//! and so which tied paths make the top k.
 //!
 //! [`Explorer::top_k_by_enumeration`] is the brute-force baseline
 //! (enumerate all goal paths, sort, truncate), kept as the ablation
@@ -110,7 +116,7 @@ impl Explorer<'_> {
         ranking: &dyn Ranking,
         k: usize,
     ) -> Result<(Vec<RankedPath>, ExploreStats), ExploreError> {
-        self.ranked_search(ranking, None, k, None)
+        self.ranked_search(ranking, None, 0, k, None)
             .map(|(paths, stats, _)| (paths, stats))
     }
 
@@ -124,56 +130,27 @@ impl Explorer<'_> {
         k: usize,
         deadline: Option<Instant>,
     ) -> Result<(Vec<RankedPath>, bool), ExploreError> {
-        self.ranked_search(ranking, None, k, deadline)
+        self.ranked_search(ranking, None, 0, k, deadline)
             .map(|(paths, _, truncated)| (paths, truncated))
     }
 
-    /// The shared best-first / A* engine behind [`Explorer::top_k`] and
-    /// [`Explorer::top_k_astar`]. The third element of the result is the
-    /// truncation marker: `true` when `deadline` expired before the search
-    /// finished.
+    /// The one best-first / A* engine behind [`Explorer::top_k`],
+    /// [`Explorer::top_k_astar`] and ranked pages: it *skips* the first
+    /// `skip` goal paths, then collects up to `k`. Because the pop order
+    /// is fully deterministic (cost, then tree rank), replaying the search
+    /// with a skip count resumes a paused top-k run: page `n+1` is exactly
+    /// the slice the unpaged search would have produced after page `n`'s
+    /// paths. The skipped prefix re-pops heap entries but never
+    /// reconstructs paths, so resume cost stays well below a cold full
+    /// collection. The third element of the result is the truncation
+    /// marker: `true` when `deadline` expired before the search finished.
     pub(crate) fn ranked_search(
-        &self,
-        ranking: &dyn Ranking,
-        heuristic: Option<&dyn crate::astar::RemainingCostHeuristic>,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
-        self.ranked_search_seeded(ranking, heuristic, k, deadline, 0.0)
-    }
-
-    /// [`Explorer::ranked_search`] with the root's accumulated cost seeded
-    /// to `initial_cost` instead of `0.0`. This is how `parallel.rs`
-    /// searches a first-level subtree: seeding with `0.0 + edge_cost(root,
-    /// selection)` reproduces the sequential engine's left-fold cost
-    /// accumulation bit for bit, so merged answers stay byte-identical.
-    pub(crate) fn ranked_search_seeded(
-        &self,
-        ranking: &dyn Ranking,
-        heuristic: Option<&dyn crate::astar::RemainingCostHeuristic>,
-        k: usize,
-        deadline: Option<Instant>,
-        initial_cost: f64,
-    ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
-        self.ranked_search_paged(ranking, heuristic, 0, k, deadline, initial_cost)
-    }
-
-    /// [`Explorer::ranked_search_seeded`] that additionally *skips* the
-    /// first `skip` goal paths before collecting up to `k`. Because the
-    /// best-first pop order is fully deterministic (cost, then tree rank),
-    /// replaying the search with a skip count resumes a paused top-k run:
-    /// page `n+1` is exactly the slice the unpaged search would have
-    /// produced after page `n`'s paths. The skipped prefix re-pops heap
-    /// entries but never reconstructs paths, so resume cost stays well
-    /// below a cold full collection.
-    pub(crate) fn ranked_search_paged(
         &self,
         ranking: &dyn Ranking,
         heuristic: Option<&dyn crate::astar::RemainingCostHeuristic>,
         skip: usize,
         k: usize,
         deadline: Option<Instant>,
-        initial_cost: f64,
     ) -> Result<(Vec<RankedPath>, ExploreStats, bool), ExploreError> {
         let Some(goal) = self.goal() else {
             return Err(ExploreError::InvalidRequest(
@@ -204,8 +181,8 @@ impl Explorer<'_> {
         }];
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
-            priority: initial_cost + h(root),
-            cost: initial_cost,
+            priority: h(root),
+            cost: 0.0,
             rank: Vec::new(),
             node: 0,
         });
@@ -389,13 +366,13 @@ mod tests {
         let start = EnrollmentStatus::fresh(&synth.catalog, synth.start);
         let goal = Goal::degree(synth.degree.clone());
         let e = Explorer::goal_driven(&synth.catalog, start, synth.start + 4, 3, goal).unwrap();
-        let (full, _, _) = e.ranked_search(&TimeRanking, None, 20, None).unwrap();
+        let (full, _, _) = e.ranked_search(&TimeRanking, None, 0, 20, None).unwrap();
         assert!(full.len() > 5);
         for page_size in [1usize, 3, 7] {
             let mut paged: Vec<RankedPath> = Vec::new();
             while paged.len() < full.len() {
                 let (page, _, truncated) = e
-                    .ranked_search_paged(&TimeRanking, None, paged.len(), page_size, None, 0.0)
+                    .ranked_search(&TimeRanking, None, paged.len(), page_size, None)
                     .unwrap();
                 assert!(!truncated);
                 if page.is_empty() {

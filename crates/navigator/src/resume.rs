@@ -70,8 +70,7 @@ pub(crate) struct PageSpec<'t> {
     pub(crate) size: Option<usize>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) table: Option<&'t TranspositionTable>,
-    /// Worker threads for the count and top-k fan-outs. Only an unpaged
-    /// count fans out; a top-k fans out on its first page.
+    /// Worker threads for an unpaged count, the one mode that fans out.
     pub(crate) parallelism: usize,
 }
 
@@ -357,25 +356,13 @@ impl NavigatorService<'_> {
             // follow, so no trailing empty page is ever promised.
             None => {
                 let wanted = page_cap.saturating_add(1).min(remaining);
-                let (mut paths, deadline_truncated) = if page.parallelism > 1 && emitted_before == 0
-                {
-                    explorer.top_k_parallel_until(
-                        ranking.as_ref(),
-                        wanted,
-                        page.parallelism,
-                        page.deadline,
-                    )?
-                } else {
-                    let (paths, _stats, truncated) = explorer.ranked_search_paged(
-                        ranking.as_ref(),
-                        None,
-                        emitted_before,
-                        wanted,
-                        page.deadline,
-                        0.0,
-                    )?;
-                    (paths, truncated)
-                };
+                let (mut paths, _stats, deadline_truncated) = explorer.ranked_search(
+                    ranking.as_ref(),
+                    None,
+                    emitted_before,
+                    wanted,
+                    page.deadline,
+                )?;
                 let more = deadline_truncated || paths.len() > page_cap;
                 paths.truncate(page_cap);
                 (paths, more)

@@ -348,11 +348,11 @@ impl<'a> NavigatorService<'a> {
     /// An explicit `deadline` overrides the request's own `budget_ms` (the
     /// serving layer passes its per-request deadline here).
     ///
-    /// `parallelism > 1` fans the first-level subtrees of a count or top-k
-    /// across that many scoped worker threads. With a `table`, whole
-    /// subtrees already in it are answered from it instead of being
-    /// re-explored, and newly-explored subtrees are inserted for the next
-    /// run; `None` walks every subtree. Every combination answers
+    /// `parallelism > 1` fans the first-level subtrees of a count across
+    /// that many scoped worker threads; every other mode runs on one.
+    /// With a `table`, whole subtrees already in it are answered from it
+    /// instead of being re-explored, and newly-explored subtrees are
+    /// inserted for the next run; `None` walks every subtree. Every combination answers
     /// byte-identically — same counts, same paths, same order,
     /// bit-identical costs, same *logical* statistics (memo hits replay the
     /// cached subtree's counters, so the §5.2 pruning breakdown is stable
@@ -363,8 +363,8 @@ impl<'a> NavigatorService<'a> {
     /// and no page size. Count and collect step the one depth-first walker
     /// — a count through the table when there is one, fanned out when
     /// `parallelism > 1`; a collect never reads the table and never fans
-    /// out, since its output limit bounds its work. Top-k uses cached
-    /// suffix summaries only under a *decomposable* ranking
+    /// out, since its output limit bounds its work. Top-k never fans out:
+    /// it uses cached suffix summaries only under a *decomposable* ranking
     /// ([`RankingSpec::decomposable`]) and the un-memoized best-first
     /// search otherwise — or when the deadline expires mid-computation, so
     /// a deadline-bound response is always a correct best-first prefix.
@@ -561,6 +561,35 @@ mod tests {
             service.run(&req).unwrap_err(),
             ServiceError::NoOfferingModelConfigured
         );
+    }
+
+    #[test]
+    fn horizons_past_the_bound_are_invalid_requests() {
+        let cat = fig3();
+        let service = NavigatorService::new(&cat);
+        let bound = crate::explorer::MAX_HORIZON_SEMESTERS as i32;
+        for goal in [None, Some(GoalSpec::CompleteAll(vec!["11A".into()]))] {
+            let mut req = base_request();
+            req.goal = goal;
+            // Nothing is offered after Fall 2012, so even the longest
+            // horizon's tree is small.
+            req.deadline = req.start_semester + bound;
+            assert!(service.run(&req).is_ok(), "{req:?}");
+            // One semester more, and a deadline whose per-semester tables
+            // alone would take about 150 GB.
+            for deadline in [
+                req.start_semester + (bound + 1),
+                "Fall 1000000000".parse().unwrap(),
+            ] {
+                req.deadline = deadline;
+                let err = service.run(&req).unwrap_err();
+                assert!(
+                    matches!(err, ServiceError::Explore(ExploreError::InvalidRequest(_))),
+                    "{err:?}"
+                );
+                assert_eq!(err.code(), "invalid-request");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! with its interned `CourseId`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dnf;
 pub mod expr;

@@ -20,6 +20,7 @@
 //!   the paper's registrar dataset; see DESIGN.md §3).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog_file;
 pub mod error;

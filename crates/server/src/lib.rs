@@ -23,8 +23,8 @@
 //!    with 503 load-shedding, capped request bodies, byte-budgeted cache.
 //! 4. **One engine run per answer.** Concurrent duplicates of a cold
 //!    request coalesce onto a single computation ([`singleflight`]); the
-//!    engine itself can fan first-level subtrees across cores
-//!    (`parallelism`) without changing a byte of the answer.
+//!    engine itself can fan an unpaged count's first-level subtrees
+//!    across cores (`parallelism`) without changing a byte of the answer.
 //!
 //! The complete wire-API reference — every `/v1` route, request/response
 //! shapes, typed error codes, and the deprecation policy for the
@@ -89,6 +89,8 @@
 //! and the admin routes.
 
 #![warn(missing_docs)]
+// Raw syscalls are the one unsafe code, confined to `sys`.
+#![deny(unsafe_code)]
 
 /// Runs `$action` when the armed fault plan fires at `$site` — compiled
 /// out entirely (no branch, no plan lookup) without the `chaos` feature.
@@ -117,6 +119,7 @@ pub mod registry;
 pub mod session;
 pub mod singleflight;
 pub mod snapshot;
+#[allow(unsafe_code)]
 pub mod sys;
 pub mod timer;
 
@@ -176,9 +179,10 @@ pub struct ServerConfig {
     /// Wall-clock budget applied to explorations that do not carry their
     /// own `budget_ms`; `None` lets them run to completion.
     pub default_budget_ms: Option<u64>,
-    /// Engine worker threads per exploration: first-level subtrees are
-    /// dealt across this many scoped workers. `1` runs sequentially;
-    /// parallel answers are byte-identical to sequential ones.
+    /// Worker threads for an unpaged count: its first-level subtrees are
+    /// dealt across this many scoped workers. Every other mode runs on
+    /// one. `1` runs sequentially; parallel counts are byte-identical to
+    /// sequential ones.
     pub parallelism: usize,
     /// Per-table cap on the cross-request transposition tables that let
     /// different requests over the same exploration tree share subtree

@@ -800,6 +800,29 @@ fn stampede_of_identical_cold_requests_computes_once() {
     server.shutdown();
 }
 
+#[test]
+fn far_deadlines_are_refused_and_the_server_keeps_answering() {
+    let server = start_default();
+    let addr = server.local_addr();
+    // Per-explorer tables for this horizon would take about 150 GB.
+    let mut far = count_request();
+    far.deadline = "Fall 1000000000".parse().unwrap();
+    let resp = Client::connect(addr).send("POST", "/v1/explore", Some(&far.to_json().unwrap()));
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(
+        resp.body.contains("\"code\":\"invalid-request\""),
+        "{}",
+        resp.body
+    );
+    let resp = Client::connect(addr).send(
+        "POST",
+        "/v1/explore",
+        Some(&count_request().to_json().unwrap()),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    server.shutdown();
+}
+
 /// Replaces every `millis` field (timing metadata) with zero so response
 /// bodies can be compared for *semantic* byte-identity.
 fn zero_millis(value: &mut serde_json::Value) {

@@ -154,6 +154,25 @@ fn whatif_answers_counts_with_cache_headers() {
 }
 
 #[test]
+fn unrepresentable_semesters_are_invalid_requests() {
+    let server = server();
+    // `year * 2 + term` overflows the semester index.
+    let body = common::count_request()
+        .to_json()
+        .unwrap()
+        .replace("\"Fall 2014\"", "\"Fall 2000000000\"");
+    assert!(body.contains("Fall 2000000000"), "{body}");
+    let resp = send(&server, "POST", "/v1/explore", Some(&body));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("\"code\":\"invalid-request\""),
+        "{}",
+        resp.text()
+    );
+    server.shutdown();
+}
+
+#[test]
 fn whatif_force_requires_unpaged_counts() {
     let server = server();
     let mut req = whatif_request();

@@ -18,6 +18,7 @@
 //!   path set.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod containment;
 pub mod policy;

@@ -11,6 +11,7 @@
 //!   front ends.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ascii;
 pub mod dot;

@@ -2,6 +2,8 @@
 //! command line. All logic lives in [`coursenavigator::cli`]; this wrapper
 //! only handles process plumbing.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

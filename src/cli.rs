@@ -52,7 +52,7 @@
 //!   --max-conns <n>              concurrent connection cap (default 10000;
 //!                                past it, new connections get a 503 and
 //!                                are closed)
-//!   --parallelism <n>            engine worker threads per exploration
+//!   --parallelism <n>            worker threads for an unpaged count
 //!   --memo-entries <n>           per-table transposition cap (0 disables)
 //!   --dag-nodes <n>              per-tenant node budget for the what-if
 //!                                path-DAG table, in structurally distinct

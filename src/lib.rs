@@ -13,6 +13,7 @@
 //! - [`viz`]: DOT / ASCII / JSON visualization of learning graphs and paths.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 
