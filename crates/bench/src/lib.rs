@@ -1,4 +1,4 @@
-//! Shared setup for the CourseNavigator benchmark harness.
+//! Shared setup for the CourseNavigator paper-artifact binaries.
 //!
 //! One module per experiment lives in `src/bin/` (table-printing binaries)
 //! and `benches/` (Criterion microbenchmarks); this library holds the
@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use coursenav_catalog::{Semester, SyntheticCatalog, SyntheticConfig};
+use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
 use coursenav_navigator::{
     EnrollmentStatus, ExploreStats, Explorer, Goal, PathCounts, PruneConfig, RankedPath,
     TimeRanking, TranspositionTable,
@@ -25,16 +25,6 @@ pub const PAPER_M: usize = 3;
 /// The evaluation instance: the bundled Brandeis-like 38-course catalog.
 pub fn paper_instance() -> RegistrarData {
     brandeis_cs()
-}
-
-/// A synthetic paper-shaped instance with a longer schedule horizon, used
-/// where an experiment needs more semesters than the bundled catalog covers
-/// (Figure 4 explores up to 8 semesters).
-pub fn synthetic_instance(schedule_semesters: usize) -> SyntheticCatalog {
-    SyntheticCatalog::generate(&SyntheticConfig {
-        schedule_semesters,
-        ..SyntheticConfig::default()
-    })
 }
 
 /// The sparse paper-shaped instance (registrar-like branching factor;
@@ -204,11 +194,6 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// Deadline semester for an n-selection-semester exploration from `start`.
-pub fn deadline_for(start: Semester, semesters: i32) -> Semester {
-    start + semesters
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +210,7 @@ mod tests {
 
     #[test]
     fn synthetic_instance_has_requested_horizon() {
-        let synth = synthetic_instance(8);
+        let synth = sparse_instance(8);
         assert_eq!(synth.end - synth.start, 7);
         // 8 selection semesters use the full schedule; the deadline node
         // sits one semester past the last scheduled one.

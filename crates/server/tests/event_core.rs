@@ -40,7 +40,9 @@ fn healthz(stream: &mut TcpStream) -> Vec<u8> {
 
 #[test]
 fn held_connections_cost_gauges_not_threads() {
-    let server = start(60_000, None);
+    // Room for the held fleet, the active clients below and the metrics
+    // fetches; the default cap is threads + queue depth.
+    let server = start(60_000, Some(128));
     let addr = server.local_addr();
 
     // Far more live connections than the 2 compute workers could ever
@@ -72,6 +74,27 @@ fn held_connections_cost_gauges_not_threads() {
         let raw = healthz(s);
         assert!(raw.starts_with(b"HTTP/1.1 200"), "reused keep-alive conn");
     }
+
+    // Active traffic under the held fleet: 32 fresh connections, eight in
+    // flight at a time (below the admission queue's degrade threshold),
+    // each explore answered 200 while all 64 stay parked.
+    let body = common::count_request().to_json().unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                for _ in 0..4 {
+                    let resp = roundtrip(addr, "POST", "/v1/explore", Some(&body))
+                        .expect("explore answers under the held fleet");
+                    assert_eq!(resp.status, 200, "{}", resp.text());
+                }
+            });
+        }
+    });
+    let metrics = fetch_metrics(addr);
+    assert!(
+        metrics["event-loop"]["connections-held"].as_u64().unwrap() >= 64,
+        "{metrics:?}"
+    );
 
     drop(held);
     server.shutdown();

@@ -383,6 +383,20 @@ fn advise_batch_streams_one_line_per_student() {
         lines[0]
     );
     assert!(lines[0].contains("\"recommendations\""), "{}", lines[0]);
+    // Student 0 ran first against the batch's fresh memo table; the single
+    // `POST /v1/advise` now runs against the table the batch warmed. Cold
+    // or warm, batched or alone, the answer bytes are the same.
+    let single = send(
+        &server,
+        "POST",
+        "/v1/advise",
+        Some(&advise_request().to_json().unwrap()),
+    );
+    assert_eq!(single.status, 200, "{}", single.text());
+    assert_eq!(
+        lines[0],
+        format!("{{\"student\":0,\"advise\":{}}}", single.text())
+    );
     // The bad transcript errors in place, re-rooted at its batch slot,
     // without sinking the cohort.
     assert_eq!(

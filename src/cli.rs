@@ -1209,6 +1209,52 @@ mod tests {
         let what = paths_line(&out, "what-if: paths:");
         let goal = paths_line(&out, "what-if: goal paths:");
         assert_eq!(what, goal, "forced paths all satisfy the goal: {out}");
+
+        // The catalog-wide sweep over the four-semester degree exploration:
+        // drop each course in turn, then cap the workload at 40. Every
+        // delta answered from the one shared DAG counts what re-exploring
+        // its merged request counts.
+        let data = brandeis_cs();
+        let service = NavigatorService::new(&data.catalog)
+            .with_degree(data.degree.as_ref().unwrap())
+            .with_offering_model(data.offering.as_ref().unwrap());
+        let mut base = ExplorationRequest::deadline_count(data.horizon.0, data.horizon.0 + 4, 3);
+        base.goal = Some(GoalSpec::Degree);
+        let counts = |resp: &ExplorationResponse| match resp {
+            ExplorationResponse::Counts {
+                total_paths,
+                goal_paths,
+                ..
+            } => (*total_paths, *goal_paths),
+            _ => unreachable!("count what-ifs produce counts"),
+        };
+        let drops = data.catalog.courses().map(|c| WhatIfDelta {
+            avoid: vec![c.code().to_string()],
+            ..WhatIfDelta::default()
+        });
+        let cap = WhatIfDelta {
+            max_semester_workload: Some(40.0),
+            ..WhatIfDelta::default()
+        };
+        let table = UniqueTable::new(0);
+        for delta in drops.chain([cap]) {
+            let req = WhatIfRequest {
+                base: base.clone(),
+                transcript: None,
+                delta,
+            };
+            let applied = service
+                .whatif_until(&req, None, 1, None, Some(&table))
+                .unwrap();
+            assert_eq!(applied.served, WhatIfServed::Applied);
+            let explored = service.run(&req.merged_request()).unwrap();
+            assert_eq!(
+                counts(&applied.response),
+                counts(&explored),
+                "{:?}",
+                req.delta
+            );
+        }
     }
 
     #[test]

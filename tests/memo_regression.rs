@@ -74,7 +74,7 @@ fn table1_breakdown_is_stable_warm_or_cold() {
 /// transposes: the 5-semester row folds thousands of duplicate subtrees,
 /// and the recorded per-strategy pruning counts still come out exact.
 #[test]
-#[ignore = "explores 3.18M paths; run with --ignored (or via bench5) for the deep row"]
+#[ignore = "explores 3.18M paths; run with `cargo test --release --test memo_regression -- --ignored`"]
 fn table1_deep_row_breakdown_is_stable() {
     let (data, deadline) = table1_explorer(5);
     let degree = data.degree.clone().unwrap();
