@@ -5,13 +5,19 @@
 //!   (deadline-driven);
 //! - **C.** best-first top-k vs enumerate-then-sort (ranked);
 //! - **D.** A* (admissible heuristic) vs plain best-first for the
-//!   workload ranking, where accumulated-cost ordering floods the frontier.
+//!   workload ranking, where accumulated-cost ordering floods the
+//!   frontier, and both vs the memoized k-best from a cold table (the
+//!   bundled catalog's whole-hour workloads sum exactly, so the memo
+//!   serves the workload ranking).
 
 use coursenav_bench::{
     paper_deadline_explorer, paper_goal_explorer, paper_instance, sparse_instance,
-    synthetic_goal_explorer,
+    synthetic_goal_explorer, PAPER_M,
 };
-use coursenav_navigator::{PruneConfig, TimeRanking, WorkloadHeuristic, WorkloadRanking};
+use coursenav_navigator::{
+    ExplorationRequest, NavigatorService, OutputMode, PruneConfig, RankingSpec, TimeRanking,
+    TranspositionTable, WorkloadHeuristic, WorkloadRanking,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn bench_strategic_selections(c: &mut Criterion) {
@@ -105,6 +111,31 @@ fn bench_astar(c: &mut Criterion) {
             || paper_goal_explorer(&data, 4, PruneConfig::all()),
             |e| {
                 e.top_k_astar(&WorkloadRanking, &WorkloadHeuristic, 5)
+                    .expect("goal set")
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same frame as a service request, so the memoized k-best
+    // answers it; a fresh table per sample keeps every run cold.
+    let service = NavigatorService::new(&data.catalog).with_degree(
+        data.degree
+            .as_ref()
+            .expect("bundled catalog declares the CS major"),
+    );
+    let mut req = ExplorationRequest::degree_paths(
+        data.horizon.0,
+        data.horizon.0 + 4,
+        PAPER_M,
+        OutputMode::TopK { k: 5 },
+    );
+    req.ranking = Some(RankingSpec::Workload);
+    group.bench_function("workload_memo_top5_4sem", |b| {
+        b.iter_batched(
+            || TranspositionTable::new(1 << 16),
+            |table| {
+                service
+                    .run_until_memo(&req, None, 1, Some(&table))
                     .expect("goal set")
             },
             BatchSize::SmallInput,

@@ -18,6 +18,7 @@ use crate::set::CourseSet;
 /// prerequisites `X_i` satisfies, §2) touches only bitset words and the
 /// per-course DNF masks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "CatalogTables", into = "CatalogTables")]
 pub struct Catalog {
     courses: Vec<Course>,
     by_code: HashMap<CourseCode, CourseId>,
@@ -25,6 +26,75 @@ pub struct Catalog {
     offered_by_semester: OfferingTable,
     /// Earliest and latest semester appearing in any schedule.
     semester_range: Option<(Semester, Semester)>,
+    /// See [`Catalog::workload_sums_exact`]; derived from the courses, so
+    /// never serialized.
+    workload_sums_exact: bool,
+}
+
+/// A catalog's serialized fields: everything but what is derived from
+/// them, which deserializing recomputes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct CatalogTables {
+    courses: Vec<Course>,
+    by_code: HashMap<CourseCode, CourseId>,
+    offered_by_semester: OfferingTable,
+    semester_range: Option<(Semester, Semester)>,
+}
+
+impl From<CatalogTables> for Catalog {
+    fn from(tables: CatalogTables) -> Catalog {
+        let workload_sums_exact = sums_exact(tables.courses.iter().map(Course::workload));
+        Catalog {
+            courses: tables.courses,
+            by_code: tables.by_code,
+            offered_by_semester: tables.offered_by_semester,
+            semester_range: tables.semester_range,
+            workload_sums_exact,
+        }
+    }
+}
+
+impl From<Catalog> for CatalogTables {
+    fn from(catalog: Catalog) -> CatalogTables {
+        CatalogTables {
+            courses: catalog.courses,
+            by_code: catalog.by_code,
+            offered_by_semester: catalog.offered_by_semester,
+            semester_range: catalog.semester_range,
+        }
+    }
+}
+
+/// Whether every sum of a subset of `values` is exact in `f64`, in any
+/// order of addition: every value is finite and non-negative, a whole
+/// multiple of one power of two, the largest one they share, and the
+/// total is below 2^53 of that unit. Every partial sum is then a whole
+/// number of units below 2^53 of them, which an `f64` holds exactly.
+/// (The builder rejects negative workloads; a deserialized catalog is
+/// not checked, so this checks again.)
+fn sums_exact(values: impl Iterator<Item = f64> + Clone) -> bool {
+    if !values.clone().all(|v| v.is_finite() && v >= 0.0) {
+        return false;
+    }
+    // The exponent of a value's lowest set bit: it is a whole multiple of
+    // 2^that and of no larger power of two.
+    let lowest_bit = |value: f64| -> i32 {
+        let bits = value.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let fraction = bits & ((1 << 52) - 1);
+        let (mantissa, exponent) = match biased {
+            0 => (fraction, -1074),
+            _ => (fraction | 1 << 52, biased - 1075),
+        };
+        exponent + mantissa.trailing_zeros() as i32
+    };
+    let Some(unit) = values.clone().filter(|&v| v > 0.0).map(lowest_bit).min() else {
+        return true;
+    };
+    // Rounding is monotone, so the float total reaches the bound exactly
+    // when the exact total does.
+    let total = values.fold(0.0, |sum, v| sum + v);
+    total < 2f64.powi(53 + unit)
 }
 
 /// Most semesters one catalog's schedules may span (a thousand years of
@@ -174,6 +244,17 @@ impl Catalog {
     /// course has a schedule.
     pub fn semester_range(&self) -> Option<(Semester, Semester)> {
         self.semester_range
+    }
+
+    /// Whether every path's workload sums exactly in `f64`, whatever the
+    /// order of its additions: every course workload is a whole multiple
+    /// of one power of two (whole hours qualify; tenths do not) and the
+    /// catalog's total workload is below 2^53 of that unit. The memoized
+    /// top-k ranks by workload only then, since its suffix costs sum
+    /// bottom-up while the best-first search sums from the root. Computed
+    /// once, when the catalog is built.
+    pub fn workload_sums_exact(&self) -> bool {
+        self.workload_sums_exact
     }
 }
 
@@ -345,12 +426,12 @@ impl CatalogBuilder {
                 .iter()
                 .map(|sem| (sem.index(), CourseSet::from_iter([course.id()])))
         }))?;
-        Ok(Catalog {
+        Ok(Catalog::from(CatalogTables {
             courses,
             by_code,
             offered_by_semester,
             semester_range,
-        })
+        }))
     }
 }
 
@@ -544,6 +625,30 @@ mod tests {
             b.build(),
             Err(CatalogError::InvalidWorkload { .. })
         ));
+    }
+
+    #[test]
+    fn workload_sums_are_exact_in_a_shared_power_of_two_unit() {
+        let sums_exact_for = |workloads: &[f64]| {
+            let mut b = CatalogBuilder::new();
+            for (i, &hours) in workloads.iter().enumerate() {
+                b.add_course(CourseSpec::new(format!("C{i}").as_str(), "C").workload(hours));
+            }
+            b.build().unwrap().workload_sums_exact()
+        };
+        assert!(sums_exact_for(&[]));
+        assert!(sums_exact_for(&[0.0, 0.0]));
+        assert!(sums_exact_for(&[6.0, 13.0, 0.0, 10.0]));
+        assert!(sums_exact_for(&[6.5, 0.25, 12.0]));
+        assert!(!sums_exact_for(&[7.3, 10.0]));
+        // 0.1 alone sums exactly; 0.1 + 0.2 famously does not.
+        assert!(sums_exact_for(&[0.1]));
+        assert!(!sums_exact_for(&[0.1, 0.2]));
+        // 2^53 units is one too many: 2^53 + 1 has no f64.
+        assert!(sums_exact_for(&[2f64.powi(53) - 2.0, 1.0]));
+        assert!(!sums_exact_for(&[2f64.powi(53) - 1.0, 1.0]));
+        assert!(sums_exact_for(&[2f64.powi(60), 2f64.powi(61)]));
+        assert!(!sums_exact_for(&[f64::MAX, f64::MAX]));
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!   counting ([`parallel`]);
 //! - a status-keyed transposition table ([`memo`]) that folds the
 //!   exploration tree into a DAG: per-subtree counts (read and written by
-//!   the walker) and, for decomposable rankings, top-k summaries, shared
+//!   the walker) and, for rankings whose path costs sum exactly on the
+//!   catalog (time; workload in whole hours), top-k summaries, shared
 //!   across parallel workers and — via the serving layer — across
 //!   requests;
 //! - resumable exploration sessions: serializable DFS-frontier cursors
@@ -83,7 +84,7 @@ pub use explorer::Explorer;
 pub use goal::Goal;
 pub use graph::{EdgeId, LearningGraph, NodeId};
 pub use impact::SelectionImpact;
-pub use memo::{InsertGate, MemoStats, PortableEntry, StateKey, TranspositionTable};
+pub use memo::{InsertGate, MemoStats, PortableEntry, RankedSuffix, StateKey, TranspositionTable};
 pub use pareto::ParetoPath;
 pub use path::LeafKind;
 pub use path::{Path, PathVisit};

@@ -21,12 +21,22 @@
 //!   sound: a hit replays the cached counters, so warm and cold runs
 //!   report byte-identical statistics (the §5.2 pruning breakdown is
 //!   stable) while expanding strictly fewer nodes.
-//! - **ranked suffix summaries** — the top-`k` goal suffixes in the
-//!   best-first pop order, computed by this module's k-best recursion and
-//!   cacheable only for suffix-decomposable rankings
-//!   ([`crate::Ranking::decomposable`]: constant positive edge cost).
-//!   Non-decomposable rankings fall back to the un-memoized search,
-//!   byte-identically.
+//! - **ranked suffix summaries** — the top-`k` goal suffixes below a
+//!   status with their costs, in the best-first pop order, computed by
+//!   this module's k-best recursion: each expanded status merges its
+//!   children's summaries in (cost, child index) order, a child's suffix
+//!   costing its edge plus its own cost. The search orders paths by
+//!   (cost, tree rank), so the two agree tie for tie, and the merge's
+//!   bottom-up sums equal the search's sums from the root whenever every
+//!   path cost sums exactly in any order. That is the memo's contract
+//!   ([`crate::RankingSpec::memoizable`]): the time ranking and its
+//!   positive weighted forms on any catalog, and the workload ranking on
+//!   a catalog whose workloads are whole multiples of one power of two
+//!   ([`Catalog::workload_sums_exact`]; whole hours qualify). Zero-cost
+//!   edges are fine: an ancestor's tree rank is a prefix of its
+//!   descendants'. Every other ranking, and every catalog with inexact
+//!   workloads (the synthetic generator's tenths), is answered by the
+//!   un-memoized search, byte-identically.
 //!
 //! Collect output caches nothing: the walker emits its paths in order,
 //! and the output limit bounds its work.
@@ -118,12 +128,18 @@ pub struct MemoStats {
     pub capacity: u64,
 }
 
-/// One top-k candidate below a memoized status, in best-first pop order.
-/// Under a decomposable ranking the suffix cost is determined by its
-/// length, so only the selections are stored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RankedSuffix {
-    pub(crate) selections: Vec<CourseSet>,
+/// One top-k candidate below a memoized status: a goal suffix and its
+/// cost, summed bottom-up. A summary lists its suffixes in best-first pop
+/// order, (cost, tree rank). The selections are a boxed slice: a `Vec`'s
+/// capacity word would weigh as much as the cost, on every suffix of
+/// every cached summary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankedSuffix {
+    /// The suffix's cost under the summary's ranking: its first edge's
+    /// cost plus the rest's.
+    pub cost: f64,
+    /// The suffix's per-semester selections.
+    pub selections: Box<[CourseSet]>,
 }
 
 #[derive(Clone)]
@@ -391,7 +407,7 @@ impl TranspositionTable {
                         key: *key,
                         sig: *sig,
                         k: *k,
-                        items: e.items.iter().map(|r| r.selections.clone()).collect(),
+                        items: e.items.to_vec(),
                     },
                 ));
             }
@@ -419,10 +435,6 @@ impl TranspositionTable {
                     self.put_count(key, total, goal, logical);
                 }
                 PortableEntry::Ranked { key, sig, k, items } => {
-                    let items: Vec<RankedSuffix> = items
-                        .into_iter()
-                        .map(|selections| RankedSuffix { selections })
-                        .collect();
                     self.put_ranked(key, sig, k as usize, Arc::new(items));
                 }
             }
@@ -435,7 +447,7 @@ impl TranspositionTable {
 /// One memo entry decoupled from the table's private internals — the unit
 /// the serving layer's snapshot format serializes. Mirrors the two
 /// cached result kinds (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PortableEntry {
     /// A `(total, goal)` path count plus the subtree's logical stats delta.
     Count {
@@ -457,8 +469,8 @@ pub enum PortableEntry {
         sig: u64,
         /// The `k` the summary was computed for.
         k: u64,
-        /// Each candidate's per-semester selections, best-first.
-        items: Vec<Vec<CourseSet>>,
+        /// The candidate suffixes, best-first.
+        items: Vec<RankedSuffix>,
     },
 }
 
@@ -481,6 +493,7 @@ pub(crate) fn ranking_signature(spec: &RankingSpec) -> u64 {
 /// (`PathStream::with_table`), top-k summaries by this recursion.
 struct MemoRun<'e, 'c, 't> {
     explorer: &'e Explorer<'c>,
+    ranking: &'e dyn Ranking,
     pruner: Option<Pruner<'e>>,
     table: &'t TranspositionTable,
     /// Checked once every 64 expansions; the run unwinds once it fires.
@@ -498,18 +511,21 @@ struct MemoRun<'e, 'c, 't> {
 impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
     fn new(
         explorer: &'e Explorer<'c>,
+        ranking: &'e dyn Ranking,
         table: &'t TranspositionTable,
         deadline: Option<Instant>,
     ) -> MemoRun<'e, 'c, 't> {
         MemoRun {
             explorer,
+            ranking,
             pruner: explorer.pruner(),
             table,
             expiry: Expiry::per_step(deadline),
             work: ExploreStats::default(),
             no_suffix: Arc::new(Vec::new()),
             goal_leaf: Arc::new(vec![RankedSuffix {
-                selections: Vec::new(),
+                cost: 0.0,
+                selections: Box::default(),
             }]),
         }
     }
@@ -521,8 +537,8 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
     }
 
     /// The top-`k` goal suffixes below `state` in best-first pop order,
-    /// for a decomposable ranking fingerprinted by `sig`. `None` means
-    /// the deadline expired mid-computation (the caller falls back to the
+    /// under the run's ranking, fingerprinted by `sig`. `None` means the
+    /// deadline expired mid-computation (the caller falls back to the
     /// un-memoized search).
     fn ranked_state(
         &mut self,
@@ -553,9 +569,9 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             return None;
         }
         self.work.nodes_expanded += 1;
-        // Children with at least one goal suffix, in selection order:
-        // the empty ones cannot contribute to the merge.
-        let mut children: Vec<(CourseSet, Arc<Vec<RankedSuffix>>)> = Vec::new();
+        // Children with at least one goal suffix, in selection order, with
+        // their edge's cost: the empty ones cannot contribute to the merge.
+        let mut children: Vec<(CourseSet, f64, Arc<Vec<RankedSuffix>>)> = Vec::new();
         let status = expansion.status;
         for selection in expansion.selections(self.explorer.max_per_semester()) {
             if selection.len() < expansion.min_selection {
@@ -568,37 +584,43 @@ impl<'e, 'c, 't> MemoRun<'e, 'c, 't> {
             self.work.edges_created += 1;
             let items = self.ranked_state(status.child(&selection), sig, k)?;
             if !items.is_empty() {
-                children.push((selection, items));
+                let edge = self
+                    .ranking
+                    .edge_cost(self.explorer.catalog(), &status, &selection);
+                children.push((selection, edge, items));
             }
         }
-        // Stable k-way merge in (suffix length, child index)
-        // order: under a constant positive edge cost this is
-        // exactly the best-first (cost, tree-rank) pop order
-        // restricted to this subtree.
+        // Stable k-way merge in (cost, child index) order. Each child's
+        // list is in (cost, tree rank) order and its edge adds one exact
+        // amount to all of it, so this is the best-first (cost, tree rank)
+        // pop order restricted to this subtree.
         let mut cursors: Vec<usize> = vec![0; children.len()];
         let mut merged: Vec<RankedSuffix> = Vec::new();
         while merged.len() < k {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, (_, items)) in children.iter().enumerate() {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, (_, edge, items)) in children.iter().enumerate() {
                 if let Some(item) = items.get(cursors[i]) {
-                    let len = item.selections.len();
+                    let cost = edge + item.cost;
                     let beats = match best {
                         None => true,
-                        Some((best_len, _)) => len < best_len,
+                        Some((best_cost, _)) => cost < best_cost,
                     };
                     if beats {
-                        best = Some((len, i));
+                        best = Some((cost, i));
                     }
                 }
             }
-            let Some((_, i)) = best else { break };
-            let (selection, items) = &children[i];
+            let Some((cost, i)) = best else { break };
+            let (selection, _, items) = &children[i];
             let sub = &items[cursors[i]];
             cursors[i] += 1;
-            let mut sels = Vec::with_capacity(sub.selections.len() + 1);
-            sels.push(*selection);
-            sels.extend_from_slice(&sub.selections);
-            merged.push(RankedSuffix { selections: sels });
+            let mut selections = Vec::with_capacity(sub.selections.len() + 1);
+            selections.push(*selection);
+            selections.extend_from_slice(&sub.selections);
+            merged.push(RankedSuffix {
+                cost,
+                selections: selections.into_boxed_slice(),
+            });
         }
         let merged = Arc::new(merged);
         let key = self
@@ -622,11 +644,13 @@ fn splice_path(catalog: &Catalog, start: EnrollmentStatus, suffix: &[CourseSet])
 }
 
 impl<'c> Explorer<'c> {
-    /// The memoized top-`k` under a *decomposable* ranking: identical to
-    /// [`Explorer::top_k_until`] when it completes. Returns `Ok(None)`
-    /// when the deadline expires mid-computation — nothing partial is
-    /// cached and the caller should fall back to the un-memoized search.
-    /// `sig` fingerprints the ranking (see [`ranking_signature`]).
+    /// The memoized top-`k`: identical to [`Explorer::top_k_until`] when
+    /// it completes, provided every path cost under `ranking` sums
+    /// exactly in any order ([`RankingSpec::memoizable`]). Returns
+    /// `Ok(None)` when the deadline expires mid-computation — nothing
+    /// partial is cached and the caller should fall back to the
+    /// un-memoized search. `sig` fingerprints the ranking (see
+    /// [`ranking_signature`]).
     pub(crate) fn top_k_memo_until(
         &self,
         ranking: &dyn Ranking,
@@ -640,33 +664,31 @@ impl<'c> Explorer<'c> {
                 "top-k ranking requires a goal-driven exploration".into(),
             ));
         }
-        debug_assert!(
-            ranking.decomposable(),
-            "memoized top-k requires a decomposable ranking"
-        );
         if k == 0 {
             return Ok(Some((Vec::new(), ExploreStats::default())));
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(None);
         }
-        let mut run = MemoRun::new(self, table, deadline);
+        let mut run = MemoRun::new(self, ranking, table, deadline);
         let start = *self.start();
         let Some(items) = run.ranked_state(start, sig, k) else {
             return Ok(None);
         };
-        // Under the constant-edge-cost contract every in-tree edge adds
-        // the exact same f64, so replaying `cost += c` per suffix edge
-        // reproduces the sequential left-to-right fold bit for bit.
-        let c = ranking.edge_cost(self.catalog(), &start, &CourseSet::EMPTY);
+        // Each path's cost is re-summed from the root, the search's own
+        // left-to-right fold. The sums are exact, so it is the suffix's
+        // bottom-up cost too.
         let paths: Vec<RankedPath> = items
             .iter()
             .map(|item| {
                 let path = splice_path(self.catalog(), start, &item.selections);
-                let mut cost = 0.0f64;
-                for _ in 0..item.selections.len() {
-                    cost += c;
-                }
+                let cost = path.statuses().iter().zip(path.selections()).fold(
+                    0.0,
+                    |cost, (from, selection)| {
+                        cost + ranking.edge_cost(self.catalog(), from, selection)
+                    },
+                );
+                debug_assert_eq!(cost, item.cost, "path costs must sum exactly");
                 RankedPath { path, cost }
             })
             .collect();
@@ -680,12 +702,39 @@ mod tests {
     use crate::explorer::eager::{self, Eager};
     use crate::goal::Goal;
     use crate::pruning::PruneConfig;
-    use crate::ranking::TimeRanking;
+    use crate::ranking::{TimeRanking, WorkloadRanking};
     use crate::status::eligible_calls;
-    use coursenav_catalog::{SyntheticCatalog, SyntheticConfig};
+    use coursenav_catalog::{CatalogBuilder, CourseSpec, SyntheticCatalog, SyntheticConfig};
 
     fn synth() -> SyntheticCatalog {
         SyntheticCatalog::generate(&SyntheticConfig::small())
+    }
+
+    /// `synth()` with its workloads rounded to whole hours and every
+    /// fourth course free, so the workload ranking's sums are exact and
+    /// zero-cost edges and cost ties occur.
+    fn whole_hours() -> SyntheticCatalog {
+        let mut synth = synth();
+        let catalog = &synth.catalog;
+        let mut b = CatalogBuilder::new();
+        for course in catalog.courses() {
+            b.add_course(CourseSpec {
+                code: course.code().clone(),
+                title: course.title().to_string(),
+                prereq: course
+                    .prereq()
+                    .map_atoms(&mut |id| catalog.course(*id).code().clone()),
+                offered: course.offered().clone(),
+                workload: if course.id().as_usize() % 4 == 0 {
+                    0.0
+                } else {
+                    course.workload().round()
+                },
+            });
+        }
+        synth.catalog = b.build().unwrap();
+        assert!(synth.catalog.workload_sums_exact());
+        synth
     }
 
     fn goal_explorer(synth: &SyntheticCatalog, semesters: i32) -> Explorer<'_> {
@@ -786,6 +835,30 @@ mod tests {
         let (again, _) = e.count_paths_memo(&table);
         assert_eq!(again, counts);
         assert!(!table.is_empty());
+    }
+
+    #[test]
+    fn memoized_workload_top_k_matches_best_first_search_on_whole_hours() {
+        let synth = whole_hours();
+        let sig = ranking_signature(&RankingSpec::Workload);
+        for semesters in [4, 5] {
+            let e = goal_explorer(&synth, semesters);
+            let table = TranspositionTable::new(1 << 16);
+            for k in [1, 3, 10, 1000] {
+                let (plain, _) = e.top_k_until(&WorkloadRanking, k, None).unwrap();
+                for pass in ["cold", "warm"] {
+                    let (memo, _) = e
+                        .top_k_memo_until(&WorkloadRanking, sig, k, &table, None)
+                        .unwrap()
+                        .expect("no deadline, no fallback");
+                    assert_eq!(memo, plain, "{pass} k={k} semesters={semesters}");
+                }
+                if k == 10 {
+                    let tied = plain.windows(2).any(|w| w[0].cost == w[1].cost);
+                    assert!(tied, "whole hours tie: {semesters} semesters");
+                }
+            }
+        }
     }
 
     #[test]
@@ -908,27 +981,58 @@ mod tests {
             assert_eq!(eligible_calls() - before, work.nodes_expanded - 1 + needed);
             let snap = table.snapshot();
             assert_eq!((snap.hits, snap.misses), (work.memo_hits, work.memo_misses));
-            let Some(top_k_golden) = top_k_golden else {
-                continue;
-            };
-            let table = TranspositionTable::new(1 << 16);
-            let sig = ranking_signature(&RankingSpec::Time);
-            let before = eligible_calls();
-            let (paths, work) = e
-                .top_k_memo_until(&TimeRanking, sig, 10, &table, None)
-                .unwrap()
-                .expect("no deadline, no fallback");
-            assert_eq!(work_counters(&work), *top_k_golden);
-            // The same, plus one per status the returned paths replay
-            // below the root.
-            let replayed: u64 = paths.iter().map(|ranked| ranked.path.len() as u64).sum();
-            assert_eq!(
-                eligible_calls() - before,
-                work.nodes_expanded - 1 + needed + replayed
-            );
-            let snap = table.snapshot();
-            assert_eq!((snap.hits, snap.misses), (work.memo_hits, work.memo_misses));
+            if let Some(top_k_golden) = top_k_golden {
+                assert_top_k_work(e, &TimeRanking, &RankingSpec::Time, *top_k_golden);
+            }
         }
+        // The workload top-k, where whole hours let the memo serve it:
+        // the same catalog shape, so the same work as the time top-k.
+        let whole = whole_hours();
+        for (e, golden) in [
+            (goal_explorer(&whole, 4), [44, 517, 15, 287, 32, 44]),
+            (
+                Explorer::goal_driven(
+                    &whole.catalog,
+                    EnrollmentStatus::fresh(&whole.catalog, whole.start),
+                    whole.start + 5,
+                    3,
+                    Goal::degree(whole.degree.clone()),
+                )
+                .unwrap(),
+                [630, 7208, 0, 0, 1396, 630],
+            ),
+        ] {
+            assert_top_k_work(&e, &WorkloadRanking, &RankingSpec::Workload, golden);
+        }
+    }
+
+    /// Checks a cold memoized top-10's work counters against `golden`,
+    /// its options computations against its expansions, and the table's
+    /// hit and miss counters against the run's.
+    fn assert_top_k_work(
+        e: &Explorer<'_>,
+        ranking: &dyn Ranking,
+        spec: &RankingSpec,
+        golden: [u64; 6],
+    ) {
+        let needed = options_checks(e);
+        let table = TranspositionTable::new(1 << 16);
+        let before = eligible_calls();
+        let (paths, work) = e
+            .top_k_memo_until(ranking, ranking_signature(spec), 10, &table, None)
+            .unwrap()
+            .expect("no deadline, no fallback");
+        assert_eq!(work_counters(&work), golden, "{}", ranking.name());
+        // One options computation per expansion (the root arrives with
+        // its own), per check only the options can settle, and per status
+        // the returned paths replay below the root.
+        let replayed: u64 = paths.iter().map(|ranked| ranked.path.len() as u64).sum();
+        assert_eq!(
+            eligible_calls() - before,
+            work.nodes_expanded - 1 + needed + replayed
+        );
+        let snap = table.snapshot();
+        assert_eq!((snap.hits, snap.misses), (work.memo_hits, work.memo_misses));
     }
 
     /// Options computations a cold memoized run needs beyond its

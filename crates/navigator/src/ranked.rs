@@ -17,14 +17,18 @@
 //! The tree-rank tie-break (rather than global insertion FIFO) puts
 //! equal-cost paths in depth-first order, whatever the frontier's
 //! schedule. The memoized k-best (`memo.rs`) merges suffix lists in
-//! (length, child index) order, which is this order, and a ranked page
+//! (cost, child index) order, which is this order, and a ranked page
 //! falls back to this search when the memo's DP misses its deadline, so
 //! the two engines must agree tie for tie; the paged replay relies on the
-//! order being a function of the request alone. Under a constant edge
-//! cost FIFO would coincide with it, but a zero-cost edge (a wait under
-//! the workload ranking) gives a child its parent's cost, and FIFO would
-//! pop that child after equal-cost nodes pushed earlier, reordering ties
-//! and so which tied paths make the top k.
+//! order being a function of the request alone. A zero-cost edge (a wait
+//! under the workload ranking) gives a child its parent's cost, and FIFO
+//! would pop that child after equal-cost nodes pushed earlier, reordering
+//! ties and so which tied paths make the top k; the parent's rank is a
+//! prefix of the child's, so the tree rank still pops the parent first.
+//! The two engines sum a path's cost in different orders (this search
+//! from the root, the memo bottom-up), so the memo answers only rankings
+//! whose path costs sum exactly on the catalog
+//! ([`crate::RankingSpec::memoizable`]); there the sums agree bit for bit.
 //!
 //! [`Explorer::top_k_by_enumeration`] is the brute-force baseline
 //! (enumerate all goal paths, sort, truncate), kept as the ablation

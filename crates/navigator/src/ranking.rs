@@ -34,11 +34,13 @@ pub trait Ranking: Send + Sync {
     fn name(&self) -> &str;
 
     /// Whether this ranking is *suffix-decomposable*: every edge carries
-    /// the same positive, selection-independent cost, so the cost of a
-    /// path is the cost of its prefix plus the (length-determined) cost of
-    /// its suffix. Decomposable rankings are the ones whose top-k results
-    /// the transposition table (see [`crate::memo`]) may cache per
-    /// subtree; everything else falls back to the un-memoized search.
+    /// the same positive, selection-independent cost on every catalog, so
+    /// a path's cost is its length times that cost, and summing it in any
+    /// order gives the same float. The memoized top-k (see [`crate::memo`])
+    /// serves these rankings on every catalog; it also serves the
+    /// workload ranking, whose edge costs vary, on catalogs where its
+    /// sums are exact ([`crate::RankingSpec::memoizable`]). Advising's
+    /// interest rankings must be decomposable.
     ///
     /// Defaults to `false` — implementations must opt in only when the
     /// constant-edge-cost contract genuinely holds.
@@ -204,8 +206,8 @@ impl Ranking for WeightedRanking<'_> {
 
     /// A combination is decomposable when every component is *and* the
     /// combined edge cost is strictly positive (an all-zero-weight
-    /// combination degenerates to cost 0, where the best-first tie order
-    /// is no longer a function of suffix length).
+    /// combination degenerates to cost 0 on every edge, not the positive
+    /// constant the contract names).
     fn decomposable(&self) -> bool {
         self.parts.iter().all(|(_, r)| r.decomposable()) && self.parts.iter().any(|(w, _)| *w > 0.0)
     }

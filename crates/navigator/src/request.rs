@@ -12,7 +12,7 @@
 //! student-facing vocabulary); [`crate::service::NavigatorService`] resolves
 //! them against its catalog and builds the corresponding [`crate::Explorer`].
 
-use coursenav_catalog::Semester;
+use coursenav_catalog::{Catalog, Semester};
 use serde::{Deserialize, Serialize};
 
 use crate::expand::WaitPolicy;
@@ -78,12 +78,13 @@ impl RankingSpec {
     }
 
     /// Whether this spec resolves to a suffix-decomposable ranking (see
-    /// [`crate::Ranking::decomposable`]): constant positive edge cost, so
-    /// cached top-k suffix summaries in the transposition table stay
-    /// byte-identical to the un-memoized best-first search. Mirrors the
-    /// resolved rankings: `Time` is decomposable, `Workload`/`Reliability`
-    /// are not, and a `Weighted` combination is decomposable when every
-    /// component is and at least one weight is positive.
+    /// [`crate::Ranking::decomposable`]): one positive cost on every edge
+    /// of every catalog, so a path's cost is its length times that cost.
+    /// Mirrors the resolved rankings: `Time` is decomposable,
+    /// `Workload`/`Reliability` are not, and a `Weighted` combination is
+    /// decomposable when every component is and at least one weight is
+    /// positive. Advising's interest rankings must be decomposable; the
+    /// memoized top-k serves a wider set ([`RankingSpec::memoizable`]).
     pub fn decomposable(&self) -> bool {
         match self {
             RankingSpec::Time => true,
@@ -93,6 +94,20 @@ impl RankingSpec {
                     && parts.iter().all(|(_, inner)| inner.decomposable())
                     && parts.iter().any(|(weight, _)| *weight > 0.0)
             }
+        }
+    }
+
+    /// Whether the memoized top-k may answer this spec on `catalog`: its
+    /// suffix costs, summed bottom-up, must equal the best-first search's
+    /// sums from the root bit for bit, which holds when every path cost
+    /// sums exactly in any order. That is every decomposable spec, and
+    /// `Workload` on a catalog whose workloads sum exactly
+    /// ([`Catalog::workload_sums_exact`]: whole hours do, tenths do not).
+    /// Every other spec is answered by the un-memoized search.
+    pub fn memoizable(&self, catalog: &Catalog) -> bool {
+        match self {
+            RankingSpec::Workload => catalog.workload_sums_exact(),
+            _ => self.decomposable(),
         }
     }
 

@@ -92,9 +92,9 @@ impl NavigatorService<'_> {
     /// page may then overshoot its nominal size — a bulk hit delivers a
     /// whole subtree's leaves at once — but the accumulated totals, final
     /// statistics, and cursors stay exact), and ranked pages under a
-    /// decomposable ranking are sliced out of the memoized top-k. `None`
-    /// walks every subtree and searches un-memoized; collect output never
-    /// uses the table.
+    /// memoizable ranking ([`crate::RankingSpec::memoizable`]) are sliced
+    /// out of the memoized top-k. `None` walks every subtree and searches
+    /// un-memoized; collect output never uses the table.
     ///
     /// `cursor` must come from a previous page of an equivalent request
     /// (same [`ExplorationRequest::cache_key`]); anything else is
@@ -334,7 +334,7 @@ impl NavigatorService<'_> {
             .size
             .map_or(remaining, |size| size.max(1))
             .min(remaining);
-        let memoized = match page.table.filter(|_| spec.decomposable()) {
+        let memoized = match page.table.filter(|_| spec.memoizable(self.catalog())) {
             Some(table) => explorer.top_k_memo_until(
                 ranking.as_ref(),
                 ranking_signature(spec),
@@ -350,7 +350,7 @@ impl NavigatorService<'_> {
                 let hi = all.len().min(emitted_before + page_cap);
                 (all[lo..hi].to_vec(), hi < all.len())
             }
-            // No table, a non-decomposable ranking, or the deadline expired
+            // No table, a ranking the memo cannot serve, or the deadline expired
             // mid-DP: the search returns the true best-so-far prefix. One
             // goal pop past the page (within `k`) tells whether more paths
             // follow, so no trailing empty page is ever promised.

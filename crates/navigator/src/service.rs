@@ -364,10 +364,13 @@ impl<'a> NavigatorService<'a> {
     /// — a count through the table when there is one, fanned out when
     /// `parallelism > 1`; a collect never reads the table and never fans
     /// out, since its output limit bounds its work. Top-k never fans out:
-    /// it uses cached suffix summaries only under a *decomposable* ranking
-    /// ([`RankingSpec::decomposable`]) and the un-memoized best-first
-    /// search otherwise — or when the deadline expires mid-computation, so
-    /// a deadline-bound response is always a correct best-first prefix.
+    /// it uses cached suffix summaries only when every path cost sums
+    /// exactly on the catalog ([`RankingSpec::memoizable`]: time and its
+    /// positive weighted forms, and workload on whole-hour catalogs), so
+    /// the memo's bottom-up sums equal the search's, and the un-memoized
+    /// best-first search otherwise — or when the deadline expires
+    /// mid-computation, so a deadline-bound response is always a correct
+    /// best-first prefix.
     /// An already-expired deadline yields an empty, truncated answer.
     pub fn run_until_memo(
         &self,

@@ -8,7 +8,10 @@
 //! splices cached subtree results (counts, suffix sets, top-k summaries)
 //! into the answer exactly where exploration would have produced them.
 
-use coursenav_catalog::{Semester, SyntheticCatalog, SyntheticConfig, Term};
+use coursenav_catalog::{
+    Catalog, CatalogBuilder, CourseId, CourseSpec, Semester, SyntheticCatalog, SyntheticConfig,
+    Term,
+};
 use coursenav_navigator::{
     ExplorationCursor, ExplorationRequest, ExplorationResponse, GoalSpec, NavigatorService,
     OutputMode, PruneConfig, RankingSpec, ServiceError, TranspositionTable, WaitPolicy,
@@ -113,9 +116,40 @@ fn normalized_json(resp: &ExplorationResponse) -> String {
 }
 
 fn small_service(synth: &SyntheticCatalog) -> NavigatorService<'_> {
-    NavigatorService::new(&synth.catalog)
+    service_over(&synth.catalog, synth)
+}
+
+/// A service over `catalog`, with `synth`'s degree and offering model.
+fn service_over<'a>(catalog: &'a Catalog, synth: &'a SyntheticCatalog) -> NavigatorService<'a> {
+    NavigatorService::new(catalog)
         .with_degree(&synth.degree)
         .with_offering_model(&synth.offering)
+}
+
+/// The small synthetic catalog rebuilt with its workloads rounded to
+/// whole hours and every fourth course free. The generator's tenths do
+/// not sum exactly, whole hours do, so the memo serves the workload
+/// ranking here; the free courses make zero-cost edges, and the rounding
+/// makes cost ties common.
+fn whole_hour_catalog(synth: &SyntheticCatalog) -> Catalog {
+    let catalog = &synth.catalog;
+    let mut b = CatalogBuilder::new();
+    for course in catalog.courses() {
+        b.add_course(CourseSpec {
+            code: course.code().clone(),
+            title: course.title().to_string(),
+            prereq: course
+                .prereq()
+                .map_atoms(&mut |id: &CourseId| catalog.course(*id).code().clone()),
+            offered: course.offered().clone(),
+            workload: if course.id().as_usize() % 4 == 0 {
+                0.0
+            } else {
+                course.workload().round()
+            },
+        });
+    }
+    b.build().expect("the rebuilt catalog validates")
 }
 
 /// One page's shape: its path count, its `truncated` flag, and whether a
@@ -217,6 +251,82 @@ proptest! {
             pages_splice_identically(&service, &req)?;
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The workload ranking on whole hours, where the memo serves it: cold
+    /// and warm answers, and pages through a shared table, are
+    /// byte-identical to the table-free search, for `k` from one path to
+    /// past most goal-path counts.
+    #[test]
+    fn memoized_workload_top_k_is_byte_identical_on_whole_hours(
+        req in arb_request(),
+        k in prop_oneof![Just(1usize), Just(3), Just(10), Just(200)],
+        page_size in 1usize..6,
+    ) {
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let catalog = whole_hour_catalog(&synth);
+        prop_assert!(catalog.workload_sums_exact());
+        let service = service_over(&catalog, &synth);
+        let mut req = req;
+        req.goal.get_or_insert(GoalSpec::Degree);
+        req.ranking = Some(RankingSpec::Workload);
+        req.output = OutputMode::TopK { k };
+        let table = TranspositionTable::new(1 << 14);
+        let plain = service.run_until_memo(&req, None, 1, None);
+        let cold = service.run_until_memo(&req, None, 1, Some(&table));
+        let warm = service.run_until_memo(&req, None, 1, Some(&table));
+        match (plain, cold, warm) {
+            (Ok(p), Ok(c), Ok(w)) => {
+                // A path that leaves the root was merged at an expanded
+                // root, which the memo stores: the table served the query.
+                if let ExplorationResponse::Ranked { paths, .. } = &p {
+                    if paths.iter().any(|ranked| !ranked.path.selections().is_empty()) {
+                        prop_assert!(table.snapshot().inserts > 0, "the memo was bypassed");
+                    }
+                }
+                let p = normalized_json(&p);
+                prop_assert_eq!(&p, &normalized_json(&c), "cold table diverged");
+                prop_assert_eq!(&p, &normalized_json(&w), "warm table diverged");
+            }
+            (Err(p), Err(c), Err(w)) => {
+                prop_assert_eq!(p.to_string(), c.to_string());
+                prop_assert_eq!(w.to_string(), c.to_string());
+            }
+            (p, c, w) => {
+                return Err(TestCaseError::fail(format!(
+                    "plain/cold/warm disagree on success: {p:?} vs {c:?} vs {w:?}"
+                )));
+            }
+        }
+        req.page_size = Some(page_size);
+        pages_splice_identically(&service, &req)?;
+    }
+}
+
+/// On the generator's tenths the workload sums are inexact, so the
+/// workload top-k never reads or fills the table: it inserts no ranked
+/// entry and answers exactly as the search does.
+#[test]
+fn tenths_catalog_keeps_the_workload_top_k_off_the_table() {
+    let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+    assert!(!synth.catalog.workload_sums_exact());
+    let service = small_service(&synth);
+    let start = Semester::new(2012, Term::Fall);
+    let mut req = ExplorationRequest::degree_paths(start, start + 4, 2, OutputMode::TopK { k: 10 });
+    req.ranking = Some(RankingSpec::Workload);
+    let table = TranspositionTable::new(1 << 14);
+    let plain = service.run_until_memo(&req, None, 1, None).unwrap();
+    let memo = service.run_until_memo(&req, None, 1, Some(&table)).unwrap();
+    assert_eq!(normalized_json(&memo), normalized_json(&plain));
+    assert!(matches!(&plain, ExplorationResponse::Ranked { paths, .. } if !paths.is_empty()));
+    assert_eq!(table.snapshot().inserts, 0, "no ranked entry inserted");
+    // The same frame by time does go through the table.
+    req.ranking = Some(RankingSpec::Time);
+    service.run_until_memo(&req, None, 1, Some(&table)).unwrap();
+    assert!(table.snapshot().inserts > 0);
 }
 
 /// Pages `req` plain, through a cold table, and through the warmed table,

@@ -38,6 +38,10 @@ mod tests {
         let json = catalog_to_json(&data.catalog).unwrap();
         let back = catalog_from_json(&json).unwrap();
         assert_eq!(back.len(), data.catalog.len());
+        assert!(
+            back.workload_sums_exact(),
+            "whole hours, recomputed on load"
+        );
         for (a, b) in data.catalog.courses().zip(back.courses()) {
             assert_eq!(a.code(), b.code());
             assert_eq!(a.prereq(), b.prereq());

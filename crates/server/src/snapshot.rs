@@ -23,6 +23,9 @@
 //! `u16 count + count × u16 course ids`. Memo entries carry a one-byte
 //! tag for the two cached kinds: 0 for a count, 2 for a ranked summary.
 //! Tag 1 (version 1's collect suffix sets) is retired and never reused.
+//! A ranked summary's item is its suffix cost (an `f64`'s bits as a
+//! `u64`, since version 4) followed by its selections, so a restored
+//! summary merges by cost without recomputing a single edge.
 //! An entry's state key is the engine's table key (`Explorer::table_key`):
 //! since version 3 it keeps only what the state's subtree can still read,
 //! so a version-2 file's full-state keys are refused, not reinterpreted.
@@ -49,7 +52,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use coursenav_catalog::{CourseId, CourseSet};
-use coursenav_navigator::{ExploreStats, PortableEntry, StateKey};
+use coursenav_navigator::{ExploreStats, PortableEntry, RankedSuffix, StateKey};
 use coursenav_registrar::{write_registrar_file, RegistrarData};
 
 use crate::session::{SessionExport, SessionRecord};
@@ -59,7 +62,7 @@ pub const MAGIC: &[u8; 8] = b"CNAVSNAP";
 
 /// Format version; bumped on any layout change (no migrations — see the
 /// module docs).
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// The snapshot's file name inside the snapshot directory.
 pub const SNAPSHOT_FILE: &str = "coursenav.snap";
@@ -71,7 +74,7 @@ pub const SNAPSHOT_TMP: &str = "coursenav.snap.tmp";
 const MAX_STR: usize = 1 << 20;
 
 /// One tenant partition inside a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantRecord {
     /// Tenant name as registered.
     pub name: String,
@@ -85,7 +88,7 @@ pub struct TenantRecord {
 }
 
 /// One transposition table inside a tenant partition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableRecord {
     /// The request-shape memo key the table serves.
     pub memo_key: String,
@@ -94,7 +97,7 @@ pub struct TableRecord {
 }
 
 /// A decoded (or to-be-encoded) snapshot: the full warm serving state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotFile {
     /// Every tenant partition, name-sorted.
     pub tenants: Vec<TenantRecord>,
@@ -285,8 +288,9 @@ fn put_entry(out: &mut Vec<u8>, entry: &PortableEntry) {
             put_u64(out, *k);
             put_u32(out, items.len() as u32);
             for item in items {
-                put_u32(out, item.len() as u32);
-                for set in item {
+                put_u64(out, item.cost.to_bits());
+                put_u32(out, item.selections.len() as u32);
+                for set in &item.selections {
                     put_set(out, set);
                 }
             }
@@ -527,14 +531,18 @@ impl<'a> Reader<'a> {
                 let key = self.key()?;
                 let sig = self.u64()?;
                 let k = self.u64()?;
-                // Item minimum: its selection count field.
+                // Item minimum: its cost and its selection count field.
                 let mut items = Vec::new();
-                for _ in 0..self.count(4)? {
+                for _ in 0..self.count(12)? {
+                    let cost = f64::from_bits(self.u64()?);
                     let mut selections = Vec::new();
                     for _ in 0..self.count(2)? {
                         selections.push(self.set()?);
                     }
-                    items.push(selections);
+                    items.push(RankedSuffix {
+                        cost,
+                        selections: selections.into(),
+                    });
                 }
                 Ok(PortableEntry::Ranked { key, sig, k, items })
             }
@@ -631,7 +639,16 @@ mod tests {
                             key: (6, set),
                             sig: 42,
                             k: 3,
-                            items: vec![vec![set], vec![]],
+                            items: vec![
+                                RankedSuffix {
+                                    cost: 7.0,
+                                    selections: Box::new([set]),
+                                },
+                                RankedSuffix {
+                                    cost: 0.0,
+                                    selections: Box::default(),
+                                },
+                            ],
                         },
                     ],
                 }],
@@ -742,11 +759,14 @@ mod tests {
         v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
         assert_eq!(decode(&v1), Err(DecodeError::BadVersion(1)));
 
-        // A version-2 file keys its entries by the full state, so it is
-        // refused by its version too.
-        let mut v2 = good.clone();
-        v2[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(decode(&v2), Err(DecodeError::BadVersion(2)));
+        // A version-2 file keys its entries by the full state, and a
+        // version-3 file's ranked items carry no cost, so both are refused
+        // by their version too.
+        for old in [2u32, 3] {
+            let mut stale = good.clone();
+            stale[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(decode(&stale), Err(DecodeError::BadVersion(old)));
+        }
 
         // Version 1's suffix-set tag is retired: one tenant, one table,
         // one entry tagged 1, padded past the entry-count check.

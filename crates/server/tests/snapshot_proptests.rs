@@ -8,7 +8,7 @@
 //! half-accepted.
 
 use coursenav_catalog::{CourseId, CourseSet};
-use coursenav_navigator::{ExploreStats, PortableEntry};
+use coursenav_navigator::{ExploreStats, PortableEntry, RankedSuffix};
 use coursenav_server::session::{SessionExport, SessionRecord};
 use coursenav_server::snapshot::{decode, encode, SnapshotFile, TableRecord, TenantRecord};
 use proptest::prelude::*;
@@ -57,13 +57,19 @@ fn arb_entry() -> impl Strategy<Value = PortableEntry> {
             arb_set(),
             any::<u64>(),
             1u64..16,
-            prop::collection::vec(prop::collection::vec(arb_set(), 0..3), 0..4),
+            prop::collection::vec((0u32..100, prop::collection::vec(arb_set(), 0..3)), 0..4),
         )
             .prop_map(|(depth, set, sig, k, items)| PortableEntry::Ranked {
                 key: (depth, set),
                 sig,
                 k,
-                items,
+                items: items
+                    .into_iter()
+                    .map(|(cost, selections)| RankedSuffix {
+                        cost: f64::from(cost) / 4.0,
+                        selections: selections.into(),
+                    })
+                    .collect(),
             }),
     ]
 }

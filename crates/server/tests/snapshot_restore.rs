@@ -9,7 +9,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use coursenav_navigator::{ExplorationRequest, OutputMode};
+use coursenav_navigator::{ExplorationRequest, OutputMode, RankingSpec};
 use coursenav_registrar::brandeis_cs;
 use coursenav_server::{RestoreError, Server, ServerConfig};
 
@@ -96,6 +96,46 @@ fn concatenated_paths(pages: &[serde_json::Value]) -> String {
         .flat_map(|p| p["paths"]["paths"].as_array().unwrap().clone())
         .collect();
     serde_json::to_string(&all).unwrap()
+}
+
+/// The bundled catalog's workloads are whole hours, so a workload top-k
+/// is memoized, and its summaries carry their suffix costs: a replica
+/// warmed from the snapshot answers it byte-identically from the restored
+/// table, expanding nothing.
+#[test]
+fn warm_replica_answers_a_workload_top_k_byte_identically() {
+    let dir = scratch_dir("workload");
+    let primary = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start primary");
+    let mut req = count_request();
+    req.output = OutputMode::TopK { k: 5 };
+    req.ranking = Some(RankingSpec::Workload);
+    let req = req.to_json().unwrap();
+
+    let cold = roundtrip(primary.local_addr(), "POST", "/v1/explore", Some(&req))
+        .expect("primary answers");
+    assert_eq!(cold.status, 200, "{}", cold.text());
+    assert!(
+        cold.text().contains("\"ranking\":\"workload\""),
+        "{}",
+        cold.text()
+    );
+    primary.write_snapshot().expect("snapshot writes");
+    primary.shutdown();
+
+    let replica = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start replica");
+    let report = replica.warm_from(&dir).expect("restore applies");
+    assert_eq!(report.tenants_restored, 1, "{report:?}");
+    assert!(report.entries_restored >= 1, "{report:?}");
+    let warm = roundtrip(replica.local_addr(), "POST", "/v1/explore", Some(&req))
+        .expect("replica answers");
+    assert_eq!(warm.status, 200, "{}", warm.text());
+    assert_eq!(normalized(&warm.body), normalized(&cold.body));
+    let metrics = fetch_metrics(replica.local_addr());
+    let memo = &metrics["memo"];
+    assert!(memo["hits"].as_u64().unwrap() >= 1, "{metrics:?}");
+    assert_eq!(memo["misses"].as_u64(), Some(0), "{metrics:?}");
+    replica.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Walk through the v1 wire API: versioned routes, typed errors,
-# cursor-paginated resumable sessions, and NDJSON streaming.
+# cursor-paginated resumable sessions, NDJSON streaming, advising,
+# what-if deltas and paged ranked top-k.
 #
 # Start a server first (any catalog works; the builtin one is enough):
 #
@@ -151,3 +152,38 @@ import json, sys
 t = json.load(sys.stdin)["unique-table"]
 print("unique table: %d nodes, %d roots, %d hash-cons hits, %d apply hits"
       % (t["nodes"], t["roots"], t["hash-cons-hits"], t["apply-hits"]))'
+echo
+
+echo "== 9. Ranked by workload: the top 5 at once, then in pages of 2"
+# The bundled catalog's workloads are whole hours, so the memoized k-best
+# answers this ranking too; either way the pages must concatenate to the
+# unpaged answer, lightest first.
+TOPK='{"start-semester": "Fall 2012", "deadline": "Fall 2014",
+       "max-per-semester": 3, "goal": "degree", "ranking": "workload",
+       "output": {"top-k": {"k": 5}}}'
+whole=$(req /v1/explore "$TOPK")
+pages=""
+cursor=""
+while :; do
+  body=$(python3 -c '
+import json, sys
+req = json.loads(sys.argv[1]); req["page-size"] = 2
+if sys.argv[2]:
+    req["cursor"] = sys.argv[2]
+print(json.dumps(req))' "$TOPK" "$cursor")
+  resp=$(req /v1/explore "$body")
+  pages="$pages$resp"$'\n'
+  cursor=$(printf '%s' "$resp" | field next_cursor)
+  [ -n "$cursor" ] || break
+done
+python3 -c '
+import json, sys
+def paths(body):
+    return json.loads(body)["ranked"]["paths"]
+whole = paths(sys.argv[1])
+pages = [paths(line) for line in sys.argv[2].splitlines() if line.strip()]
+costs = [p["cost"] for p in whole]
+assert len(whole) == 5, "expected 5 workload-ranked paths, got %d" % len(whole)
+assert [p for page in pages for p in page] == whole, "pages differ from the unpaged answer"
+assert costs == sorted(costs), "costs decrease: %s" % costs
+print("workload top-5 costs %s, served again in %d pages" % (costs, len(pages)))' "$whole" "$pages"

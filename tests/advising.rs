@@ -11,8 +11,11 @@
 //! student already warmed — and the shared table really is warm
 //! (`memo_hits > 0`), so the equality is not vacuous.
 
+use std::collections::HashMap;
+
 use coursenavigator::navigator::{
-    BatchAdviseRequest, GoalSpec, NavigatorService, TranscriptSpec, TranspositionTable,
+    BatchAdviseRequest, ExplorationRequest, ExplorationResponse, GoalSpec, NavigatorService,
+    OutputMode, RankingSpec, TranscriptSpec, TranspositionTable,
 };
 use coursenavigator::registrar::{brandeis_cs, RegistrarData};
 use coursenavigator::transcript::{
@@ -193,4 +196,79 @@ fn fixed_cohort_is_feasible_and_warms_the_table() {
     let stats = shared.snapshot();
     assert!(stats.hits > 0, "{stats:?}");
     assert!(stats.inserts > 0, "{stats:?}");
+}
+
+/// A ranked response's wire bytes without its timing.
+fn ranked_bytes(response: &ExplorationResponse) -> String {
+    match response {
+        ExplorationResponse::Ranked {
+            ranking,
+            paths,
+            truncated,
+            ..
+        } => format!(
+            "{ranking} {truncated} {}",
+            serde_json::to_string(paths).expect("serializes")
+        ),
+        other => panic!("top-k answers ranked, got {other:?}"),
+    }
+}
+
+/// The top-k frames of an advising session: a student one or two
+/// semesters in plans three more and asks for the ten fastest and the
+/// five lightest completions. The bundled catalog's workloads are whole
+/// hours, so both rankings are memoized; every answer, cold or warm
+/// against the table its frame shares with the rest of the cohort, is
+/// byte-identical to the un-memoized search's.
+#[test]
+fn advise_session_top_k_frames_match_the_search() {
+    let data = brandeis_cs();
+    assert!(data.catalog.workload_sums_exact());
+    let service = service(&data);
+    let seeds: Vec<u64> = (0..6).collect();
+    let mut tables: HashMap<String, TranspositionTable> = HashMap::new();
+    let (mut answered, mut workload_inserts) = (0usize, 0u64);
+    for pass in 0..2 {
+        for prefix in [1usize, 2] {
+            for student in cohort(&data, &seeds, prefix) {
+                let start = student.next_semester();
+                for (ranking, k) in [(RankingSpec::Time, 10), (RankingSpec::Workload, 5)] {
+                    let mut req = ExplorationRequest::degree_paths(
+                        start,
+                        start + 3,
+                        3,
+                        OutputMode::TopK { k },
+                    );
+                    req.completed = student.completed_codes();
+                    req.ranking = Some(ranking.clone());
+                    let table = tables
+                        .entry(req.memo_key())
+                        .or_insert_with(|| TranspositionTable::new(1 << 16));
+                    let before = table.snapshot().inserts;
+                    let memo = service
+                        .run_until_memo(&req, None, 1, Some(table))
+                        .expect("memoized top-k answers");
+                    if ranking == RankingSpec::Workload {
+                        workload_inserts += table.snapshot().inserts - before;
+                    }
+                    let plain = service
+                        .run_until_memo(&req, None, 1, None)
+                        .expect("the search answers");
+                    assert_eq!(
+                        ranked_bytes(&memo),
+                        ranked_bytes(&plain),
+                        "pass {pass}, {student:?}, {ranking:?}"
+                    );
+                    if let ExplorationResponse::Ranked { paths, .. } = &plain {
+                        answered += usize::from(!paths.is_empty());
+                    }
+                }
+            }
+        }
+    }
+    assert!(answered >= 12, "most frames have completions: {answered}");
+    assert!(
+        workload_inserts > 0,
+        "the workload top-k went through the table"
+    );
 }
