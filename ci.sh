@@ -46,6 +46,12 @@ echo "==> sparse-7sem DAG gates: edge-store layout, classifier golden, rebuild h
 # Ignored in the debug run above, where the builds are slow.
 cargo test -q --release -p coursenav-navigator --lib -- --ignored sparse_7sem
 
+echo "==> Table 1's 5-semester memo row (release, <1 s)"
+# The 5-semester Table 1 row through a cold table: the fold expands
+# strictly fewer nodes than the tree while the pruning breakdown it
+# reports stays exactly the tree's. Ignored in the debug run above.
+cargo test -q --release --test memo_regression -- --ignored
+
 echo "==> §5.2 containment artifact and Table 2's 6-semester goal cell (release, ~1 s)"
 # Regenerates the containment experiment and asserts its two pinned facts:
 # all 83 simulated graduating transcripts are contained in the generated

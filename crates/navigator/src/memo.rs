@@ -38,6 +38,12 @@
 //!   workloads (the synthetic generator's tenths), is answered by the
 //!   un-memoized search, byte-identically.
 //!
+//!   A summary is keyed by state and ranking alone and holds the `k′` it
+//!   was computed for: the first `k` items of a k′-best list are the
+//!   k-best list, so it answers any top-`k` with `k ≤ k′`, and every `k`
+//!   once complete (fewer items than `k′`). A larger `k` recomputes and
+//!   replaces it; a smaller one never does.
+//!
 //! Collect output caches nothing: the walker emits its paths in order,
 //! and the output limit bounds its work.
 //!
@@ -152,6 +158,9 @@ struct CountEntry {
 
 #[derive(Clone)]
 struct RankedEntry {
+    /// The `k` the summary was computed for. Fewer items than `k` means
+    /// the summary lists every goal suffix below its state.
+    k: usize,
     items: Arc<Vec<RankedSuffix>>,
     stamp: u64,
 }
@@ -159,7 +168,7 @@ struct RankedEntry {
 #[derive(Default)]
 struct Shard {
     count: FxMap<StateKey, CountEntry>,
-    ranked: FxMap<(StateKey, u64, u64), RankedEntry>,
+    ranked: FxMap<(StateKey, u64), RankedEntry>,
 }
 
 impl Shard {
@@ -292,8 +301,8 @@ impl TranspositionTable {
             .map(|e| e.stamp)
             .chain(shard.ranked.values().map(|e| e.stamp))
             .collect();
-        stamps.sort_unstable();
-        let cut = stamps[stamps.len() / 4];
+        let quartile = stamps.len() / 4;
+        let cut = *stamps.select_nth_unstable(quartile).1;
         let before = shard.len();
         shard.count.retain(|_, e| e.stamp > cut);
         shard.ranked.retain(|_, e| e.stamp > cut);
@@ -349,15 +358,20 @@ impl TranspositionTable {
         evicted
     }
 
+    /// The summary under `(key, sig)` if its first `k` items are the
+    /// top-`k`: it was computed for at least `k`, or it is complete.
     pub(crate) fn get_ranked(
         &self,
         key: &StateKey,
         sig: u64,
         k: usize,
     ) -> Option<Arc<Vec<RankedSuffix>>> {
-        let full = (*key, sig, k as u64);
+        let full = (*key, sig);
         let mut shard = self.shard_for(&full).lock().expect("shard lock poisoned");
         let entry = shard.ranked.get_mut(&full)?;
+        if entry.k < k && entry.items.len() >= entry.k {
+            return None;
+        }
         entry.stamp = self.hit();
         Some(entry.items.clone())
     }
@@ -372,11 +386,15 @@ impl TranspositionTable {
         if !self.gate_allows() {
             return 0;
         }
-        let full = (key, sig, k as u64);
+        let full = (key, sig);
         let mut shard = self.shard_for(&full).lock().expect("shard lock poisoned");
+        // A summary computed for a larger k already answers this one.
+        if shard.ranked.get(&full).is_some_and(|e| e.k > k) {
+            return 0;
+        }
         let evicted = self.evict_if_full(&mut shard);
         let stamp = self.stamp();
-        shard.ranked.insert(full, RankedEntry { items, stamp });
+        shard.ranked.insert(full, RankedEntry { k, items, stamp });
         self.inserts.fetch_add(1, Ordering::Relaxed);
         evicted
     }
@@ -400,13 +418,13 @@ impl TranspositionTable {
                     },
                 ));
             }
-            for ((key, sig, k), e) in &shard.ranked {
+            for ((key, sig), e) in &shard.ranked {
                 stamped.push((
                     e.stamp,
                     PortableEntry::Ranked {
                         key: *key,
                         sig: *sig,
-                        k: *k,
+                        k: e.k as u64,
                         items: e.items.to_vec(),
                     },
                 ));
@@ -460,7 +478,8 @@ pub enum PortableEntry {
         /// The subtree's logical [`ExploreStats`] delta.
         logical: ExploreStats,
     },
-    /// A top-`k` summary under ranking signature `sig`.
+    /// A top-`k` summary under ranking signature `sig`; of two for one
+    /// key and signature, an import keeps the larger `k`.
     Ranked {
         /// The memoized subtree's status key.
         key: StateKey,
@@ -680,6 +699,7 @@ impl<'c> Explorer<'c> {
         // bottom-up cost too.
         let paths: Vec<RankedPath> = items
             .iter()
+            .take(k)
             .map(|item| {
                 let path = splice_path(self.catalog(), start, &item.selections);
                 let cost = path.statuses().iter().zip(path.selections()).fold(
@@ -803,6 +823,87 @@ mod tests {
                 .unwrap()
                 .expect("no deadline, no fallback");
             assert_eq!(warm, plain, "warm k={k}");
+        }
+    }
+
+    /// A memoized time top-`k` through `table`, checked against the
+    /// table-free search; returns the run's work counters.
+    fn checked_top_k(e: &Explorer<'_>, k: usize, table: &TranspositionTable) -> [u64; 6] {
+        let sig = ranking_signature(&RankingSpec::Time);
+        let (memo, work) = e
+            .top_k_memo_until(&TimeRanking, sig, k, table, None)
+            .unwrap()
+            .expect("no deadline, no fallback");
+        let (plain, _) = e.top_k_until(&TimeRanking, k, None).unwrap();
+        assert_eq!(memo, plain, "k={k}");
+        work_counters(&work)
+    }
+
+    /// Work counters of a top-k answered by one hit at the root.
+    const ROOT_HIT: [u64; 6] = [0, 0, 0, 0, 1, 0];
+
+    #[test]
+    fn a_top_10_summary_answers_a_later_top_3() {
+        let synth = synth();
+        for semesters in [4, 5] {
+            let e = goal_explorer(&synth, semesters);
+            assert!(e.count_paths().goal_paths > 10);
+            let table = TranspositionTable::new(1 << 16);
+            checked_top_k(&e, 10, &table);
+            assert_eq!(checked_top_k(&e, 3, &table), ROOT_HIT);
+        }
+    }
+
+    #[test]
+    fn a_top_3_summary_recomputes_a_top_10_then_answers_top_3() {
+        let synth = synth();
+        let e = goal_explorer(&synth, 4);
+        assert!(e.count_paths().goal_paths > 10);
+        let table = TranspositionTable::new(1 << 16);
+        checked_top_k(&e, 3, &table);
+        let [expanded, .., misses] = checked_top_k(&e, 10, &table);
+        assert!(expanded > 0 && misses > 0, "a top-3 cannot answer a top-10");
+        assert_eq!(checked_top_k(&e, 3, &table), ROOT_HIT);
+        assert_eq!(checked_top_k(&e, 10, &table), ROOT_HIT);
+    }
+
+    #[test]
+    fn a_complete_summary_answers_every_k() {
+        let synth = synth();
+        let e = goal_explorer(&synth, 4);
+        let goal_paths = e.count_paths().goal_paths as usize;
+        let table = TranspositionTable::new(1 << 16);
+        checked_top_k(&e, goal_paths + 1, &table);
+        for k in [goal_paths + 2, 10 * goal_paths, 1, goal_paths] {
+            assert_eq!(checked_top_k(&e, k, &table), ROOT_HIT, "k={k}");
+        }
+    }
+
+    #[test]
+    fn an_import_keeps_the_larger_k_summary() {
+        let key = (3, CourseSet::EMPTY);
+        let item = |cost: f64| RankedSuffix {
+            cost,
+            selections: Box::default(),
+        };
+        let entry = |k: u64| PortableEntry::Ranked {
+            key,
+            sig: 7,
+            k,
+            items: (0..k).map(|i| item(i as f64)).collect(),
+        };
+        for order in [[3, 10], [10, 3]] {
+            let table = TranspositionTable::new(1 << 10);
+            table.import_entries(order.map(entry));
+            assert_eq!(table.export_entries(), vec![entry(10)], "{order:?}");
+            let top_3 = table
+                .get_ranked(&key, 7, 3)
+                .expect("a top-10 answers a top-3");
+            assert_eq!(top_3.len(), 10, "the whole summary, for the caller to cut");
+            assert!(
+                table.get_ranked(&key, 7, 11).is_none(),
+                "a full top-10 is not complete"
+            );
         }
     }
 

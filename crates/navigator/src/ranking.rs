@@ -33,21 +33,6 @@ pub trait Ranking: Send + Sync {
     /// Diagnostic name.
     fn name(&self) -> &str;
 
-    /// Whether this ranking is *suffix-decomposable*: every edge carries
-    /// the same positive, selection-independent cost on every catalog, so
-    /// a path's cost is its length times that cost, and summing it in any
-    /// order gives the same float. The memoized top-k (see [`crate::memo`])
-    /// serves these rankings on every catalog; it also serves the
-    /// workload ranking, whose edge costs vary, on catalogs where its
-    /// sums are exact ([`crate::RankingSpec::memoizable`]). Advising's
-    /// interest rankings must be decomposable.
-    ///
-    /// Defaults to `false` — implementations must opt in only when the
-    /// constant-edge-cost contract genuinely holds.
-    fn decomposable(&self) -> bool {
-        false
-    }
-
     /// Total cost of a path (Σ edge costs).
     fn path_cost(&self, catalog: &Catalog, path: &Path) -> f64 {
         path.statuses()
@@ -70,10 +55,6 @@ impl Ranking for TimeRanking {
 
     fn name(&self) -> &str {
         "time"
-    }
-
-    fn decomposable(&self) -> bool {
-        true
     }
 }
 
@@ -203,14 +184,6 @@ impl Ranking for WeightedRanking<'_> {
     fn name(&self) -> &str {
         "weighted"
     }
-
-    /// A combination is decomposable when every component is *and* the
-    /// combined edge cost is strictly positive (an all-zero-weight
-    /// combination degenerates to cost 0 on every edge, not the positive
-    /// constant the contract names).
-    fn decomposable(&self) -> bool {
-        self.parts.iter().all(|(_, r)| r.decomposable()) && self.parts.iter().any(|(w, _)| *w > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -302,25 +275,6 @@ mod tests {
         // 2*1 + 0.5*13 = 8.5
         assert_eq!(w.edge_cost(&cat, &st, &both(&cat)), 8.5);
         assert_eq!(w.name(), "weighted");
-    }
-
-    #[test]
-    fn decomposability_is_constant_edge_cost_only() {
-        assert!(TimeRanking.decomposable());
-        assert!(!WorkloadRanking.decomposable());
-        let model = OfferingModel::new(fall(2011), 0.5);
-        assert!(!ReliabilityRanking::new(&model).decomposable());
-        let w = WeightedRanking::new()
-            .with(2.0, Arc::new(TimeRanking))
-            .with(1.0, Arc::new(TimeRanking));
-        assert!(w.decomposable());
-        let mixed = WeightedRanking::new()
-            .with(2.0, Arc::new(TimeRanking))
-            .with(0.5, Arc::new(WorkloadRanking));
-        assert!(!mixed.decomposable());
-        // All-zero weights collapse to constant-zero cost: not decomposable.
-        let zero = WeightedRanking::new().with(0.0, Arc::new(TimeRanking));
-        assert!(!zero.decomposable());
     }
 
     #[test]

@@ -77,14 +77,14 @@ impl RankingSpec {
         }
     }
 
-    /// Whether this spec resolves to a suffix-decomposable ranking (see
-    /// [`crate::Ranking::decomposable`]): one positive cost on every edge
-    /// of every catalog, so a path's cost is its length times that cost.
-    /// Mirrors the resolved rankings: `Time` is decomposable,
-    /// `Workload`/`Reliability` are not, and a `Weighted` combination is
-    /// decomposable when every component is and at least one weight is
-    /// positive. Advising's interest rankings must be decomposable; the
-    /// memoized top-k serves a wider set ([`RankingSpec::memoizable`]).
+    /// Whether this spec resolves to a suffix-decomposable ranking: one
+    /// positive cost on every edge of every catalog, so a path's cost is
+    /// its length times that cost and sums to the same float in any order.
+    /// `Time` is decomposable, `Workload`/`Reliability` are not, and a
+    /// `Weighted` combination is decomposable when every component is and
+    /// at least one weight is positive. Advising's interest rankings must
+    /// be decomposable; the memoized top-k serves a wider set
+    /// ([`RankingSpec::memoizable`]).
     pub fn decomposable(&self) -> bool {
         match self {
             RankingSpec::Time => true,

@@ -306,6 +306,46 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One table answers a sequence of top-k requests that differ only in
+    /// `k`, by time and by workload on whole hours: a summary computed for
+    /// a larger `k`, or a complete one, answers a smaller `k`, and a
+    /// larger `k` recomputes. Every answer is byte-identical to the
+    /// table-free search's.
+    #[test]
+    fn one_table_answers_any_sequence_of_k(
+        req in arb_request(),
+        workload in any::<bool>(),
+        ks in prop::collection::vec(1usize..40, 1..6),
+    ) {
+        let synth = SyntheticCatalog::generate(&SyntheticConfig::small());
+        let catalog = whole_hour_catalog(&synth);
+        let service = service_over(&catalog, &synth);
+        let mut req = req;
+        req.goal.get_or_insert(GoalSpec::Degree);
+        req.ranking = Some(if workload { RankingSpec::Workload } else { RankingSpec::Time });
+        let table = TranspositionTable::new(1 << 14);
+        for k in ks {
+            req.output = OutputMode::TopK { k };
+            let plain = service.run_until_memo(&req, None, 1, None);
+            let memo = service.run_until_memo(&req, None, 1, Some(&table));
+            match (plain, memo) {
+                (Ok(p), Ok(m)) => {
+                    prop_assert_eq!(normalized_json(&p), normalized_json(&m), "k={}", k);
+                }
+                (Err(p), Err(m)) => prop_assert_eq!(p.to_string(), m.to_string()),
+                (p, m) => {
+                    return Err(TestCaseError::fail(format!(
+                        "plain/memo disagree on success at k={k}: {p:?} vs {m:?}"
+                    )));
+                }
+            }
+        }
+    }
+}
+
 /// On the generator's tenths the workload sums are inexact, so the
 /// workload top-k never reads or fills the table: it inserts no ranked
 /// entry and answers exactly as the search does.

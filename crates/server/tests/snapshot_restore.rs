@@ -9,8 +9,9 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use coursenav_navigator::{ExplorationRequest, OutputMode, RankingSpec};
+use coursenav_navigator::{ExplorationRequest, OutputMode, PortableEntry, RankingSpec};
 use coursenav_registrar::brandeis_cs;
+use coursenav_server::snapshot::{decode, encode, SNAPSHOT_FILE};
 use coursenav_server::{RestoreError, Server, ServerConfig};
 
 use common::{count_request, fetch_metrics, roundtrip};
@@ -133,6 +134,71 @@ fn warm_replica_answers_a_workload_top_k_byte_identically() {
     let metrics = fetch_metrics(replica.local_addr());
     let memo = &metrics["memo"];
     assert!(memo["hits"].as_u64().unwrap() >= 1, "{metrics:?}");
+    assert_eq!(memo["misses"].as_u64(), Some(0), "{metrics:?}");
+    replica.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ranked summary is kept per state and ranking, for the largest `k`
+/// it was computed for. A snapshot holding both a top-3 and a top-10
+/// summary for the same states, the top-3 ones imported last, restores
+/// the top-10 ones, and the replica answers both top-3 and top-10
+/// byte-identically to the primary without a memo miss.
+#[test]
+fn restored_top_10_summaries_answer_a_top_3_without_a_miss() {
+    let dir = scratch_dir("k-prefix");
+    let file = dir.join(SNAPSHOT_FILE);
+    let top = |k| {
+        let mut req = count_request();
+        req.output = OutputMode::TopK { k };
+        req.ranking = Some(RankingSpec::Time);
+        req.to_json().unwrap()
+    };
+    let (top_3, top_10) = (top(3), top(10));
+    let ask = |addr, req: &str| {
+        let resp = roundtrip(addr, "POST", "/v1/explore", Some(req)).expect("server answers");
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        normalized(&resp.body)
+    };
+    let read = || decode(&std::fs::read(&file).expect("snapshot reads")).expect("decodes");
+
+    let primary = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start primary");
+    let cold_3 = ask(primary.local_addr(), &top_3);
+    primary.write_snapshot().expect("snapshot writes");
+    let with_top_3 = read();
+    let cold_10 = ask(primary.local_addr(), &top_10);
+    primary.write_snapshot().expect("snapshot writes");
+    primary.shutdown();
+
+    // Append the first snapshot's ranked summaries to the same table in
+    // the second, so the import meets a state's top-10 summary first.
+    let mut both = read();
+    let mut doubled = 0;
+    for (tenant, early) in both.tenants.iter_mut().zip(&with_top_3.tenants) {
+        for (table, early) in tenant.tables.iter_mut().zip(&early.tables) {
+            assert_eq!(table.memo_key, early.memo_key);
+            for entry in &early.entries {
+                if let PortableEntry::Ranked { key, sig, k: 3, .. } = entry {
+                    doubled += usize::from(table.entries.iter().any(|later| {
+                        matches!(later, PortableEntry::Ranked { key: lk, sig: ls, k: 10, .. }
+                            if lk == key && ls == sig)
+                    }));
+                    table.entries.push(entry.clone());
+                }
+            }
+        }
+    }
+    assert!(doubled > 0, "some state holds both a top-3 and a top-10");
+    std::fs::write(&file, encode(&both)).expect("snapshot rewrites");
+
+    let replica = Server::start(snapshot_config(&dir), brandeis_cs()).expect("start replica");
+    let report = replica.warm_from(&dir).expect("restore applies");
+    assert_eq!(report.tenants_restored, 1, "{report:?}");
+    assert_eq!(ask(replica.local_addr(), &top_3), cold_3);
+    assert_eq!(ask(replica.local_addr(), &top_10), cold_10);
+    let metrics = fetch_metrics(replica.local_addr());
+    let memo = &metrics["memo"];
+    assert!(memo["hits"].as_u64().unwrap() >= 2, "{metrics:?}");
     assert_eq!(memo["misses"].as_u64(), Some(0), "{metrics:?}");
     replica.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

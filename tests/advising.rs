@@ -272,3 +272,41 @@ fn advise_session_top_k_frames_match_the_search() {
         "the workload top-k went through the table"
     );
 }
+
+/// One student's session on a shared table: a count, the ten fastest
+/// completions, then advice with the three fastest. The top-10 left a
+/// summary at every state the advice's top-3 reaches, so the advice adds
+/// no memo miss, and it is byte-identical to advice without a table.
+#[test]
+fn advice_after_a_top_10_reads_its_summaries() {
+    let data = brandeis_cs();
+    let service = service(&data);
+    let seeds: Vec<u64> = (0..2).collect();
+    let advise = batch(&data, cohort(&data, &seeds, 2), 2).student(0);
+    assert_eq!(advise.k(), 3);
+    let derived = advise.to_exploration();
+    let shared = TranspositionTable::new(1 << 16);
+    for output in [OutputMode::Count, OutputMode::TopK { k: 10 }] {
+        let mut req = derived.clone();
+        req.output = output;
+        assert_eq!(req.memo_key(), derived.memo_key());
+        service
+            .run_until_memo(&req, None, 1, Some(&shared))
+            .expect("the session's exploration answers");
+    }
+    let before = shared.snapshot();
+    let warm = service
+        .advise_until_memo(&advise, None, None, 1, Some(&shared))
+        .expect("warm advising succeeds");
+    let after = shared.snapshot();
+    let alone = service
+        .advise_until_memo(&advise, None, None, 1, None)
+        .expect("table-free advising succeeds");
+    assert!(!warm.response.completions.is_empty(), "{warm:?}");
+    assert_eq!(
+        serde_json::to_string(&warm.response).expect("serializes"),
+        serde_json::to_string(&alone.response).expect("serializes")
+    );
+    assert_eq!(after.misses, before.misses, "{before:?} -> {after:?}");
+    assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+}
