@@ -277,11 +277,6 @@ impl<'a> Explorer<'a> {
         self.goal.as_ref()
     }
 
-    /// The pruning configuration.
-    pub fn prune_config(&self) -> PruneConfig {
-        self.prune
-    }
-
     /// The wait policy.
     pub fn wait_policy(&self) -> WaitPolicy {
         self.wait_policy

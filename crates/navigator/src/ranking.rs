@@ -80,31 +80,20 @@ impl Ranking for WorkloadRanking {
 ///
 /// The paper's path cost is `Π prob(c, s)` over the elected courses,
 /// maximized. Stored here as `Σ −ln prob` (minimized); probabilities are
-/// floored at `prob_floor` so a zero-probability course yields a large
-/// finite cost instead of an infinite one.
+/// floored at [`ReliabilityRanking::DEFAULT_FLOOR`] so a zero-probability
+/// course yields a large finite cost instead of an infinite one.
 #[derive(Debug, Clone)]
 pub struct ReliabilityRanking<'m> {
     model: &'m OfferingModel,
-    prob_floor: f64,
 }
 
 impl<'m> ReliabilityRanking<'m> {
-    /// Default probability floor.
+    /// The probability floor.
     pub const DEFAULT_FLOOR: f64 = 1e-6;
 
-    /// A reliability ranking with the default floor.
+    /// A reliability ranking over `model`.
     pub fn new(model: &'m OfferingModel) -> ReliabilityRanking<'m> {
-        ReliabilityRanking {
-            model,
-            prob_floor: Self::DEFAULT_FLOOR,
-        }
-    }
-
-    /// Overrides the probability floor (must be in `(0, 1]`).
-    pub fn with_floor(mut self, floor: f64) -> Self {
-        assert!(floor > 0.0 && floor <= 1.0, "floor must be in (0, 1]");
-        self.prob_floor = floor;
-        self
+        ReliabilityRanking { model }
     }
 
     /// Converts an accumulated cost back into the paper's probability form.
@@ -127,7 +116,7 @@ impl Ranking for ReliabilityRanking<'_> {
                 let p = self
                     .model
                     .prob(catalog.course(id), from.semester())
-                    .max(self.prob_floor);
+                    .max(Self::DEFAULT_FLOOR);
                 -p.ln()
             })
             .sum()

@@ -186,22 +186,17 @@ impl ConnMachine {
         Step::Dispatch(request)
     }
 
-    /// Maps a parse failure exactly the way the blocking core did.
+    /// Maps a parse failure to the error response that ends the
+    /// connection.
     fn fail(&mut self, err: ParseError) -> Step {
-        let response = match err {
+        Step::Fail(match err {
             ParseError::Malformed(msg) => Response::error(400, &msg),
             ParseError::HeadTooLarge => Response::error(431, "request head too large"),
             ParseError::BodyTooLarge { declared, limit } => Response::error(
                 413,
                 &format!("body of {declared} bytes exceeds the {limit}-byte limit"),
             ),
-            // TimedOut/Io never surface from the pure parser; Closed is
-            // handled by `on_eof`.
-            ParseError::TimedOut | ParseError::ConnectionClosed | ParseError::Io(_) => {
-                return Step::CloseSilent
-            }
-        };
-        Step::Fail(response)
+        })
     }
 
     /// The peer half-closed (read returned 0).
@@ -327,13 +322,6 @@ impl ConnMachine {
             Stage::Streaming => Step::Wait,
             _ => Step::Wait,
         }
-    }
-
-    /// The stream producer finished; once the buffer drains the
-    /// connection closes.
-    pub fn finish_stream(&mut self) {
-        debug_assert_eq!(self.stage, Stage::Streaming);
-        self.set_stage(Stage::Closing);
     }
 
     /// Terminal transition, idempotent.

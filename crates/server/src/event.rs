@@ -12,19 +12,19 @@
 //! Division of labour:
 //!
 //! - **Event loop (this module):** accept + admission by connection
-//!   count, socket reads, incremental parsing (via the machine),
-//!   response/stream flushing as the socket drains, all timers (one
-//!   [`TimerWheel`]), and every `connections-*` accounting decision.
-//! - **Compute pool (`pool.rs`):** runs the routed handler. Buffered
-//!   routes send one [`Completion::Reply`]; streaming routes write
-//!   framed bytes through a bounded [`StreamWriter`] that blocks the
-//!   worker only while the peer is demonstrably draining.
-//! - **lib.rs:** supplies the [`Hooks`] — metrics placement, overload
-//!   admission, chaos sites — so this module stays protocol-only.
+//!   count and by compute-queue depth, socket reads, incremental
+//!   parsing (via the machine), response/stream flushing as the socket
+//!   drains, all timers (one [`Timers`] heap), every `connections-*`
+//!   accounting decision, and the `ResetMidWrite` and
+//!   `ConnectionStall` chaos sites.
+//! - **Compute pool (`pool.rs`):** runs the routed handler
+//!   (`crate::run_request`). Buffered routes send one
+//!   [`Completion::Reply`]; streaming routes write framed bytes through
+//!   a bounded [`StreamWriter`] that blocks the worker only while the
+//!   peer is demonstrably draining.
 //!
 //! Dispatch is sequential per connection (reads pause while a request
-//! is in flight), which is exactly the old thread-per-connection
-//! ordering: pipelined requests answer in order, byte-identically.
+//! is in flight), so pipelined requests answer in order.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -39,8 +39,10 @@ use crossbeam::channel::{self, Receiver, Sender};
 use crate::conn::{ConnMachine, Stage, Step};
 use crate::http::{Request, Response};
 use crate::metrics::EventLoopGauges;
+use crate::pool::PoolHandle;
 use crate::sys;
-use crate::timer::TimerWheel;
+use crate::timer::Timers;
+use crate::AppState;
 
 /// Slab token of the listener (never a valid slot token).
 const LISTENER: u64 = u64::MAX;
@@ -56,43 +58,13 @@ const PUMP_BYTES: usize = 64 * 1024;
 /// fast-draining peer cannot monopolize the event loop.
 const PUMPS_PER_FLUSH: usize = 16;
 
-/// The callbacks lib.rs plugs into the loop: metrics placement,
-/// admission, and chaos sites. Keeping them opaque keeps this module
-/// protocol-only.
-pub(crate) struct Hooks {
-    /// An admitted connection (sheds are not accepted connections).
-    pub on_accept: Box<dyn Fn() + Send>,
-    /// A complete request parsed (counted before routing, like the old
-    /// core counted on `read_request` returning `Ok`).
-    pub on_request: Box<dyn Fn() + Send>,
-    /// Whether the compute queue has room for one more dispatch.
-    pub can_dispatch: Box<dyn Fn() -> bool + Send>,
-    /// A shed happened; returns the advertised `retry-after` seconds.
-    pub on_shed: Box<dyn Fn() -> u64 + Send>,
-    /// A buffered response is being delivered (status accounting).
-    pub on_status: Box<dyn Fn(u16) + Send>,
-    /// A connection was torn down mid-response (reset accounting).
-    pub on_reset: Box<dyn Fn() + Send>,
-    /// `ResetMidWrite` chaos site: `true` tears this response.
-    pub chaos_tear: Box<dyn Fn() -> bool + Send>,
-    /// `ConnectionStall` chaos site: `true` freezes this connection's
-    /// writes (the peer "stops reading") until the stall reaper fires.
-    pub chaos_stall: Box<dyn Fn() -> bool + Send>,
-    /// Runs one request. Invoked on the event loop; implementations
-    /// hand the work to the compute pool and return immediately. The
-    /// [`Responder`] must eventually produce a completion (its `Drop`
-    /// answers 500 as a backstop).
-    pub handle: Box<dyn Fn(Request, Responder) + Send>,
-}
-
 /// Loop tuning, split from [`crate::ServerConfig`] so the event module
 /// does not see unrelated knobs.
 pub(crate) struct EventConfig {
     pub max_body: usize,
     /// Idle/stall window: how long a keep-alive connection may sit
     /// idle, a partial request may stall (→ 408), or a written
-    /// response may make zero progress (→ reap) — PR 2's `keep_alive`
-    /// knob, now enforced by the timer wheel.
+    /// response may make zero progress (→ reap).
     pub keep_alive: Duration,
     /// Hard cap on concurrently held connections; beyond it, accepts
     /// shed with the saturation 503.
@@ -140,7 +112,7 @@ enum Completion {
     /// New bytes are waiting in the stream buffer.
     StreamData { token: u64 },
     /// The stream producer finished (status already accounted on the
-    /// worker, exactly where the old core accounted it).
+    /// worker).
     StreamEnd { token: u64 },
 }
 
@@ -216,8 +188,7 @@ impl Drop for Responder {
 /// loop. The worker blocks while it is full — backpressure — and is
 /// freed (with an error) the moment the loop closes the buffer, so a
 /// stalled peer costs the worker at most one stall window, never
-/// forever (strictly better than the old core, which parked a worker
-/// on a stalled socket indefinitely).
+/// forever.
 pub(crate) struct StreamBuf {
     inner: parking_lot::Mutex<StreamInner>,
     cv: parking_lot::Condvar,
@@ -354,16 +325,16 @@ struct Conn {
     machine: ConnMachine,
     /// Current epoll interest mask (to skip redundant `EPOLL_CTL_MOD`s).
     interest: u32,
-    /// Sequence of the connection's wheel entry: a fired entry with
+    /// Sequence of the connection's timer entry: a fired entry with
     /// another sequence is not this connection's and is ignored.
     timer_seq: u64,
     timer_kind: TimerKind,
-    /// The real deadline; the wheel entry, when it fires early, re-arms
+    /// The real deadline; the timer entry, when it fires early, re-arms
     /// to it.
     deadline: Instant,
-    /// The connection's entry is in the wheel. Re-arms while it is only
-    /// move `deadline`, so the wheel holds at most one entry per
-    /// connection however many requests it serves.
+    /// The connection's entry is queued. Re-arms while it is only move
+    /// `deadline`, so the heap holds at most one entry per connection
+    /// however many requests it serves.
     timer_queued: bool,
     /// The streaming hand-off buffer, while a stream is in flight.
     stream: Option<Arc<StreamBuf>>,
@@ -393,8 +364,9 @@ impl EventLoop {
     pub fn spawn(
         listener: TcpListener,
         config: EventConfig,
-        hooks: Hooks,
-        gauges: Arc<EventLoopGauges>,
+        state: Arc<AppState>,
+        submitter: PoolHandle,
+        queue_depth: u64,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
         let epfd = sys::epoll_create()?;
@@ -406,12 +378,13 @@ impl EventLoop {
             epfd,
             listener,
             config,
-            hooks,
-            gauges,
+            state,
+            submitter,
+            queue_depth,
             slots: Vec::new(),
             free: Vec::new(),
             held: 0,
-            wheel: TimerWheel::new(Instant::now()),
+            timers: Timers::default(),
             tx,
             rx,
             waker: Arc::clone(&waker),
@@ -459,12 +432,14 @@ struct Core {
     epfd: i32,
     listener: TcpListener,
     config: EventConfig,
-    hooks: Hooks,
-    gauges: Arc<EventLoopGauges>,
+    state: Arc<AppState>,
+    submitter: PoolHandle,
+    /// Dispatches admitted while the compute queue is shorter than this.
+    queue_depth: u64,
     slots: Vec<Slot>,
     free: Vec<usize>,
     held: usize,
-    wheel: TimerWheel,
+    timers: Timers,
     tx: Sender<Completion>,
     rx: Receiver<Completion>,
     waker: Arc<Waker>,
@@ -480,7 +455,7 @@ impl Core {
         let mut events = vec![sys::EpollEvent::default(); 1024];
         let mut fired: Vec<(u64, u64)> = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
-            let timeout_ms = match self.wheel.poll_timeout(Instant::now()) {
+            let timeout_ms = match self.timers.poll_timeout(Instant::now()) {
                 Some(d) => (d.as_millis() as i64).clamp(0, i32::MAX as i64) as i32,
                 None => -1,
             };
@@ -488,7 +463,7 @@ impl Core {
                 Ok(n) => n,
                 Err(_) => break,
             };
-            self.gauges.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
+            self.gauges().epoll_wakeups.fetch_add(1, Ordering::Relaxed);
 
             for ev in &events[..n] {
                 let token = ev.token();
@@ -519,8 +494,8 @@ impl Core {
             }
 
             fired.clear();
-            self.wheel.advance(Instant::now(), &mut fired);
-            self.sync_wheel_gauge();
+            self.timers.advance(Instant::now(), &mut fired);
+            self.sync_timer_gauge();
             for &(token, seq) in &fired {
                 self.on_timer(token, seq);
             }
@@ -588,9 +563,8 @@ impl Core {
         if self.held >= self.config.max_connections {
             // Full house: the saturation 503, written synchronously on
             // the still-blocking socket (accepted fds do not inherit
-            // O_NONBLOCK), exactly the old accept-queue shed.
-            let retry_after = (self.hooks.on_shed)();
-            shed(sock, retry_after);
+            // O_NONBLOCK).
+            shed(sock, &self.shed_bytes());
             return;
         }
         let _ = sock.set_nodelay(true);
@@ -627,11 +601,16 @@ impl Core {
             self.free.push(idx);
             return;
         }
-        (self.hooks.on_accept)();
+        self.state
+            .metrics
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
         self.slots[idx].conn = Some(conn);
         self.held += 1;
-        self.gauges.connections_held.fetch_add(1, Ordering::Relaxed);
-        self.gauges.stage_idle.fetch_add(1, Ordering::Relaxed);
+        self.gauges()
+            .connections_held
+            .fetch_add(1, Ordering::Relaxed);
+        self.gauges().stage_idle.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = self.slot_of(token) {
             c.interest = sys::EPOLLIN;
         }
@@ -640,13 +619,17 @@ impl Core {
 
     // ---- gauges ----------------------------------------------------
 
+    fn gauges(&self) -> &EventLoopGauges {
+        &self.state.metrics.event
+    }
+
     fn stage_gauge(&self, stage: Stage) -> &std::sync::atomic::AtomicU64 {
         match stage {
-            Stage::Idle => &self.gauges.stage_idle,
-            Stage::Reading => &self.gauges.stage_reading,
-            Stage::Dispatched => &self.gauges.stage_dispatched,
-            Stage::Writing => &self.gauges.stage_writing,
-            Stage::Streaming | Stage::Closing => &self.gauges.stage_streaming,
+            Stage::Idle => &self.gauges().stage_idle,
+            Stage::Reading => &self.gauges().stage_reading,
+            Stage::Dispatched => &self.gauges().stage_dispatched,
+            Stage::Writing => &self.gauges().stage_writing,
+            Stage::Streaming | Stage::Closing => &self.gauges().stage_streaming,
         }
     }
 
@@ -670,7 +653,7 @@ impl Core {
     // ---- timers ----------------------------------------------------
 
     /// Arms (or re-arms) the connection's single logical timer. While
-    /// the connection's entry is still in the wheel only its kind and
+    /// the connection's entry is still queued only its kind and
     /// deadline change: deadlines only move forward, so the entry fires
     /// early and [`Core::on_timer`] re-inserts it at the live deadline.
     /// Disarming (`TimerKind::None`) keeps the entry too; it retires when
@@ -694,21 +677,21 @@ impl Core {
         self.schedule(deadline, token, seq);
     }
 
-    /// Inserts a wheel entry and publishes the wheel's size.
+    /// Queues a timer entry and publishes the queue's size.
     fn schedule(&mut self, deadline: Instant, token: u64, seq: u64) {
-        self.wheel.insert(deadline, token, seq);
-        self.sync_wheel_gauge();
+        self.timers.insert(deadline, token, seq);
+        self.sync_timer_gauge();
     }
 
-    fn sync_wheel_gauge(&self) {
-        self.gauges
+    fn sync_timer_gauge(&self) {
+        self.gauges()
             .timer_entries
-            .store(self.wheel.len() as u64, Ordering::Relaxed);
+            .store(self.timers.len() as u64, Ordering::Relaxed);
     }
 
-    /// Pushes the live deadline forward without touching the wheel (the
+    /// Pushes the live deadline forward without touching the heap (the
     /// fired entry re-arms itself to the real deadline — O(1) per unit
-    /// of progress, one wheel entry per connection).
+    /// of progress, one timer entry per connection).
     fn feed_timer(&mut self, token: u64) {
         let window = self.config.keep_alive;
         if let Some(conn) = self.slot_of(token) {
@@ -742,11 +725,11 @@ impl Core {
                 let step = conn.machine.on_read_timeout();
                 match step {
                     Step::Fail(resp) => {
-                        self.gauges.reaped_408.fetch_add(1, Ordering::Relaxed);
+                        self.gauges().reaped_408.fetch_add(1, Ordering::Relaxed);
                         self.deliver_reply(token, resp, false);
                     }
                     Step::CloseSilent => {
-                        self.gauges.reaped_idle.fetch_add(1, Ordering::Relaxed);
+                        self.gauges().reaped_idle.fetch_add(1, Ordering::Relaxed);
                         self.close(token, false);
                     }
                     _ => {}
@@ -758,7 +741,7 @@ impl Core {
                     // Zero progress for a full window with bytes owed:
                     // the peer stopped reading. Reap — the close also
                     // frees any worker blocked on the stream buffer.
-                    self.gauges.reaped_stalled.fetch_add(1, Ordering::Relaxed);
+                    self.gauges().reaped_stalled.fetch_add(1, Ordering::Relaxed);
                     self.reset_close(token);
                 } else {
                     // Nothing owed (the engine is between chunks): not
@@ -805,8 +788,7 @@ impl Core {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Hard read error: the old core's `Io(_)` arm —
-                    // close silently.
+                    // Hard read error: close silently.
                     self.close(token, false);
                     return;
                 }
@@ -851,30 +833,35 @@ impl Core {
     fn dispatch(&mut self, token: u64, request: Request) {
         self.sync_stage_gauge(token);
         // A request is in flight: reads pause, no deadline (the engine
-        // owns time, exactly like the old core's blocking handler).
+        // owns time).
         self.arm_timer(token, TimerKind::None);
         self.update_interest(token);
-        if (self.hooks.chaos_stall)() {
+        // `ConnectionStall` chaos: the peer "stops reading", freezing
+        // this connection's writes until the stall reaper fires.
+        chaos!(self.state, crate::faults::FaultSite::ConnectionStall, {
             if let Some(conn) = self.slot_of(token) {
                 conn.stalled = true;
             }
-        }
-        if !(self.hooks.can_dispatch)() {
+        });
+        let queued = self.state.overload.queue_gauge().load(Ordering::Relaxed);
+        if queued >= self.queue_depth {
             // The compute queue is full: the same saturation 503 bytes
             // the accept-time shed writes, queued through the machine.
             // A shed request is parsed but never routed, so it does not
-            // count toward `requests_total` (under the old model a shed
-            // connection never had its request read at all).
-            let retry_after = (self.hooks.on_shed)();
+            // count toward `requests_total`.
+            let bytes = self.shed_bytes();
             if let Some(conn) = self.slot_of(token) {
-                conn.machine.queue_raw_close(&shed_bytes(retry_after));
+                conn.machine.queue_raw_close(&bytes);
             }
             self.sync_stage_gauge(token);
             self.arm_timer(token, TimerKind::Write);
             self.flush_out(token);
             return;
         }
-        (self.hooks.on_request)();
+        self.state
+            .metrics
+            .requests_total
+            .fetch_add(1, Ordering::Relaxed);
         let responder = Responder {
             token,
             tx: self.tx.clone(),
@@ -883,7 +870,10 @@ impl Core {
             consumed: false,
             stream_buffer: self.config.stream_buffer,
         };
-        (self.hooks.handle)(request, responder);
+        let state = Arc::clone(&self.state);
+        self.submitter.submit(Box::new(move || {
+            crate::run_request(&state, request, responder);
+        }));
     }
 
     // ---- completions ----------------------------------------------
@@ -924,18 +914,24 @@ impl Core {
     }
 
     /// Delivers one buffered response: status accounting, the
-    /// `ResetMidWrite` chaos site, then the serialized bytes — the
-    /// exact ordering of the old core's write path.
+    /// `ResetMidWrite` chaos site, then the serialized bytes.
     fn deliver_reply(&mut self, token: u64, response: Response, keep: bool) {
-        (self.hooks.on_status)(response.status);
-        let torn = (self.hooks.chaos_tear)();
+        self.state.metrics.count_status(response.status);
+        let torn = chaos!(self.state, crate::faults::FaultSite::ResetMidWrite);
+        if torn {
+            // Count before the tear goes on the wire: the moment the
+            // peer sees the torn bytes the counter must reflect it.
+            self.state
+                .metrics
+                .connections_reset
+                .fetch_add(1, Ordering::Relaxed);
+        }
         let Some(conn) = self.slot_of(token) else {
             return;
         };
         if torn {
             // Part of the status line, then a hard close: the torn
-            // response the chaos suite asserts on. The reset was
-            // counted by the hook before the tear is observable.
+            // response the chaos suite asserts on.
             conn.machine.queue_raw_close(b"HTTP/1.1 ");
         } else {
             conn.machine.queue_reply(&response, keep);
@@ -1009,8 +1005,7 @@ impl Core {
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        // Bytes were owed and the socket died: a reset,
-                        // same as the old core's failed `write_response`.
+                        // Bytes were owed and the socket died: a reset.
                         self.reset_close(token);
                         return;
                     }
@@ -1083,6 +1078,34 @@ impl Core {
         }
     }
 
+    /// Counts a shed and returns the saturation 503 payload. Sheds get
+    /// their own counter, deliberately *not* folded into `server_errors`:
+    /// a shed is load control working as designed. The advertised
+    /// `retry-after` is the breaker's remaining cooldown when it is open
+    /// (rounded up), else the one-second minimum.
+    fn shed_bytes(&self) -> Vec<u8> {
+        self.state
+            .metrics
+            .connections_shed
+            .fetch_add(1, Ordering::Relaxed);
+        let retry_after = self
+            .state
+            .overload
+            .remaining_open()
+            .map(|d| d.as_secs() + u64::from(d.subsec_nanos() > 0))
+            .unwrap_or(1)
+            .max(1);
+        let body = br#"{"error":"server saturated, retry later"}"#;
+        let mut bytes = format!(
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+             content-length: {}\r\nretry-after: {retry_after}\r\nconnection: close\r\n\r\n",
+            body.len(),
+        )
+        .into_bytes();
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
     // ---- interest & close -----------------------------------------
 
     fn update_interest(&mut self, token: u64) {
@@ -1105,7 +1128,10 @@ impl Core {
     }
 
     fn reset_close(&mut self, token: u64) {
-        (self.hooks.on_reset)();
+        self.state
+            .metrics
+            .connections_reset
+            .fetch_add(1, Ordering::Relaxed);
         self.close(token, true);
     }
 
@@ -1128,7 +1154,9 @@ impl Core {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(idx);
         self.held -= 1;
-        self.gauges.connections_held.fetch_sub(1, Ordering::Relaxed);
+        self.gauges()
+            .connections_held
+            .fetch_sub(1, Ordering::Relaxed);
         self.stage_gauge(conn.gauged)
             .fetch_sub(1, Ordering::Relaxed);
         if let Some(stream) = &conn.stream {
@@ -1139,24 +1167,10 @@ impl Core {
     }
 }
 
-/// The saturation 503 payload, byte-identical to the old pool's shed.
-fn shed_bytes(retry_after_secs: u64) -> Vec<u8> {
-    let body = br#"{"error":"server saturated, retry later"}"#;
-    let mut bytes = format!(
-        "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
-         content-length: {}\r\nretry-after: {}\r\nconnection: close\r\n\r\n",
-        body.len(),
-        retry_after_secs.max(1),
-    )
-    .into_bytes();
-    bytes.extend_from_slice(body);
-    bytes
-}
-
 /// Writes the shed response synchronously on a still-blocking socket
 /// and drops it — the accept-time rejection when the connection cap is
 /// reached.
-fn shed(mut sock: TcpStream, retry_after_secs: u64) {
+fn shed(mut sock: TcpStream, bytes: &[u8]) {
     let _ = sock.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = sock.write_all(&shed_bytes(retry_after_secs));
+    let _ = sock.write_all(bytes);
 }

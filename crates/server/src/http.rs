@@ -8,7 +8,7 @@
 //! memory. Anything outside that scope is a clean `4xx`, never undefined
 //! behavior.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -16,11 +16,6 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Parse failure, mapped to a status code by the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The connection closed before a complete request arrived. Clean EOF
-    /// between requests is normal keep-alive termination.
-    ConnectionClosed,
-    /// The socket read timed out waiting for (more of) a request.
-    TimedOut,
     /// The bytes are not a well-formed HTTP/1.x request (→ 400).
     Malformed(String),
     /// The request head exceeds [`MAX_HEAD_BYTES`] (→ 431/400).
@@ -32,8 +27,6 @@ pub enum ParseError {
         /// The configured cap it exceeded.
         limit: usize,
     },
-    /// An I/O error other than timeout/EOF.
-    Io(String),
 }
 
 /// One parsed request.
@@ -60,16 +53,6 @@ impl Request {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
-    }
-}
-
-fn io_error(err: io::Error) -> ParseError {
-    match err.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ParseError::TimedOut,
-        io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset => {
-            ParseError::ConnectionClosed
-        }
-        _ => ParseError::Io(err.to_string()),
     }
 }
 
@@ -107,8 +90,8 @@ pub struct HeadInfo {
 
 /// Incremental head parse over the carry buffer. Returns `Ok(None)` when
 /// the terminator has not arrived yet (read more and call again),
-/// `Ok(Some(head))` once the head parsed cleanly, or the same errors the
-/// blocking reader raised. `scanned` is the resumable scan cursor: the
+/// `Ok(Some(head))` once the head parsed cleanly, or the error to answer
+/// with. `scanned` is the resumable scan cursor: the
 /// caller keeps it across calls so a slow-trickle client costs O(n)
 /// total instead of O(n²) rescans, and resets it to 0 for each new
 /// request.
@@ -228,64 +211,6 @@ pub fn take_request(buf: &mut Vec<u8>, head: HeadInfo) -> Request {
         body,
         keep_alive: head.keep_alive,
     }
-}
-
-/// Reads and parses one request from `stream`. `max_body` caps the body;
-/// on [`ParseError::BodyTooLarge`] the caller should answer 413 and close
-/// (the unread body would otherwise desynchronize the connection).
-///
-/// `buf` is the connection's carry buffer: bytes read past the end of this
-/// request (HTTP/1.1 pipelining batches several requests into one TCP
-/// segment) are left in it for the next call, which parses them before
-/// touching the socket again. On an error return the buffer holds whatever
-/// partial request had arrived — the caller uses that to distinguish an
-/// idle keep-alive timeout (empty: close silently) from a stalled
-/// mid-request client (non-empty: answer `408`).
-///
-/// Sends `HTTP/1.1 100 Continue` when the client asked for it — curl does
-/// this for POST bodies above its threshold, and without the interim
-/// response it stalls for a second before sending the body.
-///
-/// This is the blocking driver over [`parse_head`] / [`take_request`];
-/// the event-driven core drives the same functions from readiness
-/// callbacks instead (`conn.rs`), so both cores share one parser.
-pub fn read_request<S: Read + Write>(
-    stream: &mut S,
-    max_body: usize,
-    buf: &mut Vec<u8>,
-) -> Result<Request, ParseError> {
-    let mut chunk = [0u8; 4096];
-    let mut scanned = 0usize;
-    let head = loop {
-        match parse_head(buf, &mut scanned, max_body)? {
-            Some(head) => break head,
-            None => {
-                let n = stream.read(&mut chunk).map_err(io_error)?;
-                if n == 0 {
-                    if buf.is_empty() {
-                        return Err(ParseError::ConnectionClosed);
-                    }
-                    return Err(ParseError::Malformed("truncated request head".into()));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    };
-
-    if head.expects_continue && head.content_length > buf.len() - head.head_end {
-        stream
-            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-            .map_err(io_error)?;
-    }
-
-    while !body_complete(buf, &head) {
-        let n = stream.read(&mut chunk).map_err(io_error)?;
-        if n == 0 {
-            return Err(ParseError::Malformed("truncated request body".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    Ok(take_request(buf, head))
 }
 
 /// The canonical reason phrase for the status codes this server emits.
@@ -513,47 +438,23 @@ pub fn finish_chunks<W: Write>(stream: &mut W) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{ConnMachine, Step};
 
-    /// An in-memory bidirectional stream for parser tests.
-    struct Mock {
-        input: io::Cursor<Vec<u8>>,
-        output: Vec<u8>,
-    }
-
-    impl Mock {
-        fn new(input: &[u8]) -> Mock {
-            Mock {
-                input: io::Cursor::new(input.to_vec()),
-                output: Vec::new(),
-            }
-        }
-    }
-
-    impl Read for Mock {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.input.read(buf)
-        }
-    }
-
-    impl Write for Mock {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// One-shot parse with a throwaway carry buffer.
-    fn parse(s: &mut Mock, max_body: usize) -> Result<Request, ParseError> {
-        read_request(s, max_body, &mut Vec::new())
+    /// Parses one request from a complete buffer.
+    fn parse(raw: &[u8], max_body: usize) -> Result<Request, ParseError> {
+        let mut carry = raw.to_vec();
+        let head = parse_head(&carry, &mut 0, max_body)?.expect("complete head");
+        assert!(body_complete(&carry, &head), "complete body");
+        Ok(take_request(&mut carry, head))
     }
 
     #[test]
     fn parses_get_with_query_and_headers() {
-        let mut s = Mock::new(b"GET /metrics?verbose=1 HTTP/1.1\r\nHost: x\r\nX-Trace: 7\r\n\r\n");
-        let req = parse(&mut s, 1024).unwrap();
+        let req = parse(
+            b"GET /metrics?verbose=1 HTTP/1.1\r\nHost: x\r\nX-Trace: 7\r\n\r\n",
+            1024,
+        )
+        .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/metrics");
         assert_eq!(req.query.as_deref(), Some("verbose=1"));
@@ -564,20 +465,28 @@ mod tests {
 
     #[test]
     fn parses_post_body_split_across_reads() {
-        let text = b"POST /explore HTTP/1.1\r\ncontent-length: 11\r\n\r\nhello world";
-        let mut s = Mock::new(text);
-        let req = parse(&mut s, 1024).unwrap();
+        let mut carry = b"POST /explore HTTP/1.1\r\ncontent-length: 11\r\n\r\nhello".to_vec();
+        let head = parse_head(&carry, &mut 0, 1024).unwrap().unwrap();
+        assert!(!body_complete(&carry, &head), "half the body is missing");
+        carry.extend_from_slice(b" world");
+        assert!(body_complete(&carry, &head));
+        let req = take_request(&mut carry, head);
         assert_eq!(req.body, b"hello world");
     }
 
     #[test]
     fn connection_close_and_http10_disable_keep_alive() {
-        let mut s = Mock::new(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(!parse(&mut s, 0).unwrap().keep_alive);
-        let mut s = Mock::new(b"GET / HTTP/1.0\r\n\r\n");
-        assert!(!parse(&mut s, 0).unwrap().keep_alive);
-        let mut s = Mock::new(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
-        assert!(parse(&mut s, 0).unwrap().keep_alive);
+        assert!(
+            !parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", 0)
+                .unwrap()
+                .keep_alive
+        );
+        assert!(!parse(b"GET / HTTP/1.0\r\n\r\n", 0).unwrap().keep_alive);
+        assert!(
+            parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 0)
+                .unwrap()
+                .keep_alive
+        );
     }
 
     #[test]
@@ -590,9 +499,8 @@ mod tests {
             b"POST / HTTP/1.1\r\ncontent-length: nan\r\n\r\n",
             b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n",
         ] {
-            let mut s = Mock::new(bad);
             assert!(
-                matches!(parse(&mut s, 1024), Err(ParseError::Malformed(_))),
+                matches!(parse(bad, 1024), Err(ParseError::Malformed(_))),
                 "{:?}",
                 String::from_utf8_lossy(bad)
             );
@@ -601,8 +509,7 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_refused_before_reading_them() {
-        let mut s = Mock::new(b"POST / HTTP/1.1\r\ncontent-length: 4096\r\n\r\n");
-        match parse(&mut s, 64) {
+        match parse(b"POST / HTTP/1.1\r\ncontent-length: 4096\r\n\r\n", 64) {
             Err(ParseError::BodyTooLarge { declared, limit }) => {
                 assert_eq!(declared, 4096);
                 assert_eq!(limit, 64);
@@ -615,19 +522,20 @@ mod tests {
     fn oversized_heads_are_refused() {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
-        let mut s = Mock::new(&raw);
-        assert!(matches!(parse(&mut s, 0), Err(ParseError::HeadTooLarge)));
+        assert!(matches!(
+            parse_head(&raw, &mut 0, 0),
+            Err(ParseError::HeadTooLarge)
+        ));
     }
 
     #[test]
     fn expect_100_continue_is_acknowledged() {
-        let mut s =
-            Mock::new(b"POST / HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\nok");
-        let req = parse(&mut s, 16).unwrap();
-        assert_eq!(req.body, b"ok");
-        // The body was already buffered here, so no interim response is
-        // required; a stalled client (empty buffer) would get one. Either
-        // way the final body parses.
+        let raw = b"POST / HTTP/1.1\r\nexpect: 100-continue\r\ncontent-length: 2\r\n\r\nok";
+        let head = parse_head(raw, &mut 0, 16).unwrap().unwrap();
+        assert!(head.expects_continue);
+        // Whether the interim response goes out (only when the body lags)
+        // is the connection machine's call; either way the body parses.
+        assert_eq!(parse(raw, 16).unwrap().body, b"ok");
     }
 
     #[test]
@@ -739,29 +647,18 @@ mod tests {
     }
 
     #[test]
-    fn eof_before_any_bytes_is_connection_closed() {
-        let mut s = Mock::new(b"");
-        assert!(matches!(
-            parse(&mut s, 0),
-            Err(ParseError::ConnectionClosed)
-        ));
-        let mut s = Mock::new(b"GET / HT");
-        assert!(matches!(parse(&mut s, 0), Err(ParseError::Malformed(_))));
-    }
-
-    #[test]
     fn pipelined_requests_parse_back_to_back_from_one_segment() {
         // Two requests in one TCP segment — legal HTTP/1.1 pipelining. The
         // first parse consumes exactly its own bytes; the second parses
-        // entirely from the carry buffer (the Mock is at EOF by then).
-        let raw = b"POST /explore HTTP/1.1\r\ncontent-length: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
-        let mut s = Mock::new(raw);
-        let mut carry = Vec::new();
-        let first = read_request(&mut s, 1024, &mut carry).unwrap();
+        // entirely from the carry buffer.
+        let mut carry = b"POST /explore HTTP/1.1\r\ncontent-length: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".to_vec();
+        let head = parse_head(&carry, &mut 0, 1024).unwrap().unwrap();
+        let first = take_request(&mut carry, head);
         assert_eq!(first.method, "POST");
         assert_eq!(first.body, b"hello");
         assert!(!carry.is_empty(), "second request stays buffered");
-        let second = read_request(&mut s, 1024, &mut carry).unwrap();
+        let head = parse_head(&carry, &mut 0, 1024).unwrap().unwrap();
+        let second = take_request(&mut carry, head);
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
         assert!(second.body.is_empty());
@@ -770,54 +667,40 @@ mod tests {
 
     #[test]
     fn pipelined_partial_second_request_survives_in_the_carry_buffer() {
-        let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HT";
-        let mut s = Mock::new(raw);
-        let mut carry = Vec::new();
-        assert_eq!(read_request(&mut s, 0, &mut carry).unwrap().path, "/a");
-        assert_eq!(carry, b"GET /b HT");
+        let mut m = ConnMachine::new(0);
+        let first = match m.on_bytes(b"GET /a HTTP/1.1\r\n\r\nGET /b HT") {
+            Step::Dispatch(r) => r,
+            other => panic!("expected dispatch, got {other:?}"),
+        };
+        assert_eq!(first.path, "/a");
+        m.queue_reply(&Response::json(200, "{}"), true);
+        m.consume_out(m.out_pending().len());
+        assert!(matches!(m.on_out_drained(), Step::Wait));
+        assert!(m.mid_request(), "`GET /b HT` stays buffered");
         // EOF with a partial head buffered is a truncation, not a clean close.
-        assert!(matches!(
-            read_request(&mut s, 0, &mut carry),
-            Err(ParseError::Malformed(_))
-        ));
-    }
-
-    /// Feeds the parser one byte per read — the adversarial slow-trickle
-    /// client the resumable head scan exists for.
-    struct Trickle {
-        data: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for Trickle {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos >= self.data.len() {
-                return Ok(0);
-            }
-            buf[0] = self.data[self.pos];
-            self.pos += 1;
-            Ok(1)
-        }
-    }
-
-    impl Write for Trickle {
-        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-            Ok(_buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
+        match m.on_eof() {
+            Step::Fail(resp) => assert_eq!(resp.status, 400),
+            other => panic!("expected 400, got {other:?}"),
         }
     }
 
     #[test]
     fn byte_at_a_time_request_parses_with_resumed_scanning() {
+        // The adversarial slow-trickle client the resumable head scan
+        // exists for: one byte per read.
         let raw = b"POST /explore HTTP/1.1\r\nx-pad: aaaaaaaaaaaaaaaaaaaaaaaa\r\ncontent-length: 3\r\n\r\nabc";
-        let mut s = Trickle {
-            data: raw.to_vec(),
-            pos: 0,
-        };
         let mut carry = Vec::new();
-        let req = read_request(&mut s, 64, &mut carry).unwrap();
+        let mut scanned = 0;
+        let mut head = None;
+        for &byte in raw {
+            carry.push(byte);
+            if head.is_none() {
+                head = parse_head(&carry, &mut scanned, 64).unwrap();
+            }
+        }
+        let head = head.expect("head parsed");
+        assert!(body_complete(&carry, &head));
+        let req = take_request(&mut carry, head);
         assert_eq!(req.path, "/explore");
         assert_eq!(req.body, b"abc");
         assert!(carry.is_empty());

@@ -77,8 +77,8 @@
 //! so an idle keep-alive connection costs a slab slot and its buffers,
 //! not a parked thread, and the concurrency ceiling is the fd limit
 //! rather than the thread count. All idle/408/write-stall deadlines
-//! live in one timer wheel ([`timer`]) inside the loop. See [`http`]
-//! for the wire protocol, [`cache`] for the LRU.
+//! live in one min-heap inside the loop (the private `timer` module).
+//! See [`http`] for the wire protocol, [`cache`] for the LRU.
 //!
 //! **One serving pipeline.** Every POST route — explore, advise and
 //! what-if, plus the streamed explore and cohort-batch routes — runs the
@@ -92,16 +92,23 @@
 // Raw syscalls are the one unsafe code, confined to `sys`.
 #![deny(unsafe_code)]
 
-/// Runs `$action` when the armed fault plan fires at `$site` — compiled
-/// out entirely (no branch, no plan lookup) without the `chaos` feature.
+/// Whether the armed fault plan fires at `$site`, or runs `$action` when
+/// it does — compiled out entirely (a constant `false`, no plan lookup)
+/// without the `chaos` feature.
 #[cfg(feature = "chaos")]
 macro_rules! chaos {
+    ($state:expr, $site:expr) => {
+        $state.faults.fires($site)
+    };
     ($state:expr, $site:expr, $action:block) => {
-        if $state.faults.fires($site) $action
+        if chaos!($state, $site) $action
     };
 }
 #[cfg(not(feature = "chaos"))]
 macro_rules! chaos {
+    ($state:expr, $site:expr) => {
+        false
+    };
     ($state:expr, $site:expr, $action:block) => {};
 }
 
@@ -121,7 +128,7 @@ pub mod singleflight;
 pub mod snapshot;
 #[allow(unsafe_code)]
 pub mod sys;
-pub mod timer;
+mod timer;
 
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
@@ -315,10 +322,6 @@ struct Snapshotter {
 }
 
 /// A running server. Dropping it shuts it down gracefully.
-///
-/// Field order is teardown order: the event loop stops first (closing
-/// every connection and stream buffer, which frees any blocked worker
-/// and drops its pool handle), then the pool disconnects and joins.
 pub struct Server {
     events: event::EventLoop,
     pool: pool::Pool,
@@ -328,7 +331,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `config.addr`, spawns the acceptor and workers, and starts
+    /// Binds `config.addr`, spawns the event loop and workers, and starts
     /// serving `data`.
     pub fn start(config: ServerConfig, data: RegistrarData) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
@@ -365,101 +368,7 @@ impl Server {
             faults: Arc::clone(&config.faults),
         });
 
-        let depth_gauge = state.overload.queue_gauge();
-        let pool = pool::spawn(config.threads, Arc::clone(&depth_gauge));
-        let hooks = {
-            let metrics_accept = Arc::clone(&state);
-            let metrics_request = Arc::clone(&state);
-            let can_dispatch_state = Arc::clone(&state);
-            let shed_state = Arc::clone(&state);
-            let status_state = Arc::clone(&state);
-            let reset_state = Arc::clone(&state);
-            #[cfg(feature = "chaos")]
-            let tear_state = Arc::clone(&state);
-            #[cfg(feature = "chaos")]
-            let stall_state = Arc::clone(&state);
-            let handle_state = Arc::clone(&state);
-            let submitter = pool.handle();
-            let queue_depth = config.queue_depth.max(1) as u64;
-            event::Hooks {
-                on_accept: Box::new(move || {
-                    metrics_accept
-                        .metrics
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
-                on_request: Box::new(move || {
-                    metrics_request
-                        .metrics
-                        .requests_total
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
-                can_dispatch: Box::new(move || {
-                    can_dispatch_state
-                        .overload
-                        .queue_gauge()
-                        .load(Ordering::Relaxed)
-                        < queue_depth
-                }),
-                on_shed: Box::new(move || {
-                    // Sheds get their own counter, deliberately *not*
-                    // folded into `server_errors`: a shed is load-control
-                    // working as designed, and overload dashboards need it
-                    // distinguishable from handler failures.
-                    shed_state
-                        .metrics
-                        .connections_shed
-                        .fetch_add(1, Ordering::Relaxed);
-                    // The advertised retry-after: the breaker's remaining
-                    // cooldown when it is open (rounded up), else the
-                    // minimum.
-                    shed_state
-                        .overload
-                        .remaining_open()
-                        .map(|d| d.as_secs() + u64::from(d.subsec_nanos() > 0))
-                        .unwrap_or(1)
-                        .max(1)
-                }),
-                on_status: Box::new(move |status| {
-                    status_state.metrics.count_status(status);
-                }),
-                on_reset: Box::new(move || {
-                    reset_state
-                        .metrics
-                        .connections_reset
-                        .fetch_add(1, Ordering::Relaxed);
-                }),
-                #[cfg(feature = "chaos")]
-                chaos_tear: Box::new(move || {
-                    if tear_state.faults.fires(faults::FaultSite::ResetMidWrite) {
-                        // Count before the tear goes on the wire: the
-                        // moment the peer sees the torn bytes the counter
-                        // must already reflect it.
-                        tear_state
-                            .metrics
-                            .connections_reset
-                            .fetch_add(1, Ordering::Relaxed);
-                        true
-                    } else {
-                        false
-                    }
-                }),
-                #[cfg(not(feature = "chaos"))]
-                chaos_tear: Box::new(|| false),
-                #[cfg(feature = "chaos")]
-                chaos_stall: Box::new(move || {
-                    stall_state.faults.fires(faults::FaultSite::ConnectionStall)
-                }),
-                #[cfg(not(feature = "chaos"))]
-                chaos_stall: Box::new(|| false),
-                handle: Box::new(move |request, responder| {
-                    let state = Arc::clone(&handle_state);
-                    submitter.submit(Box::new(move || {
-                        run_request(&state, request, responder);
-                    }));
-                }),
-            }
-        };
+        let pool = pool::spawn(config.threads, state.overload.queue_gauge());
         let max_connections = config
             .max_connections
             .unwrap_or(config.threads.max(1) + config.queue_depth.max(1));
@@ -471,8 +380,9 @@ impl Server {
                 max_connections,
                 stream_buffer: config.stream_buffer_bytes,
             },
-            hooks,
-            Arc::clone(&state.metrics.event),
+            Arc::clone(&state),
+            pool.handle(),
+            config.queue_depth.max(1) as u64,
         )?;
         // The periodic snapshotter: one thread, woken early by shutdown.
         // It writes on each tick; the first snapshot lands one period in
@@ -614,11 +524,27 @@ impl Server {
         Ok(report)
     }
 
+    /// Graceful shutdown; the same teardown as dropping the server.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+
+    /// Blocks this thread forever (the CLI's `serve` loop); the server
+    /// keeps running on its own threads.
+    pub fn block_forever(self) -> ! {
+        loop {
+            std::thread::park();
+        }
+    }
+}
+
+impl Drop for Server {
     /// Graceful shutdown: the snapshotter first (so no write races the
-    /// teardown), then the event loop (closing every connection and
-    /// stream buffer, which unblocks any streaming worker and drops the
-    /// loop's pool handle), then the compute pool disconnects and joins.
-    pub fn shutdown(mut self) {
+    /// teardown, and no snapshot is written after the server is gone),
+    /// then the event loop (closing every connection and stream buffer,
+    /// which unblocks any streaming worker and drops the loop's pool
+    /// handle), then the compute pool disconnects and joins.
+    fn drop(&mut self) {
         if let Some(snapshotter) = self.snapshotter.take() {
             {
                 let (lock, cv) = &*snapshotter.stop;
@@ -629,14 +555,6 @@ impl Server {
         }
         self.events.shutdown();
         self.pool.shutdown();
-    }
-
-    /// Blocks this thread forever (the CLI's `serve` loop); the server
-    /// keeps running on its own threads.
-    pub fn block_forever(self) -> ! {
-        loop {
-            std::thread::park();
-        }
     }
 }
 
@@ -1017,5 +935,38 @@ mod tests {
         assert_eq!(infos.len(), 1);
         assert_eq!(infos[0].epoch, 2);
         server.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_server_stops_its_snapshotter() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = std::env::temp_dir().join(format!("coursenav-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = tiny_server(ServerConfig {
+            snapshot_dir: Some(dir.clone()),
+            snapshot_every: Duration::from_millis(20),
+            ..ServerConfig::default()
+        });
+        let file = dir.join(snapshot::SNAPSHOT_FILE);
+        let t0 = Instant::now();
+        while !file.exists() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "no snapshot written"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Dropped, not shut down: the path a panicking test takes.
+        drop(server);
+        // Each write renames a fresh file into place, so a new inode or
+        // mtime means the snapshotter outlived the server.
+        let stamp = || {
+            let meta = std::fs::metadata(&file).expect("snapshot file");
+            (meta.ino(), meta.modified().expect("mtime"))
+        };
+        let before = stamp();
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(stamp(), before, "a snapshot was written after the drop");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

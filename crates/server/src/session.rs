@@ -192,13 +192,6 @@ impl SessionStore {
         (self.ttl.as_millis() as u64).max(1)
     }
 
-    /// Stores `cursor_json` as a fresh unscoped session and returns its
-    /// token. Equivalent to [`SessionStore::mint_scoped`] with an empty
-    /// scope.
-    pub fn mint(&self, cursor_json: String) -> String {
-        self.mint_scoped(cursor_json, "")
-    }
-
     /// Stores `cursor_json` as a fresh session bound to `scope`
     /// (canonically `tenant@epoch`) and returns its token. The token only
     /// resumes under the same scope — see [`SessionStore::take_scoped`].
@@ -244,17 +237,12 @@ impl SessionStore {
         token_for(key, id)
     }
 
-    /// Verifies `token` and consumes its unscoped session, returning the
-    /// stored cursor JSON. A consumed token cannot be taken twice.
-    pub fn take(&self, token: &str) -> Result<String, SessionError> {
-        self.take_scoped(token, "")
-    }
-
     /// Verifies `token` and consumes its session, returning the stored
     /// cursor JSON — but only when the session was minted under
     /// `expected_scope`. A scope mismatch still consumes the session and
     /// answers [`SessionError::Expired`]: the token was once real, but the
-    /// epoch it was minted against no longer serves.
+    /// epoch it was minted against no longer serves. A consumed token
+    /// cannot be taken twice.
     pub fn take_scoped(&self, token: &str, expected_scope: &str) -> Result<String, SessionError> {
         let now = self.now_ms();
         let mut inner = self.inner.lock();
@@ -520,11 +508,14 @@ mod tests {
     #[test]
     fn mint_take_round_trips_and_consumes() {
         let store = store(8);
-        let token = store.mint("{\"cursor\":1}".into());
+        let token = store.mint_scoped("{\"cursor\":1}".into(), "");
         assert!(token.starts_with("cn1."));
-        assert_eq!(store.take(&token).as_deref(), Ok("{\"cursor\":1}"));
+        assert_eq!(
+            store.take_scoped(&token, "").as_deref(),
+            Ok("{\"cursor\":1}")
+        );
         // Take semantics: the same token replayed is gone, not invalid.
-        assert_eq!(store.take(&token), Err(SessionError::Expired));
+        assert_eq!(store.take_scoped(&token, ""), Err(SessionError::Expired));
         let stats = store.stats();
         assert_eq!((stats.created, stats.resumed, stats.expired), (1, 1, 1));
         assert_eq!(stats.live, 0);
@@ -533,12 +524,12 @@ mod tests {
     #[test]
     fn tampered_and_malformed_tokens_are_invalid() {
         let store = store(8);
-        let token = store.mint("{}".into());
+        let token = store.mint_scoped("{}".into(), "");
         // Flip one hex digit of the MAC.
         let mut forged = token.clone();
         let last = forged.pop().unwrap();
         forged.push(if last == '0' { '1' } else { '0' });
-        assert_eq!(store.take(&forged), Err(SessionError::Invalid));
+        assert_eq!(store.take_scoped(&forged, ""), Err(SessionError::Invalid));
         for junk in [
             "",
             "cn1",
@@ -547,22 +538,26 @@ mod tests {
             "cn2.0.0",
             &token[..token.len() - 2],
         ] {
-            assert_eq!(store.take(junk), Err(SessionError::Invalid), "{junk:?}");
+            assert_eq!(
+                store.take_scoped(junk, ""),
+                Err(SessionError::Invalid),
+                "{junk:?}"
+            );
         }
         // The genuine token still works after all the failed attempts.
-        assert_eq!(store.take(&token).as_deref(), Ok("{}"));
+        assert_eq!(store.take_scoped(&token, "").as_deref(), Ok("{}"));
         assert!(store.stats().invalid >= 6);
     }
 
     #[test]
     fn capacity_evicts_the_oldest_session() {
         let store = store(2);
-        let first = store.mint("one".into());
-        let second = store.mint("two".into());
-        let third = store.mint("three".into());
-        assert_eq!(store.take(&first), Err(SessionError::Expired));
-        assert_eq!(store.take(&second).as_deref(), Ok("two"));
-        assert_eq!(store.take(&third).as_deref(), Ok("three"));
+        let first = store.mint_scoped("one".into(), "");
+        let second = store.mint_scoped("two".into(), "");
+        let third = store.mint_scoped("three".into(), "");
+        assert_eq!(store.take_scoped(&first, ""), Err(SessionError::Expired));
+        assert_eq!(store.take_scoped(&second, "").as_deref(), Ok("two"));
+        assert_eq!(store.take_scoped(&third, "").as_deref(), Ok("three"));
         let stats = store.stats();
         // The drop was a capacity squeeze, not a TTL lapse.
         assert_eq!(stats.evicted_capacity, 1);
@@ -573,9 +568,9 @@ mod tests {
     #[test]
     fn ttl_expires_sessions() {
         let store = SessionStore::new(8, Duration::from_millis(10));
-        let token = store.mint("stale".into());
+        let token = store.mint_scoped("stale".into(), "");
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(store.take(&token), Err(SessionError::Expired));
+        assert_eq!(store.take_scoped(&token, ""), Err(SessionError::Expired));
         let stats = store.stats();
         // The drop was a TTL lapse, not a capacity squeeze.
         assert_eq!(stats.expired_ttl, 1);
@@ -587,9 +582,9 @@ mod tests {
     fn tokens_from_another_store_do_not_verify() {
         let a = store(8);
         let b = store(8);
-        let token = a.mint("{}".into());
+        let token = a.mint_scoped("{}".into(), "");
         // A different process key means the MAC cannot verify.
-        assert_eq!(b.take(&token), Err(SessionError::Invalid));
+        assert_eq!(b.take_scoped(&token, ""), Err(SessionError::Invalid));
     }
 
     #[test]
@@ -628,13 +623,13 @@ mod tests {
     #[test]
     fn unscoped_mint_and_scoped_mint_do_not_cross() {
         let store = store(8);
-        let unscoped = store.mint("{}".into());
+        let unscoped = store.mint_scoped("{}".into(), "");
         assert_eq!(
             store.take_scoped(&unscoped, "t@1"),
             Err(SessionError::Expired)
         );
         let scoped = store.mint_scoped("{}".into(), "t@1");
-        assert_eq!(store.take(&scoped), Err(SessionError::Expired));
+        assert_eq!(store.take_scoped(&scoped, ""), Err(SessionError::Expired));
     }
 
     #[test]
@@ -642,14 +637,14 @@ mod tests {
         let store = store(64);
         let mut seen = std::collections::HashSet::new();
         for i in 0..50 {
-            assert!(seen.insert(store.mint(format!("{i}"))));
+            assert!(seen.insert(store.mint_scoped(format!("{i}"), "")));
         }
     }
 
     #[test]
     fn export_import_round_trips_tokens_and_scopes() {
         let a = store(8);
-        let unscoped = a.mint("{\"p\":1}".into());
+        let unscoped = a.mint_scoped("{\"p\":1}".into(), "");
         let scoped = a.mint_scoped("{\"p\":2}".into(), "t@3");
         let export = a.export();
         assert_eq!(export.entries.len(), 2);
@@ -658,37 +653,37 @@ mod tests {
         assert_eq!(b.import(export), 2);
         // Tokens minted by A verify and resume on B: the signing key was
         // adopted, the cursors and scopes came across intact.
-        assert_eq!(b.take(&unscoped).as_deref(), Ok("{\"p\":1}"));
+        assert_eq!(b.take_scoped(&unscoped, "").as_deref(), Ok("{\"p\":1}"));
         assert_eq!(b.take_scoped(&scoped, "t@3").as_deref(), Ok("{\"p\":2}"));
         // A's copies are untouched (export is a copy, not a move).
-        assert_eq!(a.take(&unscoped).as_deref(), Ok("{\"p\":1}"));
+        assert_eq!(a.take_scoped(&unscoped, "").as_deref(), Ok("{\"p\":1}"));
     }
 
     #[test]
     fn import_keeps_future_mints_collision_free() {
         let a = store(8);
-        let old = a.mint("old".into());
+        let old = a.mint_scoped("old".into(), "");
         let b = store(8);
         assert_eq!(b.import(a.export()), 1);
         // B adopted A's seed and advanced its clock past A's, so a fresh
         // mint on B cannot re-derive an exported id/token.
-        let fresh = b.mint("fresh".into());
+        let fresh = b.mint_scoped("fresh".into(), "");
         assert_ne!(fresh, old);
-        assert_eq!(b.take(&old).as_deref(), Ok("old"));
-        assert_eq!(b.take(&fresh).as_deref(), Ok("fresh"));
+        assert_eq!(b.take_scoped(&old, "").as_deref(), Ok("old"));
+        assert_eq!(b.take_scoped(&fresh, "").as_deref(), Ok("fresh"));
     }
 
     #[test]
     fn import_respects_capacity_keeping_newest() {
         let a = store(8);
-        let oldest = a.mint("one".into());
-        let newer = a.mint("two".into());
-        let newest = a.mint("three".into());
+        let oldest = a.mint_scoped("one".into(), "");
+        let newer = a.mint_scoped("two".into(), "");
+        let newest = a.mint_scoped("three".into(), "");
         let b = store(2);
         assert_eq!(b.import(a.export()), 2);
-        assert_eq!(b.take(&oldest), Err(SessionError::Expired));
-        assert_eq!(b.take(&newer).as_deref(), Ok("two"));
-        assert_eq!(b.take(&newest).as_deref(), Ok("three"));
+        assert_eq!(b.take_scoped(&oldest, ""), Err(SessionError::Expired));
+        assert_eq!(b.take_scoped(&newer, "").as_deref(), Ok("two"));
+        assert_eq!(b.take_scoped(&newest, "").as_deref(), Ok("three"));
     }
 
     #[test]
@@ -700,8 +695,8 @@ mod tests {
         // (250 ms + 500 ms > 600 ms).
         let ttl = Duration::from_millis(600);
         let a = SessionStore::new(8, ttl);
-        let prompt = a.mint("prompt".into());
-        let aged = a.mint("aged".into());
+        let prompt = a.mint_scoped("prompt".into(), "");
+        let aged = a.mint_scoped("aged".into(), "");
         std::thread::sleep(Duration::from_millis(250));
         let export = a.export();
         assert_eq!(export.entries.len(), 2);
@@ -713,16 +708,16 @@ mod tests {
         let b = SessionStore::new(8, ttl);
         assert_eq!(b.import(export), 2);
         // Straight after restore the sessions are still live.
-        assert_eq!(b.take(&prompt).as_deref(), Ok("prompt"));
+        assert_eq!(b.take_scoped(&prompt, "").as_deref(), Ok("prompt"));
         std::thread::sleep(Duration::from_millis(500));
-        assert_eq!(b.take(&aged), Err(SessionError::Expired));
+        assert_eq!(b.take_scoped(&aged, ""), Err(SessionError::Expired));
         assert!(b.stats().expired_ttl >= 1, "lapse counted as TTL expiry");
     }
 
     #[test]
     fn fully_aged_sessions_are_not_exported() {
         let a = SessionStore::new(8, Duration::from_millis(10));
-        let _ = a.mint("stale".into());
+        let _ = a.mint_scoped("stale".into(), "");
         std::thread::sleep(Duration::from_millis(20));
         assert!(a.export().entries.is_empty());
     }

@@ -1,6 +1,6 @@
 //! Lifecycle tests for the event-driven core over real sockets: held
 //! connections are cheap and visible on the new `event-loop` gauges,
-//! slots are reused rather than leaked, the single timer wheel preserves
+//! slots are reused rather than leaked, the single deadline heap preserves
 //! PR 2's 408-vs-silent-close semantics (the bugfix pin), pipelined
 //! cycles re-arm their deadlines, and the accept-stage cap sheds with
 //! the same typed 503 discipline as dispatch admission.
@@ -144,7 +144,7 @@ fn read_response(stream: &mut TcpStream) -> common::WireResponse {
     }
 }
 
-/// The timer wheel's size, read over `stream` (a held connection).
+/// The deadline heap's size, read over `stream` (a held connection).
 fn timer_entries(stream: &mut TcpStream) -> u64 {
     stream
         .write_all(b"GET /v1/metrics HTTP/1.1\r\nhost: a\r\n\r\n")
@@ -197,7 +197,7 @@ fn keep_alive_cycles_hold_one_timer_entry_per_connection() {
 
 #[test]
 fn timer_wheel_pins_408_for_partial_heads_and_silence_for_idle() {
-    // The PR 2 semantics, now enforced by the loop's single timer wheel
+    // The keep-alive semantics, enforced by the loop's single deadline heap
     // instead of per-thread socket timeouts: a lapsed deadline mid-head
     // answers 408; a lapsed deadline between requests closes silently.
     let server = start(300, None);

@@ -28,14 +28,14 @@ fn racing_resumes_honor_a_token_at_most_once() {
             let wins_total = &wins_total;
             scope.spawn(move || {
                 for i in 0..TOKENS_PER_MINTER {
-                    let token = store.mint(format!("{{\"minter\":{minter},\"i\":{i}}}"));
+                    let token = store.mint_scoped(format!("{{\"minter\":{minter},\"i\":{i}}}"), "");
                     // Several threads race to consume the same token.
                     let wins: u64 = std::thread::scope(|race| {
                         let racers: Vec<_> = (0..RACERS_PER_TOKEN)
                             .map(|_| {
                                 let store = Arc::clone(&store);
                                 let token = token.as_str();
-                                race.spawn(move || match store.take(token) {
+                                race.spawn(move || match store.take_scoped(token, "") {
                                     Ok(json) => {
                                         // The winner gets the exact bytes
                                         // this minter stored — never some
@@ -108,18 +108,18 @@ fn evictions_and_capacity_pressure_never_double_honor_or_lose_sessions() {
                 let wins_total = &wins_total;
                 scope.spawn(move || {
                     for i in 0..PER_WORKER {
-                        let token = store.mint(format!("{{\"w\":{w},\"i\":{i}}}"));
+                        let token = store.mint_scoped(format!("{{\"w\":{w},\"i\":{i}}}"), "");
                         // Two immediate racing takes per token.
                         let wins: u64 = std::thread::scope(|race| {
                             let a = {
                                 let store = Arc::clone(&store);
                                 let token = token.as_str();
-                                race.spawn(move || u64::from(store.take(token).is_ok()))
+                                race.spawn(move || u64::from(store.take_scoped(token, "").is_ok()))
                             };
                             let b = {
                                 let store = Arc::clone(&store);
                                 let token = token.as_str();
-                                race.spawn(move || u64::from(store.take(token).is_ok()))
+                                race.spawn(move || u64::from(store.take_scoped(token, "").is_ok()))
                             };
                             a.join().unwrap() + b.join().unwrap()
                         });
